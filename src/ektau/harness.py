@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import model, rotational, solver, stability
-from .errors import (ConfigInvalid, EktauError, IoFailure, NonConvergence,
-                     NoSphere, VerticalBlowup)
+from .errors import (ConfigInvalid, EktauError, IoFailure, IterationLimit,
+                     NonConvergence, NoSphere, VerticalBlowup)
 from .model import Point3, SpaceParams
 
 PLOT_HEADER = "H n height hemi_height bound lambda_min status"
@@ -105,7 +105,7 @@ class ReportRecord:
     tau: float
     H: float
     n: int
-    status: str                      # converged | vertical_blowup | non_convergence
+    status: str    # converged | vertical_blowup | non_convergence | stability_failed
     height: float | None = None
     hemisphere_height: float | None = None
     rosenberg_bound: float | None = None
@@ -192,6 +192,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRecord]:
                 rec.status, rec.message = "vertical_blowup", str(exc)
             except NonConvergence as exc:
                 rec.status, rec.message = "non_convergence", str(exc)
+            except IterationLimit as exc:
+                rec.status, rec.message = "stability_failed", str(exc)
             records.append((rec, sol_record))
         return records
 
@@ -365,7 +367,7 @@ def cli_dispatch(argv) -> int:
 
     try:
         return _run_command(args)
-    except EktauError as exc:
+    except (EktauError, ValueError) as exc:     # ValueError: rejected input
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -436,23 +436,24 @@ def sphere_exists(H: float, params: SpaceParams) -> bool:
     return 4.0 * H * H + params.kappa > 0.0
 
 
-def base_distance(p1, p2, params: SpaceParams) -> float:
+def base_distance(p1, p2, params: SpaceParams):
     """Distance between base points (x, y) in M^2(kappa).
 
     For kappa < 0 this is the hyperbolic distance of the conformal disk
     model of radius 2/sqrt(-kappa); for kappa = 0 it is Euclidean.  The
     Riemannian submersion makes this a lower bound for the ambient distance
-    between points on the corresponding fibres.
+    between points on the corresponding fibres.  Coordinates may be arrays
+    (broadcast against each other); the result then has their shape.
     """
-    x1, y1 = float(p1[0]), float(p1[1])
-    x2, y2 = float(p2[0]), float(p2[1])
+    x1, y1 = np.asarray(p1[0], dtype=float), np.asarray(p1[1], dtype=float)
+    x2, y2 = np.asarray(p2[0], dtype=float), np.asarray(p2[1], dtype=float)
     if params.kappa > 0:
         raise UnsupportedSign("base distance implemented for kappa <= 0 only")
     if params.kappa == 0:
-        return math.hypot(x2 - x1, y2 - y1)
+        return np.hypot(x2 - x1, y2 - y1)
     a = math.sqrt(-params.kappa)
-    u1 = complex(x1, y1) * (a / 2.0)
-    u2 = complex(x2, y2) * (a / 2.0)
-    m = abs((u1 - u2) / (1.0 - u1.conjugate() * u2))
-    m = min(m, 1.0 - 1e-16)
-    return (2.0 / a) * math.atanh(m)
+    u1 = (x1 + 1j * y1) * (a / 2.0)
+    u2 = (x2 + 1j * y2) * (a / 2.0)
+    m = np.abs((u1 - u2) / (1.0 - np.conj(u1) * u2))
+    m = np.minimum(m, 1.0 - 1e-16)
+    return (2.0 / a) * np.arctanh(m)

@@ -290,5 +290,5 @@ def cmc_cylinder_curve(H: float, params: SpaceParams) -> PlanarCircle:
     r_model = brentq(lambda r: _circle_geodesic_curvature(r, params) - kg,
                      1e-9 * R, R * (1.0 - 1e-12), xtol=1e-15, rtol=8.9e-16)
     rho = model.base_distance((0.0, 0.0), (r_model, 0.0), params)
-    return PlanarCircle(params=params, geodesic_curvature=kg, radius=rho,
+    return PlanarCircle(params=params, geodesic_curvature=kg, radius=float(rho),
                         closed=True, model_radius=float(r_model))

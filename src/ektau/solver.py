@@ -267,8 +267,7 @@ class DomainGrid:
                 r = np.hypot(x - cx, y - cy)
                 return self.radius - r
             # radial geodesic distance in the conformal disk model
-            d = np.array([
-                model.base_distance((cx, cy), (xi, yi), p) for xi, yi in zip(x, y)])
+            d = model.base_distance((cx, cy), (x, y), p)
             dR = model.base_distance((cx, cy), (cx + self.radius, cy), p)
             return dR - d
         if p.kappa == 0:
@@ -285,11 +284,8 @@ class DomainGrid:
             np.stack([cx - ex + 2 * ex * ts, np.full_like(ts, cy + ey)], 1),
             np.stack([np.full_like(ts, cx - ex), cy - ey + 2 * ey * ts], 1),
             np.stack([np.full_like(ts, cx + ex), cy - ey + 2 * ey * ts], 1)])
-        out = np.empty(len(x))
-        for k, (xi, yi) in enumerate(zip(x, y)):
-            out[k] = min(model.base_distance((xi, yi), (bx, by), p)
-                         for bx, by in edges)
-        return out
+        return np.array([model.base_distance((xi, yi), edges.T, p).min()
+                         for xi, yi in zip(x, y)])
 
     def descriptor(self) -> dict:
         d = {"shape": self.shape, "center": list(self.center), "n": self.n}

@@ -9,9 +9,12 @@ potential from the pointwise Jacobi potential.  Dirichlet conditions
 nodes.
 
 The smallest eigenvalue of the generalized symmetric problem is computed
-by shifted inverse iteration started below the spectrum (Gershgorin), with
-one adaptive re-shift and a restart guard; scipy's Lanczos solvers are kept
-on the test side as an independent oracle.
+by inverse iteration on one LU factorization, shifted just below a lower
+bound of the spectrum: -max q for solved graphs (the stiffness part is
+positive semidefinite), -(4H^2 + kappa) for cylinders, Gershgorin for
+operators built by hand.  A seeded random restart on the same factorization
+guards against a missed ground state; scipy's Lanczos solvers are kept on
+the test side as an independent oracle.
 """
 
 from __future__ import annotations
@@ -32,11 +35,16 @@ from .solver import GraphSolution
 
 @dataclass
 class DiscreteOperator:
-    """Weak form of -(Laplacian + q) with its mass (area) matrix."""
+    """Weak form of -(Laplacian + q) with its mass (area) matrix.
+
+    `lower_bound`, when known, is a number no larger than the smallest
+    generalized eigenvalue; the eigensolver shifts just below it.
+    """
 
     dimension: int
     matrix: sp.csr_matrix
     mass: sp.csr_matrix
+    lower_bound: float | None = None
 
 
 @dataclass
@@ -147,83 +155,69 @@ def assemble_jacobi(sol: GraphSolution) -> DiscreteOperator:
                            g.hx, g.hy)
     q = f["q"][g.interior]
     A = (K - sp.diags(lump * q)).tocsr()
+    # K is positive semidefinite (SPD cell coefficients W), so by Weyl the
+    # mass-scaled operator K' - diag(q) has no eigenvalue below -max q
     return DiscreteOperator(dimension=g.n_interior, matrix=A,
-                            mass=sp.diags(lump).tocsr())
+                            mass=sp.diags(lump).tocsr(),
+                            lower_bound=-float(q.max()))
 
 
 def smallest_eigenvalue(op: DiscreteOperator, tol: float = 1e-10,
                         max_iter: int = 5000) -> SpectrumReport:
     """Smallest generalized eigenvalue of (matrix, mass) by inverse iteration.
 
-    Starts from the all-ones vector (the operators here are of Schrodinger
-    type with a sign-definite ground state, so the overlap is substantial)
-    with the shift below the spectrum by Gershgorin, tightening the shift
-    as the Rayleigh quotient settles.  A short tight-shift restart from a
-    seeded random vector guards against a deflated or missed ground state.
+    One LU at a shift just under `op.lower_bound` (Gershgorin of the
+    mass-scaled matrix when unset) serves the whole solve.  Iteration starts
+    from the all-ones vector (the operators here are of Schrodinger type
+    with a sign-definite ground state, so the overlap is substantial); a
+    15-step guard run from a seeded random vector on the same LU catches a
+    missed ground state, and iteration continues from the guard vector if it
+    finds a lower Rayleigh quotient.
     """
     m = op.mass.diagonal()
     d = 1.0 / np.sqrt(m)
     B = (sp.diags(d) @ op.matrix @ sp.diags(d)).tocsr()
     n = B.shape[0]
-    ident = sp.identity(n, format="csr")
-    scale = max(1.0, float(abs(B).max()))
+    lb = op.lower_bound
+    if lb is None:
+        radii = np.asarray(abs(B).sum(axis=1)).ravel() - abs(B.diagonal())
+        lb = float((B.diagonal() - radii).min())
+    shift = lb - 1e-3 * max(1.0, abs(lb))
+    try:
+        lu = spla.splu((B - shift * sp.identity(n, format="csr")).tocsc())
+    except RuntimeError as exc:
+        raise IterationLimit("could not factor the shifted operator") from exc
 
-    absB = abs(B)
-    radii = np.asarray(absB.sum(axis=1)).ravel() - abs(B.diagonal())
-    gersh_lb = float((B.diagonal() - radii).min())
+    def converged(lam, resid):
+        return resid <= tol * max(1.0, abs(lam))
 
-    def factor(shift):
-        for bump in (0.0, 1e-8 * scale, 1e-6 * scale):
-            try:
-                return spla.splu((B - (shift - bump) * ident).tocsc())
-            except RuntimeError:
-                continue
-        raise IterationLimit("could not factor the shifted operator")
-
-    def iterate(v, shift, iters_left, reshift=True):
-        lu = factor(shift)
-        lam = float(v @ (B @ v))
+    def iterate(v, iters):
+        lam = resid = math.nan
         it = 0
-        while it < iters_left:
+        while it < iters:
             it += 1
             y = lu.solve(v)
             v = y / np.linalg.norm(y)
             Bv = B @ v
-            lam_new = float(v @ Bv)
-            resid = float(np.linalg.norm(Bv - lam_new * v))
-            if resid <= tol * max(1.0, abs(lam_new)):
-                return lam_new, resid, it, v
-            # the Rayleigh quotient bounds lam_min from above: pull the
-            # shift up under it once the estimate stops moving
-            if reshift and it % 5 == 0:
-                gap = abs(lam_new - lam) + 10.0 * resid
-                shift_new = lam_new - max(gap, 1e-9 * scale)
-                if shift_new > shift + 1e-12 * scale:
-                    shift = shift_new
-                    lu = factor(shift)
-            lam = lam_new
+            lam = float(v @ Bv)
+            resid = float(np.linalg.norm(Bv - lam * v))
+            if converged(lam, resid):
+                break
         return lam, resid, it, v
 
-    v0 = np.ones(n) / math.sqrt(n)
-    lam, resid, it1, v = iterate(v0, gersh_lb - 1e-3 * scale, max_iter)
-    if resid > tol * max(1.0, abs(lam)):
+    lam, resid, it1, _ = iterate(np.ones(n) / math.sqrt(n), max_iter)
+    if not converged(lam, resid):
         raise IterationLimit("inverse iteration did not converge in %d steps"
                              % max_iter)
-    # guard: a tight shift just below the found value makes any missed
-    # lower eigenvalue the dominant mode of a short restarted iteration
     rng = np.random.RandomState(1234)
     vg = rng.standard_normal(n)
-    vg /= np.linalg.norm(vg)
-    guard_shift = lam - 1e-3 * max(1.0, abs(lam))
-    lam_g, resid_g, it2, vg = iterate(vg, guard_shift, 15, reshift=False)
+    lam_g, _, it2, vg = iterate(vg / np.linalg.norm(vg), 15)
     total = it1 + it2
     if lam_g < lam - 1e-10 * max(1.0, abs(lam)):
-        lam3, resid3, it3, _ = iterate(vg, lam_g - 1e-6 * scale,
-                                       max_iter - total)
-        if resid3 > tol * max(1.0, abs(lam3)):
+        lam, resid, it3, _ = iterate(vg, max_iter - total)
+        total += it3
+        if not converged(lam, resid):
             raise IterationLimit("guard iteration did not converge")
-        return SpectrumReport(lambda_min=min(lam, lam3),
-                              eigvec_residual=resid3, iterations=total + it3)
     return SpectrumReport(lambda_min=lam, eigvec_residual=resid,
                           iterations=total)
 
@@ -292,8 +286,8 @@ def cylinder_stability(H: float, params: SpaceParams,
     20/(2H) (periodic for closed curves, free ends otherwise) and solves
     for the smallest eigenvalue; the constant mode realizes the margin.
     """
-    if H <= 0:
-        raise ValueError("cylinder stability needs H > 0")
+    if not (math.isfinite(H) and H > 0):
+        raise ValueError("cylinder stability needs a finite H > 0")
     if params.kappa > 0:
         raise UnsupportedSign("cylinder criterion restricted to kappa <= 0")
     c = 4.0 * H * H + params.kappa
@@ -326,8 +320,9 @@ def cylinder_stability(H: float, params: SpaceParams,
     K, lump = _q1_assemble(dof, Gi[0, 0], Gi[0, 1], Gi[1, 1], 1.0, hx, hy,
                            periodic_x=periodic)
     A = (K - sp.diags(lump * c)).tocsr()
+    # K is positive semidefinite and the constant mode attains -c
     op = DiscreteOperator(dimension=nx * n_axis, matrix=A,
-                          mass=sp.diags(lump).tocsr())
+                          mass=sp.diags(lump).tocsr(), lower_bound=-c)
     rep = smallest_eigenvalue(op, tol=1e-10)
     return CylinderStability(
         stable=stable, margin=margin, constant_mode_rq=margin,

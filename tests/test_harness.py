@@ -113,6 +113,31 @@ class TestRunExperiment:
         assert by_H[2.0].status == "vertical_blowup"
         assert by_H[2.0].height is None
 
+    def test_stability_failure_recorded_not_raised(self, tmp_path,
+                                                   monkeypatch):
+        from ektau import stability
+        from ektau.errors import IterationLimit
+        real = stability.smallest_eigenvalue
+        calls = []
+
+        def fail_first(op, *args, **kwargs):
+            calls.append(op)
+            if len(calls) == 1:
+                raise IterationLimit("guard iteration did not converge")
+            return real(op, *args, **kwargs)
+
+        monkeypatch.setattr(stability, "smallest_eigenvalue", fail_first)
+        cfg = small_config(tmp_path, "stab", check_stability=True)
+        records = run_experiment(cfg)
+        assert [r.H for r in records] == [0.5, 0.8]
+        failed, ok = records
+        assert failed.status == "stability_failed"
+        assert failed.message == "guard iteration did not converge"
+        assert failed.lambda_min is None
+        assert ok.status == "converged" and ok.lambda_min > 0
+        lines = (Path(cfg.output_dir) / "sweep.dat").read_text().splitlines()
+        assert lines[1].endswith(" stability_failed")
+
     def test_conjecture_ratio_below_one(self, tmp_path):
         cfg = small_config(tmp_path, "conj")
         for r in run_experiment(cfg):
@@ -169,6 +194,13 @@ class TestCli:
                            "--H", "0.49"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_non_finite_H_rejected_cleanly(self, capsys):
+        rc = cli_dispatch(["cylinder", "--kappa", "0", "--tau", "0.5",
+                           "--H", "nan"])
+        assert rc == 1
+        assert "error: cylinder stability needs a finite H > 0" in \
+            capsys.readouterr().err
 
     def test_check_battery(self, capsys):
         assert cli_dispatch(["check"]) == 0

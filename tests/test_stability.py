@@ -91,6 +91,41 @@ class TestSmallestEigenvalue:
         rep_c = smallest_eigenvalue(shifted)
         assert rep_c.lambda_min == pytest.approx(rep.lambda_min - c, abs=1e-8)
 
+    def test_one_factorization_per_solve(self, monkeypatch):
+        sol = solve_dirichlet(disk_grid(1.0, 32, PSL), 0.0, 0.8, PSL)
+        graph_op = assemble_jacobi(sol)
+        calls = []
+        real = spla.splu
+
+        def counting_splu(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        smallest_eigenvalue(graph_op)
+        assert len(calls) == 1
+        cylinder_stability(1.0, NIL)
+        assert len(calls) == 2
+
+    def test_graph_lower_bound_below_lanczos_oracle(self):
+        for params, R, H in ((PSL, 1.0, 0.8), (FLAT, 0.5, 1.0)):
+            sol = solve_dirichlet(disk_grid(R, 40, params), 0.0, H, params)
+            op = assemble_jacobi(sol)
+            d = sp.diags(1.0 / np.sqrt(op.mass.diagonal()))
+            B = (d @ op.matrix @ d).tocsc()
+            oracle = spla.eigsh(B, k=1, which="SA", maxiter=10000)[0][0]
+            assert op.lower_bound <= oracle
+
+    def test_guard_recovers_ground_state_orthogonal_to_start(self):
+        # blocks [[2, 1], [1, 2]]: the ones vector is an eigenvector for 3,
+        # orthogonal to the ground state (1, -1) with eigenvalue 1
+        m = 20
+        A = sp.kron(sp.identity(m), sp.csr_matrix([[2.0, 1.0], [1.0, 2.0]]))
+        op = DiscreteOperator(2 * m, A.tocsr(), sp.identity(2 * m, format="csr"))
+        rep = smallest_eigenvalue(op)
+        assert rep.lambda_min == pytest.approx(1.0, abs=1e-10)
+        assert rep.eigvec_residual < 1e-10
+
     def test_solved_graphs_are_stable(self):
         for params, R, H in ((FLAT, 0.5, 1.0), (NIL, 1.0, 0.8), (PSL, 1.0, 0.8)):
             sol = solve_dirichlet(disk_grid(R, 40, params), 0.0, H, params)
@@ -138,6 +173,11 @@ class TestCylinderStability:
         for kappa, H in ((0.0, 1.0), (-9.0, 1.0), (-1.0, 0.4)):
             cs = cylinder_stability(H, SpaceParams(kappa, 0.5))
             assert cs.lambda_min_spectral == pytest.approx(cs.margin, abs=1e-6)
+
+    @pytest.mark.parametrize("H", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_non_finite_or_non_positive_H(self, H):
+        with pytest.raises(ValueError, match="finite H > 0"):
+            cylinder_stability(H, NIL)
 
     def test_sign_grid(self):
         for H in (0.25, 0.5, 1.0, 2.0):
