@@ -71,13 +71,9 @@ class AmbientCache:
         self.gamma = model.christoffel_components(self.x, self.y, params)
 
 
-def shape_arrays(amb: AmbientCache, fx, fy, fxx, fxy, fyy, orientation: int = -1):
-    """Vectorized fundamental forms over the cached points.
-
-    Returns a dict with first-form components I11, I12, I22, det_I, the
-    second-form components II11, II12, II22, the normal components (n, 3),
-    and nu, H, sigma_sq arrays.
-    """
+def _forms(amb: AmbientCache, fx, fy, fxx, fxy, fyy, orientation: int):
+    """The kernel behind `shape_arrays`, keeping the intermediates that the
+    exact first-order partials reuse (keys with a leading underscore)."""
     if orientation not in (-1, 1):
         raise ValueError("orientation must be +1 or -1")
     fx = np.asarray(fx, dtype=float)
@@ -116,16 +112,16 @@ def shape_arrays(amb: AmbientCache, fx, fy, fxx, fxy, fyy, orientation: int = -1
     nu = float(orientation) / nrm
     normal = g_inv_w / nrm[..., None]
 
-    # covariant derivatives of the tangent fields along the graph
+    # covariant derivatives of the tangent fields along the graph:
+    # acc_ab = Gamma(T_a, T_b) + f_ab e_z and II_ab = <nabla_a T_b, N> = acc_ab.w / |w|
     def second(f_ab, a, b):
         acc = np.einsum("...kij,...i,...j->...k", gamma, a, b)
         acc[..., 2] += f_ab
-        # II_ab = <nabla_a T_b, N> = (nabla)^k w_k / |w|
-        return np.einsum("...k,...k->...", acc, w) / nrm
+        return np.einsum("...k,...k->...", acc, w) / nrm, acc
 
-    II11 = second(fxx, T1, T1)
-    II12 = second(fxy, T1, T2)
-    II22 = second(fyy, T2, T2)
+    II11, acc11 = second(fxx, T1, T1)
+    II12, acc12 = second(fxy, T1, T2)
+    II22, acc22 = second(fyy, T2, T2)
 
     inv_det = 1.0 / det_I
     Iinv11 = I22 * inv_det
@@ -144,41 +140,75 @@ def shape_arrays(amb: AmbientCache, fx, fy, fxx, fxy, fyy, orientation: int = -1
         "II11": II11, "II12": II12, "II22": II22,
         "Iinv11": Iinv11, "Iinv12": Iinv12, "Iinv22": Iinv22,
         "normal": normal, "nu": nu, "H": H, "sigma_sq": sigma_sq,
+        "_T1": T1, "_T2": T2, "_gT1": gT1, "_gT2": gT2, "_w": w,
+        "_g_inv_w": g_inv_w, "_nrm": nrm, "_inv_det": inv_det,
+        "_acc11": acc11, "_acc12": acc12, "_acc22": acc22,
     }
+
+
+def shape_arrays(amb: AmbientCache, fx, fy, fxx, fxy, fyy, orientation: int = -1):
+    """Vectorized fundamental forms over the cached points.
+
+    Returns a dict with first-form components I11, I12, I22, det_I, the
+    second-form components II11, II12, II22, the normal components (n, 3),
+    and nu, H, sigma_sq arrays.
+    """
+    d = _forms(amb, fx, fy, fxx, fxy, fyy, orientation)
+    return {k: v for k, v in d.items() if not k.startswith("_")}
 
 
 def mean_curvature_arrays(amb: AmbientCache, fx, fy, fxx, fxy, fyy,
                           orientation: int = -1):
     """(H, nu) over the cached points; the solver's residual evaluation."""
-    data = shape_arrays(amb, fx, fy, fxx, fxy, fyy, orientation)
+    data = _forms(amb, fx, fy, fxx, fxy, fyy, orientation)
     return data["H"], data["nu"]
 
 
 def mean_curvature_sensitivities(amb: AmbientCache, fx, fy, fxx, fxy, fyy,
-                                 orientation: int = -1, fd_step: float = 1e-6):
-    """H, nu and the partials of H with respect to the jet entries.
+                                 orientation: int = -1):
+    """H, nu and the exact partials of H with respect to the jet entries.
 
     The second fundamental form is affine in the second derivatives with
-    dII_ab/df_ab = nu, so dH/dfxx, dH/dfxy, dH/dfyy are exact; the first
-    derivative sensitivities are centered differences with step fd_step.
+    dII_ab/df_ab = nu, which gives dH/dfxx, dH/dfxy, dH/dfyy.  The partials
+    in fx and fy differentiate the kernel's own quantities by the chain
+    rule in one pass: with H = (I22 II11 - 2 I12 II12 + I11 II22) / (2 det I),
+    dT1/dfx = dT2/dfy = e_z and dw/dfx = -orientation e_x,
+    dw/dfy = -orientation e_y move I_ab, det I, the conormal norm |w| and
+    Gamma(T_a, T_b).w.
     """
-    data = shape_arrays(amb, fx, fy, fxx, fxy, fyy, orientation)
-    nu = data["nu"]
+    d = _forms(amb, fx, fy, fxx, fxy, fyy, orientation)
+    s = float(orientation)
+    nu, H, inv_det, nrm = d["nu"], d["H"], d["_inv_det"], d["_nrm"]
+    I11, I12, I22 = d["I11"], d["I12"], d["I22"]
+    II11, II12, II22 = d["II11"], d["II12"], d["II22"]
+    w, g_inv_w = d["_w"], d["_g_inv_w"]
+    # Gamma(e_z, T_a).w = Gamma(T_a, e_z).w (Gamma is symmetric): what
+    # Gamma(T_a, T_b).w gains per unit of e_z added to T_b
+    gamma_z = amb.gamma[..., :, 2, :]
+    Gz1 = np.einsum("...kj,...j,...k->...", gamma_z, d["_T1"], w)
+    Gz2 = np.einsum("...kj,...j,...k->...", gamma_z, d["_T2"], w)
+    gT1z, gT2z = d["_gT1"][..., 2], d["_gT2"][..., 2]
     dH = {
-        "fxx": 0.5 * nu * data["Iinv11"],
-        "fxy": nu * data["Iinv12"],
-        "fyy": 0.5 * nu * data["Iinv22"],
+        "fxx": 0.5 * nu * d["Iinv11"],
+        "fxy": nu * d["Iinv12"],
+        "fyy": 0.5 * nu * d["Iinv22"],
     }
-    for name, arr in (("fx", fx), ("fy", fy)):
-        h = fd_step * (1.0 + np.abs(arr))
-        if name == "fx":
-            Hp, _ = mean_curvature_arrays(amb, arr + h, fy, fxx, fxy, fyy, orientation)
-            Hm, _ = mean_curvature_arrays(amb, arr - h, fy, fxx, fxy, fyy, orientation)
-        else:
-            Hp, _ = mean_curvature_arrays(amb, fx, arr + h, fxx, fxy, fyy, orientation)
-            Hm, _ = mean_curvature_arrays(amb, fx, arr - h, fxx, fxy, fyy, orientation)
-        dH[name] = (Hp - Hm) / (2.0 * h)
-    return data["H"], nu, dH
+    # per first-order entry: d(I11, I12, I22) and the Gamma part of d(P_ab),
+    # P_ab = acc_ab.w = |w| II_ab
+    for axis, name, (dI11, dI12, dI22), (dP11, dP12, dP22) in (
+            (0, "fx", (2.0 * gT1z, gT2z, 0.0), (2.0 * Gz1, Gz2, 0.0)),
+            (1, "fy", (0.0, gT1z, 2.0 * gT2z), (0.0, Gz1, 2.0 * Gz2))):
+        # dw = -s e_axis meets only the x, y components of acc_ab, which
+        # are those of Gamma(T_a, T_b)
+        dnrm = -s * g_inv_w[..., axis] / nrm
+        dII11 = (dP11 - s * d["_acc11"][..., axis] - II11 * dnrm) / nrm
+        dII12 = (dP12 - s * d["_acc12"][..., axis] - II12 * dnrm) / nrm
+        dII22 = (dP22 - s * d["_acc22"][..., axis] - II22 * dnrm) / nrm
+        dN = (dI22 * II11 + I22 * dII11 - 2.0 * (dI12 * II12 + I12 * dII12)
+              + dI11 * II22 + I11 * dII22)
+        ddet = dI11 * I22 + I11 * dI22 - 2.0 * I12 * dI12
+        dH[name] = 0.5 * (dN - 2.0 * H * ddet) * inv_det
+    return H, nu, dH
 
 
 def shape_data(jet: Jet2, params: SpaceParams, orientation: int = -1) -> ShapeData:

@@ -23,8 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import model, rotational, solver, stability
-from .errors import (ConfigInvalid, EktauError, IoFailure, IterationLimit,
-                     NonConvergence, NoSphere, VerticalBlowup)
+from .errors import (ConfigInvalid, DegenerateMetric, EktauError, IoFailure,
+                     IterationLimit, NonConvergence, NoSphere, OutOfDomain,
+                     SingularStep, VerticalBlowup)
 from .model import Point3, SpaceParams
 
 PLOT_HEADER = "H n height hemi_height bound lambda_min status"
@@ -46,6 +47,12 @@ def rosenberg_bound(H: float, params: SpaceParams) -> float | None:
     return 2.0 * math.pi / math.sqrt(3.0 * c)
 
 
+def _reject_unknown_keys(keys, owner, what: str) -> None:
+    unknown = set(keys) - {f.name for f in dataclasses.fields(owner)}
+    if unknown:
+        raise ConfigInvalid("unknown %s keys: %s" % (what, sorted(unknown)))
+
+
 @dataclass
 class ExperimentConfig:
     params: SpaceParams
@@ -64,8 +71,9 @@ class ExperimentConfig:
     solver: solver.SolverConfig = field(default_factory=solver.SolverConfig)
 
     def __post_init__(self):
-        if not self.H_list or any(H <= 0 for H in self.H_list):
-            raise ConfigInvalid("H_list must be nonempty and positive")
+        if not self.H_list or not all(
+                math.isfinite(H) and H > 0 for H in self.H_list):
+            raise ConfigInvalid("H_list must be nonempty, finite and positive")
         if not self.grid_sizes or any(n < 16 for n in self.grid_sizes):
             raise ConfigInvalid("grid sizes must be >= 16")
         if self.domain_shape != "disk":
@@ -79,11 +87,10 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
         params = SpaceParams.from_dict(d.pop("params"))
-        solver_cfg = solver.SolverConfig(**d.pop("solver", {}))
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigInvalid("unknown config keys: %s" % sorted(unknown))
+        solver_d = d.pop("solver", {})
+        _reject_unknown_keys(d, cls, "config")
+        _reject_unknown_keys(solver_d, solver.SolverConfig, "solver config")
+        solver_cfg = solver.SolverConfig(**solver_d)
         if "domain_center" in d:
             d["domain_center"] = tuple(d["domain_center"])
         return cls(params=params, solver=solver_cfg, **d)
@@ -105,7 +112,9 @@ class ReportRecord:
     tau: float
     H: float
     n: int
-    status: str    # converged | vertical_blowup | non_convergence | stability_failed
+    # converged | vertical_blowup | non_convergence | stability_failed |
+    # degenerate_metric | singular_step | out_of_domain
+    status: str
     height: float | None = None
     hemisphere_height: float | None = None
     rosenberg_bound: float | None = None
@@ -158,8 +167,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRecord]:
             bound_cache[H] = rosenberg_bound(H, params)
 
     def run_grid(n: int):
-        grid = solver.disk_grid(cfg.domain_radius, n, params,
-                                center=cfg.domain_center)
+        grid = None
         records = []
         warm = None
         for H in sorted(set(cfg.H_list)):
@@ -169,6 +177,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRecord]:
                                rosenberg_bound=bound_cache.get(H))
             sol_record = None
             try:
+                if grid is None:
+                    grid = solver.disk_grid(cfg.domain_radius, n, params,
+                                            center=cfg.domain_center)
                 sol = solver.solve_dirichlet(grid, cfg.boundary_value, H,
                                              params, cfg.solver,
                                              init_values=warm)
@@ -194,6 +205,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRecord]:
                 rec.status, rec.message = "non_convergence", str(exc)
             except IterationLimit as exc:
                 rec.status, rec.message = "stability_failed", str(exc)
+            except DegenerateMetric as exc:
+                rec.status, rec.message = "degenerate_metric", str(exc)
+            except SingularStep as exc:
+                rec.status, rec.message = "singular_step", str(exc)
+            except OutOfDomain as exc:
+                rec.status, rec.message = "out_of_domain", str(exc)
             records.append((rec, sol_record))
         return records
 

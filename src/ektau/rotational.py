@@ -218,6 +218,8 @@ def hemisphere_height(H: float, params: SpaceParams,
     Runs the shoot at the default (or given) step with one halved-step
     confirmation; disagreement beyond 1e-6 of the height scale aborts.
     """
+    if not (math.isfinite(H) and H > 0):
+        raise ValueError("hemisphere height needs a finite H > 0, got %r" % H)
     if step is None:
         step = 0.002 / H
     prof = shoot_rotational_graph(H, params, step)

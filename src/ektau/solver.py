@@ -3,9 +3,11 @@
 The unknown is the nodal height field on a uniform lattice covering the
 domain.  Nodal jets come from centered second-order differences; at each
 interior node the residual is H(jet) - H_target, driven to zero by a damped
-Newton iteration whose Jacobian combines the exact sensitivities of H with
-respect to the second derivatives with centered differences for the first
-derivatives.
+Newton iteration.  Its Jacobian is exact: the partials of H with respect to
+all five jet entries are analytic (`mean_curvature_sensitivities`), and the
+stencils and the boundary closure are linear, so each Jacobian only refills
+the values of one sparsity pattern cached on the grid.  It is factored by
+SuperLU with a minimum-degree ordering of J^T + J in symmetric mode.
 
 Disk domains close the stencils with ghost values extrapolated along the
 lattice direction whose circle crossing lies closest to the ghost: the
@@ -30,8 +32,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import model
-from .errors import (ConfigInvalid, NonConvergence, NotConverged, OutOfDomain,
-                     VerticalBlowup)
+from .errors import (ConfigInvalid, DegenerateMetric, NonConvergence,
+                     NotConverged, OutOfDomain, VerticalBlowup)
 from .graph_geometry import (AmbientCache, mean_curvature_arrays,
                              mean_curvature_sensitivities, shape_arrays)
 from .model import SpaceParams
@@ -42,16 +44,21 @@ BLOWUP_NU = 1e-3
 # the nearest node is ill conditioned and the closure skips that node
 _GHOST_QUADRATIC_LIMIT = 0.8
 
+_JET_NAMES = ("fx", "fy", "fxx", "fxy", "fyy")
+
+
+def _dot2(u, v):
+    """Row-wise dot products of stacked vectors through matmul, which rounds
+    like the BLAS dot of `u @ v` on single vectors (a fused multiply-add on
+    most builds), so vectorized and per-node geometry agree to the bit."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
 
 @dataclass
 class SolverConfig:
     tol_residual: float = 1e-10
     max_newton: int = 50
     damping: float = 1.0
-    continuation_steps: int = 12
-    # relative step for the finite-difference linearization of the graph
-    # operator with respect to the first-order jet entries
-    jet_fd_step: float = 1e-6
     auto_continue: bool = True
 
     def __post_init__(self):
@@ -113,6 +120,7 @@ class DomainGrid:
         self._build_closure()
         self._build_stencils()
         self._amb: AmbientCache | None = None
+        self._jac_pattern = None
 
     # -- masks and indexing ------------------------------------------------
 
@@ -139,81 +147,108 @@ class DomainGrid:
 
     def _build_closure(self):
         """full = closure_A @ u + closure_b * boundary_value."""
-        n2 = self.n * self.n
-        rows, cols, vals = [], [], []
+        n, n2 = self.n, self.n * self.n
+        ii, jj = self.interior_ij[:, 0], self.interior_ij[:, 1]
+        rows = [ii * n + jj]
+        cols = [np.arange(self.n_interior)]
+        vals = [np.ones(self.n_interior)]
         b = np.zeros(n2)
-        flat = lambda i, j: i * self.n + j
-        for k in range(self.n_interior):
-            i, j = self.interior_ij[k]
-            rows.append(flat(i, j)); cols.append(k); vals.append(1.0)
         if self.shape == "rectangle":
-            edge = ~self.interior
-            b[edge.ravel()] = 1.0
+            b[~self.interior.ravel()] = 1.0
         else:
-            exterior = ~self.interior & ~self.ghost
-            b[exterior.ravel()] = 1.0
-            for i, j in zip(*np.nonzero(self.ghost)):
-                w = self._ghost_weights(i, j)
-                b[flat(i, j)] = w["bv"]
-                for (ni, nj), wt in w["nodes"]:
-                    rows.append(flat(i, j)); cols.append(self.idx[ni, nj])
-                    vals.append(wt)
+            b[(~self.interior & ~self.ghost).ravel()] = 1.0
+            ghost_flat, bv, node_rows, node_cols, node_vals = self._ghost_weights()
+            b[ghost_flat] = bv
+            rows.append(node_rows); cols.append(node_cols); vals.append(node_vals)
         self.closure_A = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(n2, self.n_interior))
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n2, self.n_interior))
         self.closure_b = b
 
-    def _ghost_weights(self, i: int, j: int) -> dict:
+    def _ghost_weights(self):
+        """Extrapolation weights of every ghost node, as arrays.
+
+        Returns the ghost nodes' flat indices with their boundary-value
+        weights, and (row, interior column, weight) triplets of the node
+        weights.  Each ghost extrapolates along the direction whose circle
+        crossing lies closest to it; axis directions come first, so the
+        diagonals only win a strictly closer crossing.
+        """
+        n = self.n
         cx, cy = self.center
         R = self.radius
-        pg = np.array([self.xs[i], self.ys[j]])
-        best = None
-        # axis directions first; diagonals as fallback
-        dirs = [(1, 0), (-1, 0), (0, 1), (0, -1),
-                (1, 1), (1, -1), (-1, 1), (-1, -1)]
-        for di, dj in dirs:
-            i1, j1 = i + di, j + dj
-            if not (0 <= i1 < self.n and 0 <= j1 < self.n) or not self.interior[i1, j1]:
-                continue
-            p1 = np.array([self.xs[i1], self.ys[j1]])
-            d = p1 - pg
-            a = d @ d
-            bq = 2.0 * d @ (pg - np.array([cx, cy]))
-            cq = (pg - np.array([cx, cy])) @ (pg - np.array([cx, cy])) - R * R
-            disc = bq * bq - 4 * a * cq
-            if disc < 0:
-                continue
-            sq = math.sqrt(disc)
-            for s in ((-bq - sq) / (2 * a), (-bq + sq) / (2 * a)):
-                if -1e-12 <= s <= 1.0 + 1e-12:
-                    s = min(max(s, 0.0), 1.0)
-                    cand = (s, (di, dj), (i1, j1))
-                    if best is None or s < best[0]:
-                        best = cand
-                    break
-        if best is None:
-            # isolated corner ghost; pin it to the boundary value
-            return {"bv": 1.0, "nodes": []}
-        s, (di, dj), (i1, j1) = best
+        gi, gj = np.nonzero(self.ghost)
+        pg = np.stack([self.xs[gi], self.ys[gj]], axis=1)
+        e = pg - np.array([cx, cy])
+        dirs = np.array([(1, 0), (-1, 0), (0, 1), (0, -1),
+                         (1, 1), (1, -1), (-1, 1), (-1, -1)])
+
+        def interior_at(i, j):
+            inside = (i >= 0) & (i < n) & (j >= 0) & (j < n)
+            out = np.zeros(i.shape, dtype=bool)
+            out[inside] = self.interior[i[inside], j[inside]]
+            return out
+
+        # crossing fraction s in [0, 1] along each direction (inf: none);
+        # |pg + s d - c| = R is a*s^2 + bq*s + cq = 0
+        ni = gi[:, None] + dirs[None, :, 0]
+        nj = gj[:, None] + dirs[None, :, 1]
+        valid = interior_at(ni, nj)
+        ni, nj = np.clip(ni, 0, n - 1), np.clip(nj, 0, n - 1)
+        d = np.stack([self.xs[ni], self.ys[nj]], axis=2) - pg[:, None, :]
+        d[~valid] = 1.0                       # keep a > 0 off the lattice
+        a = _dot2(d, d)
+        bq = _dot2(2.0 * d, e[:, None, :])
+        cq = _dot2(e, e)[:, None] - R * R
+        disc = bq * bq - 4 * a * cq
+        valid &= disc >= 0
+        sq = np.sqrt(np.where(valid, disc, 0.0))
+        s_lo = (-bq - sq) / (2 * a)
+        s_hi = (-bq + sq) / (2 * a)
+        in_lo = (s_lo >= -1e-12) & (s_lo <= 1.0 + 1e-12)
+        in_hi = (s_hi >= -1e-12) & (s_hi <= 1.0 + 1e-12)
+        s_all = np.where(in_lo, s_lo, s_hi)
+        valid &= in_lo | in_hi
+        s_all = np.where(valid, np.clip(s_all, 0.0, 1.0), np.inf)
+        best = np.argmin(s_all, axis=1)
+        found = np.isfinite(s_all[np.arange(len(gi)), best])
+
+        # isolated corner ghosts pin to the boundary value
+        bv = np.ones(len(gi))
+        g = np.nonzero(found)[0]
+        s = s_all[g, best[g]]
+        di, dj = dirs[best[g], 0], dirs[best[g], 1]
+        i1, j1 = gi[g] + di, gj[g] + dj
         i2, j2 = i1 + di, j1 + dj
-        have_n2 = (0 <= i2 < self.n and 0 <= j2 < self.n
-                   and self.interior[i2, j2])
-        if s <= _GHOST_QUADRATIC_LIMIT and have_n2:
-            # quadratic through the crossing (distance s in units of the
-            # step) and the nodes at distances 1 and 2, evaluated at 0
-            w_bv = 2.0 / ((1.0 - s) * (2.0 - s))
-            w1 = -2.0 * s / (1.0 - s)
-            w2 = s / (2.0 - s)
-            return {"bv": w_bv, "nodes": [((i1, j1), w1), ((i2, j2), w2)]}
-        if s > _GHOST_QUADRATIC_LIMIT and have_n2:
-            # crossing sits almost on the nearest node: skip it so the
-            # weights stay bounded as s -> 1
-            w_bv = 2.0 / (2.0 - s)
-            w2 = -s / (2.0 - s)
-            return {"bv": w_bv, "nodes": [((i2, j2), w2)]}
-        s = min(s, _GHOST_QUADRATIC_LIMIT)
-        w_bv = 1.0 / (1.0 - s)
-        w1 = -s / (1.0 - s)
-        return {"bv": w_bv, "nodes": [((i1, j1), w1)]}
+        have_n2 = interior_at(i2, j2)
+        quad = (s <= _GHOST_QUADRATIC_LIMIT) & have_n2
+        skip = (s > _GHOST_QUADRATIC_LIMIT) & have_n2
+        lin = ~have_n2
+        w1 = np.zeros(len(g))
+        w2 = np.zeros(len(g))
+        # quadratic through the crossing (distance s in units of the step)
+        # and the nodes at distances 1 and 2, evaluated at 0
+        t = s[quad]
+        bv[g[quad]] = 2.0 / ((1.0 - t) * (2.0 - t))
+        w1[quad] = -2.0 * t / (1.0 - t)
+        w2[quad] = t / (2.0 - t)
+        # crossing sits almost on the nearest node: skip it so the weights
+        # stay bounded as s -> 1
+        t = s[skip]
+        bv[g[skip]] = 2.0 / (2.0 - t)
+        w2[skip] = -t / (2.0 - t)
+        # linear through the crossing and the nearest node
+        t = np.minimum(s[lin], _GHOST_QUADRATIC_LIMIT)
+        bv[g[lin]] = 1.0 / (1.0 - t)
+        w1[lin] = -t / (1.0 - t)
+
+        ghost_flat = gi * n + gj
+        use1, use2 = quad | lin, have_n2
+        node_rows = np.concatenate([ghost_flat[g[use1]], ghost_flat[g[use2]]])
+        node_cols = np.concatenate([self.idx[i1[use1], j1[use1]],
+                                    self.idx[i2[use2], j2[use2]]])
+        node_vals = np.concatenate([w1[use1], w2[use2]])
+        return ghost_flat, bv, node_rows, node_cols, node_vals
 
     # -- stencil matrices ---------------------------------------------------
 
@@ -221,8 +256,7 @@ class DomainGrid:
         """Sparse maps from full lattice values to interior-node jets."""
         n = self.n
         hx, hy = self.hx, self.hy
-        flat = lambda i, j: i * n + j
-        mats = {}
+        ii, jj = self.interior_ij[:, 0], self.interior_ij[:, 1]
         stencils = {
             "fx": [((1, 0), 1 / (2 * hx)), ((-1, 0), -1 / (2 * hx))],
             "fy": [((0, 1), 1 / (2 * hy)), ((0, -1), -1 / (2 * hy))],
@@ -231,18 +265,18 @@ class DomainGrid:
             "fxy": [((1, 1), 1 / (4 * hx * hy)), ((-1, -1), 1 / (4 * hx * hy)),
                     ((1, -1), -1 / (4 * hx * hy)), ((-1, 1), -1 / (4 * hx * hy))],
         }
+        rows = np.arange(self.n_interior)
+        mats = {}
         for name, entries in stencils.items():
-            rows, cols, vals = [], [], []
-            for k in range(self.n_interior):
-                i, j = self.interior_ij[k]
-                for (di, dj), w in entries:
-                    rows.append(k); cols.append(flat(i + di, j + dj)); vals.append(w)
+            cols = [(ii + di) * n + (jj + dj) for (di, dj), _ in entries]
+            vals = [np.full(self.n_interior, w) for _, w in entries]
             mats[name] = sp.csr_matrix(
-                (vals, (rows, cols)), shape=(self.n_interior, n * n))
+                (np.concatenate(vals), (np.tile(rows, len(entries)),
+                                        np.concatenate(cols))),
+                shape=(self.n_interior, n * n))
         self.stencil = mats
         # composed with the closure: interior unknowns -> jets directly
         self.stencil_u = {k: (m @ self.closure_A).tocsr() for k, m in mats.items()}
-        self.stencil_b = {k: m @ self.closure_b for k, m in mats.items()}
 
     # -- helpers -------------------------------------------------------------
 
@@ -251,6 +285,31 @@ class DomainGrid:
             ii, jj = self.interior_ij[:, 0], self.interior_ij[:, 1]
             self._amb = AmbientCache(self.X[ii, jj], self.Y[ii, jj], self.params)
         return self._amb
+
+    def _jacobian_pattern(self):
+        """CSC pattern shared by every Newton Jacobian on this grid.
+
+        Returns (indptr, indices, slots): the union of the five composed
+        stencils' patterns, and for each jet name the position in it of
+        every stored entry of stencil_u[name], in CSR order.
+        """
+        if self._jac_pattern is None:
+            m = self.n_interior
+            coo = {k: self.stencil_u[k].tocoo() for k in _JET_NAMES}
+            pattern = sp.csc_matrix(
+                (np.ones(sum(c.nnz for c in coo.values())),
+                 (np.concatenate([c.row for c in coo.values()]),
+                  np.concatenate([c.col for c in coo.values()]))),
+                shape=(m, m))
+            pattern.sum_duplicates()
+            # CSC with sorted indices: col * m + row increases along the data
+            keys = np.repeat(np.arange(m), np.diff(pattern.indptr)) * m \
+                + pattern.indices
+            # int32 halves what a grid kept alive by its solutions holds
+            slots = {k: np.searchsorted(keys, c.col.astype(np.int64) * m + c.row)
+                     .astype(np.int32) for k, c in coo.items()}
+            self._jac_pattern = (pattern.indptr, pattern.indices, slots)
+        return self._jac_pattern
 
     def full_values(self, u: np.ndarray, boundary_value: float = 0.0) -> np.ndarray:
         v = self.closure_A @ u + self.closure_b * boundary_value
@@ -333,7 +392,7 @@ class GraphSolution:
         """Nodal jet arrays (fx, fy, fxx, fxy, fyy) at interior nodes."""
         full = (self.values - self.boundary_value).ravel()
         g = self.grid
-        return tuple(g.stencil[k] @ full for k in ("fx", "fy", "fxx", "fxy", "fyy"))
+        return tuple(g.stencil[k] @ full for k in _JET_NAMES)
 
     def to_record(self) -> dict:
         return {
@@ -377,7 +436,7 @@ class GraphSolution:
 
 
 def _jets_from_u(grid: DomainGrid, u: np.ndarray):
-    return {k: grid.stencil_u[k] @ u for k in ("fx", "fy", "fxx", "fxy", "fyy")}
+    return {k: grid.stencil_u[k] @ u for k in _JET_NAMES}
 
 
 def _residual(grid: DomainGrid, u, H_target, orientation):
@@ -387,15 +446,30 @@ def _residual(grid: DomainGrid, u, H_target, orientation):
     return H - H_target, nu, j
 
 
-def _jacobian(grid: DomainGrid, j, orientation, fd_step):
+def _jacobian(grid: DomainGrid, j, orientation):
+    """sum over jet names of diag(dH/d name) @ stencil_u[name], in CSC."""
     _, _, dH = mean_curvature_sensitivities(
         grid.ambient(), j["fx"], j["fy"], j["fxx"], j["fxy"], j["fyy"],
-        orientation, fd_step=fd_step)
-    J = None
-    for name in ("fx", "fy", "fxx", "fxy", "fyy"):
-        term = sp.diags(dH[name]) @ grid.stencil_u[name]
-        J = term if J is None else J + term
-    return J.tocsc()
+        orientation)
+    indptr, indices, slots = grid._jacobian_pattern()
+    data = np.zeros(len(indices))
+    for name in _JET_NAMES:
+        # one stencil's slots are distinct, so += adds each entry once
+        S = grid.stencil_u[name]
+        data[slots[name]] += np.repeat(dH[name], np.diff(S.indptr)) * S.data
+    m = grid.n_interior
+    return sp.csc_matrix((data, indices, indptr), shape=(m, m))
+
+
+def _factor(J):
+    """SuperLU with a minimum-degree ordering on the pattern of J^T + J.
+
+    Only the closure's ghost couplings break the symmetry of the Jacobian's
+    pattern, so that ordering suits it, and symmetric mode, which prefers
+    diagonal pivots, keeps the factors close to the ordering's fill.
+    """
+    return spla.splu(J, permc_spec="MMD_AT_PLUS_A",
+                     options=dict(SymmetricMode=True))
 
 
 def _newton(grid: DomainGrid, H_target: float, cfg: SolverConfig,
@@ -412,13 +486,13 @@ def _newton(grid: DomainGrid, H_target: float, cfg: SolverConfig,
     for it in range(1, cfg.max_newton + 1):
         if rnorm <= cfg.tol_residual:
             return u, rnorm, nu, it - 1
-        J = _jacobian(grid, j, orientation, cfg.jet_fd_step)
+        J = _jacobian(grid, j, orientation)
         try:
-            du = spla.splu(J).solve(-r)
+            du = _factor(J).solve(-r)
         except RuntimeError:
             # singular Jacobian: regularize (pseudo-transient step)
             mu = 1e-8 + 1e-2 * rnorm
-            du = spla.splu((J + mu * sp.identity(J.shape[0], format="csc")).tocsc()).solve(-r)
+            du = _factor((J + mu * sp.identity(J.shape[0], format="csc")).tocsc()).solve(-r)
         accepted = False
         if not chase:
             t = cfg.damping
@@ -426,7 +500,7 @@ def _newton(grid: DomainGrid, H_target: float, cfg: SolverConfig,
                 u_try = u + t * du
                 try:
                     r_try, nu_try, j_try = _residual(grid, u_try, H_target, orientation)
-                except Exception:
+                except DegenerateMetric:
                     t *= 0.5
                     continue
                 rn_try = float(np.max(np.abs(r_try)))
@@ -455,7 +529,7 @@ def _newton(grid: DomainGrid, H_target: float, cfg: SolverConfig,
                     if math.isfinite(rn_try):
                         trial = (u + t * du, r_try, nu_try, j_try, rn_try)
                         break
-                except Exception:
+                except DegenerateMetric:
                     pass
                 t *= 0.5
             if trial is None:
@@ -500,8 +574,9 @@ def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
     """
     if grid.params.to_dict() != params.to_dict():
         raise ConfigInvalid("grid was built for different space parameters")
-    if H < 0:
-        raise ConfigInvalid("H must be >= 0 (flip the orientation instead)")
+    if not (math.isfinite(H) and H >= 0):
+        raise ConfigInvalid("H must be finite and >= 0 (flip the orientation "
+                            "for H < 0), got %r" % H)
     cfg = cfg or SolverConfig()
     if init_values is not None:
         u0 = np.asarray(init_values, dtype=float).ravel()[

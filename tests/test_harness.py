@@ -54,6 +54,18 @@ class TestConfig:
                 "params": {"kappa": 0.0, "tau": 0.5},
                 "H_list": [0.5], "grid_sizes": [24], "bogus": 1})
 
+    @pytest.mark.parametrize("key", ["jet_fd_step", "continuation_steps"])
+    def test_removed_solver_keys_rejected(self, key):
+        with pytest.raises(ConfigInvalid, match="unknown solver config keys"):
+            ExperimentConfig.from_dict({
+                "params": {"kappa": 0.0, "tau": 0.5},
+                "H_list": [0.5], "grid_sizes": [24], "solver": {key: 1}})
+
+    @pytest.mark.parametrize("H", [math.nan, math.inf])
+    def test_non_finite_H_list_rejected(self, H):
+        with pytest.raises(ConfigInvalid):
+            ExperimentConfig(params=NIL, H_list=[0.5, H], grid_sizes=[24])
+
     def test_from_json(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({
@@ -138,6 +150,31 @@ class TestRunExperiment:
         lines = (Path(cfg.output_dir) / "sweep.dat").read_text().splitlines()
         assert lines[1].endswith(" stability_failed")
 
+    def test_numerical_errors_recorded_as_statuses(self, tmp_path,
+                                                   monkeypatch):
+        from ektau import solver
+        from ektau.errors import DegenerateMetric, OutOfDomain, SingularStep
+        real = solver.solve_dirichlet
+        raised = {0.3: DegenerateMetric("first fundamental form degenerate"),
+                  0.4: SingularStep("cannot solve for f''"),
+                  0.5: OutOfDomain("point outside the model disk")}
+
+        def raise_by_H(grid, bv, H, *args, **kwargs):
+            if H in raised:
+                raise raised[H]
+            return real(grid, bv, H, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_dirichlet", raise_by_H)
+        cfg = small_config(tmp_path, "errs", H_list=[0.3, 0.4, 0.5, 0.6])
+        records = run_experiment(cfg)
+        assert [r.status for r in records] == [
+            "degenerate_metric", "singular_step", "out_of_domain", "converged"]
+        assert [r.message for r in records[:3]] == [str(e) for e in raised.values()]
+        assert all(r.height is None for r in records[:3])
+        assert records[3].height > 0
+        lines = (Path(cfg.output_dir) / "sweep.dat").read_text().splitlines()
+        assert [ln.split()[-1] for ln in lines[1:]] == [r.status for r in records]
+
     def test_conjecture_ratio_below_one(self, tmp_path):
         cfg = small_config(tmp_path, "conj")
         for r in run_experiment(cfg):
@@ -201,6 +238,15 @@ class TestCli:
         assert rc == 1
         assert "error: cylinder stability needs a finite H > 0" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, message", [
+        ("solve", "error: H must be finite and >= 0"),
+        ("sphere", "error: hemisphere height needs a finite H > 0")])
+    def test_non_finite_H_rejected_at_entry(self, capsys, command, message):
+        rc = cli_dispatch([command, "--kappa", "0", "--tau", "0.5",
+                           "--H", "nan"])
+        assert rc == 1
+        assert message in capsys.readouterr().err
 
     def test_check_battery(self, capsys):
         assert cli_dispatch(["check"]) == 0

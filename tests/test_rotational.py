@@ -105,6 +105,12 @@ class TestHemisphereHeight:
             hemisphere_height(0.49, PSL)
 
 
+    @pytest.mark.parametrize("H", [math.nan, math.inf, -math.inf, 0.0])
+    def test_bad_H_rejected_at_entry(self, H):
+        with pytest.raises(ValueError, match="finite H > 0"):
+            hemisphere_height(H, NIL)
+
+
 class TestCylinderCurves:
     def test_flat_circle(self):
         c = cmc_cylinder_curve(1.0, FLAT)

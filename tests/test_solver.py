@@ -4,16 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ektau import solver
 from ektau.errors import ConfigInvalid, NotConverged, OutOfDomain
 from ektau.model import SpaceParams
-from ektau.solver import (DomainGrid, GraphSolution, continuation_in_H,
-                          disk_grid, graph_height, rectangle_grid,
-                          sigma_profile, solve_dirichlet)
+from ektau.solver import (DomainGrid, GraphSolution, SolverConfig,
+                          continuation_in_H, disk_grid, graph_height,
+                          rectangle_grid, sigma_profile, solve_dirichlet)
 
 NIL = SpaceParams(0.0, 0.5)
 PSL = SpaceParams(-1.0, 0.5)
+H2R = SpaceParams(-1.0, 0.0)
 FLAT = SpaceParams(0.0, 0.0)
+JETS = ("fx", "fy", "fxx", "fxy", "fyy")
 
 CAP_ORACLE = 1.0 - math.sqrt(1.0 - 0.25)  # 1/H - sqrt(1/H^2 - R^2), H=1, R=1/2
 
@@ -46,6 +51,23 @@ class TestGrids:
         full = g.closure_A @ ones + g.closure_b
         np.testing.assert_allclose(full, 1.0, atol=1e-12)
 
+    def test_ghost_weights_match_per_node_reference(self):
+        # the closure's ghost rows against a per-ghost transcription of the
+        # extrapolation rule in plain Python floats
+        for g in (disk_grid(0.7, 33, PSL, center=(0.05, -0.02)),
+                  disk_grid(0.45, 20, FLAT, center=(-0.1, 0.07))):
+            A = g.closure_A.tocsr()
+            for i, j in zip(*np.nonzero(g.ghost)):
+                bv, nodes = _ghost_reference(g, i, j)
+                row = i * g.n + j
+                got = dict(zip(A.indices[A.indptr[row]:A.indptr[row + 1]],
+                               A.data[A.indptr[row]:A.indptr[row + 1]]))
+                want = {g.idx[ni, nj]: w for (ni, nj), w in nodes}
+                assert got.keys() == want.keys()
+                for k, w in want.items():
+                    assert got[k] == pytest.approx(w, rel=1e-13, abs=1e-15)
+                assert g.closure_b[row] == pytest.approx(bv, rel=1e-13)
+
     def test_descriptor_roundtrip(self):
         g = disk_grid(0.7, 24, NIL, center=(0.1, -0.2))
         g2 = DomainGrid.from_descriptor(g.descriptor(), NIL)
@@ -53,6 +75,109 @@ class TestGrids:
         r = rectangle_grid((0.4, 0.3), 16, FLAT)
         r2 = DomainGrid.from_descriptor(r.descriptor(), FLAT)
         assert r2.extents == (0.4, 0.3)
+
+
+def _ghost_reference(g, i, j):
+    """(boundary weight, [((i, j), weight), ...]) of ghost (i, j)."""
+    cx, cy = g.center
+    best = None
+    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1),
+                   (1, 1), (1, -1), (-1, 1), (-1, -1)):
+        i1, j1 = i + di, j + dj
+        if not (0 <= i1 < g.n and 0 <= j1 < g.n) or not g.interior[i1, j1]:
+            continue
+        dx, dy = g.xs[i1] - g.xs[i], g.ys[j1] - g.ys[j]
+        ex, ey = g.xs[i] - cx, g.ys[j] - cy
+        a = dx * dx + dy * dy
+        b = 2.0 * (dx * ex + dy * ey)
+        c = ex * ex + ey * ey - g.radius ** 2
+        disc = b * b - 4.0 * a * c
+        if disc < 0:
+            continue
+        for s in ((-b - math.sqrt(disc)) / (2 * a),
+                  (-b + math.sqrt(disc)) / (2 * a)):
+            if -1e-12 <= s <= 1.0 + 1e-12:
+                s = min(max(s, 0.0), 1.0)
+                if best is None or s < best[0]:
+                    best = (s, di, dj)
+                break
+    if best is None:
+        return 1.0, []
+    s, di, dj = best
+    n1, n2 = (i + di, j + dj), (i + 2 * di, j + 2 * dj)
+    if not (0 <= n2[0] < g.n and 0 <= n2[1] < g.n and g.interior[n2]):
+        s = min(s, 0.8)
+        return 1.0 / (1.0 - s), [(n1, -s / (1.0 - s))]
+    if s > 0.8:
+        return 2.0 / (2.0 - s), [(n2, -s / (2.0 - s))]
+    return (2.0 / ((1.0 - s) * (2.0 - s)),
+            [(n1, -2.0 * s / (1.0 - s)), (n2, s / (2.0 - s))])
+
+
+def _lattice_jets(g, f):
+    full = f(g.X, g.Y).ravel()
+    return {k: g.stencil[k] @ full for k in JETS}
+
+
+class TestStencilExactness:
+    @settings(max_examples=25, deadline=None)
+    @given(cx=st.floats(-0.5, 0.5), cy=st.floats(-0.5, 0.5),
+           radius=st.floats(0.2, 1.2), n=st.integers(8, 48),
+           coef=st.tuples(*[st.floats(-3, 3)] * 3))
+    def test_disk_lattice_reproduces_affine(self, cx, cy, radius, n, coef):
+        a, b, c = coef
+        g = disk_grid(radius, n, NIL, center=(cx, cy))
+        j = _lattice_jets(g, lambda x, y: a + b * x + c * y)
+        scale = 1.0 + abs(a) + abs(b) + abs(c)
+        np.testing.assert_allclose(j["fx"], b, atol=1e-12 * scale / g.hx)
+        np.testing.assert_allclose(j["fy"], c, atol=1e-12 * scale / g.hy)
+        for k in ("fxx", "fxy", "fyy"):
+            np.testing.assert_allclose(j[k], 0.0,
+                                       atol=1e-12 * scale / (g.hx * g.hy))
+
+    @settings(max_examples=25, deadline=None)
+    @given(cx=st.floats(-0.5, 0.5), cy=st.floats(-0.5, 0.5),
+           ext=st.tuples(st.floats(0.2, 1.0), st.floats(0.2, 1.0)),
+           n=st.integers(8, 48), coef=st.tuples(*[st.floats(-3, 3)] * 5))
+    def test_rectangle_lattice_reproduces_quadratics(self, cx, cy, ext, n,
+                                                     coef):
+        b, c, p, q, r = coef
+        g = rectangle_grid(ext, n, FLAT, center=(cx, cy))
+        j = _lattice_jets(g, lambda x, y: 0.3 + b * x + c * y + p * x * x
+                          + q * x * y + r * y * y)
+        ii, jj = g.interior_ij[:, 0], g.interior_ij[:, 1]
+        x, y = g.X[ii, jj], g.Y[ii, jj]
+        scale = 1.0 + sum(abs(v) for v in coef)
+        tol1 = 1e-12 * scale / min(g.hx, g.hy)
+        tol2 = 1e-12 * scale / (g.hx * g.hy)
+        np.testing.assert_allclose(j["fx"], b + 2 * p * x + q * y, atol=tol1)
+        np.testing.assert_allclose(j["fy"], c + q * x + 2 * r * y, atol=tol1)
+        np.testing.assert_allclose(j["fxx"], 2 * p, atol=tol2)
+        np.testing.assert_allclose(j["fxy"], q, atol=tol2)
+        np.testing.assert_allclose(j["fyy"], 2 * r, atol=tol2)
+
+
+class TestExactJacobian:
+    @pytest.mark.parametrize("params", [NIL, PSL, H2R, FLAT],
+                             ids=["nil", "psl", "h2r", "flat"])
+    @pytest.mark.parametrize("orientation", [-1, 1])
+    def test_matches_centered_difference_of_residual(self, params,
+                                                     orientation):
+        g = disk_grid(0.6, 24, params, center=(0.05, -0.03))
+        rng = np.random.RandomState(5)
+        ii, jj = g.interior_ij[:, 0], g.interior_ij[:, 1]
+        x, y = g.X[ii, jj] - 0.05, g.Y[ii, jj] + 0.03
+        u = 0.4 * (x * x + y * y - 0.36) + 0.2 * x * y + 0.1 * x \
+            + 1e-3 * rng.randn(g.n_interior)
+        v = rng.randn(g.n_interior)
+        H = 0.7
+        _, _, j = solver._residual(g, u, H, orientation)
+        Jv = solver._jacobian(g, j, orientation) @ v
+        eps = 1e-6
+        rp, _, _ = solver._residual(g, u + eps * v, H, orientation)
+        rm, _, _ = solver._residual(g, u - eps * v, H, orientation)
+        fd = (rp - rm) / (2 * eps)
+        assert np.abs(Jv - fd).max() <= 1e-7 * np.abs(Jv).max()
 
 
 class TestSolveDirichlet:
@@ -112,6 +237,47 @@ class TestSolveDirichlet:
         # boundary nodes carry the boundary value exactly
         edge = ~g.interior
         np.testing.assert_array_equal(sol.values[edge], 0.0)
+
+    @pytest.mark.parametrize("H", [math.nan, math.inf, -math.inf, -0.5])
+    def test_bad_H_rejected_before_newton(self, H):
+        g = disk_grid(0.5, 16, FLAT)
+        with pytest.raises(ConfigInvalid, match="finite and >= 0"):
+            solve_dirichlet(g, 0.0, H, FLAT)
+
+    def test_line_search_lets_programming_errors_through(self, monkeypatch):
+        # only a degenerate metric shortens a line-search step; any other
+        # exception from the residual propagates
+        real = solver.mean_curvature_arrays
+        calls = []
+
+        def broken_after_first(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 1:
+                raise TypeError("broken residual")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "mean_curvature_arrays", broken_after_first)
+        g = disk_grid(0.5, 16, FLAT)
+        with pytest.raises(TypeError, match="broken residual"):
+            solve_dirichlet(g, 0.0, 0.5, FLAT, SolverConfig(auto_continue=False))
+
+    def test_degenerate_trial_shortens_the_step(self, monkeypatch):
+        from ektau.errors import DegenerateMetric
+        real = solver.mean_curvature_arrays
+        calls = []
+
+        def degenerate_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise DegenerateMetric("first fundamental form is degenerate")
+            return real(*args, **kwargs)
+
+        g = disk_grid(0.5, 16, FLAT)
+        plain = solve_dirichlet(g, 0.0, 0.5, FLAT)
+        monkeypatch.setattr(solver, "mean_curvature_arrays", degenerate_second)
+        sol = solve_dirichlet(g, 0.0, 0.5, FLAT, SolverConfig(auto_continue=False))
+        assert sol.residual_max <= 1e-10
+        assert graph_height(sol) == pytest.approx(graph_height(plain), rel=1e-9)
 
     def test_mismatched_params_rejected(self):
         g = disk_grid(0.5, 24, FLAT)
