@@ -5,7 +5,7 @@ Dirichlet problems, rotational spheres by ODE shooting, discrete stability
 operators, and an experiment harness probing height bounds.
 """
 
-from .errors import (ConfigInvalid, DegenerateMetric, EktauError,
+from .errors import (ConfigInvalid, DegenerateMetric, EktauError, IoFailure,
                      IterationLimit, NoSphere, NonConvergence, NonPositiveH,
                      NotConverged, OutOfDomain, SingularStep, UnsupportedSign,
                      VerticalBlowup)

@@ -3,8 +3,11 @@
 A graph is parametrized by (x, y) -> (x, y, f(x, y)); its coordinate tangent
 fields are T1 = (1, 0, fx) and T2 = (0, 1, fy).  Everything downstream (the
 Dirichlet solver, the rotational shooter, the stability assembly) evaluates
-mean curvature through the vectorized `shape_arrays` path below, so there is
-a single implementation of the graph operator for all (kappa, tau).
+mean curvature through one kernel, `_forms`, written in explicit component
+arithmetic on closed-form ambient data (`ambient_components`).  The same
+code runs on numpy arrays (the lattice evaluations behind `shape_arrays`)
+and on Python floats (the ODE right-hand side), where it stays off numpy
+and returns Python floats bit-identical to the array path.
 
 Since the ambient metric does not depend on z, none of the quantities here
 depend on the value f itself, only on the point (x, y) and the derivatives
@@ -16,15 +19,34 @@ their boundary section) the one with nu < 0.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
-from .errors import DegenerateMetric
+from .errors import DegenerateMetric, OutOfDomain
 from .model import Point3, SpaceParams, TangentVector
 
 _DET_FLOOR = 1e-14
+
+
+def _any(flags) -> bool:
+    """any() of a comparison made on floats (a bool) or on arrays."""
+    return flags if isinstance(flags, bool) else bool(flags.any())
+
+
+def _all(flags) -> bool:
+    """all() of a comparison made on floats (a bool) or on arrays."""
+    return flags if isinstance(flags, bool) else bool(flags.all())
+
+
+def _sqrt(v):
+    """Square root, off numpy for floats.
+
+    math.sqrt and np.sqrt are both correctly rounded, so the float and the
+    array path agree bit for bit; pow(v, 0.5) carries no such guarantee.
+    """
+    return math.sqrt(v) if isinstance(v, float) else np.sqrt(v)
 
 
 @dataclass(frozen=True)
@@ -53,8 +75,49 @@ class ShapeData:
     sigma_sq: float
 
 
+# Closed-form ambient data at base points (x, y), floats or arrays: lam and
+# its gradient, the metric entries g_ij, the inverse entries gi_ij and the
+# partials dx_ij = d g_ij / dx, dy_ij = d g_ij / dy.  Left out as constants:
+# g_zz = 1, g^yy = g^xx, g^xy = 0 and d g_zz = 0; nothing depends on z.
+Ambient = namedtuple("Ambient", (
+    "lam lam_x lam_y g_xx g_xy g_xz g_yy g_yz gi_xx gi_xz gi_yz gi_zz "
+    "dx_xx dx_xy dx_xz dx_yy dx_yz dy_xx dy_xy dy_xz dy_yy dy_yz"))
+
+
+def ambient_components(x, y, params: SpaceParams) -> Ambient:
+    """lam, its gradient, the metric, its inverse and its first partials.
+
+    The inverse comes from the orthonormal frame, g^{-1} = sum E_a (x) E_a:
+    g^xx = g^yy = 1/lam^2, g^xz = -tau y/lam, g^yz = tau x/lam and
+    g^zz = 1 + tau^2 (x^2 + y^2).  Raises `OutOfDomain` where
+    4 + kappa (x^2 + y^2) <= 0.
+    """
+    k, t = params.kappa, params.tau
+    t2 = t * t
+    u = 4.0 + k * (x * x + y * y)
+    if _any(u <= 0.0):
+        raise OutOfDomain("conformal factor undefined: 4 + kappa r^2 <= 0")
+    lam = 4.0 / u
+    lam2 = lam * lam
+    lam_x = -0.5 * k * x * lam2
+    lam_y = -0.5 * k * y * lam2
+    dl2x = 2.0 * lam * lam_x
+    dl2y = 2.0 * lam * lam_y
+    cx = 1.0 + t2 * y * y          # g_xx / lam^2
+    cy = 1.0 + t2 * x * x          # g_yy / lam^2
+    return Ambient(
+        lam, lam_x, lam_y,
+        lam2 * cx, -lam2 * t2 * x * y, t * lam * y, lam2 * cy, -t * lam * x,
+        1.0 / lam2, -t * y / lam, t * x / lam, 1.0 + t2 * (x * x + y * y),
+        dl2x * cx, -t2 * (dl2x * x * y + lam2 * y), t * lam_x * y,
+        dl2x * cy + 2.0 * t2 * lam2 * x, -t * (lam_x * x + lam),
+        dl2y * cx + 2.0 * t2 * lam2 * y, -t2 * (dl2y * x * y + lam2 * x),
+        t * (lam_y * y + lam), dl2y * cy, -t * lam_y * x,
+    )
+
+
 class AmbientCache:
-    """Metric, inverse and Christoffels frozen at a set of base points.
+    """Closed-form ambient components frozen at a set of base points.
 
     The Dirichlet solver evaluates the graph operator many times at the
     same lattice nodes; this cache factors the (x, y)-only ambient data out
@@ -66,62 +129,62 @@ class AmbientCache:
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
         params.require_inside(self.x, self.y)
-        self.g = model.metric_components(self.x, self.y, params)
-        self.g_inv = np.linalg.inv(self.g)
-        self.gamma = model.christoffel_components(self.x, self.y, params)
+        self.components = ambient_components(self.x, self.y, params)
 
 
-def _forms(amb: AmbientCache, fx, fy, fxx, fxy, fyy, orientation: int):
-    """The kernel behind `shape_arrays`, keeping the intermediates that the
-    exact first-order partials reuse (keys with a leading underscore)."""
+def _forms(amb: Ambient, fx, fy, fxx, fxy, fyy, orientation: int):
+    """The graph kernel on floats or arrays, with the intermediates that the
+    exact first-order partials reuse (keys with a leading underscore).
+
+    With the conormal w = orientation (-fx, -fy, 1) and N = g^{-1} w, the
+    second fundamental form is II_ab = (P_ab + orientation f_ab) / |w|,
+    where P_ab = Gamma(T_a, T_b).w = N.C_ab and C_ab are the Christoffel
+    symbols of the first kind on the tangents,
+    C_ab = 1/2 [(d_a g) T_b + (d_b g) T_a
+                - ((d_x g)(T_a, T_b), (d_y g)(T_a, T_b), 0)],
+    since T_a^i d_i = d_a on z-independent data.
+    """
     if orientation not in (-1, 1):
         raise ValueError("orientation must be +1 or -1")
-    fx = np.asarray(fx, dtype=float)
-    fy = np.asarray(fy, dtype=float)
-    fxx = np.asarray(fxx, dtype=float)
-    fxy = np.asarray(fxy, dtype=float)
-    fyy = np.asarray(fyy, dtype=float)
-    g, g_inv, gamma = amb.g, amb.g_inv, amb.gamma
+    s = float(orientation)
+    (_, _, _, g_xx, g_xy, g_xz, g_yy, g_yz, gi_xx, gi_xz, gi_yz, gi_zz,
+     dx_xx, dx_xy, dx_xz, dx_yy, dx_yz,
+     dy_xx, dy_xy, dy_xz, dy_yy, dy_yz) = amb
 
-    shape = np.broadcast(fx, amb.x).shape
-    T1 = np.zeros(shape + (3,))
-    T1[..., 0] = 1.0
-    T1[..., 2] = fx
-    T2 = np.zeros(shape + (3,))
-    T2[..., 1] = 1.0
-    T2[..., 2] = fy
-
-    gT1 = np.einsum("...ij,...j->...i", g, T1)
-    gT2 = np.einsum("...ij,...j->...i", g, T2)
-    I11 = np.einsum("...i,...i->...", T1, gT1)
-    I12 = np.einsum("...i,...i->...", T1, gT2)
-    I22 = np.einsum("...i,...i->...", T2, gT2)
+    # z components of g T1 and g T2 (g_zz = 1), then the first form
+    gT1z = g_xz + fx
+    gT2z = g_yz + fy
+    I11 = g_xx + fx * (g_xz + gT1z)
+    I12 = g_xy + fy * g_xz + fx * gT2z
+    I22 = g_yy + fy * (g_yz + gT2z)
     det_I = I11 * I22 - I12 * I12
-    if np.any(~np.isfinite(det_I)) or np.any(det_I < _DET_FLOOR):
+    if not _all((det_I >= _DET_FLOOR) & (det_I < math.inf)):
         raise DegenerateMetric("first fundamental form is numerically degenerate")
 
-    # conormal w annihilates T1, T2; nu = w_z / |w|_{g^{-1}}
-    w = np.zeros(shape + (3,))
-    w[..., 0] = -fx
-    w[..., 1] = -fy
-    w[..., 2] = 1.0
-    w *= float(orientation)
-    g_inv_w = np.einsum("...ij,...j->...i", g_inv, w)
-    nrm2 = np.einsum("...i,...i->...", w, g_inv_w)
-    nrm = np.sqrt(nrm2)
-    nu = float(orientation) / nrm
-    normal = g_inv_w / nrm[..., None]
+    # N = g^{-1} w; nu = orientation / |w|, normal = N / |w|
+    N0 = s * (gi_xz - fx * gi_xx)
+    N1 = s * (gi_yz - fy * gi_xx)
+    N2 = s * (gi_zz - fx * gi_xz - fy * gi_yz)
+    nrm = _sqrt(s * (N2 - fx * N0 - fy * N1))
+    nu = s / nrm
 
-    # covariant derivatives of the tangent fields along the graph:
-    # acc_ab = Gamma(T_a, T_b) + f_ab e_z and II_ab = <nabla_a T_b, N> = acc_ab.w / |w|
-    def second(f_ab, a, b):
-        acc = np.einsum("...kij,...i,...j->...k", gamma, a, b)
-        acc[..., 2] += f_ab
-        return np.einsum("...k,...k->...", acc, w) / nrm, acc
-
-    II11, acc11 = second(fxx, T1, T1)
-    II12, acc12 = second(fxy, T1, T2)
-    II22, acc22 = second(fyy, T2, T2)
+    # (d_x g) T1 = (x1x, x1y, dx_xz), (d_x g) T2 = (., x2y, dx_yz),
+    # (d_y g) T1 = (y1x, y1y, dy_xz), (d_y g) T2 = (y2x, y2y, dy_yz), and
+    # (d_x g)(T_a, T_b) = T_a.(d_x g) T_b
+    x1x = dx_xx + fx * dx_xz
+    x1y = dx_xy + fx * dx_yz
+    x2y = dx_yy + fy * dx_yz
+    y1x = dy_xx + fx * dy_xz
+    y1y = dy_xy + fx * dy_yz
+    y2x = dy_xy + fy * dy_xz
+    y2y = dy_yy + fy * dy_yz
+    C11 = (0.5 * (x1x - fx * dx_xz), x1y - 0.5 * (y1x + fx * dy_xz), dx_xz)
+    C12 = (0.5 * (y1x - fx * dx_yz), 0.5 * (x2y + y1y - y2x - fx * dy_yz),
+           0.5 * (dx_yz + dy_xz))
+    C22 = (y2x - 0.5 * (x2y + fy * dx_yz), 0.5 * (y2y - fy * dy_yz), dy_yz)
+    II11 = (N0 * C11[0] + N1 * C11[1] + N2 * C11[2] + s * fxx) / nrm
+    II12 = (N0 * C12[0] + N1 * C12[1] + N2 * C12[2] + s * fxy) / nrm
+    II22 = (N0 * C22[0] + N1 * C22[1] + N2 * C22[2] + s * fyy) / nrm
 
     inv_det = 1.0 / det_I
     Iinv11 = I22 * inv_det
@@ -139,11 +202,18 @@ def _forms(amb: AmbientCache, fx, fy, fxx, fxy, fyy, orientation: int):
         "I11": I11, "I12": I12, "I22": I22, "det_I": det_I,
         "II11": II11, "II12": II12, "II22": II22,
         "Iinv11": Iinv11, "Iinv12": Iinv12, "Iinv22": Iinv22,
-        "normal": normal, "nu": nu, "H": H, "sigma_sq": sigma_sq,
-        "_T1": T1, "_T2": T2, "_gT1": gT1, "_gT2": gT2, "_w": w,
-        "_g_inv_w": g_inv_w, "_nrm": nrm, "_inv_det": inv_det,
-        "_acc11": acc11, "_acc12": acc12, "_acc22": acc22,
+        "normal": (N0 / nrm, N1 / nrm, N2 / nrm),
+        "nu": nu, "H": H, "sigma_sq": sigma_sq,
+        "_N": (N0, N1, N2), "_nrm": nrm, "_inv_det": inv_det,
+        "_gT1z": gT1z, "_gT2z": gT2z, "_C": (C11, C12, C22),
     }
+
+
+def _array_forms(amb: AmbientCache, fx, fy, fxx, fxy, fyy, orientation):
+    return _forms(amb.components, np.asarray(fx, dtype=float),
+                  np.asarray(fy, dtype=float), np.asarray(fxx, dtype=float),
+                  np.asarray(fxy, dtype=float), np.asarray(fyy, dtype=float),
+                  orientation)
 
 
 def shape_arrays(amb: AmbientCache, fx, fy, fxx, fxy, fyy, orientation: int = -1):
@@ -153,14 +223,16 @@ def shape_arrays(amb: AmbientCache, fx, fy, fxx, fxy, fyy, orientation: int = -1
     second-form components II11, II12, II22, the normal components (n, 3),
     and nu, H, sigma_sq arrays.
     """
-    d = _forms(amb, fx, fy, fxx, fxy, fyy, orientation)
-    return {k: v for k, v in d.items() if not k.startswith("_")}
+    d = _array_forms(amb, fx, fy, fxx, fxy, fyy, orientation)
+    out = {k: v for k, v in d.items() if not k.startswith("_")}
+    out["normal"] = np.stack(d["normal"], axis=-1)
+    return out
 
 
 def mean_curvature_arrays(amb: AmbientCache, fx, fy, fxx, fxy, fyy,
                           orientation: int = -1):
     """(H, nu) over the cached points; the solver's residual evaluation."""
-    data = _forms(amb, fx, fy, fxx, fxy, fyy, orientation)
+    data = _array_forms(amb, fx, fy, fxx, fxy, fyy, orientation)
     return data["H"], data["nu"]
 
 
@@ -174,60 +246,55 @@ def mean_curvature_sensitivities(amb: AmbientCache, fx, fy, fxx, fxy, fyy,
     rule in one pass: with H = (I22 II11 - 2 I12 II12 + I11 II22) / (2 det I),
     dT1/dfx = dT2/dfy = e_z and dw/dfx = -orientation e_x,
     dw/dfy = -orientation e_y move I_ab, det I, the conormal norm |w| and
-    Gamma(T_a, T_b).w.
+    P_ab = Gamma(T_a, T_b).w = N.C_ab.
     """
-    d = _forms(amb, fx, fy, fxx, fxy, fyy, orientation)
+    d = _array_forms(amb, fx, fy, fxx, fxy, fyy, orientation)
+    a = amb.components
     s = float(orientation)
     nu, H, inv_det, nrm = d["nu"], d["H"], d["_inv_det"], d["_nrm"]
     I11, I12, I22 = d["I11"], d["I12"], d["I22"]
     II11, II12, II22 = d["II11"], d["II12"], d["II22"]
-    w, g_inv_w = d["_w"], d["_g_inv_w"]
-    # Gamma(e_z, T_a).w = Gamma(T_a, e_z).w (Gamma is symmetric): what
-    # Gamma(T_a, T_b).w gains per unit of e_z added to T_b
-    gamma_z = amb.gamma[..., :, 2, :]
-    Gz1 = np.einsum("...kj,...j,...k->...", gamma_z, d["_T1"], w)
-    Gz2 = np.einsum("...kj,...j,...k->...", gamma_z, d["_T2"], w)
-    gT1z, gT2z = d["_gT1"][..., 2], d["_gT2"][..., 2]
+    N = d["_N"]
+    C11, C12, C22 = d["_C"]
+    gT1z, gT2z = d["_gT1z"], d["_gT2z"]
+    # Gamma(e_z, T1) and Gamma(e_z, T2) have the first-kind components
+    # (0, A, 0) and (-A, 0, 0): what P_ab gains per unit of e_z in T_b
+    A = 0.5 * (a.dx_yz - a.dy_xz)
+    Gz1, Gz2 = A * N[1], -A * N[0]
     dH = {
         "fxx": 0.5 * nu * d["Iinv11"],
         "fxy": nu * d["Iinv12"],
         "fyy": 0.5 * nu * d["Iinv22"],
     }
-    # per first-order entry: d(I11, I12, I22) and the Gamma part of d(P_ab),
-    # P_ab = acc_ab.w = |w| II_ab
-    for axis, name, (dI11, dI12, dI22), (dP11, dP12, dP22) in (
-            (0, "fx", (2.0 * gT1z, gT2z, 0.0), (2.0 * Gz1, Gz2, 0.0)),
-            (1, "fy", (0.0, gT1z, 2.0 * gT2z), (0.0, Gz1, 2.0 * Gz2))):
-        # dw = -s e_axis meets only the x, y components of acc_ab, which
-        # are those of Gamma(T_a, T_b)
-        dnrm = -s * g_inv_w[..., axis] / nrm
-        dII11 = (dP11 - s * d["_acc11"][..., axis] - II11 * dnrm) / nrm
-        dII12 = (dP12 - s * d["_acc12"][..., axis] - II12 * dnrm) / nrm
-        dII22 = (dP22 - s * d["_acc22"][..., axis] - II22 * dnrm) / nrm
-        dN = (dI22 * II11 + I22 * dII11 - 2.0 * (dI12 * II12 + I12 * dII12)
-              + dI11 * II22 + I11 * dII22)
+    # per first-order entry f_j: d(I11, I12, I22), the tangent part of
+    # d(P_ab), and from dw = -s e_j the parts dN = -s g^{-1} e_j (whose
+    # nonzero entries are g^jj = g^xx and g^jz) and d|w| = -s N_j / |w|
+    for name, (dI11, dI12, dI22), (dP11, dP12, dP22), j, gi_jz in (
+            ("fx", (2.0 * gT1z, gT2z, 0.0), (2.0 * Gz1, Gz2, 0.0), 0, a.gi_xz),
+            ("fy", (0.0, gT1z, 2.0 * gT2z), (0.0, Gz1, 2.0 * Gz2), 1, a.gi_yz)):
+        dnrm = -s * N[j] / nrm
+        dII11 = (dP11 - s * (a.gi_xx * C11[j] + gi_jz * C11[2]) - II11 * dnrm) / nrm
+        dII12 = (dP12 - s * (a.gi_xx * C12[j] + gi_jz * C12[2]) - II12 * dnrm) / nrm
+        dII22 = (dP22 - s * (a.gi_xx * C22[j] + gi_jz * C22[2]) - II22 * dnrm) / nrm
+        dnum = (dI22 * II11 + I22 * dII11 - 2.0 * (dI12 * II12 + I12 * dII12)
+                + dI11 * II22 + I11 * dII22)
         ddet = dI11 * I22 + I11 * dI22 - 2.0 * I12 * dI12
-        dH[name] = 0.5 * (dN - 2.0 * H * ddet) * inv_det
+        dH[name] = 0.5 * (dnum - 2.0 * H * ddet) * inv_det
     return H, nu, dH
 
 
 def shape_data(jet: Jet2, params: SpaceParams, orientation: int = -1) -> ShapeData:
     """Fundamental forms, unit normal, angle function, H and |sigma|^2."""
-    amb = AmbientCache(np.array([jet.x]), np.array([jet.y]), params)
-    d = shape_arrays(amb, [jet.fx], [jet.fy], [jet.fxx], [jet.fxy], [jet.fyy],
-                     orientation)
-    first = np.array([[d["I11"][0], d["I12"][0]], [d["I12"][0], d["I22"][0]]])
-    second = np.array([[d["II11"][0], d["II12"][0]], [d["II12"][0], d["II22"][0]]])
+    params.require_inside(jet.x, jet.y)
+    d = _forms(ambient_components(float(jet.x), float(jet.y), params),
+               float(jet.fx), float(jet.fy), float(jet.fxx), float(jet.fxy),
+               float(jet.fyy), orientation)
+    first = np.array([[d["I11"], d["I12"]], [d["I12"], d["I22"]]])
+    second = np.array([[d["II11"], d["II12"]], [d["II12"], d["II22"]]])
     normal = TangentVector(base=Point3(jet.x, jet.y, jet.f),
-                           components=d["normal"][0])
-    return ShapeData(
-        first_form=first,
-        second_form=second,
-        normal=normal,
-        nu=float(d["nu"][0]),
-        H=float(d["H"][0]),
-        sigma_sq=float(d["sigma_sq"][0]),
-    )
+                           components=np.array(d["normal"]))
+    return ShapeData(first_form=first, second_form=second, normal=normal,
+                     nu=d["nu"], H=d["H"], sigma_sq=d["sigma_sq"])
 
 
 def angle_function(jet: Jet2, params: SpaceParams, orientation: int = -1) -> float:
@@ -254,107 +321,3 @@ def jacobi_potential_from(nu, sigma_sq, params: SpaceParams):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def shape_scalar(x: float, y: float, fx: float, fy: float, fxx: float,
-                 fxy: float, fyy: float, params: SpaceParams,
-                 orientation: int = -1):
-    """Scalar twin of `shape_arrays` for sequential hot loops.
-
-    Same algorithm (metric, Christoffels, conormal, shape operator) written
-    in plain float arithmetic so ODE right-hand sides avoid per-call numpy
-    overhead.  Tests pin its output to `shape_arrays` to machine precision.
-    Returns (H, nu, sigma_sq, dH_dfxx).
-    """
-    k, t = params.kappa, params.tau
-    s = float(orientation)
-    u = 4.0 + k * (x * x + y * y)
-    lam = 4.0 / u
-    lam2 = lam * lam
-    lam_x = -0.5 * k * x * lam2
-    lam_y = -0.5 * k * y * lam2
-
-    t2 = t * t
-    g00 = lam2 * (1.0 + t2 * y * y)
-    g11 = lam2 * (1.0 + t2 * x * x)
-    g22 = 1.0
-    g01 = -lam2 * t2 * x * y
-    g02 = t * lam * y
-    g12 = -t * lam * x
-    g = ((g00, g01, g02), (g01, g11, g12), (g02, g12, g22))
-
-    dl2x = 2.0 * lam * lam_x
-    dl2y = 2.0 * lam * lam_y
-    # dg[i][j][k] = d g_ij / d x^k, k in {x, y}; no z dependence
-    dg = [[[0.0, 0.0, 0.0] for _ in range(3)] for _ in range(3)]
-    dg[0][0][0] = dl2x * (1.0 + t2 * y * y)
-    dg[0][0][1] = dl2y * (1.0 + t2 * y * y) + lam2 * t2 * 2.0 * y
-    dg[1][1][0] = dl2x * (1.0 + t2 * x * x) + lam2 * t2 * 2.0 * x
-    dg[1][1][1] = dl2y * (1.0 + t2 * x * x)
-    dg[0][1][0] = dg[1][0][0] = -t2 * (dl2x * x * y + lam2 * y)
-    dg[0][1][1] = dg[1][0][1] = -t2 * (dl2y * x * y + lam2 * x)
-    dg[0][2][0] = dg[2][0][0] = t * lam_x * y
-    dg[0][2][1] = dg[2][0][1] = t * (lam_y * y + lam)
-    dg[1][2][0] = dg[2][1][0] = -t * (lam_x * x + lam)
-    dg[1][2][1] = dg[2][1][1] = -t * lam_y * x
-
-    det = (g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02)
-           + g02 * (g01 * g12 - g11 * g02))
-    gi = (
-        ((g11 * g22 - g12 * g12) / det, (g02 * g12 - g01 * g22) / det,
-         (g01 * g12 - g02 * g11) / det),
-        ((g02 * g12 - g01 * g22) / det, (g00 * g22 - g02 * g02) / det,
-         (g01 * g02 - g00 * g12) / det),
-        ((g01 * g12 - g02 * g11) / det, (g01 * g02 - g00 * g12) / det,
-         (g00 * g11 - g01 * g01) / det),
-    )
-
-    gam = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
-    for kk in range(3):
-        for i in range(3):
-            for j in range(i, 3):
-                acc = 0.0
-                for l in range(3):
-                    acc += gi[kk][l] * (dg[j][l][i] + dg[i][l][j] - dg[i][j][l])
-                gam[kk][i][j] = gam[kk][j][i] = 0.5 * acc
-
-    I11 = g00 + 2.0 * fx * g02 + fx * fx * g22
-    I12 = g01 + fy * g02 + fx * g12 + fx * fy * g22
-    I22 = g11 + 2.0 * fy * g12 + fy * fy * g22
-    detI = I11 * I22 - I12 * I12
-    if not (detI > _DET_FLOOR):
-        raise DegenerateMetric("first fundamental form is numerically degenerate")
-
-    # conormal direction v = (-fx, -fy, 1); w = orientation * v
-    v = (-fx, -fy, 1.0)
-    Gv = tuple(gi[r][0] * v[0] + gi[r][1] * v[1] + gi[r][2] * v[2] for r in range(3))
-    nrm2 = v[0] * Gv[0] + v[1] * Gv[1] + v[2] * Gv[2]
-    nrm = math.sqrt(nrm2)
-    nu = s / nrm
-
-    def contract(a2, b2, wa, wb):
-        # Gamma^k_ij T_a^i T_b^j for T = (1, 0, wa)-style sparse tangents
-        out = []
-        for kk in range(3):
-            G = gam[kk]
-            out.append(G[a2][b2] + wb * G[a2][2] + wa * G[2][b2] + wa * wb * G[2][2])
-        return out
-
-    C11 = contract(0, 0, fx, fx)
-    C12 = contract(0, 1, fx, fy)
-    C22 = contract(1, 1, fy, fy)
-    II11 = s * (fxx + C11[0] * v[0] + C11[1] * v[1] + C11[2] * v[2]) / nrm
-    II12 = s * (fxy + C12[0] * v[0] + C12[1] * v[1] + C12[2] * v[2]) / nrm
-    II22 = s * (fyy + C22[0] * v[0] + C22[1] * v[1] + C22[2] * v[2]) / nrm
-
-    Iinv11 = I22 / detI
-    Iinv12 = -I12 / detI
-    Iinv22 = I11 / detI
-    S11 = Iinv11 * II11 + Iinv12 * II12
-    S12 = Iinv11 * II12 + Iinv12 * II22
-    S21 = Iinv12 * II11 + Iinv22 * II12
-    S22 = Iinv12 * II12 + Iinv22 * II22
-    H = 0.5 * (S11 + S22)
-    sigma_sq = S11 * S11 + S22 * S22 + 2.0 * S12 * S21
-    dH_dfxx = 0.5 * nu * Iinv11
-    return H, nu, sigma_sq, dH_dfxx

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import model, rotational, solver, stability
 from .errors import (ConfigInvalid, DegenerateMetric, EktauError, IoFailure,
-                     IterationLimit, NonConvergence, NoSphere, OutOfDomain,
+                     IterationLimit, NonConvergence, OutOfDomain,
                      SingularStep, VerticalBlowup)
 from .model import Point3, SpaceParams
 
@@ -161,7 +161,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRecord]:
             try:
                 hemi_cache[H] = rotational.hemisphere_height(H, params) \
                     if model.sphere_exists(H, params) else None
-            except (NoSphere, EktauError):
+            except EktauError:
                 hemi_cache[H] = None
         if cfg.check_rosenberg:
             bound_cache[H] = rosenberg_bound(H, params)

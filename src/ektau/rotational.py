@@ -5,7 +5,9 @@ The profile f(r) of a rotational graph satisfies, at the on-axis point
 (fx, fy, fxx, fxy, fyy) = (f', 0, f'', 0, f'/r).  Rather than writing the
 resulting second-order ODE in closed form, each step solves the scalar
 equation H(jet) = H_target for f'', which is exact because the second
-fundamental form is affine in the second derivatives.
+fundamental form is affine in the second derivatives.  H and dH/df'' come
+from the graph kernel of `graph_geometry`, the one the Dirichlet solver
+uses, called on Python floats.
 
 Shooting starts from the regularity expansion at the pole (f'(0) = 0, both
 principal curvatures equal, so f''(0) = H) and integrates outward with an
@@ -27,7 +29,7 @@ from scipy.optimize import brentq
 
 from . import model
 from .errors import EktauError, NoSphere, SingularStep, UnsupportedSign
-from .graph_geometry import shape_scalar
+from .graph_geometry import _forms, ambient_components
 from .model import SpaceParams
 
 EQUATOR_NU = 1e-6
@@ -63,9 +65,14 @@ class PlanarCircle:
 
 
 def _radial_eval(r: float, p: float, params: SpaceParams):
-    """(H at f''=0, dH/df'', nu) for the radial jet at (r, 0)."""
-    H0, nu, _, dH = shape_scalar(r, 0.0, p, 0.0, 0.0, 0.0, p / r, params, +1)
-    return H0, dH, nu
+    """(H at f''=0, dH/df'', nu) for the radial jet at (r, 0).
+
+    Runs the graph kernel on Python floats (solve_ivp hands over numpy
+    scalars), so no call here goes through numpy.
+    """
+    r, p = float(r), float(p)
+    d = _forms(ambient_components(r, 0.0, params), p, 0.0, 0.0, 0.0, p / r, +1)
+    return d["H"], 0.5 * d["nu"] * d["Iinv11"], d["nu"]
 
 
 def _solve_fpp(r: float, p: float, H_target: float, params: SpaceParams) -> float:
@@ -217,6 +224,10 @@ def hemisphere_height(H: float, params: SpaceParams,
 
     Runs the shoot at the default (or given) step with one halved-step
     confirmation; disagreement beyond 1e-6 of the height scale aborts.
+    The integration tolerance min(1e-8, max(1e-12, (H step)^2 1e-2)) is
+    clamped to 1e-8 at both the default step 0.002/H ((H step)^2 1e-2 =
+    4e-8) and its half (1e-8), so there the confirmation re-checks only the
+    series-start radius 10 step, not the integration error.
     """
     if not (math.isfinite(H) and H > 0):
         raise ValueError("hemisphere height needs a finite H > 0, got %r" % H)

@@ -4,14 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ektau.graph_geometry import (AmbientCache, Jet2, angle_function,
+from ektau import model
+from ektau.errors import DegenerateMetric, OutOfDomain
+from ektau.graph_geometry import (AmbientCache, Jet2, _forms,
+                                  ambient_components, angle_function,
                                   jacobi_potential, jacobi_potential_from,
-                                  shape_arrays, shape_data, shape_scalar)
+                                  mean_curvature_arrays,
+                                  mean_curvature_sensitivities, shape_arrays,
+                                  shape_data)
 from ektau.model import Point3, SpaceParams, curvature_report
 
 NIL = SpaceParams(0.0, 0.5)
 PSL = SpaceParams(-1.0, 0.5)
+H2R = SpaceParams(-1.0, 0.0)
 FLAT = SpaceParams(0.0, 0.0)
 
 
@@ -158,24 +166,143 @@ class TestShapeInvariants:
         assert eig.min() > 0
 
 
-class TestScalarTwin:
-    def test_pinned_to_vectorized_path(self):
-        # the scalar hot-loop evaluation must agree with shape_arrays to
-        # machine precision: one algorithm, two spellings
+def einsum_reference(x, y, params, fx, fy, fxx, fxy, fyy, orientation):
+    """The graph operator through second-kind Christoffels, kept as the
+    oracle: metric, `np.linalg.inv`, `model.christoffel_components` and
+    `einsum` contractions over full 3-vectors."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    fx, fy, fxx, fxy, fyy = (np.asarray(v, dtype=float)
+                             for v in (fx, fy, fxx, fxy, fyy))
+    g = model.metric_components(x, y, params)
+    g_inv = np.linalg.inv(g)
+    gamma = model.christoffel_components(x, y, params)
+    shape = np.broadcast(fx, x).shape
+    T1, T2, w = (np.zeros(shape + (3,)) for _ in range(3))
+    T1[..., 0], T1[..., 2] = 1.0, fx
+    T2[..., 1], T2[..., 2] = 1.0, fy
+    w[..., 0], w[..., 1], w[..., 2] = -fx, -fy, 1.0
+    w *= float(orientation)
+    I11 = np.einsum("...i,...ij,...j->...", T1, g, T1)
+    I12 = np.einsum("...i,...ij,...j->...", T1, g, T2)
+    I22 = np.einsum("...i,...ij,...j->...", T2, g, T2)
+    g_inv_w = np.einsum("...ij,...j->...i", g_inv, w)
+    nrm = np.sqrt(np.einsum("...i,...i->...", w, g_inv_w))
+
+    def second(f_ab, a, b):
+        acc = np.einsum("...kij,...i,...j->...k", gamma, a, b)
+        acc[..., 2] += f_ab
+        return np.einsum("...k,...k->...", acc, w) / nrm
+
+    II11, II12, II22 = second(fxx, T1, T1), second(fxy, T1, T2), second(fyy, T2, T2)
+    det_I = I11 * I22 - I12 * I12
+    Iinv = np.array([[I22, -I12], [-I12, I11]]) / det_I
+    S = np.einsum("ab...,bc...->ac...", Iinv, np.array([[II11, II12], [II12, II22]]))
+    nu = float(orientation) / nrm
+    return {
+        "I11": I11, "I12": I12, "I22": I22, "II11": II11, "II12": II12,
+        "II22": II22, "normal": g_inv_w / nrm[..., None], "nu": nu,
+        "H": 0.5 * (S[0, 0] + S[1, 1]),
+        "sigma_sq": S[0, 0] ** 2 + S[1, 1] ** 2 + 2.0 * S[0, 1] * S[1, 0],
+        "fxx": 0.5 * nu * Iinv[0, 0], "fxy": nu * Iinv[0, 1],
+        "fyy": 0.5 * nu * Iinv[1, 1],
+    }
+
+
+def random_jets(rng, params, count):
+    lim = min(0.8, 0.45 * params.domain_radius)
+    x, y = rng.uniform(-lim, lim, (2, count))
+    return x, y, rng.randn(5, count)
+
+
+def _rel(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
+
+
+class TestEinsumOracle:
+    def test_pinned_to_einsum_reference(self):
+        # the explicit-component kernel against the einsum contraction, on
+        # arrays and on floats, both orientations, four spaces
         rng = np.random.RandomState(21)
-        for params in (FLAT, NIL, PSL):
-            for _ in range(100):
-                jet = random_jet(rng, params)
-                for ori in (+1, -1):
-                    amb = AmbientCache(np.array([jet.x]), np.array([jet.y]), params)
-                    d = shape_arrays(amb, [jet.fx], [jet.fy], [jet.fxx],
-                                     [jet.fxy], [jet.fyy], ori)
-                    H, nu, ss, dh = shape_scalar(jet.x, jet.y, jet.fx, jet.fy,
-                                                 jet.fxx, jet.fxy, jet.fyy,
-                                                 params, ori)
-                    assert H == pytest.approx(float(d["H"][0]), abs=1e-13)
-                    assert nu == pytest.approx(float(d["nu"][0]), abs=1e-14)
-                    assert ss == pytest.approx(float(d["sigma_sq"][0]),
-                                               rel=1e-11, abs=1e-12)
-                    assert dh == pytest.approx(
-                        0.5 * float(d["nu"][0] * d["Iinv11"][0]), rel=1e-12)
+        for params in (NIL, PSL, H2R, FLAT):
+            x, y, jets = random_jets(rng, params, 300)
+            amb = AmbientCache(x, y, params)
+            for ori in (+1, -1):
+                ref = einsum_reference(x, y, params, *jets, ori)
+                d = shape_arrays(amb, *jets, ori)
+                H, nu, dH = mean_curvature_sensitivities(amb, *jets, ori)
+                np.testing.assert_array_equal(H, d["H"])
+                for key in ("I11", "I12", "I22", "II11", "II12", "II22",
+                            "normal", "nu", "H", "sigma_sq"):
+                    assert _rel(d[key], ref[key]) <= 1e-13, key
+                for key in ("fxx", "fxy", "fyy"):
+                    assert _rel(dH[key], ref[key]) <= 1e-13, key
+                for i in range(0, 300, 37):
+                    f = _forms(ambient_components(x[i], y[i], params),
+                               *(float(v) for v in jets[:, i]), ori)
+                    for key in ("H", "nu", "sigma_sq", "II11", "II12", "II22"):
+                        assert _rel(f[key], ref[key][i]) <= 1e-13, key
+                    assert _rel(f["normal"], ref["normal"][i]) <= 1e-13
+
+    def test_ambient_components_against_model(self):
+        rng = np.random.RandomState(22)
+        for params in (NIL, PSL, H2R, FLAT):
+            x, y, _ = random_jets(rng, params, 50)
+            a = ambient_components(x, y, params)
+            g = model.metric_components(x, y, params)
+            dg = model.metric_derivatives(x, y, params)
+            g_inv = np.linalg.inv(g)
+            for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2)):
+                name = "xyz"[i] + "xyz"[j]
+                assert _rel(getattr(a, "g_" + name), g[:, i, j]) <= 1e-15
+                assert _rel(getattr(a, "dx_" + name), dg[:, i, j, 0]) <= 1e-14
+                assert _rel(getattr(a, "dy_" + name), dg[:, i, j, 1]) <= 1e-14
+            for i, j, mine in ((0, 0, a.gi_xx), (1, 1, a.gi_xx), (0, 1, 0.0),
+                               (0, 2, a.gi_xz), (1, 2, a.gi_yz), (2, 2, a.gi_zz)):
+                assert _rel(mine, g_inv[:, i, j]) <= 1e-13
+
+    @settings(max_examples=200, deadline=None)
+    @given(space=st.sampled_from([NIL, PSL, H2R, FLAT]),
+           xy=st.tuples(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)),
+           jet=st.tuples(*[st.floats(-50, 50)] * 5),
+           orientation=st.sampled_from([-1, 1]))
+    def test_float_call_bit_identical_to_arrays(self, space, xy, jet, orientation):
+        # the ODE's float path returns Python floats, equal bit for bit to
+        # the same jet evaluated as 1-element arrays
+        f = _forms(ambient_components(*xy, space), *jet, orientation)
+        a = _forms(ambient_components(*(np.array([v]) for v in xy), space),
+                   *(np.array([v]) for v in jet), orientation)
+        for key in ("I11", "I12", "I22", "det_I", "II11", "II12", "II22",
+                    "Iinv11", "Iinv12", "Iinv22", "nu", "H", "sigma_sq"):
+            assert type(f[key]) is float, key
+            assert f[key] == a[key][0], key
+        for fv, av in zip(f["normal"], a["normal"]):
+            assert type(fv) is float and fv == av[0]
+
+
+class TestErrorPaths:
+    def test_out_of_domain_float_point(self):
+        with pytest.raises(OutOfDomain):
+            ambient_components(2.5, 0.0, PSL)
+
+    def test_out_of_domain_array_point(self):
+        with pytest.raises(OutOfDomain):
+            ambient_components(np.array([0.1, 2.5]), np.array([0.0, 0.0]), PSL)
+        # inside 4 + kappa r^2 > 0 but within the model-disk margin
+        with pytest.raises(OutOfDomain):
+            AmbientCache(np.array([0.1, 2.0 - 1e-10]), np.array([0.0, 0.0]), PSL)
+
+    # on x = 0 with fy = 0, I12 = 0 and fx = 1e200 overflows det I to +inf
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+    def test_degenerate_metric_float_jet(self, bad):
+        with pytest.raises(DegenerateMetric):
+            _forms(ambient_components(0.0, 0.1, NIL), bad, 0.0, 0.0, 0.0, 0.0, -1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+    def test_degenerate_metric_array_jet(self, bad):
+        amb = AmbientCache(np.array([0.2, 0.0]), np.array([0.1, 0.3]), PSL)
+        jet = [np.array([0.5, bad])] + [np.zeros(2)] * 4
+        with pytest.raises(DegenerateMetric):
+            mean_curvature_arrays(amb, *jet)
+        with pytest.raises(DegenerateMetric):
+            shape_arrays(amb, *jet)

@@ -17,6 +17,11 @@ NIL = SpaceParams(0.0, 0.5)
 PSL = SpaceParams(-1.0, 0.5)
 
 
+def test_io_failure_exported():
+    from ektau import EktauError, IoFailure
+    assert issubclass(IoFailure, EktauError)
+
+
 class TestRosenbergBound:
     def test_arithmetic(self):
         # c = 3 H^2 + S = 3 gives 2 pi / 3

@@ -53,12 +53,14 @@ class TestShooting:
         # the accepted states satisfy H(jet) = H_target when the second
         # derivative is reconstructed from the integrated slope field
         from ektau.rotational import _solve_fpp
-        from ektau.graph_geometry import shape_scalar
+        from ektau.graph_geometry import _forms, ambient_components
         prof = shoot_rotational_graph(1.0, NIL)
         worst = 0.0
         for r, f, p in prof.samples[5:-1]:
+            r, p = float(r), float(p)
             fpp = _solve_fpp(r, p, 1.0, NIL)
-            H, _, _, _ = shape_scalar(r, 0.0, p, 0.0, fpp, 0.0, p / r, NIL, +1)
+            H = _forms(ambient_components(r, 0.0, NIL), p, 0.0, fpp, 0.0,
+                       p / r, +1)["H"]
             worst = max(worst, abs(H - 1.0))
         assert worst < 1e-8
 
