@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,7 +66,6 @@ class ExperimentConfig:
     check_conjecture: bool = True
     check_sigma_profile: bool = False
     check_stability: bool = False
-    workers: int = 1
     solver: solver.SolverConfig = field(default_factory=solver.SolverConfig)
 
     def __post_init__(self):
@@ -80,8 +78,6 @@ class ExperimentConfig:
             raise ConfigInvalid("sweeps support disk domains")
         if self.domain_radius <= 0:
             raise ConfigInvalid("domain_radius must be positive")
-        if self.workers < 1:
-            raise ConfigInvalid("workers must be >= 1")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -214,13 +210,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRecord]:
             records.append((rec, sol_record))
         return records
 
-    sizes = sorted(set(cfg.grid_sizes))
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            per_grid = list(pool.map(run_grid, sizes))
-    else:
-        per_grid = [run_grid(n) for n in sizes]
-    pairs = [pair for grid_records in per_grid for pair in grid_records]
+    pairs = [pair for n in sorted(set(cfg.grid_sizes)) for pair in run_grid(n)]
 
     if cfg.output_dir is not None:
         out = Path(cfg.output_dir)
@@ -274,15 +264,6 @@ def _check_battery(fast: bool = True):
             gam = model.christoffel_components(x, y, params)
             worst = max(worst, model._killing_residual_at(x, y, params, gam))
     yield "Killing identity", worst < 1e-8, "max residual = %.2e" % worst
-
-    worst = 0.0
-    for params in (nil, psl):
-        s0 = model.scalar_curvature(params)
-        for _ in range(10):
-            x, y = rng.uniform(-0.7, 0.7, 2)
-            rep = model.curvature_report(Point3(x, y, float(rng.randn())), params)
-            worst = max(worst, abs(rep.scalar - s0))
-    yield "homogeneity of scalar curvature", worst < 1e-9, "max spread = %.2e" % worst
 
     worst = 0.0
     for params in (nil, psl):

@@ -13,7 +13,9 @@ and so are rotations about the z-axis.  The orthonormal frame is
     E1 = (1/lam) dx - tau*y dz,   E2 = (1/lam) dy + tau*x dz,   E3 = dz,
 
 with orientation fixed by E1 x E2 = E3, under which the Killing identity
-nabla_X dz = tau * (X x dz) holds with a plus sign.
+nabla_X dz = tau * (X x dz) holds with a plus sign.  The curvature is
+constant in closed form: on the frame Ric = diag(kappa - 2 tau^2,
+kappa - 2 tau^2, 2 tau^2), and the scalar curvature is S = 2 kappa - 2 tau^2.
 
 All functions here are pure; the vectorized `*_components` helpers accept
 numpy arrays broadcast over a trailing point axis and are the single code
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,10 +34,6 @@ from .errors import NonPositiveH, OutOfDomain, UnsupportedSign
 # Strict margin kept inside the model disk when kappa < 0; lam diverges at
 # the boundary.
 DOMAIN_MARGIN = 1e-9
-
-# Centered step for the finite-difference derivatives of the Christoffel
-# symbols entering the curvature tensors.
-_CURVATURE_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -296,26 +293,6 @@ def christoffel(p: Point3, params: SpaceParams) -> np.ndarray:
 # curvature
 
 
-def _riemann_from_gamma(x: float, y: float, params: SpaceParams, gamma_fn):
-    """R^a_{b c d} with dGamma by centered differences of gamma_fn.
-
-    The metric is z-independent, so only x/y derivatives contribute.
-    """
-    d = _CURVATURE_FD_STEP
-    G = gamma_fn(x, y, params)
-    dG = np.zeros((3,) + G.shape)  # dG[e, k, i, j] = d Gamma^k_ij / d x^e
-    dG[0] = (gamma_fn(x + d, y, params) - gamma_fn(x - d, y, params)) / (2 * d)
-    dG[1] = (gamma_fn(x, y + d, params) - gamma_fn(x, y - d, params)) / (2 * d)
-    # R^a_{bcd} = d_c G^a_db - d_d G^a_cb + G^a_ce G^e_db - G^a_de G^e_cb
-    R = (
-        np.einsum("cadb->abcd", dG)
-        - np.einsum("dacb->abcd", dG)
-        + np.einsum("ace,edb->abcd", G, G)
-        - np.einsum("ade,ecb->abcd", G, G)
-    )
-    return R, G
-
-
 def _killing_residual_at(x: float, y: float, params: SpaceParams, gamma: np.ndarray) -> float:
     """max |nabla_X dz - tau X x dz|_g over a fixed sample of directions."""
     g = metric_components(x, y, params)
@@ -339,83 +316,29 @@ def _killing_residual_at(x: float, y: float, params: SpaceParams, gamma: np.ndar
 def curvature_report(p: Point3, params: SpaceParams) -> CurvatureReport:
     """Christoffels, Ricci, scalar curvature and Killing residual at p.
 
-    The Riemann tensor is assembled from the exact Christoffel symbols and
-    centered finite differences of them; for the flat space the closed-form
-    zero path is taken.
+    The Christoffels are exact; the curvature is closed form.  With
+    g_z = g(E3, .) the row g[2] (E3 = d/dz),
+
+        Ric = (kappa - 2 tau^2) g + (4 tau^2 - kappa) g_z (x) g_z,
+
+    which is diag(kappa - 2 tau^2, kappa - 2 tau^2, 2 tau^2) on the frame.
     """
     params.require_inside(p.x, p.y)
-    if params.is_flat:
-        return CurvatureReport(
-            christoffel=np.zeros((3, 3, 3)),
-            ricci=np.zeros((3, 3)),
-            ricci_diag_frame=np.zeros(3),
-            scalar=0.0,
-            killing_residual=0.0,
-        )
-    R, G = _riemann_from_gamma(p.x, p.y, params, christoffel_components)
-    ricci = np.einsum("abad->bd", R)
+    k, t2 = params.kappa, params.tau ** 2
+    G = christoffel_components(p.x, p.y, params)
     g = metric_components(p.x, p.y, params)
-    g_inv = np.linalg.inv(g)
-    scalar = float(np.einsum("bd,bd->", g_inv, ricci))
-    F = frame_matrix(p.x, p.y, params)
-    ricci_frame = np.array([F[:, i] @ ricci @ F[:, i] for i in range(3)])
     return CurvatureReport(
         christoffel=G,
-        ricci=ricci,
-        ricci_diag_frame=ricci_frame,
-        scalar=scalar,
+        ricci=(k - 2 * t2) * g + (4 * t2 - k) * np.outer(g[2], g[2]),
+        ricci_diag_frame=np.array([k - 2 * t2, k - 2 * t2, 2 * t2]),
+        scalar=scalar_curvature(params),
         killing_residual=_killing_residual_at(p.x, p.y, params, G),
     )
-
-
-def _christoffel_fd(x, y, params: SpaceParams) -> np.ndarray:
-    """Christoffels with dg itself by centered differences of the metric.
-
-    Fully finite-difference path, kept as the independent oracle for the
-    exact-derivative assembly.
-    """
-    d = _CURVATURE_FD_STEP
-    g = metric_components(x, y, params)
-    g_inv = np.linalg.inv(g)
-    dg = np.zeros(np.shape(x) + (3, 3, 3))
-    dg[..., 0] = (metric_components(x + d, y, params) - metric_components(x - d, y, params)) / (2 * d)
-    dg[..., 1] = (metric_components(x, y + d, params) - metric_components(x, y - d, params)) / (2 * d)
-    dg_jli = np.moveaxis(dg, (-3, -2, -1), (-2, -1, -3))
-    dg_ilj = np.moveaxis(dg, (-3, -2, -1), (-3, -1, -2))
-    T = dg_jli + dg_ilj - dg
-    return 0.5 * np.einsum("...kl,...ijl->...kij", g_inv, T)
-
-
-def curvature_report_fd(p: Point3, params: SpaceParams) -> CurvatureReport:
-    """Curvature with every derivative taken by finite differences."""
-    params.require_inside(p.x, p.y)
-    R, G = _riemann_from_gamma(p.x, p.y, params, _christoffel_fd)
-    ricci = np.einsum("abad->bd", R)
-    g = metric_components(p.x, p.y, params)
-    g_inv = np.linalg.inv(g)
-    scalar = float(np.einsum("bd,bd->", g_inv, ricci))
-    F = frame_matrix(p.x, p.y, params)
-    ricci_frame = np.array([F[:, i] @ ricci @ F[:, i] for i in range(3)])
-    return CurvatureReport(
-        christoffel=G,
-        ricci=ricci,
-        ricci_diag_frame=ricci_frame,
-        scalar=scalar,
-        killing_residual=_killing_residual_at(p.x, p.y, params, G),
-    )
-
-
-@lru_cache(maxsize=64)
-def _scalar_curvature_cached(kappa: float, tau: float) -> float:
-    params = SpaceParams(kappa=kappa, tau=tau)
-    if params.is_flat:
-        return 0.0
-    return curvature_report(Point3(0.0, 0.0, 0.0), params).scalar
 
 
 def scalar_curvature(params: SpaceParams) -> float:
-    """The constant scalar curvature of the space (cached per (kappa, tau))."""
-    return _scalar_curvature_cached(params.kappa, params.tau)
+    """The constant scalar curvature S = 2 kappa - 2 tau^2 of the space."""
+    return 2.0 * params.kappa - 2.0 * params.tau ** 2
 
 
 # ----------------------------------------------------------------------

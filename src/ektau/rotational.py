@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from . import model
 from .errors import EktauError, NoSphere, SingularStep, UnsupportedSign
@@ -247,61 +246,25 @@ def hemisphere_height(H: float, params: SpaceParams,
     return h2
 
 
-def _circle_geodesic_curvature(r_model: float, params: SpaceParams) -> float:
-    """Geodesic curvature of the origin-centered base circle of model radius r.
-
-    Generic curve-curvature evaluation in the conformal base metric
-    lam^2 (dx^2 + dy^2): acceleration through the 2D Christoffels, projected
-    orthogonally to the tangent.  Evaluated at (r, 0) by symmetry.
-    """
-    lam, lam_x, lam_y, *_ = model.conformal_factor_jet(r_model, 0.0, params)
-    lam = float(lam); lam_x = float(lam_x); lam_y = float(lam_y)
-    # c(t) = (r cos t, r sin t) at t=0: c' = (0, r), c'' = (-r, 0)
-    cp = np.array([0.0, r_model])
-    cpp = np.array([-r_model, 0.0])
-    dln = np.array([lam_x / lam, lam_y / lam])
-    # conformal Christoffels: G^k_ij = d_i ln(lam) delta_kj + d_j ln(lam) delta_ki
-    #                                  - d_k ln(lam) delta_ij
-    acc = cpp.copy()
-    for k in range(2):
-        s = 0.0
-        for i in range(2):
-            for j in range(2):
-                gam = (dln[j] if k == i else 0.0) + (dln[i] if k == j else 0.0) \
-                    - (dln[k] if i == j else 0.0)
-                s += gam * cp[i] * cp[j]
-        acc[k] += s
-    g = lam * lam * np.eye(2)
-    speed2 = cp @ g @ cp
-    T = cp / math.sqrt(speed2)
-    a_perp = acc - (acc @ g @ T) * T
-    return float(math.sqrt(a_perp @ g @ a_perp) / speed2)
-
-
 def cmc_cylinder_curve(H: float, params: SpaceParams) -> PlanarCircle:
     """Base curve of the vertical cylinder with mean curvature H.
 
     The cylinder over a base curve gamma has constant mean curvature H
     exactly when the geodesic curvature of gamma is 2H; the curve closes up
-    iff (2H)^2 + kappa > 0.  For kappa < 0 the geodesic radius of the closed
-    circle is found by a root solve of the numerically evaluated geodesic
-    curvature against 2H.
+    iff (2H)^2 + kappa > 0.  The origin circle of model radius r has
+    geodesic curvature k_g = 1/r - kappa r/4 in the conformal base metric,
+    so the closed circle has r = 1/(H + sqrt(H^2 + kappa/4)), which is
+    1/(2H) when kappa = 0.
     """
     if H <= 0:
         raise ValueError("cylinder curve needs H > 0")
     if params.kappa > 0:
         raise UnsupportedSign("cylinder curves restricted to kappa <= 0")
     kg = 2.0 * H
-    closed = kg * kg + params.kappa > 0
-    if params.kappa == 0:
-        return PlanarCircle(params=params, geodesic_curvature=kg,
-                            radius=1.0 / kg, closed=True, model_radius=1.0 / kg)
-    if not closed:
+    if kg * kg + params.kappa <= 0:
         return PlanarCircle(params=params, geodesic_curvature=kg,
                             radius=float("nan"), closed=False)
-    R = params.domain_radius
-    r_model = brentq(lambda r: _circle_geodesic_curvature(r, params) - kg,
-                     1e-9 * R, R * (1.0 - 1e-12), xtol=1e-15, rtol=8.9e-16)
+    r_model = 1.0 / (H + math.sqrt(H * H + 0.25 * params.kappa))
     rho = model.base_distance((0.0, 0.0), (r_model, 0.0), params)
     return PlanarCircle(params=params, geodesic_curvature=kg, radius=float(rho),
-                        closed=True, model_radius=float(r_model))
+                        closed=True, model_radius=r_model)

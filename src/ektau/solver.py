@@ -33,7 +33,7 @@ import scipy.sparse.linalg as spla
 
 from . import model
 from .errors import (ConfigInvalid, DegenerateMetric, NonConvergence,
-                     NotConverged, OutOfDomain, VerticalBlowup)
+                     OutOfDomain, VerticalBlowup)
 from .graph_geometry import (AmbientCache, mean_curvature_arrays,
                              mean_curvature_sensitivities, shape_arrays)
 from .model import SpaceParams
@@ -379,7 +379,6 @@ class GraphSolution:
     H_target: float
     boundary_value: float
     residual_max: float
-    converged: bool
     min_abs_nu: float
     max_sigma_interior: float
     newton_iterations: int = 0
@@ -401,7 +400,6 @@ class GraphSolution:
             "H_target": self.H_target,
             "boundary_value": self.boundary_value,
             "residual_max": self.residual_max,
-            "converged": self.converged,
             "min_abs_nu": self.min_abs_nu,
             "max_sigma_interior": self.max_sigma_interior,
             "newton_iterations": self.newton_iterations,
@@ -419,7 +417,6 @@ class GraphSolution:
                    H_target=float(rec["H_target"]),
                    boundary_value=float(rec["boundary_value"]),
                    residual_max=float(rec["residual_max"]),
-                   converged=bool(rec["converged"]),
                    min_abs_nu=float(rec["min_abs_nu"]),
                    max_sigma_interior=float(rec["max_sigma_interior"]),
                    newton_iterations=int(rec.get("newton_iterations", 0)),
@@ -601,7 +598,7 @@ def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
                         j["fyy"], orientation)
     return GraphSolution(
         grid=grid, values=full, params=params, H_target=H,
-        boundary_value=boundary_value, residual_max=rnorm, converged=True,
+        boundary_value=boundary_value, residual_max=rnorm,
         min_abs_nu=float(np.min(np.abs(data["nu"]))),
         max_sigma_interior=float(np.sqrt(np.max(data["sigma_sq"]))),
         newton_iterations=iters, orientation=orientation)
@@ -609,8 +606,6 @@ def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
 
 def graph_height(sol: GraphSolution) -> float:
     """Largest vertical offset from the boundary section."""
-    if not sol.converged:
-        raise NotConverged("height is defined for converged solutions")
     return float(np.max(np.abs(sol.interior_values() - sol.boundary_value)))
 
 
@@ -664,8 +659,6 @@ def continuation_in_H(grid: DomainGrid, boundary_value: float, H_min: float,
 
 def sigma_profile(sol: GraphSolution, n_bins: int = 10):
     """Max |sigma| binned by base-plane distance to the domain boundary."""
-    if not sol.converged:
-        raise NotConverged("sigma profile requires a converged solution")
     fx, fy, fxx, fxy, fyy = sol.jets()
     data = shape_arrays(sol.grid.ambient(), fx, fy, fxx, fxy, fyy,
                         sol.orientation)

@@ -126,8 +126,6 @@ def _q1_assemble(dof: np.ndarray, W11, W12, W22, sqrt_det, hx: float, hy: float,
 
 def _solution_fields(sol: GraphSolution):
     """Nodal W coefficients, area density, potential and nu on the lattice."""
-    if not sol.converged:
-        raise NotConverged("stability assembly requires a converged solution")
     g = sol.grid
     fx, fy, fxx, fxy, fyy = sol.jets()
     d = shape_arrays(g.ambient(), fx, fy, fxx, fxy, fyy, sol.orientation)

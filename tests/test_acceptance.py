@@ -15,12 +15,13 @@ import pytest
 from ektau.graph_geometry import Jet2, shape_data, jacobi_potential
 from ektau.harness import ExperimentConfig, cli_dispatch, run_experiment
 from ektau.model import (Point3, SpaceParams, christoffel_components,
-                         curvature_report, _killing_residual_at)
+                         _killing_residual_at)
 from ektau.rotational import hemisphere_height
 from ektau.solver import (continuation_in_H, disk_grid, graph_height,
                           solve_dirichlet)
 from ektau.stability import (angle_jacobi_residual, assemble_jacobi,
                              cylinder_stability, smallest_eigenvalue)
+from fd_curvature import curvature_report_fd
 
 NIL = SpaceParams(0.0, 0.5)
 PSL = SpaceParams(-1.0, 0.5)
@@ -109,7 +110,9 @@ def test_criterion_03_potential_identity():
             x, y = rng.uniform(-lim, lim, 2)
             jet = Jet2(x, y, *(float(v) for v in rng.randn(6)))
             sd = shape_data(jet, params)
-            rep = curvature_report(Point3(x, y, 0.0), params)
+            # Ricci from finite differences of the exact Christoffels
+            rep = curvature_report_fd(Point3(x, y, 0.0), params,
+                                      christoffel_components)
             ric = float(sd.normal.components @ rep.ricci @ sd.normal.components)
             worst = max(worst, abs(sd.sigma_sq + ric
                                    - jacobi_potential(jet, params)))

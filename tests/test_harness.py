@@ -54,10 +54,12 @@ class TestConfig:
             ExperimentConfig(params=NIL, H_list=[-0.5], grid_sizes=[24])
 
     def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ConfigInvalid):
-            ExperimentConfig.from_dict({
-                "params": {"kappa": 0.0, "tau": 0.5},
-                "H_list": [0.5], "grid_sizes": [24], "bogus": 1})
+        # workers: the removed thread-pool option
+        for key in ("bogus", "workers"):
+            with pytest.raises(ConfigInvalid, match="unknown config keys"):
+                ExperimentConfig.from_dict({
+                    "params": {"kappa": 0.0, "tau": 0.5},
+                    "H_list": [0.5], "grid_sizes": [24], key: 1})
 
     @pytest.mark.parametrize("key", ["jet_fd_step", "continuation_steps"])
     def test_removed_solver_keys_rejected(self, key):
@@ -207,6 +209,14 @@ class TestCli:
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert data["scalar"] == 0.0
+
+    def test_curvature_psl_exact(self, capsys):
+        # S = 2 kappa - 2 tau^2 and Ric on the frame, in closed form
+        rc = cli_dispatch(["curvature", "--kappa", "-1", "--tau", "0.5", "--json"])
+        assert rc == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["scalar"] == -2.5
+        assert data["ricci_frame"] == [-1.5, -1.5, 0.5]
 
     def test_solve_json(self, capsys):
         rc = cli_dispatch(["solve", "--kappa", "0", "--tau", "0.5",

@@ -9,10 +9,10 @@ from ektau.errors import NonPositiveH, OutOfDomain, UnsupportedSign
 from ektau.model import (Point3, SpaceParams, base_distance, christoffel,
                          christoffel_components, conformal_factor,
                          critical_mean_curvature, curvature_report,
-                         curvature_report_fd, frame_matrix, metric_at,
-                         metric_components, metric_derivatives,
-                         orthonormal_frame, scalar_curvature, sphere_exists,
-                         _christoffel_fd, _killing_residual_at)
+                         frame_matrix, metric_at, metric_components,
+                         metric_derivatives, orthonormal_frame,
+                         scalar_curvature, sphere_exists, _killing_residual_at)
+from fd_curvature import christoffel_fd, curvature_report_fd
 
 NIL = SpaceParams(kappa=0.0, tau=0.5)
 PSL = SpaceParams(kappa=-1.0, tau=0.5)
@@ -158,7 +158,7 @@ class TestChristoffel:
         for params in (NIL, PSL):
             for x, y, _ in random_points(params, 10, rng):
                 exact = christoffel_components(x, y, params)
-                fd = _christoffel_fd(x, y, params)
+                fd = christoffel_fd(x, y, params)
                 np.testing.assert_allclose(exact, fd, atol=1e-6)
 
     def test_metric_compatibility(self):
@@ -182,10 +182,15 @@ class TestCurvature:
         assert np.abs(rep.ricci).max() == 0.0
 
     def test_homogeneity(self):
+        # finite differences of the exact Christoffels at two points agree
+        # with each other and with the closed form S = 2 kappa - 2 tau^2
         for params in (NIL, PSL):
-            a = curvature_report(Point3(0, 0, 0), params).scalar
-            b = curvature_report(Point3(0.6, -0.3, 2.0), params).scalar
+            a = curvature_report_fd(Point3(0, 0, 0), params,
+                                    christoffel_components).scalar
+            b = curvature_report_fd(Point3(0.6, -0.3, 2.0), params,
+                                    christoffel_components).scalar
             assert abs(a - b) < 1e-9
+            assert abs(a - scalar_curvature(params)) < 1e-9
 
     def test_frozen_scalar_values(self):
         # fixed ahead of time with the all-finite-difference oracle
@@ -194,7 +199,7 @@ class TestCurvature:
         assert scalar_curvature(SpaceParams(-1.0, 0.0)) == pytest.approx(-2.0, abs=1e-8)
 
     def test_exact_path_vs_fd_oracle(self):
-        for params in (NIL, PSL):
+        for params in (NIL, PSL, SpaceParams(-1.0, 0.0), SpaceParams(-4.0, 0.5)):
             p = Point3(0.25, -0.35, 0.7)
             a = curvature_report(p, params)
             b = curvature_report_fd(p, params)
@@ -207,6 +212,10 @@ class TestCurvature:
             rep = curvature_report(Point3(0.3, 0.4, 0.0), params)
             want = [params.kappa - 2 * params.tau**2] * 2 + [2 * params.tau**2]
             np.testing.assert_allclose(rep.ricci_diag_frame, want, atol=1e-8)
+            # the coordinate Ricci tensor is diagonal on the frame
+            F = frame_matrix(0.3, 0.4, params)
+            np.testing.assert_allclose(F.T @ rep.ricci @ F, np.diag(want),
+                                       atol=1e-12)
 
     def test_report_killing_residual_small(self):
         rep = curvature_report(Point3(0.2, 0.1, 0.0), PSL)

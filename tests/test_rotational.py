@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from ektau.errors import NoSphere, UnsupportedSign
-from ektau.model import SpaceParams
-from ektau.rotational import (EQUATOR_NU, _circle_geodesic_curvature,
-                              _series_quartic, cmc_cylinder_curve,
+from ektau.model import SpaceParams, conformal_factor_jet
+from ektau.rotational import (EQUATOR_NU, _series_quartic, cmc_cylinder_curve,
                               hemisphere_height, shoot_rotational_graph)
 
 NIL = SpaceParams(0.0, 0.5)
@@ -18,6 +17,38 @@ FLAT = SpaceParams(0.0, 0.0)
 # frozen by halved-step refinement (two resolutions agreeing to 1e-6)
 NIL_HEMI_H1 = 1.0795583
 PSL_HEMI_H1 = 1.3089867
+
+
+def circle_geodesic_curvature(r_model: float, params: SpaceParams) -> float:
+    """Geodesic curvature of the origin-centered base circle of model radius r.
+
+    Generic curve-curvature evaluation in the conformal base metric
+    lam^2 (dx^2 + dy^2): acceleration through the 2D Christoffels, projected
+    orthogonally to the tangent.  Evaluated at (r, 0) by symmetry.  This is
+    the numeric oracle for the closed form k_g = 1/r - kappa r/4.
+    """
+    lam, lam_x, lam_y, *_ = conformal_factor_jet(r_model, 0.0, params)
+    lam = float(lam); lam_x = float(lam_x); lam_y = float(lam_y)
+    # c(t) = (r cos t, r sin t) at t=0: c' = (0, r), c'' = (-r, 0)
+    cp = np.array([0.0, r_model])
+    cpp = np.array([-r_model, 0.0])
+    dln = np.array([lam_x / lam, lam_y / lam])
+    # conformal Christoffels: G^k_ij = d_i ln(lam) delta_kj + d_j ln(lam) delta_ki
+    #                                  - d_k ln(lam) delta_ij
+    acc = cpp.copy()
+    for k in range(2):
+        s = 0.0
+        for i in range(2):
+            for j in range(2):
+                gam = (dln[j] if k == i else 0.0) + (dln[i] if k == j else 0.0) \
+                    - (dln[k] if i == j else 0.0)
+                s += gam * cp[i] * cp[j]
+        acc[k] += s
+    g = lam * lam * np.eye(2)
+    speed2 = cp @ g @ cp
+    T = cp / math.sqrt(speed2)
+    a_perp = acc - (acc @ g @ T) * T
+    return float(math.sqrt(a_perp @ g @ a_perp) / speed2)
 
 
 class TestSeriesStart:
@@ -133,7 +164,11 @@ class TestCylinderCurves:
             assert c.radius == pytest.approx(math.atanh(1.0 / (2 * H)), rel=1e-10)
 
     def test_numeric_curvature_evaluation(self):
-        # the root-find target itself, cross-checked at the solved radius
-        c = cmc_cylinder_curve(1.0, PSL)
-        assert _circle_geodesic_curvature(c.model_radius, PSL) == pytest.approx(
-            2.0, rel=1e-12)
+        # the closed-form radius, checked by a numeric curvature evaluation
+        for kappa, H in ((-1.0, 1.0), (-1.0, 0.51), (-1.0, 3.0), (-4.0, 1.01),
+                         (-4.0, 2.5), (-0.25, 0.3), (-9.0, 1.6)):
+            params = SpaceParams(kappa, 0.5)
+            c = cmc_cylinder_curve(H, params)
+            assert c.closed
+            assert circle_geodesic_curvature(c.model_radius, params) == \
+                pytest.approx(2.0 * H, rel=1e-12)
