@@ -1,14 +1,14 @@
 """Numerical geometry of the E(kappa, tau) spaces.
 
 Ambient metric machinery, constant-mean-curvature vertical graphs solved as
-Dirichlet problems, rotational spheres by ODE shooting, discrete stability
-operators, and an experiment harness probing height bounds.
+Dirichlet problems, rotational spheres in closed form from the flux first
+integral, discrete stability operators, and an experiment harness probing
+height bounds.
 """
 
 from .errors import (ConfigInvalid, DegenerateMetric, EktauError, IoFailure,
                      IterationLimit, NoSphere, NonConvergence, NonPositiveH,
-                     NotConverged, OutOfDomain, SingularStep, UnsupportedSign,
-                     VerticalBlowup)
+                     NotConverged, OutOfDomain, UnsupportedSign, VerticalBlowup)
 from .graph_geometry import Jet2, ShapeData, angle_function, jacobi_potential, shape_data
 from .harness import ExperimentConfig, ReportRecord, rosenberg_bound, run_experiment
 from .model import (CurvatureReport, MetricAtPoint, Point3, SpaceParams,

@@ -37,10 +37,6 @@ class NoSphere(EktauError):
     """No rotational sphere exists for these (H, kappa, tau)."""
 
 
-class SingularStep(EktauError):
-    """The radial ODE could not be solved for the second derivative."""
-
-
 class IterationLimit(EktauError):
     """Eigenvalue iteration exceeded its iteration cap."""
 

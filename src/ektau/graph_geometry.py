@@ -2,12 +2,12 @@
 
 A graph is parametrized by (x, y) -> (x, y, f(x, y)); its coordinate tangent
 fields are T1 = (1, 0, fx) and T2 = (0, 1, fy).  Everything downstream (the
-Dirichlet solver, the rotational shooter, the stability assembly) evaluates
-mean curvature through one kernel, `_forms`, written in explicit component
-arithmetic on closed-form ambient data (`ambient_components`).  The same
-code runs on numpy arrays (the lattice evaluations behind `shape_arrays`)
-and on Python floats (the ODE right-hand side), where it stays off numpy
-and returns Python floats bit-identical to the array path.
+Dirichlet solver, the stability assembly, point evaluation by `shape_data`)
+evaluates mean curvature through one kernel, `_forms`, written in explicit
+component arithmetic on closed-form ambient data (`ambient_components`).
+The same code runs on numpy arrays (the lattice evaluations behind
+`shape_arrays`) and on Python floats (`shape_data`), where it stays off
+numpy and returns Python floats bit-identical to the array path.
 
 Since the ambient metric does not depend on z, none of the quantities here
 depend on the value f itself, only on the point (x, y) and the derivatives

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import model, rotational, solver, stability
 from .errors import (ConfigInvalid, DegenerateMetric, EktauError, IoFailure,
-                     IterationLimit, NonConvergence, OutOfDomain,
-                     SingularStep, VerticalBlowup)
+                     IterationLimit, NonConvergence, OutOfDomain, VerticalBlowup)
 from .model import Point3, SpaceParams
 
 PLOT_HEADER = "H n height hemi_height bound lambda_min status"
@@ -109,7 +108,7 @@ class ReportRecord:
     H: float
     n: int
     # converged | vertical_blowup | non_convergence | stability_failed |
-    # degenerate_metric | singular_step | out_of_domain
+    # degenerate_metric | out_of_domain
     status: str
     height: float | None = None
     hemisphere_height: float | None = None
@@ -203,8 +202,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRecord]:
                 rec.status, rec.message = "stability_failed", str(exc)
             except DegenerateMetric as exc:
                 rec.status, rec.message = "degenerate_metric", str(exc)
-            except SingularStep as exc:
-                rec.status, rec.message = "singular_step", str(exc)
             except OutOfDomain as exc:
                 rec.status, rec.message = "out_of_domain", str(exc)
             records.append((rec, sol_record))
@@ -344,7 +341,6 @@ def cli_dispatch(argv) -> int:
     p = sub.add_parser("sphere", help="hemisphere height of the rotational H-sphere")
     _add_space_args(p)
     p.add_argument("--H", type=float, required=True)
-    p.add_argument("--step", type=float, default=None)
 
     p = sub.add_parser("cylinder", help="stability of the CMC cylinder")
     _add_space_args(p)
@@ -390,7 +386,7 @@ def _run_command(args) -> int:
 
     if args.command == "sphere":
         params = _space(args)
-        h = rotational.hemisphere_height(args.H, params, step=args.step)
+        h = rotational.hemisphere_height(args.H, params)
         if args.json:
             print(json.dumps({"H": args.H, "hemisphere_height": h}))
         else:

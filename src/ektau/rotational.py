@@ -1,21 +1,25 @@
-"""Rotationally invariant CMC surfaces about the z-axis by ODE shooting.
+"""Rotationally invariant CMC surfaces about the z-axis, in closed form.
 
-The profile f(r) of a rotational graph satisfies, at the on-axis point
-(r, 0), the radial reduction of the graph equation: the jet there is
-(fx, fy, fxx, fxy, fyy) = (f', 0, f'', 0, f'/r).  Rather than writing the
-resulting second-order ODE in closed form, each step solves the scalar
-equation H(jet) = H_target for f'', which is exact because the second
-fundamental form is affine in the second derivatives.  H and dH/df'' come
-from the graph kernel of `graph_geometry`, the one the Dirichlet solver
-uses, called on Python floats.
+A vertical graph in E(kappa, tau) solves the divergence-form equation
+div(Gf / W) = 2H on the base, with W = sqrt(1 + |Gf|^2) (Daniel 2007,
+Comment. Math. Helv. 82).  For a rotational profile f(r) the tau-part of Gf
+is tangent to the origin circles, so the flux through the circle of model
+radius r is L(r) (f'/lam) / W = 2H A(r), with lam = 4 / (4 + kappa r^2),
+L = 8 pi r / (4 + kappa r^2) and A = 4 pi r^2 / (4 + kappa r^2).  Since
+2HA/L = Hr for every kappa, this first integral gives the profile:
 
-Shooting starts from the regularity expansion at the pole (f'(0) = 0, both
-principal curvatures equal, so f''(0) = H) and integrates outward with an
-adaptive Runge-Kutta scheme until the angle function crosses 1e-6: the
-equator of the rotational sphere, where the graph turns vertical.  The
-upward orientation is used, so the profile rises from the pole; the
-pole-to-equator height equals the hemisphere height of the downward cap by
-the orientation-reversing isometry (x, y, z) -> (x, -y, -z).
+    f'(r) = 4Hr / (4 + kappa r^2) * sqrt((1 + tau^2 r^2) / (1 - H^2 r^2)),
+    nu(r) = sqrt((1 - H^2 r^2) / (1 + tau^2 r^2)),
+
+so the equator, where the graph turns vertical, sits at model radius
+exactly 1/H.  With r = sin(theta) / H the height is the quadrature
+
+    h = int_0^theta* 4r sqrt(1 + tau^2 r^2) / (4 + kappa r^2) dtheta
+
+of a smooth integrand.  The profile is cut at nu = EQUATOR_NU, just below
+the equator.  The upward orientation is used, so the profile rises from the
+pole; the pole-to-equator height equals the hemisphere height of the
+downward cap by the orientation-reversing isometry (x, y, z) -> (x, -y, -z).
 """
 
 from __future__ import annotations
@@ -24,26 +28,25 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad
 
 from . import model
-from .errors import EktauError, NoSphere, SingularStep, UnsupportedSign
-from .graph_geometry import _forms, ambient_components
+from .errors import NoSphere, UnsupportedSign
 from .model import SpaceParams
 
 EQUATOR_NU = 1e-6
+PROFILE_PANELS = 128
 
 
 @dataclass
 class ProfileCurve:
-    """Radial samples (r, f, f') of a rotational CMC graph."""
+    """Radial samples (r, f, f') of a rotational CMC graph, pole to equator."""
 
     H: float
     params: SpaceParams
     samples: np.ndarray        # (m, 3): r, f, f'
     nu: np.ndarray             # (m,)
-    termination: str           # "equator" | "domain_boundary" | "step_limit"
-    hemisphere_height: float | None
+    hemisphere_height: float
 
     def to_columnar(self, path) -> None:
         with open(path, "w") as fh:
@@ -63,187 +66,64 @@ class PlanarCircle:
     model_radius: float = float("nan")
 
 
-def _radial_eval(r: float, p: float, params: SpaceParams):
-    """(H at f''=0, dH/df'', nu) for the radial jet at (r, 0).
+def _equator_angle(H: float, params: SpaceParams) -> float:
+    """The cut theta*, where nu(sin(theta*) / H) = EQUATOR_NU.
 
-    Runs the graph kernel on Python floats (solve_ivp hands over numpy
-    scalars), so no call here goes through numpy.
-    """
-    r, p = float(r), float(p)
-    d = _forms(ambient_components(r, 0.0, params), p, 0.0, 0.0, 0.0, p / r, +1)
-    return d["H"], 0.5 * d["nu"] * d["Iinv11"], d["nu"]
-
-
-def _solve_fpp(r: float, p: float, H_target: float, params: SpaceParams) -> float:
-    H0, dH, _ = _radial_eval(r, p, params)
-    if not math.isfinite(dH) or abs(dH) < 1e-300:
-        raise SingularStep("cannot solve for f'' at r=%g (dH/df''=%g)" % (r, dH))
-    return (H_target - H0) / dH
-
-
-def _series_quartic(H: float, params: SpaceParams, r_star: float) -> float:
-    """Quartic coefficient of the pole expansion f = H r^2/2 + a4 r^4 + ...
-
-    Fixed-point fit against the radial equation at r_star; in the flat case
-    the limit is H^3/8.
-    """
-    a4 = 0.0
-    for _ in range(8):
-        p = H * r_star + 4.0 * a4 * r_star**3
-        fpp = _solve_fpp(r_star, p, H, params)
-        a4_new = (fpp - H) / (12.0 * r_star**2)
-        if abs(a4_new - a4) < 1e-12 * (1.0 + abs(a4_new)):
-            a4 = a4_new
-            break
-        a4 = a4_new
-    return a4
-
-
-def shoot_rotational_graph(H: float, params: SpaceParams,
-                           step: float | None = None) -> ProfileCurve:
-    """Integrate the rotational profile from the pole to the equator.
-
-    `step` sets the series-start radius (10*step) and the integration
-    tolerance; the default resolves the profile to well below 1e-6 in the
-    hemisphere height.
-    """
-    if params.kappa > 0:
-        raise UnsupportedSign("rotational shooting restricted to kappa <= 0")
-    if not model.sphere_exists(H, params):
-        raise NoSphere("no rotational sphere: 4H^2 + kappa = %g <= 0"
-                       % (4 * H * H + params.kappa))
-    if step is None:
-        step = 0.002 / H
-    if step <= 0:
-        raise ValueError("step must be positive")
-
-    r0 = 10.0 * step
-    a4 = _series_quartic(H, params, r0)
-    f0 = 0.5 * H * r0**2 + a4 * r0**4
-    p0 = H * r0 + 4.0 * a4 * r0**3
-    rtol = min(1e-8, max(1e-12, (H * step) ** 2 * 1e-2))
-    atol = rtol * 1e-2 * (1.0 + 1.0 / H)
-    r_dom = math.inf
-    if params.kappa < 0:
-        r_dom = params.domain_radius * (1.0 - 1e-9)
-
-    # Phase 1: integrate f(r) while the graph is far from vertical.  The
-    # r-parametrization turns stiff as nu -> 0, so stop at nu = 1e-2.
-    def rhs_r(r, y):
-        return (y[1], _solve_fpp(r, y[1], H, params))
-
-    def steepening(r, y):
-        _, _, nu = _radial_eval(r, y[1], params)
-        return nu - 1e-2
-    steepening.terminal = True
-    steepening.direction = -1
-
-    events1 = [steepening]
-    r_max = min(8.0 / H, r_dom)
-    if params.kappa < 0:
-        def domain_edge_r(r, y):
-            return r_dom - r
-        domain_edge_r.terminal = True
-        events1.append(domain_edge_r)
-
-    sol1 = solve_ivp(rhs_r, (r0, r_max), (f0, p0), method="RK45",
-                     rtol=rtol, atol=atol, events=events1)
-    if not sol1.success and sol1.status != 1:
-        raise SingularStep("profile integration failed: %s" % sol1.message)
-
-    r_ser = np.linspace(0.0, r0, 6)
-    f_ser = 0.5 * H * r_ser**2 + a4 * r_ser**4
-    p_ser = H * r_ser + 4.0 * a4 * r_ser**3
-    rr = np.concatenate([r_ser[:-1], sol1.t])
-    ff = np.concatenate([f_ser[:-1], sol1.y[0]])
-    pp = np.concatenate([p_ser[:-1], sol1.y[1]])
-
-    if sol1.status == 1 and params.kappa < 0 and len(sol1.t_events[1]):
-        termination, hemi = "domain_boundary", None
-    elif sol1.status != 1:
-        termination, hemi = "step_limit", None
-    else:
-        # Phase 2: approach the equator in s = log f'.  The slope grows
-        # monotonically, so the vertical point cannot be overstepped, and
-        # the geometric stretching keeps the step count small.
-        r1 = float(sol1.t_events[0][0])
-        f1, p1 = (float(v) for v in sol1.y_events[0][0])
-
-        def rhs_s(s, y):
-            p = math.exp(s)
-            fpp = _solve_fpp(y[0], p, H, params)
-            if fpp <= 0:
-                raise SingularStep("profile lost convexity near the equator")
-            return (p / fpp, p * p / fpp)
-
-        def equator(s, y):
-            _, _, nu = _radial_eval(y[0], math.exp(s), params)
-            return nu - EQUATOR_NU
-        equator.terminal = True
-        equator.direction = -1
-
-        events2 = [equator]
-        if params.kappa < 0:
-            def domain_edge_s(s, y):
-                return r_dom - y[0]
-            domain_edge_s.terminal = True
-            events2.append(domain_edge_s)
-
-        s1 = math.log(p1)
-        sol2 = solve_ivp(rhs_s, (s1, math.log(1e9)), (r1, f1), method="RK45",
-                         rtol=rtol, atol=atol, events=events2)
-        if not sol2.success and sol2.status != 1:
-            raise SingularStep("equator approach failed: %s" % sol2.message)
-        # the first phase-2 sample repeats the handoff point
-        rr = np.concatenate([rr, sol2.y[0][1:]])
-        ff = np.concatenate([ff, sol2.y[1][1:]])
-        pp = np.concatenate([pp, np.exp(sol2.t[1:])])
-        if sol2.status == 1 and len(sol2.t_events[0]):
-            # the terminal event point is the last appended sample
-            termination = "equator"
-            hemi = float(sol2.y_events[0][0][1])
-        elif sol2.status == 1:
-            termination, hemi = "domain_boundary", None
-        else:
-            termination, hemi = "step_limit", None
-
-    nu = np.empty_like(rr)
-    nu[0] = 1.0
-    for i in range(1, len(rr)):
-        _, _, nu[i] = _radial_eval(rr[i], pp[i], params)
-
-    return ProfileCurve(H=H, params=params,
-                        samples=np.stack([rr, ff, pp], axis=1), nu=nu,
-                        termination=termination, hemisphere_height=hemi)
-
-
-def hemisphere_height(H: float, params: SpaceParams,
-                      step: float | None = None) -> float:
-    """Pole-to-equator height of the rotational H-sphere's graphable half.
-
-    Runs the shoot at the default (or given) step with one halved-step
-    confirmation; disagreement beyond 1e-6 of the height scale aborts.
-    The integration tolerance min(1e-8, max(1e-12, (H step)^2 1e-2)) is
-    clamped to 1e-8 at both the default step 0.002/H ((H step)^2 1e-2 =
-    4e-8) and its half (1e-8), so there the confirmation re-checks only the
-    series-start radius 10 step, not the integration error.
+    Rejects the input when no sphere exists.  sin and cos of theta* have
+    closed forms; atan2 of the pair keeps full precision where
+    asin(sin theta*) would lose digits next to 1.
     """
     if not (math.isfinite(H) and H > 0):
         raise ValueError("hemisphere height needs a finite H > 0, got %r" % H)
-    if step is None:
-        step = 0.002 / H
-    prof = shoot_rotational_graph(H, params, step)
-    if prof.termination != "equator" or prof.hemisphere_height is None:
-        raise NoSphere("profile did not reach an equator (termination=%s)"
-                       % prof.termination)
-    confirm = shoot_rotational_graph(H, params, 0.5 * step)
-    if confirm.hemisphere_height is None:
-        raise NoSphere("refinement profile did not reach an equator")
-    h1, h2 = prof.hemisphere_height, confirm.hemisphere_height
-    if abs(h1 - h2) > 1e-6 * max(1.0, abs(h2)):
-        raise EktauError("hemisphere height failed refinement confirmation: "
-                         "%.12g vs %.12g" % (h1, h2))
-    return h2
+    if params.kappa > 0:
+        raise UnsupportedSign("rotational spheres restricted to kappa <= 0")
+    if not model.sphere_exists(H, params):
+        raise NoSphere("no rotational sphere: 4H^2 + kappa = %g <= 0"
+                       % (4 * H * H + params.kappa))
+    nu2, tau2 = EQUATOR_NU**2, params.tau**2
+    d = H * H + nu2 * tau2
+    return math.atan2(math.sqrt((1.0 - nu2) * H * H / d),
+                      EQUATOR_NU * math.sqrt((H * H + tau2) / d))
+
+
+def _dh_dtheta(theta, H: float, params: SpaceParams):
+    """Height integrand 4r sqrt(1 + tau^2 r^2) / (4 + kappa r^2), r = sin(theta)/H."""
+    r = np.sin(theta) / H
+    return (4.0 * r * np.sqrt(1.0 + (params.tau * r) ** 2)
+            / (4.0 + params.kappa * r * r))
+
+
+def _rise(a: float, b: float, H: float, params: SpaceParams) -> float:
+    """Height gained between the angles a and b, by adaptive quadrature."""
+    return quad(_dh_dtheta, a, b, args=(H, params), epsabs=0.0, epsrel=1e-13,
+                limit=200)[0]
+
+
+def shoot_rotational_graph(H: float, params: SpaceParams) -> ProfileCurve:
+    """The rotational profile from the pole to the equator cut.
+
+    Samples sit at PROFILE_PANELS + 1 equispaced angles theta in [0, theta*];
+    f accumulates the height quadrature panel by panel, and
+    f' = H (dh/dtheta) / cos(theta), nu = cos(theta) / sqrt(1 + tau^2 r^2)
+    are closed forms.
+    """
+    theta = np.linspace(0.0, _equator_angle(H, params), PROFILE_PANELS + 1)
+    f = np.concatenate([[0.0], np.cumsum(
+        [_rise(a, b, H, params) for a, b in zip(theta[:-1], theta[1:])])])
+    r = np.sin(theta) / H
+    cos = np.cos(theta)
+    fp = H * _dh_dtheta(theta, H, params) / cos
+    nu = cos / np.sqrt(1.0 + (params.tau * r) ** 2)
+    return ProfileCurve(H=H, params=params, samples=np.stack([r, f, fp], axis=1),
+                        nu=nu, hemisphere_height=float(f[-1]))
+
+
+def hemisphere_height(H: float, params: SpaceParams) -> float:
+    """Pole-to-equator height of the rotational H-sphere's graphable half.
+
+    One adaptive quadrature of the height integrand up to the cut theta*.
+    """
+    return _rise(0.0, _equator_angle(H, params), H, params)
 
 
 def cmc_cylinder_curve(H: float, params: SpaceParams) -> PlanarCircle:

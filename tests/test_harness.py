@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ektau
 from ektau.errors import ConfigInvalid
 from ektau.harness import (ExperimentConfig, cli_dispatch, rosenberg_bound,
                            run_experiment)
@@ -160,10 +164,9 @@ class TestRunExperiment:
     def test_numerical_errors_recorded_as_statuses(self, tmp_path,
                                                    monkeypatch):
         from ektau import solver
-        from ektau.errors import DegenerateMetric, OutOfDomain, SingularStep
+        from ektau.errors import DegenerateMetric, OutOfDomain
         real = solver.solve_dirichlet
         raised = {0.3: DegenerateMetric("first fundamental form degenerate"),
-                  0.4: SingularStep("cannot solve for f''"),
                   0.5: OutOfDomain("point outside the model disk")}
 
         def raise_by_H(grid, bv, H, *args, **kwargs):
@@ -172,13 +175,13 @@ class TestRunExperiment:
             return real(grid, bv, H, *args, **kwargs)
 
         monkeypatch.setattr(solver, "solve_dirichlet", raise_by_H)
-        cfg = small_config(tmp_path, "errs", H_list=[0.3, 0.4, 0.5, 0.6])
+        cfg = small_config(tmp_path, "errs", H_list=[0.3, 0.5, 0.6])
         records = run_experiment(cfg)
         assert [r.status for r in records] == [
-            "degenerate_metric", "singular_step", "out_of_domain", "converged"]
-        assert [r.message for r in records[:3]] == [str(e) for e in raised.values()]
-        assert all(r.height is None for r in records[:3])
-        assert records[3].height > 0
+            "degenerate_metric", "out_of_domain", "converged"]
+        assert [r.message for r in records[:2]] == [str(e) for e in raised.values()]
+        assert all(r.height is None for r in records[:2])
+        assert records[2].height > 0
         lines = (Path(cfg.output_dir) / "sweep.dat").read_text().splitlines()
         assert [ln.split()[-1] for ln in lines[1:]] == [r.status for r in records]
 
@@ -262,6 +265,23 @@ class TestCli:
                            "--H", "nan"])
         assert rc == 1
         assert message in capsys.readouterr().err
+
+    def test_sphere_has_no_step_flag(self, capsys):
+        assert cli_dispatch(["sphere", "--kappa", "0", "--tau", "0",
+                             "--H", "1", "--step", "0.001"]) == 2
+        assert "unrecognized arguments: --step" in capsys.readouterr().err
+
+    def test_python_m_ektau(self, tmp_path):
+        src = str(Path(ektau.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ektau", "sphere", "--kappa", "0",
+             "--tau", "0", "--H", "1"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert float(proc.stdout) == pytest.approx(1.0, abs=1e-4)
 
     def test_check_battery(self, capsys):
         assert cli_dispatch(["check"]) == 0

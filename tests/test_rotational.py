@@ -6,17 +6,25 @@ import numpy as np
 import pytest
 
 from ektau.errors import NoSphere, UnsupportedSign
+from ektau.graph_geometry import _forms, ambient_components
 from ektau.model import SpaceParams, conformal_factor_jet
-from ektau.rotational import (EQUATOR_NU, _series_quartic, cmc_cylinder_curve,
+from ektau.rotational import (EQUATOR_NU, cmc_cylinder_curve,
                               hemisphere_height, shoot_rotational_graph)
+from ode_shoot import _series_quartic, shoot
 
 NIL = SpaceParams(0.0, 0.5)
 PSL = SpaceParams(-1.0, 0.5)
+H2R = SpaceParams(-1.0, 0.0)
 FLAT = SpaceParams(0.0, 0.0)
+SPACES = {"nil": NIL, "psl": PSL, "h2r": H2R, "flat": FLAT}
 
-# frozen by halved-step refinement (two resolutions agreeing to 1e-6)
+# hemisphere heights at H = 1, frozen from the ODE shoot of tests/ode_shoot.py
+# at two step sizes agreeing to 1e-6; the quadrature is within 4e-8 of both
 NIL_HEMI_H1 = 1.0795583
 PSL_HEMI_H1 = 1.3089867
+# PSL at H = 0.5001, just above the critical 1/2: quadrature, matching a
+# 40-digit mpmath evaluation of the same integral to 7e-15 relative
+PSL_HEMI_NEAR_CRITICAL = 218.5966051519166
 
 
 def circle_geodesic_curvature(r_model: float, params: SpaceParams) -> float:
@@ -64,13 +72,13 @@ class TestShooting:
         prof = shoot_rotational_graph(1.0, FLAT)
         r, f = prof.samples[:, 0], prof.samples[:, 1]
         m = r < 0.999
-        np.testing.assert_allclose(f[m], 1 - np.sqrt(1 - r[m] ** 2), atol=1e-6)
+        np.testing.assert_allclose(f[m], 1 - np.sqrt(1 - r[m] ** 2), atol=1e-13)
 
     def test_equator_termination(self):
         for params in (FLAT, NIL, PSL):
             prof = shoot_rotational_graph(1.0, params)
-            assert prof.termination == "equator"
-            assert abs(prof.nu[-1]) < 2 * EQUATOR_NU
+            assert prof.nu[-1] == pytest.approx(EQUATOR_NU, rel=1e-8)
+            assert prof.samples[-1, 0] < 1.0  # the equator is at r = 1/H
             assert abs(prof.samples[-1, 2]) > 1e4  # f' diverges exactly there
 
     def test_samples_strictly_increasing_and_regular_at_pole(self):
@@ -81,19 +89,41 @@ class TestShooting:
         assert prof.samples[0, 2] == 0.0  # f'(0) = 0
 
     def test_defining_equation_along_profile(self):
-        # the accepted states satisfy H(jet) = H_target when the second
-        # derivative is reconstructed from the integrated slope field
-        from ektau.rotational import _solve_fpp
-        from ektau.graph_geometry import _forms, ambient_components
-        prof = shoot_rotational_graph(1.0, NIL)
-        worst = 0.0
-        for r, f, p in prof.samples[5:-1]:
-            r, p = float(r), float(p)
-            fpp = _solve_fpp(r, p, 1.0, NIL)
-            H = _forms(ambient_components(r, 0.0, NIL), p, 0.0, fpp, 0.0,
-                       p / r, +1)["H"]
-            worst = max(worst, abs(H - 1.0))
-        assert worst < 1e-8
+        # the closed-form slope solves the graph equation: with f'' from
+        # d log f'/dr, the graph kernel gives H(jet) = H_target; the equator
+        # samples are skipped, where 1 - H^2 r^2 cancels to a few digits
+        for params in SPACES.values():
+            H, k, t = 1.3, params.kappa, params.tau
+            prof = shoot_rotational_graph(H, params)
+            for (r, _, p), nu in zip(prof.samples[1:], prof.nu[1:]):
+                if nu < 1e-3:
+                    continue
+                r, p = float(r), float(p)
+                fpp = p * (1 / r - 2 * k * r / (4 + k * r * r)
+                           + t * t * r / (1 + t * t * r * r)
+                           + H * H * r / (1 - H * H * r * r))
+                d = _forms(ambient_components(r, 0.0, params), p, 0.0, fpp,
+                           0.0, p / r, +1)
+                assert d["H"] == pytest.approx(H, rel=1e-10)
+
+    @pytest.mark.parametrize("space", sorted(SPACES))
+    def test_nu_column_matches_graph_kernel(self, space):
+        params = SPACES[space]
+        for H in (0.5001, 0.8, 1.0, 4.0):
+            prof = shoot_rotational_graph(H, params)
+            for (r, _, p), nu in zip(prof.samples, prof.nu):
+                d = _forms(ambient_components(float(r), 0.0, params), float(p),
+                           0.0, 0.0, 0.0, 0.0, +1)
+                assert d["nu"] == pytest.approx(nu, rel=1e-12)
+
+    def test_profile_height_matches_quadrature(self):
+        # at H = 0.5001 the kappa = -1 integrand peaks sharply at the cut
+        for params in SPACES.values():
+            for H in (0.5001, 0.6, 1.0, 5.0):
+                prof = shoot_rotational_graph(H, params)
+                assert prof.samples[-1, 1] == prof.hemisphere_height
+                assert prof.hemisphere_height == pytest.approx(
+                    hemisphere_height(H, params), rel=1e-12)
 
     def test_no_sphere_raises(self):
         with pytest.raises(NoSphere):
@@ -120,14 +150,35 @@ class TestHemisphereHeight:
         for H in (0.5, 1.0, 2.0):
             assert hemisphere_height(H, FLAT) == pytest.approx(1.0 / H, abs=1e-4)
 
+    def test_flat_exact_at_the_cut(self):
+        # a round sphere of radius 1/H, cut where nu = cos(theta*) = EQUATOR_NU
+        for H in (0.5, 1.0, 2.0, 7.3):
+            assert hemisphere_height(H, FLAT) == pytest.approx(
+                (1.0 - EQUATOR_NU) / H, rel=1e-14)
+
+    @pytest.mark.parametrize("space", sorted(SPACES))
+    @pytest.mark.parametrize("H", [0.6, 1.0, 2.0, 5.0, 10.0])
+    def test_pinned_to_ode_oracle(self, space, H):
+        params = SPACES[space]
+        prof = shoot(H, params)
+        assert prof.termination == "equator"
+        assert hemisphere_height(H, params) == pytest.approx(
+            prof.hemisphere_height, rel=1e-7)
+
     def test_nil_frozen_value_and_refinement(self):
-        coarse = shoot_rotational_graph(1.0, NIL, step=0.002)
-        fine = shoot_rotational_graph(1.0, NIL, step=0.001)
+        coarse = shoot(1.0, NIL, step=0.002)
+        fine = shoot(1.0, NIL, step=0.001)
         assert abs(coarse.hemisphere_height - fine.hemisphere_height) < 1e-6
         assert hemisphere_height(1.0, NIL) == pytest.approx(NIL_HEMI_H1, abs=1e-5)
 
     def test_psl_frozen_value(self):
         assert hemisphere_height(1.0, PSL) == pytest.approx(PSL_HEMI_H1, abs=1e-5)
+
+    def test_psl_near_critical(self):
+        # the ODE shoot stops at its step limit here, although the sphere
+        # exists (4H^2 + kappa = 4e-4 > 0)
+        assert hemisphere_height(0.5001, PSL) == pytest.approx(
+            PSL_HEMI_NEAR_CRITICAL, rel=1e-12)
 
     def test_decreasing_in_H(self):
         hs = [hemisphere_height(H, NIL) for H in (0.6, 1.0, 2.0, 5.0, 10.0)]
@@ -136,7 +187,6 @@ class TestHemisphereHeight:
     def test_height_decay_below_critical_fails(self):
         with pytest.raises(NoSphere):
             hemisphere_height(0.49, PSL)
-
 
     @pytest.mark.parametrize("H", [math.nan, math.inf, -math.inf, 0.0])
     def test_bad_H_rejected_at_entry(self, H):

@@ -210,6 +210,17 @@ class TestSolveDirichlet:
         np.testing.assert_allclose(b.values, a.values + 1.3, atol=1e-12)
         assert graph_height(a) == pytest.approx(graph_height(b), abs=1e-12)
 
+    @settings(max_examples=10, deadline=None)
+    @given(params=st.sampled_from([NIL, PSL]), n=st.integers(8, 33),
+           H=st.floats(0.05, 0.9))
+    def test_quarter_turn_invariance(self, params, n, H):
+        # (x, y) -> (-y, x) is an isometry of E(kappa, tau) (tau lam (y dx -
+        # x dy) is rotation invariant) and maps an origin-centered disk
+        # lattice, even or odd n, onto itself
+        sol = solve_dirichlet(disk_grid(1.0, n, params), 0.0, H, params)
+        U = sol.values
+        assert np.abs(np.rot90(U) - U).max() <= 1e-13 * np.abs(U).max()
+
     def test_single_sign_above_boundary(self):
         for params in (FLAT, NIL):
             g = disk_grid(0.6, 24, params)
