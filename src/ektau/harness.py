@@ -75,8 +75,13 @@ class ExperimentConfig:
             raise ConfigInvalid("grid sizes must be >= 16")
         if self.domain_shape != "disk":
             raise ConfigInvalid("sweeps support disk domains")
-        if self.domain_radius <= 0:
-            raise ConfigInvalid("domain_radius must be positive")
+        if not (math.isfinite(self.domain_radius) and self.domain_radius > 0):
+            raise ConfigInvalid("domain_radius must be finite and positive")
+        if len(self.domain_center) != 2 or not all(
+                map(math.isfinite, self.domain_center)):
+            raise ConfigInvalid("domain_center must be two finite numbers")
+        if not math.isfinite(self.boundary_value):
+            raise ConfigInvalid("boundary_value must be finite")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -19,7 +19,10 @@ exactly 1/H.  With r = sin(theta) / H the height is the quadrature
 of a smooth integrand.  The profile is cut at nu = EQUATOR_NU, just below
 the equator.  The upward orientation is used, so the profile rises from the
 pole; the pole-to-equator height equals the hemisphere height of the
-downward cap by the orientation-reversing isometry (x, y, z) -> (x, -y, -z).
+downward cap by the half-turn (x, y, z) -> (x, -y, -z) about the x-axis.
+That isometry reverses the fibre, not the ambient orientation: it carries
+the graph of f with its upward normal to the graph of -f(x, -y) with its
+downward normal, at the same H.
 """
 
 from __future__ import annotations

@@ -62,8 +62,11 @@ class SolverConfig:
     auto_continue: bool = True
 
     def __post_init__(self):
-        if self.tol_residual <= 0:
-            raise ConfigInvalid("tol_residual must be positive")
+        for name in ("tol_residual", "damping"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigInvalid("%s must be finite and positive, got %r"
+                                    % (name, value))
         if self.max_newton < 1:
             raise ConfigInvalid("max_newton must be >= 1")
 
@@ -84,12 +87,14 @@ class DomainGrid:
             raise ConfigInvalid("shape must be 'disk' or 'rectangle'")
         self.shape = shape
         self.center = (float(center[0]), float(center[1]))
+        if not all(map(math.isfinite, self.center)):
+            raise ConfigInvalid("grid center must be finite")
         self.n = int(n)
         self.params = params
         cx, cy = self.center
         if shape == "disk":
-            if radius is None or radius <= 0:
-                raise ConfigInvalid("disk grid needs a positive radius")
+            if radius is None or not (math.isfinite(radius) and radius > 0):
+                raise ConfigInvalid("disk grid needs a finite positive radius")
             self.radius = float(radius)
             self.extents = (self.radius, self.radius)
         else:
@@ -97,8 +102,8 @@ class DomainGrid:
                 raise ConfigInvalid("rectangle grid needs extents")
             self.radius = None
             self.extents = (float(extents[0]), float(extents[1]))
-            if min(self.extents) <= 0:
-                raise ConfigInvalid("extents must be positive")
+            if not all(math.isfinite(e) and e > 0 for e in self.extents):
+                raise ConfigInvalid("extents must be finite and positive")
         ex, ey = self.extents
         self.xs = np.linspace(cx - ex, cx + ex, self.n)
         self.ys = np.linspace(cy - ey, cy + ey, self.n)
@@ -112,6 +117,8 @@ class DomainGrid:
         else:
             self.interior = np.zeros((self.n, self.n), dtype=bool)
             self.interior[1:-1, 1:-1] = True
+        if not self.interior.any():
+            raise ConfigInvalid("grid has no interior nodes")
 
         if not params.contains(self.X[self.interior], self.Y[self.interior]):
             raise OutOfDomain("grid interior leaves the model domain")
@@ -463,7 +470,9 @@ def _factor(J):
 
     Only the closure's ghost couplings break the symmetry of the Jacobian's
     pattern, so that ordering suits it, and symmetric mode, which prefers
-    diagonal pivots, keeps the factors close to the ordering's fill.
+    diagonal pivots, keeps the factors close to the ordering's fill.  The
+    shifted Jacobi operators of `stability` are symmetric positive definite,
+    so diagonal pivots are safe there too.
     """
     return spla.splu(J, permc_spec="MMD_AT_PLUS_A",
                      options=dict(SymmetricMode=True))
@@ -574,6 +583,9 @@ def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
     if not (math.isfinite(H) and H >= 0):
         raise ConfigInvalid("H must be finite and >= 0 (flip the orientation "
                             "for H < 0), got %r" % H)
+    if not math.isfinite(boundary_value):
+        raise ConfigInvalid("boundary value must be finite, got %r"
+                            % boundary_value)
     cfg = cfg or SolverConfig()
     if init_values is not None:
         u0 = np.asarray(init_values, dtype=float).ravel()[

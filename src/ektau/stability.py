@@ -9,12 +9,13 @@ potential from the pointwise Jacobi potential.  Dirichlet conditions
 nodes.
 
 The smallest eigenvalue of the generalized symmetric problem is computed
-by inverse iteration on one LU factorization, shifted just below a lower
-bound of the spectrum: -max q for solved graphs (the stiffness part is
-positive semidefinite), -(4H^2 + kappa) for cylinders, Gershgorin for
-operators built by hand.  A seeded random restart on the same factorization
-guards against a missed ground state; scipy's Lanczos solvers are kept on
-the test side as an independent oracle.
+by shift-invert Lanczos (Ericsson and Ruhe 1980, Math. Comp. 35) on one
+symmetric-mode LU, shifted just below a lower bound of the spectrum: -max q
+for solved graphs (the stiffness part is positive semidefinite),
+-(4H^2 + kappa) for cylinders, Gershgorin for operators built by hand.  A
+seeded random share of the Krylov start vector guards against a missed
+ground state; scipy's Lanczos solvers are kept on the test side as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import model, rotational
 from .errors import IterationLimit, NotConverged, UnsupportedSign
 from .graph_geometry import jacobi_potential_from, shape_arrays
 from .model import SpaceParams
-from .solver import GraphSolution
+from .solver import GraphSolution, _factor
 
 
 @dataclass
@@ -53,6 +53,9 @@ class SpectrumReport:
     eigvec_residual: float
     iterations: int
 
+
+# Krylov basis cap: memory stays O(_KRYLOV_BASIS n) whatever max_iter is
+_KRYLOV_BASIS = 40
 
 # 2x2 Gauss points on [0,1]
 _GP = ((0.5 - 0.5 / math.sqrt(3.0)), (0.5 + 0.5 / math.sqrt(3.0)))
@@ -162,17 +165,24 @@ def assemble_jacobi(sol: GraphSolution) -> DiscreteOperator:
 
 def smallest_eigenvalue(op: DiscreteOperator, tol: float = 1e-10,
                         max_iter: int = 5000) -> SpectrumReport:
-    """Smallest generalized eigenvalue of (matrix, mass) by inverse iteration.
+    """Smallest generalized eigenvalue of (matrix, mass) by shift-invert Lanczos.
 
-    One LU at a shift just under `op.lower_bound` (Gershgorin of the
-    mass-scaled matrix when unset) serves the whole solve.  Iteration starts
-    from the all-ones vector (the operators here are of Schrodinger type
-    with a sign-definite ground state, so the overlap is substantial); a
-    15-step guard run from a seeded random vector on the same LU catches a
-    missed ground state, and iteration continues from the guard vector if it
-    finds a lower Rayleigh quotient.
+    One LU of B - sigma I (B the mass-scaled matrix, sigma just under
+    `op.lower_bound`, Gershgorin of B when unset) serves the whole solve.
+    The Krylov space of its inverse starts from the all-ones vector (these
+    Schrodinger-type operators have a sign-definite ground state) plus a
+    seeded random share that reaches a ground state orthogonal to it; it is
+    fully reorthogonalized and restarts from its Ritz vector when full or
+    invariant.  The smallest Ritz pair of B is returned once
+    ||Bx - lam x|| <= tol max(1, |lam|); `iterations` counts the solves.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive, got %r" % tol)
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1, got %r" % max_iter)
     m = op.mass.diagonal()
+    if not (np.isfinite(m).all() and (m > 0).all()):
+        raise ValueError("mass diagonal must be finite and positive")
     d = 1.0 / np.sqrt(m)
     B = (sp.diags(d) @ op.matrix @ sp.diags(d)).tocsr()
     n = B.shape[0]
@@ -182,42 +192,35 @@ def smallest_eigenvalue(op: DiscreteOperator, tol: float = 1e-10,
         lb = float((B.diagonal() - radii).min())
     shift = lb - 1e-3 * max(1.0, abs(lb))
     try:
-        lu = spla.splu((B - shift * sp.identity(n, format="csr")).tocsc())
+        lu = _factor((B - shift * sp.identity(n, format="csr")).tocsc())
     except RuntimeError as exc:
         raise IterationLimit("could not factor the shifted operator") from exc
 
-    def converged(lam, resid):
-        return resid <= tol * max(1.0, abs(lam))
-
-    def iterate(v, iters):
-        lam = resid = math.nan
-        it = 0
-        while it < iters:
-            it += 1
-            y = lu.solve(v)
-            v = y / np.linalg.norm(y)
-            Bv = B @ v
-            lam = float(v @ Bv)
-            resid = float(np.linalg.norm(Bv - lam * v))
-            if converged(lam, resid):
-                break
-        return lam, resid, it, v
-
-    lam, resid, it1, _ = iterate(np.ones(n) / math.sqrt(n), max_iter)
-    if not converged(lam, resid):
-        raise IterationLimit("inverse iteration did not converge in %d steps"
-                             % max_iter)
-    rng = np.random.RandomState(1234)
-    vg = rng.standard_normal(n)
-    lam_g, _, it2, vg = iterate(vg / np.linalg.norm(vg), 15)
-    total = it1 + it2
-    if lam_g < lam - 1e-10 * max(1.0, abs(lam)):
-        lam, resid, it3, _ = iterate(vg, max_iter - total)
-        total += it3
-        if not converged(lam, resid):
-            raise IterationLimit("guard iteration did not converge")
-    return SpectrumReport(lambda_min=lam, eigvec_residual=resid,
-                          iterations=total)
+    size = min(_KRYLOV_BASIS, n)
+    Q, BQ, T = np.empty((size, n)), np.empty((size, n)), np.empty((size, size))
+    v = np.ones(n) + 1e-2 * np.random.RandomState(1234).standard_normal(n)
+    k = solves = 0
+    while True:
+        Q[k] = v / np.linalg.norm(v)
+        BQ[k] = B @ Q[k]                  # so Q^T B Q needs no further matvec
+        T[k, :k + 1] = T[:k + 1, k] = Q[:k + 1] @ BQ[k]
+        k += 1
+        theta, Y = np.linalg.eigh(T[:k, :k])
+        lam, x, Bx = float(theta[0]), Y[:, 0] @ Q[:k], Y[:, 0] @ BQ[:k]
+        resid = float(np.linalg.norm(Bx - lam * x) / np.linalg.norm(x))
+        if resid <= tol * max(1.0, abs(lam)):
+            return SpectrumReport(lambda_min=lam, eigvec_residual=resid,
+                                  iterations=solves)
+        if solves == max_iter:
+            raise IterationLimit("Lanczos did not converge in %d solves" % max_iter)
+        w = lu.solve(Q[k - 1])
+        solves += 1
+        w_norm = np.linalg.norm(w)
+        for _ in range(2):
+            w -= (Q[:k] @ w) @ Q[:k]
+        # a collapsed new direction means the space is invariant
+        v, k = (w, k) if k < size and np.linalg.norm(w) > 1e-10 * w_norm \
+            else (x, 0)
 
 
 def angle_jacobi_residual(sol: GraphSolution, margin: float | None = None) -> float:
@@ -286,6 +289,9 @@ def cylinder_stability(H: float, params: SpaceParams,
     """
     if not (math.isfinite(H) and H > 0):
         raise ValueError("cylinder stability needs a finite H > 0")
+    if n_circle < 3 or n_axis < 2:
+        raise ValueError("cylinder stability needs n_circle >= 3 and "
+                         "n_axis >= 2")
     if params.kappa > 0:
         raise UnsupportedSign("cylinder criterion restricted to kappa <= 0")
     c = 4.0 * H * H + params.kappa

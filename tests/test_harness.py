@@ -77,6 +77,16 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             ExperimentConfig(params=NIL, H_list=[0.5, H], grid_sizes=[24])
 
+    @pytest.mark.parametrize("field, value", [
+        ("domain_radius", math.nan), ("domain_radius", math.inf),
+        ("domain_center", (math.nan, 0.0)), ("domain_center", (0.0, math.inf)),
+        ("domain_center", (0.0,)),
+        ("boundary_value", math.nan), ("boundary_value", -math.inf)])
+    def test_non_finite_domain_rejected(self, field, value):
+        with pytest.raises(ConfigInvalid, match=field):
+            ExperimentConfig(params=NIL, H_list=[0.5], grid_sizes=[24],
+                             **{field: value})
+
     def test_from_json(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({
@@ -263,6 +273,15 @@ class TestCli:
     def test_non_finite_H_rejected_at_entry(self, capsys, command, message):
         rc = cli_dispatch([command, "--kappa", "0", "--tau", "0.5",
                            "--H", "nan"])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--radius", "error: disk grid needs a finite positive radius"),
+        ("--boundary", "error: boundary value must be finite")])
+    def test_non_finite_solve_data_rejected(self, capsys, flag, message):
+        rc = cli_dispatch(["solve", "--kappa", "0", "--tau", "0.5",
+                           "--H", "0.5", "--n", "24", flag, "nan"])
         assert rc == 1
         assert message in capsys.readouterr().err
 

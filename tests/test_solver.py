@@ -68,6 +68,23 @@ class TestGrids:
                     assert got[k] == pytest.approx(w, rel=1e-13, abs=1e-15)
                 assert g.closure_b[row] == pytest.approx(bv, rel=1e-13)
 
+    @pytest.mark.parametrize("make", [
+        lambda: disk_grid(math.nan, 16, FLAT),
+        lambda: disk_grid(math.inf, 16, FLAT),
+        lambda: disk_grid(0.5, 16, FLAT, center=(math.nan, 0.0)),
+        lambda: disk_grid(0.5, 16, FLAT, center=(0.0, -math.inf)),
+        lambda: rectangle_grid((0.5, math.nan), 16, FLAT),
+        lambda: rectangle_grid((math.inf, 0.5), 16, FLAT),
+        lambda: rectangle_grid((0.5, 0.5), 16, FLAT, center=(math.nan, 0.0))])
+    def test_non_finite_geometry_rejected(self, make):
+        with pytest.raises(ConfigInvalid, match="finite"):
+            make()
+
+    def test_empty_interior_rejected(self):
+        # the squared node distances and radius underflow to zero
+        with pytest.raises(ConfigInvalid, match="no interior nodes"):
+            disk_grid(1e-300, 16, FLAT)
+
     def test_descriptor_roundtrip(self):
         g = disk_grid(0.7, 24, NIL, center=(0.1, -0.2))
         g2 = DomainGrid.from_descriptor(g.descriptor(), NIL)
@@ -221,6 +238,19 @@ class TestSolveDirichlet:
         U = sol.values
         assert np.abs(np.rot90(U) - U).max() <= 1e-13 * np.abs(U).max()
 
+    @settings(max_examples=10, deadline=None)
+    @given(params=st.sampled_from([NIL, PSL]), n=st.integers(8, 33),
+           H=st.floats(0.05, 0.9))
+    def test_orientation_flip(self, params, n, H):
+        # the half-turn (x, y, z) -> (x, -y, -z) about the x-axis is an
+        # isometry that reverses the fibre: it maps the graph of u with one
+        # orientation to the graph of -u(x, -y) with the other, at the same
+        # H, and an origin-centered disk lattice onto itself
+        grid = disk_grid(1.0, n, params)
+        down = solve_dirichlet(grid, 0.0, H, params, orientation=-1).values
+        up = solve_dirichlet(grid, 0.0, H, params, orientation=+1).values
+        assert np.abs(up + down[:, ::-1]).max() <= 1e-13 * np.abs(down).max()
+
     def test_single_sign_above_boundary(self):
         for params in (FLAT, NIL):
             g = disk_grid(0.6, 24, params)
@@ -289,6 +319,18 @@ class TestSolveDirichlet:
         sol = solve_dirichlet(g, 0.0, 0.5, FLAT, SolverConfig(auto_continue=False))
         assert sol.residual_max <= 1e-10
         assert graph_height(sol) == pytest.approx(graph_height(plain), rel=1e-9)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_boundary_value_rejected(self, value):
+        g = disk_grid(0.5, 16, FLAT)
+        with pytest.raises(ConfigInvalid, match="boundary value must be finite"):
+            solve_dirichlet(g, value, 0.5, FLAT)
+
+    @pytest.mark.parametrize("field", ["tol_residual", "damping"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_solver_config_rejects_bad_values(self, field, value):
+        with pytest.raises(ConfigInvalid, match=field + " must be finite"):
+            SolverConfig(**{field: value})
 
     def test_mismatched_params_rejected(self):
         g = disk_grid(0.5, 24, FLAT)

@@ -7,11 +7,12 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ektau.errors import IterationLimit
 from ektau.model import SpaceParams
 from ektau.solver import disk_grid, rectangle_grid, solve_dirichlet
-from ektau.stability import (DiscreteOperator, angle_jacobi_residual,
-                             assemble_jacobi, cylinder_stability,
-                             smallest_eigenvalue)
+from ektau.stability import (_KRYLOV_BASIS, DiscreteOperator,
+                             angle_jacobi_residual, assemble_jacobi,
+                             cylinder_stability, smallest_eigenvalue)
 
 NIL = SpaceParams(0.0, 0.5)
 PSL = SpaceParams(-1.0, 0.5)
@@ -126,6 +127,47 @@ class TestSmallestEigenvalue:
         assert rep.lambda_min == pytest.approx(1.0, abs=1e-10)
         assert rep.eigvec_residual < 1e-10
 
+    def test_restarts_when_the_basis_fills(self):
+        # Dirichlet Laplacian tridiag(-1, 2, -1) at the Gershgorin shift:
+        # lambda_1 ~ 6e-7 sits so close to lambda_2 relative to the shift
+        # that the basis fills and restarts from its Ritz vector
+        n = 4000
+        A = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
+                     [-1, 0, 1])
+        op = DiscreteOperator(n, A.tocsr(), sp.identity(n, format="csr"))
+        rep = smallest_eigenvalue(op)
+        assert rep.iterations > _KRYLOV_BASIS
+        exact = 2.0 - 2.0 * math.cos(math.pi / (n + 1))
+        assert rep.lambda_min == pytest.approx(exact, rel=1e-9)
+        assert rep.eigvec_residual <= 1e-10
+
+    def test_iteration_limit(self):
+        op, _ = unit_square_operator(24)
+        with pytest.raises(IterationLimit, match="did not converge in 2"):
+            smallest_eigenvalue(op, max_iter=2)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+    def test_rejects_bad_tol(self, tol):
+        op, _ = unit_square_operator(16)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            smallest_eigenvalue(op, tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_rejects_bad_max_iter(self, max_iter):
+        op, _ = unit_square_operator(16)
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            smallest_eigenvalue(op, max_iter=max_iter)
+
+    @pytest.mark.parametrize("entry", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_mass(self, entry):
+        op, _ = unit_square_operator(16)
+        m = op.mass.diagonal().copy()
+        m[3] = entry
+        bad = DiscreteOperator(op.dimension, op.matrix, sp.diags(m).tocsr(),
+                               op.lower_bound)
+        with pytest.raises(ValueError, match="mass diagonal"):
+            smallest_eigenvalue(bad)
+
     def test_solved_graphs_are_stable(self):
         for params, R, H in ((FLAT, 0.5, 1.0), (NIL, 1.0, 0.8), (PSL, 1.0, 0.8)):
             sol = solve_dirichlet(disk_grid(R, 40, params), 0.0, H, params)
@@ -178,6 +220,14 @@ class TestCylinderStability:
     def test_rejects_non_finite_or_non_positive_H(self, H):
         with pytest.raises(ValueError, match="finite H > 0"):
             cylinder_stability(H, NIL)
+
+    @pytest.mark.parametrize("n_circle, n_axis", [(0, 80), (2, 80), (40, 1),
+                                                  (40, 0)])
+    def test_rejects_too_few_nodes(self, n_circle, n_axis):
+        for kappa in (0.0, -9.0):           # closed and open base curves
+            with pytest.raises(ValueError, match="n_circle >= 3"):
+                cylinder_stability(1.0, SpaceParams(kappa, 0.5),
+                                   n_circle=n_circle, n_axis=n_axis)
 
     def test_sign_grid(self):
         for H in (0.25, 0.5, 1.0, 2.0):
