@@ -6,8 +6,10 @@ interior node the residual is H(jet) - H_target, driven to zero by a damped
 Newton iteration.  Its Jacobian is exact: the partials of H with respect to
 all five jet entries are analytic (`mean_curvature_sensitivities`), and the
 stencils and the boundary closure are linear, so each Jacobian only refills
-the values of one sparsity pattern cached on the grid.  It is factored by
-SuperLU with a minimum-degree ordering of J^T + J in symmetric mode.
+the values of one sparsity pattern cached on the grid.  One SuperLU factor
+(minimum-degree ordering of J^T + J, symmetric mode) per Newton run is the
+right preconditioner of GMRES on each later exact Jacobian; 15 GMRES
+iterations short of a relative residual of 1e-6 trigger a refactor.
 
 Disk domains close the stencils with ghost values extrapolated along the
 lattice direction whose circle crossing lies closest to the ghost: the
@@ -39,6 +41,10 @@ from .graph_geometry import (AmbientCache, mean_curvature_arrays,
 from .model import SpaceParams
 
 BLOWUP_NU = 1e-3
+
+# one GMRES cycle on a reused factor: iterations and relative residual
+_KRYLOV_ITERATIONS = 15
+_KRYLOV_RTOL = 1e-6
 
 # ghost extrapolation: crossing fraction above which the quadratic through
 # the nearest node is ill conditioned and the closure skips that node
@@ -109,6 +115,10 @@ class DomainGrid:
         self.ys = np.linspace(cy - ey, cy + ey, self.n)
         self.hx = self.xs[1] - self.xs[0]
         self.hy = self.ys[1] - self.ys[0]
+        steps = np.concatenate([np.diff(self.xs), np.diff(self.ys)])
+        if not (np.isfinite(steps).all() and (steps > 0).all()):
+            raise ConfigInvalid("lattice spacing vanishes or overflows against "
+                                "the grid center %r" % (self.center,))
         self.X, self.Y = np.meshgrid(self.xs, self.ys, indexing="ij")
 
         if shape == "disk":
@@ -478,6 +488,29 @@ def _factor(J):
                      options=dict(SymmetricMode=True))
 
 
+def _linear_solve(J, b, state: dict):
+    """Newton step x with J x = b, reusing the factor kept in `state`.
+
+    GMRES runs on y -> J @ lu.solve(y) from y = b (the chord step), so its
+    residual is the true one; a short cycle refactors J, releasing the stale
+    factor first.  A singular J gets a regularized step, never reused."""
+    lu = state.get("lu")
+    if lu is not None:
+        op = spla.LinearOperator(J.shape, matvec=lambda y: J @ lu.solve(y),
+                                 dtype=float)
+        y, info = spla.gmres(op, b, x0=b, rtol=_KRYLOV_RTOL, atol=0.0,
+                             restart=_KRYLOV_ITERATIONS, maxiter=1)
+        if info == 0:
+            return lu.solve(y)
+        lu = state["lu"] = None
+    try:
+        state["lu"] = _factor(J)
+    except RuntimeError:
+        mu = 1e-8 + 1e-2 * float(np.max(np.abs(b)))
+        return _factor((J + mu * sp.identity(J.shape[0], format="csc")).tocsc()).solve(b)
+    return state["lu"].solve(b)
+
+
 def _newton(grid: DomainGrid, H_target: float, cfg: SolverConfig,
             orientation: int, u0: np.ndarray):
     """Damped Newton on the nodal residual; raises on blowup or stall."""
@@ -489,16 +522,11 @@ def _newton(grid: DomainGrid, H_target: float, cfg: SolverConfig,
     forced_left = 25
     history: list[tuple[float, float]] = [(rnorm, float(np.min(np.abs(nu))))]
     chase = False
+    lu_state: dict = {}
     for it in range(1, cfg.max_newton + 1):
         if rnorm <= cfg.tol_residual:
             return u, rnorm, nu, it - 1
-        J = _jacobian(grid, j, orientation)
-        try:
-            du = _factor(J).solve(-r)
-        except RuntimeError:
-            # singular Jacobian: regularize (pseudo-transient step)
-            mu = 1e-8 + 1e-2 * rnorm
-            du = _factor((J + mu * sp.identity(J.shape[0], format="csc")).tocsc()).solve(-r)
+        du = _linear_solve(_jacobian(grid, j, orientation), -r, lu_state)
         accepted = False
         if not chase:
             t = cfg.damping

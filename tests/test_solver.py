@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ektau import solver
-from ektau.errors import ConfigInvalid, OutOfDomain
+from ektau.errors import ConfigInvalid, NonConvergence, OutOfDomain
 from ektau.model import SpaceParams
 from ektau.solver import (DomainGrid, GraphSolution, SolverConfig,
                           continuation_in_H, disk_grid, graph_height,
@@ -84,6 +85,13 @@ class TestGrids:
         # the squared node distances and radius underflow to zero
         with pytest.raises(ConfigInvalid, match="no interior nodes"):
             disk_grid(1e-300, 16, FLAT)
+
+    @pytest.mark.parametrize("center", [(1e17, 0.0), (0.0, -1e17), (1e16, 0.0)])
+    def test_vanishing_spacing_rejected(self, center):
+        # the nodes round onto the center (or onto a few of its neighbouring
+        # floats), so some lattice steps are zero
+        with pytest.raises(ConfigInvalid, match="lattice spacing"):
+            disk_grid(1.0, 16, FLAT, center=center)
 
     def test_descriptor_roundtrip(self):
         g = disk_grid(0.7, 24, NIL, center=(0.1, -0.2))
@@ -336,6 +344,64 @@ class TestSolveDirichlet:
         g = disk_grid(0.5, 24, FLAT)
         with pytest.raises(ConfigInvalid):
             solve_dirichlet(g, 0.0, 0.5, NIL)
+
+
+class TestNewtonLinearSolve:
+    """The branches of `_linear_solve`: reuse, refactor, regularize."""
+
+    @staticmethod
+    def _count_splu(monkeypatch):
+        calls = []
+        real = spla.splu
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        return calls
+
+    def test_one_factor_serves_several_newton_steps(self, monkeypatch):
+        calls = self._count_splu(monkeypatch)
+        sol = solve_dirichlet(disk_grid(1.0, 64, NIL), 0.0, 0.8, NIL)
+        assert sol.newton_iterations >= 2
+        assert len(calls) < sol.newton_iterations
+
+    def test_singular_factor_falls_back_to_regularized_step(self, monkeypatch):
+        g = disk_grid(1.0, 32, NIL)
+        plain = solve_dirichlet(g, 0.0, 0.8, NIL)
+        real = solver._factor
+        calls = []
+
+        def singular_first(J):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("Factor is exactly singular")
+            return real(J)
+
+        monkeypatch.setattr(solver, "_factor", singular_first)
+        sol = solve_dirichlet(g, 0.0, 0.8, NIL)
+        assert len(calls) >= 2
+        assert sol.residual_max <= 1e-10
+        assert graph_height(sol) == pytest.approx(graph_height(plain), rel=1e-10)
+
+    def test_short_krylov_cycle_refactors(self, monkeypatch):
+        g = disk_grid(1.0, 32, NIL)
+        calls = self._count_splu(monkeypatch)
+        plain = solve_dirichlet(g, 0.0, 0.8, NIL)
+        default_lus = len(calls)
+        # one GMRES iteration rarely reaches the tolerance
+        monkeypatch.setattr(solver, "_KRYLOV_ITERATIONS", 1)
+        sol = solve_dirichlet(g, 0.0, 0.8, NIL)
+        assert len(calls) - default_lus > default_lus
+        assert sol.newton_iterations == plain.newton_iterations
+        assert graph_height(sol) == pytest.approx(graph_height(plain), rel=1e-12)
+
+    def test_iteration_budget_exhausted(self):
+        g = disk_grid(1.0, 32, NIL)
+        assert solve_dirichlet(g, 0.0, 0.8, NIL).newton_iterations > 1
+        with pytest.raises(NonConvergence, match="exhausted"):
+            solve_dirichlet(g, 0.0, 0.8, NIL, SolverConfig(max_newton=1))
 
 
 class TestContinuation:
