@@ -11,6 +11,11 @@ the values of one sparsity pattern cached on the grid.  One SuperLU factor
 right preconditioner of GMRES on each later exact Jacobian; 15 GMRES
 iterations short of a relative residual of 1e-6 trigger a refactor.
 
+Each Newton iteration makes one pass over the step lengths 1, 1/2, ...,
+2**-13: the first Armijo step wins, else the first admissible one is forced
+while min|nu| or the residual falls (at most 25 times), and in chase mode at
+once.  A failed cold start with H > 0 ramps H up from zero in four solves.
+
 Disk domains close the stencils with ghost values extrapolated along the
 lattice direction whose circle crossing lies closest to the ghost: the
 Dirichlet value is imposed at the exact crossing point and a quadratic
@@ -46,6 +51,9 @@ BLOWUP_NU = 1e-3
 _KRYLOV_ITERATIONS = 15
 _KRYLOV_RTOL = 1e-6
 
+# trial step lengths of each Newton iteration: 1, 1/2, ..., 2**-13
+_STEP_LENGTHS = tuple(0.5 ** k for k in range(14))
+
 # ghost extrapolation: crossing fraction above which the quadratic through
 # the nearest node is ill conditioned and the closure skips that node
 _GHOST_QUADRATIC_LIMIT = 0.8
@@ -62,17 +70,15 @@ def _dot2(u, v):
 
 @dataclass
 class SolverConfig:
+    """Newton settings: `tol_residual` is the max-norm residual of convergence,
+    `max_newton` the iteration budget of each run (cold start, ramp stage)."""
     tol_residual: float = 1e-10
     max_newton: int = 50
-    damping: float = 1.0
-    auto_continue: bool = True
 
     def __post_init__(self):
-        for name in ("tol_residual", "damping"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigInvalid("%s must be finite and positive, got %r"
-                                    % (name, value))
+        if not (math.isfinite(self.tol_residual) and self.tol_residual > 0):
+            raise ConfigInvalid("tol_residual must be finite and positive, "
+                                "got %r" % (self.tol_residual,))
         if self.max_newton < 1:
             raise ConfigInvalid("max_newton must be >= 1")
 
@@ -111,14 +117,20 @@ class DomainGrid:
             if not all(math.isfinite(e) and e > 0 for e in self.extents):
                 raise ConfigInvalid("extents must be finite and positive")
         ex, ey = self.extents
+        # spans that overflow would warn inside linspace, before any check
+        if not math.isfinite((cx + ex) - (cx - ex) + (cy + ey) - (cy - ey)):
+            raise ConfigInvalid("grid extents overflow")
         self.xs = np.linspace(cx - ex, cx + ex, self.n)
         self.ys = np.linspace(cy - ey, cy + ey, self.n)
         self.hx = self.xs[1] - self.xs[0]
         self.hy = self.ys[1] - self.ys[0]
-        steps = np.concatenate([np.diff(self.xs), np.diff(self.ys)])
-        if not (np.isfinite(steps).all() and (steps > 0).all()):
-            raise ConfigInvalid("lattice spacing vanishes or overflows against "
-                                "the grid center %r" % (self.center,))
+        # the stencils assume one step per axis, and square it
+        for nodes, h in ((self.xs, self.hx), (self.ys, self.hy)):
+            if not (h > 0 and math.isfinite(float(h) * float(h))
+                    and (np.abs(np.diff(nodes) - h) <= 1e-9 * h).all()):
+                raise ConfigInvalid(
+                    "lattice spacing vanishes, overflows or is not uniform "
+                    "against the grid center %r" % (self.center,))
         self.X, self.Y = np.meshgrid(self.xs, self.ys, indexing="ij")
 
         if shape == "disk":
@@ -337,24 +349,20 @@ class DomainGrid:
         ii, jj = self.interior_ij[:, 0], self.interior_ij[:, 1]
         x, y = self.X[ii, jj], self.Y[ii, jj]
         p = self.params
+        cx, cy = self.center
         if self.shape == "disk":
-            cx, cy = self.center
             if p.kappa == 0:
-                r = np.hypot(x - cx, y - cy)
-                return self.radius - r
+                return self.radius - np.hypot(x - cx, y - cy)
             # radial geodesic distance in the conformal disk model
             d = model.base_distance((cx, cy), (x, y), p)
             dR = model.base_distance((cx, cy), (cx + self.radius, cy), p)
             return dR - d
+        ex, ey = self.extents
         if p.kappa == 0:
-            cx, cy = self.center
-            ex, ey = self.extents
             return np.minimum.reduce([
                 x - (cx - ex), (cx + ex) - x, y - (cy - ey), (cy + ey) - y])
         # hyperbolic rectangle: sample the boundary and take the minimum
         ts = np.linspace(0.0, 1.0, 4 * self.n)
-        cx, cy = self.center
-        ex, ey = self.extents
         edges = np.concatenate([
             np.stack([cx - ex + 2 * ex * ts, np.full_like(ts, cy - ey)], 1),
             np.stack([cx - ex + 2 * ex * ts, np.full_like(ts, cy + ey)], 1),
@@ -512,9 +520,8 @@ def _linear_solve(J, b, state: dict):
 
 
 def _newton(grid: DomainGrid, H_target: float, cfg: SolverConfig,
-            orientation: int, u0: np.ndarray):
+            orientation: int, u: np.ndarray):
     """Damped Newton on the nodal residual; raises on blowup or stall."""
-    u = u0.copy()
     r, nu, j = _residual(grid, u, H_target, orientation)
     if np.min(np.abs(nu)) < BLOWUP_NU:
         raise VerticalBlowup("initial iterate is not a graph: min|nu| < %g" % BLOWUP_NU)
@@ -523,27 +530,32 @@ def _newton(grid: DomainGrid, H_target: float, cfg: SolverConfig,
     history: list[tuple[float, float]] = [(rnorm, float(np.min(np.abs(nu))))]
     chase = False
     lu_state: dict = {}
-    for it in range(1, cfg.max_newton + 1):
+    for it in range(cfg.max_newton + 1):
         if rnorm <= cfg.tol_residual:
-            return u, rnorm, nu, it - 1
+            return u, rnorm, nu, it
+        if it == cfg.max_newton:
+            break
         du = _linear_solve(_jacobian(grid, j, orientation), -r, lu_state)
-        accepted = False
-        if not chase:
-            t = cfg.damping
-            for _ in range(14):
-                u_try = u + t * du
-                try:
-                    r_try, nu_try, j_try = _residual(grid, u_try, H_target, orientation)
-                except DegenerateMetric:
-                    t *= 0.5
-                    continue
-                rn_try = float(np.max(np.abs(r_try)))
-                if math.isfinite(rn_try) and rn_try < rnorm * (1.0 - 1e-4 * t):
-                    u, r, nu, j, rnorm = u_try, r_try, nu_try, j_try, rn_try
-                    accepted = True
-                    break
-                t *= 0.5
-        if not accepted:
+        # one pass over the step lengths: the first admissible trial is the
+        # forced-step candidate, the first Armijo trial the line-search step
+        step = forced = None
+        for t in _STEP_LENGTHS:
+            u_try = u + t * du
+            try:
+                r_try, nu_try, j_try = _residual(grid, u_try, H_target, orientation)
+            except DegenerateMetric:
+                continue
+            rn_try = float(np.max(np.abs(r_try)))
+            if not math.isfinite(rn_try):
+                continue
+            trial = (u_try, r_try, nu_try, j_try, rn_try)
+            forced = forced or trial
+            if chase:
+                break
+            if rn_try < rnorm * (1.0 - 1e-4 * t):
+                step = trial
+                break
+        if step is None:
             # Near a fold the line search stalls while the Newton direction
             # still points along the steepening branch: keep taking full
             # steps as long as min|nu| strictly descends, so that genuine
@@ -553,33 +565,21 @@ def _newton(grid: DomainGrid, H_target: float, cfg: SolverConfig,
                 raise NonConvergence(
                     "Newton stalled at residual %.3e (H=%g)" % (rnorm, H_target))
             forced_left -= 1
-            trial = None
-            t = 1.0
-            for _ in range(14):
-                try:
-                    r_try, nu_try, j_try = _residual(grid, u + t * du, H_target,
-                                                     orientation)
-                    rn_try = float(np.max(np.abs(r_try)))
-                    if math.isfinite(rn_try):
-                        trial = (u + t * du, r_try, nu_try, j_try, rn_try)
-                        break
-                except DegenerateMetric:
-                    pass
-                t *= 0.5
-            if trial is None:
+            if forced is None:
                 raise NonConvergence(
                     "Newton diverged at residual %.3e (H=%g)" % (rnorm, H_target))
-            u_try, r_try, nu_try, j_try, rn_try = trial
-            steepening = float(np.min(np.abs(nu_try))) < float(np.min(np.abs(nu)))
+            _, _, nu_try, _, rn_try = forced
+            steepening = float(np.min(np.abs(nu_try))) < history[-1][1]
             if not steepening and rn_try >= rnorm:
                 raise NonConvergence(
                     "Newton stalled at residual %.3e (H=%g)" % (rnorm, H_target))
-            u, r, nu, j, rnorm = u_try, r_try, nu_try, j_try, rn_try
-        if np.min(np.abs(nu)) < BLOWUP_NU:
+            step = forced
+        u, r, nu, j, rnorm = step
+        nu_min = float(np.min(np.abs(nu)))
+        if nu_min < BLOWUP_NU:
             raise VerticalBlowup(
                 "graph turned vertical during iteration: min|nu| < %g at H=%g"
                 % (BLOWUP_NU, H_target))
-        nu_min = float(np.min(np.abs(nu)))
         history.append((rnorm, nu_min))
         # Damped steps that barely move the residual while the graph keeps
         # steepening are the signature of a solution sliding past a fold:
@@ -589,8 +589,6 @@ def _newton(grid: DomainGrid, H_target: float, cfg: SolverConfig,
             r_then, nu_then = history[-6]
             if rnorm > 0.98 * r_then and nu_min < 0.7 * nu_then:
                 chase = True
-    if rnorm <= cfg.tol_residual:
-        return u, rnorm, nu, cfg.max_newton
     raise NonConvergence(
         "Newton exhausted %d iterations, residual %.3e (H=%g)"
         % (cfg.max_newton, rnorm, H_target))
@@ -623,7 +621,7 @@ def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
     try:
         u, rnorm, nu, iters = _newton(grid, H, cfg, orientation, u0)
     except (NonConvergence, VerticalBlowup):
-        if not (cfg.auto_continue and init_values is None and H > 0):
+        if not (init_values is None and H > 0):
             raise
         # cold start overshot: ramp H up from zero; a blowup under the
         # warm-started ramp is genuine and propagates

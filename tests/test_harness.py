@@ -65,7 +65,8 @@ class TestConfig:
                     "params": {"kappa": 0.0, "tau": 0.5},
                     "H_list": [0.5], "grid_sizes": [24], key: 1})
 
-    @pytest.mark.parametrize("key", ["jet_fd_step", "continuation_steps"])
+    @pytest.mark.parametrize("key", ["jet_fd_step", "continuation_steps",
+                                     "damping", "auto_continue"])
     def test_removed_solver_keys_rejected(self, key):
         with pytest.raises(ConfigInvalid, match="unknown solver config keys"):
             ExperimentConfig.from_dict({
@@ -195,6 +196,20 @@ class TestRunExperiment:
         lines = (Path(cfg.output_dir) / "sweep.dat").read_text().splitlines()
         assert [ln.split()[-1] for ln in lines[1:]] == [r.status for r in records]
 
+    def test_sigma_profile_check(self, tmp_path):
+        off = run_experiment(small_config(tmp_path, "off"))
+        assert all(r.sigma_far_from_boundary is None for r in off)
+        on = run_experiment(small_config(tmp_path, "on", H_list=[0.5, 0.8, 2.0],
+                                         check_sigma_profile=True))
+        converged = [r for r in on if r.status == "converged"]
+        assert len(converged) == 2
+        for r in converged:
+            # the far-field maximum is one of the interior |sigma| values
+            assert 0 < r.sigma_far_from_boundary \
+                <= r.max_sigma_interior * (1 + 1e-12)
+        assert [r.sigma_far_from_boundary for r in on
+                if r.status != "converged"] == [None]
+
     def test_conjecture_ratio_below_one(self, tmp_path):
         cfg = small_config(tmp_path, "conj")
         for r in run_experiment(cfg):
@@ -306,3 +321,10 @@ class TestCli:
         assert cli_dispatch(["check"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    def test_check_battery_full(self, capsys):
+        assert cli_dispatch(["check", "--full"]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] flat hemisphere height" in out
+        assert "[PASS] Euclidean cap solve" in out
+        assert "[FAIL]" not in out

@@ -1,6 +1,7 @@
 """Dirichlet solver: oracles, invariants, continuation, serialization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ektau import solver
-from ektau.errors import ConfigInvalid, NonConvergence, OutOfDomain
+from ektau.errors import (ConfigInvalid, NonConvergence, OutOfDomain,
+                          VerticalBlowup)
 from ektau.model import SpaceParams
 from ektau.solver import (DomainGrid, GraphSolution, SolverConfig,
                           continuation_in_H, disk_grid, graph_height,
@@ -92,6 +94,22 @@ class TestGrids:
         # floats), so some lattice steps are zero
         with pytest.raises(ConfigInvalid, match="lattice spacing"):
             disk_grid(1.0, 16, FLAT, center=center)
+
+    def test_non_uniform_spacing_rejected(self):
+        # rounded against the center, the x-steps are 0.03125 and 0.046875,
+        # while the stencils assume one hx
+        with pytest.raises(ConfigInvalid, match="not uniform"):
+            disk_grid(0.5, 24, FLAT, center=(1e14, 0.0))
+
+    @pytest.mark.parametrize("extents", [(1e308, 1.0), (1e300, 1.0),
+                                         (1.0, 1e300)])
+    def test_overflowing_extents_rejected_quietly(self, extents):
+        # 1e308: the span overflows inside linspace; 1e300: the step is
+        # finite but its square, which the stencils divide by, is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigInvalid, match="overflow"):
+                rectangle_grid(extents, 16, FLAT)
 
     def test_descriptor_roundtrip(self):
         g = disk_grid(0.7, 24, NIL, center=(0.1, -0.2))
@@ -308,7 +326,7 @@ class TestSolveDirichlet:
         monkeypatch.setattr(solver, "mean_curvature_arrays", broken_after_first)
         g = disk_grid(0.5, 16, FLAT)
         with pytest.raises(TypeError, match="broken residual"):
-            solve_dirichlet(g, 0.0, 0.5, FLAT, SolverConfig(auto_continue=False))
+            solve_dirichlet(g, 0.0, 0.5, FLAT)
 
     def test_degenerate_trial_shortens_the_step(self, monkeypatch):
         from ektau.errors import DegenerateMetric
@@ -324,7 +342,7 @@ class TestSolveDirichlet:
         g = disk_grid(0.5, 16, FLAT)
         plain = solve_dirichlet(g, 0.0, 0.5, FLAT)
         monkeypatch.setattr(solver, "mean_curvature_arrays", degenerate_second)
-        sol = solve_dirichlet(g, 0.0, 0.5, FLAT, SolverConfig(auto_continue=False))
+        sol = solve_dirichlet(g, 0.0, 0.5, FLAT)
         assert sol.residual_max <= 1e-10
         assert graph_height(sol) == pytest.approx(graph_height(plain), rel=1e-9)
 
@@ -334,7 +352,7 @@ class TestSolveDirichlet:
         with pytest.raises(ConfigInvalid, match="boundary value must be finite"):
             solve_dirichlet(g, value, 0.5, FLAT)
 
-    @pytest.mark.parametrize("field", ["tol_residual", "damping"])
+    @pytest.mark.parametrize("field", ["tol_residual"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     def test_solver_config_rejects_bad_values(self, field, value):
         with pytest.raises(ConfigInvalid, match=field + " must be finite"):
@@ -402,6 +420,36 @@ class TestNewtonLinearSolve:
         assert solve_dirichlet(g, 0.0, 0.8, NIL).newton_iterations > 1
         with pytest.raises(NonConvergence, match="exhausted"):
             solve_dirichlet(g, 0.0, 0.8, NIL, SolverConfig(max_newton=1))
+
+
+class TestGlobalization:
+    """Cold solves past the fold: line search, forced steps, chase mode and
+    the ramp, pinned by their outcome and the number of Jacobians built."""
+
+    @pytest.mark.parametrize("params, n, H, exc, message, jacobians", [
+        (FLAT, 16, 1.0, VerticalBlowup, "graph turned vertical during "
+         "iteration: min|nu| < 0.001 at H=1", 33),
+        (FLAT, 16, 1.2, NonConvergence,
+         "Newton stalled at residual 7.147e+00 (H=1.2)", 37),
+        # forced steps without chase mode
+        (NIL, 24, 1.05, VerticalBlowup, "graph turned vertical during "
+         "iteration: min|nu| < 0.001 at H=1.05", 25),
+        (NIL, 32, 1.3, VerticalBlowup, "graph turned vertical during "
+         "iteration: min|nu| < 0.001 at H=1.3", 29)])
+    def test_cold_solve_past_the_fold(self, monkeypatch, params, n, H, exc,
+                                      message, jacobians):
+        real = solver.mean_curvature_sensitivities
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "mean_curvature_sensitivities", counting)
+        with pytest.raises(exc) as info:
+            solve_dirichlet(disk_grid(1.0, n, params), 0.0, H, params)
+        assert str(info.value) == message
+        assert len(calls) == jacobians
 
 
 class TestContinuation:
