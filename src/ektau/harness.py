@@ -150,8 +150,9 @@ def _fmt(value) -> str:
 def run_experiment(cfg: ExperimentConfig) -> list[ReportRecord]:
     """Solve the configured sweep and (optionally) persist its records.
 
-    Rows are ordered by (n, H); solves within one grid are warm-started in
-    ascending H, failures are recorded and never abort the sweep.
+    Rows are ordered by (n, H), failures never abort the sweep, and rows
+    without a cap (`solver.has_cap`: the blow-up band) are warm-started from
+    the last success on their grid in ascending H.
     """
     params = cfg.params
     hemi_cache: dict[float, float | None] = {}
@@ -180,9 +181,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRecord]:
                 if grid is None:
                     grid = solver.disk_grid(cfg.domain_radius, n, params,
                                             center=cfg.domain_center)
-                sol = solver.solve_dirichlet(grid, cfg.boundary_value, H,
-                                             params, cfg.solver,
-                                             init_values=warm)
+                sol = solver.solve_dirichlet(
+                    grid, cfg.boundary_value, H, params, cfg.solver,
+                    init_values=None if solver.has_cap(grid, H) else warm)
                 warm = sol.values
                 rec.height = solver.graph_height(sol)
                 rec.residual_max = sol.residual_max

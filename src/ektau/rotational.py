@@ -16,10 +16,12 @@ exactly 1/H.  With r = sin(theta) / H the height is the quadrature
 
     h = int_0^theta* 4r sqrt(1 + tau^2 r^2) / (4 + kappa r^2) dtheta
 
-of a smooth integrand.  The profile is cut at nu = EQUATOR_NU, just below
-the equator.  The upward orientation is used, so the profile rises from the
-pole; the pole-to-equator height equals the hemisphere height of the
-downward cap by the half-turn (x, y, z) -> (x, -y, -z) about the x-axis.
+of a smooth integrand; over the centred disk of model radius R < 1/H the
+cap int_r^R f'(s) ds solves the Dirichlet problem (`cap_heights`).  The
+profile is cut at nu = EQUATOR_NU, just below the equator.  The upward
+orientation is used, so the profile rises from the pole; the
+pole-to-equator height equals the hemisphere height of the downward cap by
+the half-turn (x, y, z) -> (x, -y, -z) about the x-axis.
 That isometry reverses the fibre, not the ambient orientation: it carries
 the graph of f with its upward normal to the graph of -f(x, -y) with its
 downward normal, at the same H.
@@ -39,6 +41,8 @@ from .model import SpaceParams
 
 EQUATOR_NU = 1e-6
 PROFILE_PANELS = 128
+# Gauss-Legendre rule in theta of `cap_heights`
+_CAP_NODES, _CAP_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass
@@ -127,6 +131,17 @@ def hemisphere_height(H: float, params: SpaceParams) -> float:
     One adaptive quadrature of the height integrand up to the cut theta*.
     """
     return _rise(0.0, _equator_angle(H, params), H, params)
+
+
+def cap_heights(r, R: float, H: float, params: SpaceParams) -> np.ndarray:
+    """Cap heights int_r^R f'(s) ds at the model radii r <= R, for
+    0 < H R < 1 and 4 + kappa R^2 > 0: one fixed Gauss-Legendre rule of the
+    height integrand in theta on [asin(H r), asin(H R)] for every r at once.
+    """
+    a = np.arcsin(H * np.asarray(r, dtype=float))[..., None]
+    half = 0.5 * (math.asin(H * R) - a)
+    theta = a + half * (1.0 + _CAP_NODES)
+    return (half * _dh_dtheta(theta, H, params)) @ _CAP_WEIGHTS
 
 
 def cmc_cylinder_curve(H: float, params: SpaceParams) -> PlanarCircle:

@@ -14,7 +14,9 @@ iterations short of a relative residual of 1e-6 trigger a refactor.
 Each Newton iteration makes one pass over the step lengths 1, 1/2, ...,
 2**-13: the first Armijo step wins, else the first admissible one is forced
 while min|nu| or the residual falls (at most 25 times), and in chase mode at
-once.  A failed cold start with H > 0 ramps H up from zero in four solves.
+once.  Cold solves on disks with 0 < H R < 1 start from the rotational cap
+about the grid center, others from zero; a failed cold start with H > 0
+ramps H up from zero in four solves, and a failure there names its stage.
 
 Disk domains close the stencils with ghost values extrapolated along the
 lattice direction whose circle crossing lies closest to the ghost: the
@@ -32,13 +34,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import model
+from . import model, rotational
 from .errors import (ConfigInvalid, DegenerateMetric, NonConvergence,
                      OutOfDomain, VerticalBlowup)
 from .graph_geometry import (AmbientCache, mean_curvature_arrays,
@@ -141,6 +144,10 @@ class DomainGrid:
             self.interior[1:-1, 1:-1] = True
         if not self.interior.any():
             raise ConfigInvalid("grid has no interior nodes")
+        # the largest stencil weight, 2 / h^2, must be finite
+        if float(min(self.hx, self.hy)) ** 2 * sys.float_info.max < 2.0:
+            raise ConfigInvalid("lattice spacing is so small that the stencil "
+                                "weights 1/h^2 overflow")
 
         if not params.contains(self.X[self.interior], self.Y[self.interior]):
             raise OutOfDomain("grid interior leaves the model domain")
@@ -594,6 +601,13 @@ def _newton(grid: DomainGrid, H_target: float, cfg: SolverConfig,
         % (cfg.max_newton, rnorm, H_target))
 
 
+def has_cap(grid: DomainGrid, H: float) -> bool:
+    """Whether the rotational cap about the grid center seeds cold solves:
+    a disk with 0 < H R < 1 inside the chart of the profile (4 + kappa R^2 > 0)."""
+    return (grid.shape == "disk" and 0 < H * grid.radius < 1
+            and 4 + grid.params.kappa * grid.radius ** 2 > 0)
+
+
 def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
                     params: SpaceParams, cfg: SolverConfig | None = None,
                     orientation: int = -1,
@@ -602,7 +616,8 @@ def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
 
     The discrete problem is solved with boundary value zero and shifted
     afterwards.  init_values (full-lattice array, already relative to the
-    same boundary value) warm-starts the iteration.
+    same boundary value) warm-starts the iteration; without them it starts
+    from the cap, signed -orientation, where `has_cap` holds, else from zero.
     """
     if grid.params.to_dict() != params.to_dict():
         raise ConfigInvalid("grid was built for different space parameters")
@@ -616,6 +631,10 @@ def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
     if init_values is not None:
         u0 = np.asarray(init_values, dtype=float).ravel()[
             grid.interior.ravel()] - boundary_value
+    elif has_cap(grid, H):
+        r = np.hypot(grid.X - grid.center[0], grid.Y - grid.center[1])
+        u0 = -orientation * rotational.cap_heights(
+            r[grid.interior], grid.radius, H, params)
     else:
         u0 = np.zeros(grid.n_interior)
     try:
@@ -627,8 +646,12 @@ def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
         # warm-started ramp is genuine and propagates
         u = np.zeros(grid.n_interior)
         iters = 0
-        for Hk in np.linspace(0.0, H, 5)[1:]:
-            u, rnorm, nu, its = _newton(grid, float(Hk), cfg, orientation, u)
+        for k, Hk in enumerate(np.linspace(0.0, H, 5)[1:], 1):
+            try:
+                u, rnorm, nu, its = _newton(grid, float(Hk), cfg, orientation, u)
+            except (NonConvergence, VerticalBlowup) as exc:
+                raise type(exc)("%s (ramp stage %d/4 after a failed cold start)"
+                                % (exc, k)) from exc
             iters += its
     full = grid.full_values(u, 0.0) + boundary_value
     j = _jets_from_u(grid, u)
@@ -667,10 +690,10 @@ def continuation_in_H(grid: DomainGrid, boundary_value: float, H_min: float,
                       H_max: float, steps: int, params: SpaceParams,
                       cfg: SolverConfig | None = None,
                       orientation: int = -1) -> list[ContinuationStep]:
-    """Warm-started sweep of solves over `steps` equispaced H values.
+    """Sweep of solves over `steps` equispaced H values.
 
-    Failures are recorded with their mode and never abort the sweep; each
-    subsequent solve restarts from the last success.
+    Failures are recorded with their mode and never abort the sweep.  Solves
+    without a cap (`has_cap`: the blow-up band) restart from the last success.
     """
     if not (0 <= H_min < H_max):
         raise ConfigInvalid("need 0 <= H_min < H_max")
@@ -683,7 +706,8 @@ def continuation_in_H(grid: DomainGrid, boundary_value: float, H_min: float,
         H = float(H)
         try:
             sol = solve_dirichlet(grid, boundary_value, H, params, cfg,
-                                  orientation=orientation, init_values=warm)
+                                  orientation=orientation,
+                                  init_values=None if has_cap(grid, H) else warm)
             warm = sol.values
             out.append(ContinuationStep(H=H, solution=sol, failure=None))
         except VerticalBlowup as exc:

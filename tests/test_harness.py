@@ -130,6 +130,33 @@ class TestRunExperiment:
         b = (Path(cfg2.output_dir) / "sweep.dat").read_bytes()
         assert a == b
 
+    def test_warm_start_only_where_no_cap_exists(self, tmp_path, monkeypatch):
+        from ektau import solver
+        real = solver.solve_dirichlet
+        warm = {}
+
+        def spy(grid, bv, H, *args, init_values=None, **kwargs):
+            warm[H] = init_values is not None
+            return real(grid, bv, H, *args, init_values=init_values, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_dirichlet", spy)
+        cfg = small_config(tmp_path, "starts", H_list=[0.5, 0.8, 1.0, 1.2])
+        records = run_experiment(cfg)
+        assert warm == {0.5: False, 0.8: False, 1.0: True, 1.2: True}
+        assert [r.status for r in records] == [
+            "converged", "converged", "vertical_blowup", "vertical_blowup"]
+
+    def test_rerun_byte_identical_across_start_paths(self, tmp_path):
+        # cap-started rows and warm-started blow-up rows in one sweep
+        outputs = []
+        for name in ("a", "b"):
+            cfg = small_config(tmp_path, name, H_list=[0.5, 0.8, 1.2])
+            run_experiment(cfg)
+            out = Path(cfg.output_dir)
+            outputs.append([(out / f).read_bytes()
+                            for f in ("records.json", "sweep.dat")])
+        assert outputs[0] == outputs[1]
+
     def test_height_column_roundtrip(self, tmp_path):
         cfg = small_config(tmp_path, "rt")
         records = run_experiment(cfg)

@@ -8,7 +8,7 @@ import pytest
 from ektau.errors import NoSphere, UnsupportedSign
 from ektau.graph_geometry import _forms, ambient_components
 from ektau.model import SpaceParams, conformal_factor_jet
-from ektau.rotational import (EQUATOR_NU, cmc_cylinder_curve,
+from ektau.rotational import (EQUATOR_NU, cap_heights, cmc_cylinder_curve,
                               hemisphere_height, shoot_rotational_graph)
 from ode_shoot import _series_quartic, shoot
 
@@ -192,6 +192,32 @@ class TestHemisphereHeight:
     def test_bad_H_rejected_at_entry(self, H):
         with pytest.raises(ValueError, match="finite H > 0"):
             hemisphere_height(H, NIL)
+
+
+class TestCapHeights:
+    """The sampled cap int_r^R f'(s) ds that seeds cold Dirichlet solves."""
+
+    @pytest.mark.parametrize("H, R", [(1.0, 0.5), (0.8, 1.0), (2.0, 0.45),
+                                      (0.999, 1.0)])
+    def test_flat_is_the_spherical_cap(self, H, R):
+        # sqrt(1/H^2 - r^2) - sqrt(1/H^2 - R^2), written without cancellation
+        r = np.linspace(0.0, R, 33)
+        exact = (R - r) * (R + r) / (np.sqrt(1 / H**2 - r**2)
+                                     + np.sqrt(1 / H**2 - R**2))
+        np.testing.assert_allclose(cap_heights(r, R, H, FLAT), exact,
+                                   rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("space", ["nil", "psl", "h2r"])
+    @pytest.mark.parametrize("H", [0.6, 0.8, 1.0])
+    def test_matches_ode_oracle(self, space, H):
+        # the cap from R = r_j down to the shoot's own samples r_i < r_j is
+        # f(r_j) - f(r_i) of the independent ODE profile
+        params = SPACES[space]
+        prof = shoot(H, params)
+        r, f = prof.samples[:, 0], prof.samples[:, 1]
+        j = int(np.searchsorted(r, 0.95 / H))
+        np.testing.assert_allclose(cap_heights(r[:j], r[j], H, params),
+                                   f[j] - f[:j], rtol=1e-7, atol=0.0)
 
 
 class TestCylinderCurves:

@@ -101,6 +101,13 @@ class TestGrids:
         with pytest.raises(ConfigInvalid, match="not uniform"):
             disk_grid(0.5, 24, FLAT, center=(1e14, 0.0))
 
+    def test_overflowing_stencil_weights_rejected_quietly(self):
+        # hx ~ 1.3e-161 squares to a finite subnormal, but 1 / hx^2 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigInvalid, match="stencil weights"):
+                disk_grid(1e-160, 16, FLAT)
+
     @pytest.mark.parametrize("extents", [(1e308, 1.0), (1e300, 1.0),
                                          (1.0, 1e300)])
     def test_overflowing_extents_rejected_quietly(self, extents):
@@ -364,6 +371,74 @@ class TestSolveDirichlet:
             solve_dirichlet(g, 0.0, 0.5, NIL)
 
 
+class TestColdStart:
+    """Cold solves start from the rotational cap where `has_cap` holds and
+    from zero otherwise; explicit initial values are taken as given."""
+
+    @staticmethod
+    def _first_iterates(monkeypatch):
+        starts = []
+        real = solver._newton
+
+        def spy(grid, H, cfg, orientation, u):
+            starts.append(u.copy())
+            return real(grid, H, cfg, orientation, u)
+
+        monkeypatch.setattr(solver, "_newton", spy)
+        return starts
+
+    def test_off_centre_cap_reaches_the_zero_start_solution(self):
+        g = disk_grid(1.0, 64, NIL, center=(0.07, -0.05))
+        assert solver.has_cap(g, 0.8)
+        u, _, _, iters = solver._newton(g, 0.8, SolverConfig(), -1,
+                                        np.zeros(g.n_interior))
+        sol = solve_dirichlet(g, 0.0, 0.8, NIL)
+        assert graph_height(sol) == pytest.approx(np.abs(u).max(), rel=1e-12)
+        assert sol.newton_iterations < iters
+
+    @pytest.mark.parametrize("orientation", [-1, 1])
+    def test_cap_is_signed_against_the_orientation(self, monkeypatch,
+                                                   orientation):
+        starts = self._first_iterates(monkeypatch)
+        sol = solve_dirichlet(disk_grid(1.0, 24, PSL), 0.0, 0.6, PSL,
+                              orientation=orientation)
+        u0 = starts[0]
+        assert np.all(-orientation * u0 > 0)
+        interior = sol.values[sol.grid.interior]
+        assert np.abs(u0 - interior).max() < 0.05 * np.abs(interior).max()
+
+    @pytest.mark.parametrize("grid, H", [
+        (rectangle_grid((0.4, 0.4), 24, FLAT), 0.5),
+        (disk_grid(0.6, 24, NIL), 0.0)])
+    def test_zero_start_without_a_cap(self, grid, H):
+        assert not solver.has_cap(grid, H)
+        u, _, _, iters = solver._newton(grid, H, SolverConfig(), -1,
+                                        np.zeros(grid.n_interior))
+        sol = solve_dirichlet(grid, 0.0, H, grid.params)
+        assert sol.newton_iterations == iters
+        np.testing.assert_array_equal(sol.values[grid.interior], u)
+
+    def test_zero_start_at_the_equator_radius(self, monkeypatch):
+        # H R = 1: the cap would turn vertical on the rim
+        grid = disk_grid(0.5, 16, FLAT)
+        assert not solver.has_cap(grid, 2.0)
+        starts = self._first_iterates(monkeypatch)
+        with pytest.raises(VerticalBlowup):
+            solve_dirichlet(grid, 0.0, 2.0, FLAT)
+        assert not starts[0].any()
+
+    def test_explicit_init_values_are_the_start(self, monkeypatch):
+        g = disk_grid(1.0, 32, NIL)
+        warm = solve_dirichlet(g, 0.0, 0.7, NIL).values
+        u, _, _, iters = solver._newton(g, 0.75, SolverConfig(), -1,
+                                        warm[g.interior])
+        starts = self._first_iterates(monkeypatch)
+        sol = solve_dirichlet(g, 0.0, 0.75, NIL, init_values=warm)
+        np.testing.assert_array_equal(starts[0], warm[g.interior])
+        assert sol.newton_iterations == iters
+        np.testing.assert_array_equal(sol.values[g.interior], u)
+
+
 class TestNewtonLinearSolve:
     """The branches of `_linear_solve`: reuse, refactor, regularize."""
 
@@ -422,9 +497,13 @@ class TestNewtonLinearSolve:
             solve_dirichlet(g, 0.0, 0.8, NIL, SolverConfig(max_newton=1))
 
 
+RAMP_LAST = " (ramp stage 4/4 after a failed cold start)"
+
+
 class TestGlobalization:
     """Cold solves past the fold: line search, forced steps, chase mode and
-    the ramp, pinned by their outcome and the number of Jacobians built."""
+    the ramp, pinned by their outcome and the number of Jacobians built.
+    H R >= 1 on every case, so each starts from zero."""
 
     @pytest.mark.parametrize("params, n, H, exc, message, jacobians", [
         (FLAT, 16, 1.0, VerticalBlowup, "graph turned vertical during "
@@ -448,7 +527,7 @@ class TestGlobalization:
         monkeypatch.setattr(solver, "mean_curvature_sensitivities", counting)
         with pytest.raises(exc) as info:
             solve_dirichlet(disk_grid(1.0, n, params), 0.0, H, params)
-        assert str(info.value) == message
+        assert str(info.value) == message + RAMP_LAST
         assert len(calls) == jacobians
 
 
@@ -470,6 +549,14 @@ class TestContinuation:
         steps = continuation_in_H(g, 0.0, 0.0, 1.1, 12, FLAT)
         heights = [s.height for s in steps if s.ok]
         assert all(b >= a - 1e-6 for a, b in zip(heights, heights[1:]))
+
+    def test_converging_steps_start_from_the_cap(self):
+        g = disk_grid(1.0, 24, NIL)
+        steps = continuation_in_H(g, 0.0, 0.3, 0.9, 3, NIL)
+        for s in steps:
+            cold = solve_dirichlet(g, 0.0, s.H, NIL)
+            assert s.solution.newton_iterations == cold.newton_iterations
+            np.testing.assert_array_equal(s.solution.values, cold.values)
 
     def test_sweep_never_aborts(self):
         g = disk_grid(1.0, 24, NIL)
