@@ -4,7 +4,7 @@ A graph is parametrized by (x, y) -> (x, y, f(x, y)); its coordinate tangent
 fields are T1 = (1, 0, fx) and T2 = (0, 1, fy).  Everything downstream (the
 Dirichlet solver, the stability assembly, point evaluation by `shape_data`)
 evaluates mean curvature through one kernel, `_forms`, written in explicit
-component arithmetic on closed-form ambient data (`ambient_components`).
+component arithmetic on closed-form ambient data (`model.ambient_components`).
 The same code runs on numpy arrays (the lattice evaluations behind
 `shape_arrays`) and on Python floats (`shape_data`), where it stays off
 numpy and returns Python floats bit-identical to the array path.
@@ -19,20 +19,14 @@ their boundary section) the one with nu < 0.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMetric, OutOfDomain
-from .model import Point3, SpaceParams, TangentVector
+from .errors import DegenerateMetric
+from .model import Ambient, Point3, SpaceParams, TangentVector, ambient_components
 
 _DET_FLOOR = 1e-14
-
-
-def _any(flags) -> bool:
-    """any() of a comparison made on floats (a bool) or on arrays."""
-    return flags if isinstance(flags, bool) else bool(flags.any())
 
 
 def _all(flags) -> bool:
@@ -73,63 +67,6 @@ class ShapeData:
     nu: float
     H: float
     sigma_sq: float
-
-
-# Closed-form ambient data at base points (x, y), floats or arrays: lam and
-# its gradient, the metric entries g_ij, the inverse entries gi_ij and the
-# partials dx_ij = d g_ij / dx, dy_ij = d g_ij / dy.  Left out as constants:
-# g_zz = 1, g^yy = g^xx, g^xy = 0 and d g_zz = 0; nothing depends on z.
-Ambient = namedtuple("Ambient", (
-    "lam lam_x lam_y g_xx g_xy g_xz g_yy g_yz gi_xx gi_xz gi_yz gi_zz "
-    "dx_xx dx_xy dx_xz dx_yy dx_yz dy_xx dy_xy dy_xz dy_yy dy_yz"))
-
-
-def ambient_components(x, y, params: SpaceParams) -> Ambient:
-    """lam, its gradient, the metric, its inverse and its first partials.
-
-    The inverse comes from the orthonormal frame, g^{-1} = sum E_a (x) E_a:
-    g^xx = g^yy = 1/lam^2, g^xz = -tau y/lam, g^yz = tau x/lam and
-    g^zz = 1 + tau^2 (x^2 + y^2).  Raises `OutOfDomain` where
-    4 + kappa (x^2 + y^2) <= 0.
-    """
-    k, t = params.kappa, params.tau
-    t2 = t * t
-    u = 4.0 + k * (x * x + y * y)
-    if _any(u <= 0.0):
-        raise OutOfDomain("conformal factor undefined: 4 + kappa r^2 <= 0")
-    lam = 4.0 / u
-    lam2 = lam * lam
-    lam_x = -0.5 * k * x * lam2
-    lam_y = -0.5 * k * y * lam2
-    dl2x = 2.0 * lam * lam_x
-    dl2y = 2.0 * lam * lam_y
-    cx = 1.0 + t2 * y * y          # g_xx / lam^2
-    cy = 1.0 + t2 * x * x          # g_yy / lam^2
-    return Ambient(
-        lam, lam_x, lam_y,
-        lam2 * cx, -lam2 * t2 * x * y, t * lam * y, lam2 * cy, -t * lam * x,
-        1.0 / lam2, -t * y / lam, t * x / lam, 1.0 + t2 * (x * x + y * y),
-        dl2x * cx, -t2 * (dl2x * x * y + lam2 * y), t * lam_x * y,
-        dl2x * cy + 2.0 * t2 * lam2 * x, -t * (lam_x * x + lam),
-        dl2y * cx + 2.0 * t2 * lam2 * y, -t2 * (dl2y * x * y + lam2 * x),
-        t * (lam_y * y + lam), dl2y * cy, -t * lam_y * x,
-    )
-
-
-class AmbientCache:
-    """Closed-form ambient components frozen at a set of base points.
-
-    The Dirichlet solver evaluates the graph operator many times at the
-    same lattice nodes; this cache factors the (x, y)-only ambient data out
-    of the per-iteration work.
-    """
-
-    def __init__(self, x, y, params: SpaceParams):
-        self.params = params
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        params.require_inside(self.x, self.y)
-        self.components = ambient_components(self.x, self.y, params)
 
 
 def _forms(amb: Ambient, fx, fy, fxx, fxy, fyy, orientation: int):
@@ -209,15 +146,15 @@ def _forms(amb: Ambient, fx, fy, fxx, fxy, fyy, orientation: int):
     }
 
 
-def _array_forms(amb: AmbientCache, fx, fy, fxx, fxy, fyy, orientation):
-    return _forms(amb.components, np.asarray(fx, dtype=float),
+def _array_forms(amb: Ambient, fx, fy, fxx, fxy, fyy, orientation):
+    return _forms(amb, np.asarray(fx, dtype=float),
                   np.asarray(fy, dtype=float), np.asarray(fxx, dtype=float),
                   np.asarray(fxy, dtype=float), np.asarray(fyy, dtype=float),
                   orientation)
 
 
-def shape_arrays(amb: AmbientCache, fx, fy, fxx, fxy, fyy, orientation: int = -1):
-    """Vectorized fundamental forms over the cached points.
+def shape_arrays(amb: Ambient, fx, fy, fxx, fxy, fyy, orientation: int = -1):
+    """Vectorized fundamental forms over the points of `amb`.
 
     Returns a dict with first-form components I11, I12, I22, det_I, the
     second-form components II11, II12, II22, the normal components (n, 3),
@@ -229,14 +166,14 @@ def shape_arrays(amb: AmbientCache, fx, fy, fxx, fxy, fyy, orientation: int = -1
     return out
 
 
-def mean_curvature_arrays(amb: AmbientCache, fx, fy, fxx, fxy, fyy,
+def mean_curvature_arrays(amb: Ambient, fx, fy, fxx, fxy, fyy,
                           orientation: int = -1):
-    """(H, nu) over the cached points; the solver's residual evaluation."""
+    """(H, nu) over the points of `amb`; the solver's residual evaluation."""
     data = _array_forms(amb, fx, fy, fxx, fxy, fyy, orientation)
     return data["H"], data["nu"]
 
 
-def mean_curvature_sensitivities(amb: AmbientCache, fx, fy, fxx, fxy, fyy,
+def mean_curvature_sensitivities(amb: Ambient, fx, fy, fxx, fxy, fyy,
                                  orientation: int = -1):
     """H, nu and the exact partials of H with respect to the jet entries.
 
@@ -249,7 +186,6 @@ def mean_curvature_sensitivities(amb: AmbientCache, fx, fy, fxx, fxy, fyy,
     P_ab = Gamma(T_a, T_b).w = N.C_ab.
     """
     d = _array_forms(amb, fx, fy, fxx, fxy, fyy, orientation)
-    a = amb.components
     s = float(orientation)
     nu, H, inv_det, nrm = d["nu"], d["H"], d["_inv_det"], d["_nrm"]
     I11, I12, I22 = d["I11"], d["I12"], d["I22"]
@@ -259,7 +195,7 @@ def mean_curvature_sensitivities(amb: AmbientCache, fx, fy, fxx, fxy, fyy,
     gT1z, gT2z = d["_gT1z"], d["_gT2z"]
     # Gamma(e_z, T1) and Gamma(e_z, T2) have the first-kind components
     # (0, A, 0) and (-A, 0, 0): what P_ab gains per unit of e_z in T_b
-    A = 0.5 * (a.dx_yz - a.dy_xz)
+    A = 0.5 * (amb.dx_yz - amb.dy_xz)
     Gz1, Gz2 = A * N[1], -A * N[0]
     dH = {
         "fxx": 0.5 * nu * d["Iinv11"],
@@ -270,12 +206,12 @@ def mean_curvature_sensitivities(amb: AmbientCache, fx, fy, fxx, fxy, fyy,
     # d(P_ab), and from dw = -s e_j the parts dN = -s g^{-1} e_j (whose
     # nonzero entries are g^jj = g^xx and g^jz) and d|w| = -s N_j / |w|
     for name, (dI11, dI12, dI22), (dP11, dP12, dP22), j, gi_jz in (
-            ("fx", (2.0 * gT1z, gT2z, 0.0), (2.0 * Gz1, Gz2, 0.0), 0, a.gi_xz),
-            ("fy", (0.0, gT1z, 2.0 * gT2z), (0.0, Gz1, 2.0 * Gz2), 1, a.gi_yz)):
+            ("fx", (2.0 * gT1z, gT2z, 0.0), (2.0 * Gz1, Gz2, 0.0), 0, amb.gi_xz),
+            ("fy", (0.0, gT1z, 2.0 * gT2z), (0.0, Gz1, 2.0 * Gz2), 1, amb.gi_yz)):
         dnrm = -s * N[j] / nrm
-        dII11 = (dP11 - s * (a.gi_xx * C11[j] + gi_jz * C11[2]) - II11 * dnrm) / nrm
-        dII12 = (dP12 - s * (a.gi_xx * C12[j] + gi_jz * C12[2]) - II12 * dnrm) / nrm
-        dII22 = (dP22 - s * (a.gi_xx * C22[j] + gi_jz * C22[2]) - II22 * dnrm) / nrm
+        dII11 = (dP11 - s * (amb.gi_xx * C11[j] + gi_jz * C11[2]) - II11 * dnrm) / nrm
+        dII12 = (dP12 - s * (amb.gi_xx * C12[j] + gi_jz * C12[2]) - II12 * dnrm) / nrm
+        dII22 = (dP22 - s * (amb.gi_xx * C22[j] + gi_jz * C22[2]) - II22 * dnrm) / nrm
         dnum = (dI22 * II11 + I22 * dII11 - 2.0 * (dI12 * II12 + I12 * dII12)
                 + dI11 * II22 + I11 * dII22)
         ddet = dI11 * I22 + I11 * dI22 - 2.0 * I12 * dI12

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import graph_geometry as gg
 from . import model, rotational, solver, stability
 from .errors import (ConfigInvalid, DegenerateMetric, EktauError, IoFailure,
                      IterationLimit, NonConvergence, OutOfDomain, VerticalBlowup)
@@ -244,8 +245,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRecord]:
 
 def _check_battery(fast: bool = True):
     """Deterministic self-checks; yields (name, ok, detail)."""
-    from . import graph_geometry as gg
-
     rng = np.random.RandomState(20240817)
     nil = SpaceParams(0.0, 0.5)
     psl = SpaceParams(-1.0, 0.5)

@@ -17,14 +17,18 @@ nabla_X dz = tau * (X x dz) holds with a plus sign.  The curvature is
 constant in closed form: on the frame Ric = diag(kappa - 2 tau^2,
 kappa - 2 tau^2, 2 tau^2), and the scalar curvature is S = 2 kappa - 2 tau^2.
 
-All functions here are pure; the vectorized `*_components` helpers accept
-numpy arrays broadcast over a trailing point axis and are the single code
-path used by the pointwise wrappers and by the PDE/ODE modules.
+All functions here are pure.  `ambient_components` is the one
+implementation of the metric: it returns lam, the metric, its inverse and
+its first partials in closed form, on floats or on arrays.  The graph
+kernel and the solver read it directly; the pointwise API (`metric_at`,
+`christoffel`, `curvature_report`) and the vectorized `*_components`
+helpers fill their arrays from it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,13 +85,18 @@ class SpaceParams:
         return self.kappa == 0.0 and self.tau == 0.0
 
     def contains(self, x, y) -> bool:
-        if self.kappa >= 0:
-            return True
-        r2 = np.asarray(x) ** 2 + np.asarray(y) ** 2
-        return bool(np.all(r2 < (self.domain_radius - DOMAIN_MARGIN) ** 2))
+        """True iff every point is finite and, for kappa < 0, strictly
+        inside the model disk by DOMAIN_MARGIN."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        inside = np.isfinite(x) & np.isfinite(y)
+        if self.kappa < 0:
+            inside &= x ** 2 + y ** 2 < (self.domain_radius - DOMAIN_MARGIN) ** 2
+        return bool(inside.all())
 
     def require_inside(self, x, y) -> None:
         if not self.contains(x, y):
+            if not (np.isfinite(x).all() and np.isfinite(y).all()):
+                raise OutOfDomain("non-finite point")
             raise OutOfDomain(
                 "point outside the model disk of radius %g" % self.domain_radius
             )
@@ -155,124 +164,127 @@ class CurvatureReport:
 
 
 # ----------------------------------------------------------------------
-# conformal factor
+# ambient components: the one implementation of the metric
 
 
-def conformal_factor_jet(x, y, params: SpaceParams):
-    """lam and its first and second partial derivatives, vectorized.
+def _any(flags) -> bool:
+    """any() of a comparison made on floats (a bool) or on arrays."""
+    return flags if isinstance(flags, bool) else bool(flags.any())
 
-    Returns (lam, lam_x, lam_y, lam_xx, lam_xy, lam_yy).
+
+# Closed-form ambient data at base points (x, y), floats or arrays: lam and
+# its gradient, the metric entries g_ij, the inverse entries gi_ij and the
+# partials dx_ij = d g_ij / dx, dy_ij = d g_ij / dy.  Left out as constants:
+# g_zz = 1, g^yy = g^xx, g^xy = 0 and d g_zz = 0; nothing depends on z.
+Ambient = namedtuple("Ambient", (
+    "lam lam_x lam_y g_xx g_xy g_xz g_yy g_yz gi_xx gi_xz gi_yz gi_zz "
+    "dx_xx dx_xy dx_xz dx_yy dx_yz dy_xx dy_xy dy_xz dy_yy dy_yz"))
+
+
+def ambient_components(x, y, params: SpaceParams) -> Ambient:
+    """lam, its gradient, the metric, its inverse and its first partials.
+
+    The inverse comes from the orthonormal frame, g^{-1} = sum E_a (x) E_a:
+    g^xx = g^yy = 1/lam^2, g^xz = -tau y/lam, g^yz = tau x/lam and
+    g^zz = 1 + tau^2 (x^2 + y^2).  Floats give floats, arrays give arrays.
+    Raises `OutOfDomain` where 4 + kappa (x^2 + y^2) <= 0.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    k = params.kappa
+    k, t = params.kappa, params.tau
+    t2 = t * t
     u = 4.0 + k * (x * x + y * y)
-    if np.any(u <= 0):
+    if _any(u <= 0.0):
         raise OutOfDomain("conformal factor undefined: 4 + kappa r^2 <= 0")
     lam = 4.0 / u
     lam2 = lam * lam
-    lam3 = lam2 * lam
     lam_x = -0.5 * k * x * lam2
     lam_y = -0.5 * k * y * lam2
-    lam_xx = -0.5 * k * lam2 + 0.5 * k * k * x * x * lam3
-    lam_yy = -0.5 * k * lam2 + 0.5 * k * k * y * y * lam3
-    lam_xy = 0.5 * k * k * x * y * lam3
-    return lam, lam_x, lam_y, lam_xx, lam_xy, lam_yy
+    dl2x = 2.0 * lam * lam_x
+    dl2y = 2.0 * lam * lam_y
+    cx = 1.0 + t2 * y * y          # g_xx / lam^2
+    cy = 1.0 + t2 * x * x          # g_yy / lam^2
+    return Ambient(
+        lam, lam_x, lam_y,
+        lam2 * cx, -lam2 * t2 * x * y, t * lam * y, lam2 * cy, -t * lam * x,
+        1.0 / lam2, -t * y / lam, t * x / lam, 1.0 + t2 * (x * x + y * y),
+        dl2x * cx, -t2 * (dl2x * x * y + lam2 * y), t * lam_x * y,
+        dl2x * cy + 2.0 * t2 * lam2 * x, -t * (lam_x * x + lam),
+        dl2y * cx + 2.0 * t2 * lam2 * y, -t2 * (dl2y * x * y + lam2 * x),
+        t * (lam_y * y + lam), dl2y * cy, -t * lam_y * x,
+    )
+
+
+def conformal_factor_jet(x, y, params: SpaceParams):
+    """(lam, lam_x, lam_y) at (x, y), floats or arrays."""
+    return ambient_components(x, y, params)[:3]
 
 
 def conformal_factor(x: float, y: float, params: SpaceParams) -> float:
     """lam = 4 / (4 + kappa (x^2 + y^2)) with the domain guard."""
     params.require_inside(x, y)
-    lam, *_ = conformal_factor_jet(x, y, params)
-    return float(lam)
+    return float(conformal_factor_jet(x, y, params)[0])
 
 
 # ----------------------------------------------------------------------
-# metric, frame, connection (vectorized cores + pointwise wrappers)
+# metric, frame, connection (arrays filled from `ambient_components`)
+
+_PAIRS = ((0, 0, "xx"), (0, 1, "xy"), (0, 2, "xz"), (1, 1, "yy"), (1, 2, "yz"))
+
+
+def _metric_arrays(x, y, params: SpaceParams):
+    """g, g^{-1} and dg[..., i, j, k] = d g_ij / d x^k, shapes (..., 3, 3)
+    and (..., 3, 3, 3), from `ambient_components`."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    a = ambient_components(x, y, params)
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    g = np.zeros(shape + (3, 3))
+    g_inv = np.zeros(shape + (3, 3))
+    dg = np.zeros(shape + (3, 3, 3))
+    g[..., 2, 2] = 1.0
+    for i, j, ij in _PAIRS:
+        g[..., i, j] = g[..., j, i] = getattr(a, "g_" + ij)
+        dg[..., i, j, 0] = dg[..., j, i, 0] = getattr(a, "dx_" + ij)
+        dg[..., i, j, 1] = dg[..., j, i, 1] = getattr(a, "dy_" + ij)
+    g_inv[..., 0, 0] = g_inv[..., 1, 1] = a.gi_xx
+    g_inv[..., 0, 2] = g_inv[..., 2, 0] = a.gi_xz
+    g_inv[..., 1, 2] = g_inv[..., 2, 1] = a.gi_yz
+    g_inv[..., 2, 2] = a.gi_zz
+    return g, g_inv, dg
+
+
+def _christoffel(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma^k_ij = g^kl Gamma_{l,ij}, indexed [..., k, i, j], with the
+    first-kind symbols Gamma_{l,ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
+    first = 0.5 * (np.einsum("...jli->...lij", dg)
+                   + np.einsum("...ilj->...lij", dg)
+                   - np.einsum("...ijl->...lij", dg))
+    return np.einsum("...kl,...lij->...kij", g_inv, first)
 
 
 def metric_components(x, y, params: SpaceParams) -> np.ndarray:
     """Coordinate metric g_ij at (x, y), shape (..., 3, 3)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    lam, *_ = conformal_factor_jet(x, y, params)
-    t = params.tau
-    g = np.zeros(x.shape + (3, 3))
-    lam2 = lam * lam
-    g[..., 0, 0] = lam2 * (1.0 + t * t * y * y)
-    g[..., 1, 1] = lam2 * (1.0 + t * t * x * x)
-    g[..., 2, 2] = 1.0
-    g[..., 0, 1] = g[..., 1, 0] = -lam2 * t * t * x * y
-    g[..., 0, 2] = g[..., 2, 0] = t * lam * y
-    g[..., 1, 2] = g[..., 2, 1] = -t * lam * x
-    return g
-
-
-def metric_derivatives(x, y, params: SpaceParams) -> np.ndarray:
-    """Exact first partials dg[..., i, j, k] = d g_ij / d x^k."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    lam, lam_x, lam_y, *_ = conformal_factor_jet(x, y, params)
-    t = params.tau
-    t2 = t * t
-    dg = np.zeros(x.shape + (3, 3, 3))
-    for k, lam_k in ((0, lam_x), (1, lam_y)):
-        dlam2 = 2.0 * lam * lam_k
-        # g_xx = lam^2 (1 + t^2 y^2)
-        d = dlam2 * (1.0 + t2 * y * y)
-        if k == 1:
-            d = d + lam * lam * t2 * 2.0 * y
-        dg[..., 0, 0, k] = d
-        # g_yy = lam^2 (1 + t^2 x^2)
-        d = dlam2 * (1.0 + t2 * x * x)
-        if k == 0:
-            d = d + lam * lam * t2 * 2.0 * x
-        dg[..., 1, 1, k] = d
-        # g_xy = -lam^2 t^2 x y
-        d = -t2 * (dlam2 * x * y + lam * lam * (y if k == 0 else x))
-        dg[..., 0, 1, k] = dg[..., 1, 0, k] = d
-        # g_xz = t lam y
-        d = t * (lam_k * y + (lam if k == 1 else 0.0))
-        dg[..., 0, 2, k] = dg[..., 2, 0, k] = d
-        # g_yz = -t lam x
-        d = -t * (lam_k * x + (lam if k == 0 else 0.0))
-        dg[..., 1, 2, k] = dg[..., 2, 1, k] = d
-    return dg
+    return _metric_arrays(x, y, params)[0]
 
 
 def christoffel_components(x, y, params: SpaceParams) -> np.ndarray:
     """Gamma[..., k, i, j] from the exact metric derivatives."""
-    g = metric_components(x, y, params)
-    g_inv = np.linalg.inv(g)
-    dg = metric_derivatives(x, y, params)
-    # 0.5 g^{kl} (dg_jl/di + dg_il/dj - dg_ij/dl):
-    # build T[i, j, l] = dg[j, l, i] + dg[i, l, j] - dg[i, j, l]
-    dg_jli = np.moveaxis(dg, (-3, -2, -1), (-2, -1, -3))  # T1[i,j,l] = dg[j,l,i]
-    dg_ilj = np.moveaxis(dg, (-3, -2, -1), (-3, -1, -2))  # T2[i,j,l] = dg[i,l,j]
-    T = dg_jli + dg_ilj - dg
-    gamma = 0.5 * np.einsum("...kl,...ijl->...kij", g_inv, T)
-    return gamma
+    _, g_inv, dg = _metric_arrays(x, y, params)
+    return _christoffel(g_inv, dg)
 
 
 def metric_at(p: Point3, params: SpaceParams) -> MetricAtPoint:
     """Metric tensor with inverse and exact first derivatives at p."""
     params.require_inside(p.x, p.y)
-    g = metric_components(p.x, p.y, params)
-    return MetricAtPoint(g=g, g_inv=np.linalg.inv(g), dg=metric_derivatives(p.x, p.y, params))
+    g, g_inv, dg = _metric_arrays(p.x, p.y, params)
+    return MetricAtPoint(g=g, g_inv=g_inv, dg=dg)
 
 
 def frame_matrix(x, y, params: SpaceParams) -> np.ndarray:
     """Columns are the coordinate components of E1, E2, E3, shape (..., 3, 3)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    lam, *_ = conformal_factor_jet(x, y, params)
-    t = params.tau
-    F = np.zeros(x.shape + (3, 3))
-    F[..., 0, 0] = 1.0 / lam
-    F[..., 2, 0] = -t * y
-    F[..., 1, 1] = 1.0 / lam
-    F[..., 2, 1] = t * x
-    F[..., 2, 2] = 1.0
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    lam, t = ambient_components(x, y, params).lam, params.tau
+    F = np.zeros(np.broadcast_shapes(x.shape, y.shape) + (3, 3))
+    F[..., 0, 0] = F[..., 1, 1] = 1.0 / lam
+    F[..., 2, 0], F[..., 2, 1], F[..., 2, 2] = -t * y, t * x, 1.0
     return F
 
 
@@ -297,7 +309,7 @@ def _killing_residual_at(x: float, y: float, params: SpaceParams, gamma: np.ndar
     """max |nabla_X dz - tau X x dz|_g over a fixed sample of directions."""
     g = metric_components(x, y, params)
     F = frame_matrix(x, y, params)
-    F_inv = np.linalg.inv(F)
+    lam = 1.0 / F[0, 0]
     # deterministic direction sample: frame vectors and diagonal mixes
     dirs = [
         F[:, 0], F[:, 1], F[:, 2],
@@ -306,8 +318,8 @@ def _killing_residual_at(x: float, y: float, params: SpaceParams, gamma: np.ndar
     worst = 0.0
     for X in dirs:
         nab = gamma[:, :, 2] @ X  # (nabla_X dz)^k = Gamma^k_{i z} X^i
-        Xf = F_inv @ X
-        cross_f = np.array([Xf[1], -Xf[0], 0.0])  # X x E3 in the frame
+        # X x E3 in the frame, from the coframe lam dx, lam dy
+        cross_f = np.array([lam * X[1], -lam * X[0], 0.0])
         diff = nab - params.tau * (F @ cross_f)
         worst = max(worst, float(np.sqrt(diff @ g @ diff)))
     return worst
@@ -325,8 +337,8 @@ def curvature_report(p: Point3, params: SpaceParams) -> CurvatureReport:
     """
     params.require_inside(p.x, p.y)
     k, t2 = params.kappa, params.tau ** 2
-    G = christoffel_components(p.x, p.y, params)
-    g = metric_components(p.x, p.y, params)
+    g, g_inv, dg = _metric_arrays(p.x, p.y, params)
+    G = _christoffel(g_inv, dg)
     return CurvatureReport(
         christoffel=G,
         ricci=(k - 2 * t2) * g + (4 * t2 - k) * np.outer(g[2], g[2]),

@@ -44,9 +44,9 @@ import scipy.sparse.linalg as spla
 from . import model, rotational
 from .errors import (ConfigInvalid, DegenerateMetric, NonConvergence,
                      OutOfDomain, VerticalBlowup)
-from .graph_geometry import (AmbientCache, mean_curvature_arrays,
+from .graph_geometry import (mean_curvature_arrays,
                              mean_curvature_sensitivities, shape_arrays)
-from .model import SpaceParams
+from .model import Ambient, SpaceParams, ambient_components
 
 BLOWUP_NU = 1e-3
 
@@ -155,7 +155,7 @@ class DomainGrid:
         self._index_interior()
         self._build_closure()
         self._build_stencils()
-        self._amb: AmbientCache | None = None
+        self._amb: Ambient | None = None
         self._jac_pattern = None
 
     # -- masks and indexing ------------------------------------------------
@@ -316,10 +316,12 @@ class DomainGrid:
 
     # -- helpers -------------------------------------------------------------
 
-    def ambient(self) -> AmbientCache:
+    def ambient(self) -> Ambient:
+        """Closed-form ambient data at the interior nodes, computed once."""
         if self._amb is None:
             ii, jj = self.interior_ij[:, 0], self.interior_ij[:, 1]
-            self._amb = AmbientCache(self.X[ii, jj], self.Y[ii, jj], self.params)
+            self._amb = ambient_components(self.X[ii, jj], self.Y[ii, jj],
+                                           self.params)
         return self._amb
 
     def _jacobian_pattern(self):

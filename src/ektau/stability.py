@@ -304,10 +304,9 @@ def cylinder_stability(H: float, params: SpaceParams,
         # induced flat metric of the cylinder in (arclength, z) coordinates:
         # [[1 + F^2, F], [F, 1]] with F = <gamma', dz>
         r_m = curve.model_radius
-        g3 = model.metric_components(r_m, 0.0, params)
-        lam = model.conformal_factor(r_m, 0.0, params)
-        F = float(g3[1, 2]) / lam          # unit base tangent at (r, 0) is dy/lam
-        circ = 2.0 * math.pi * r_m * lam
+        a = model.ambient_components(r_m, 0.0, params)
+        F = a.g_yz / a.lam                 # unit base tangent at (r, 0) is dy/lam
+        circ = 2.0 * math.pi * r_m * a.lam
         G = np.array([[1.0 + F * F, F], [F, 1.0]])
         Gi = np.linalg.inv(G)
         hx = circ / n_circle

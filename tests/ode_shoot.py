@@ -28,8 +28,8 @@ from scipy.integrate import solve_ivp
 
 from ektau import model
 from ektau.errors import EktauError, NoSphere, UnsupportedSign
-from ektau.graph_geometry import _forms, ambient_components
-from ektau.model import SpaceParams
+from ektau.graph_geometry import _forms
+from ektau.model import SpaceParams, ambient_components
 from ektau.rotational import EQUATOR_NU
 
 

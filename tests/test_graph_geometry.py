@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from ektau import model
 from ektau.errors import DegenerateMetric, OutOfDomain
-from ektau.graph_geometry import (AmbientCache, Jet2, _forms,
-                                  ambient_components, angle_function,
+from ektau.graph_geometry import (Jet2, _forms, angle_function,
                                   jacobi_potential, jacobi_potential_from,
                                   mean_curvature_arrays,
                                   mean_curvature_sensitivities, shape_arrays,
                                   shape_data)
-from ektau.model import Point3, SpaceParams, curvature_report
+from ektau.model import (Point3, SpaceParams, ambient_components,
+                         curvature_report)
 
 NIL = SpaceParams(0.0, 0.5)
 PSL = SpaceParams(-1.0, 0.5)
@@ -168,8 +168,10 @@ class TestShapeInvariants:
 
 def einsum_reference(x, y, params, fx, fy, fxx, fxy, fyy, orientation):
     """The graph operator through second-kind Christoffels, kept as the
-    oracle: metric, `np.linalg.inv`, `model.christoffel_components` and
-    `einsum` contractions over full 3-vectors."""
+    oracle for the kernel's arithmetic: metric, `np.linalg.inv`,
+    `model.christoffel_components` and `einsum` contractions over full
+    3-vectors.  The ambient data it starts from is the kernel's own; the
+    sympy derivation in `test_sympy_oracle.py` checks that."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     fx, fy, fxx, fxy, fyy = (np.asarray(v, dtype=float)
                              for v in (fx, fy, fxx, fxy, fyy))
@@ -226,7 +228,7 @@ class TestEinsumOracle:
         rng = np.random.RandomState(21)
         for params in (NIL, PSL, H2R, FLAT):
             x, y, jets = random_jets(rng, params, 300)
-            amb = AmbientCache(x, y, params)
+            amb = ambient_components(x, y, params)
             for ori in (+1, -1):
                 ref = einsum_reference(x, y, params, *jets, ori)
                 d = shape_arrays(amb, *jets, ori)
@@ -243,23 +245,6 @@ class TestEinsumOracle:
                     for key in ("H", "nu", "sigma_sq", "II11", "II12", "II22"):
                         assert _rel(f[key], ref[key][i]) <= 1e-13, key
                     assert _rel(f["normal"], ref["normal"][i]) <= 1e-13
-
-    def test_ambient_components_against_model(self):
-        rng = np.random.RandomState(22)
-        for params in (NIL, PSL, H2R, FLAT):
-            x, y, _ = random_jets(rng, params, 50)
-            a = ambient_components(x, y, params)
-            g = model.metric_components(x, y, params)
-            dg = model.metric_derivatives(x, y, params)
-            g_inv = np.linalg.inv(g)
-            for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2)):
-                name = "xyz"[i] + "xyz"[j]
-                assert _rel(getattr(a, "g_" + name), g[:, i, j]) <= 1e-15
-                assert _rel(getattr(a, "dx_" + name), dg[:, i, j, 0]) <= 1e-14
-                assert _rel(getattr(a, "dy_" + name), dg[:, i, j, 1]) <= 1e-14
-            for i, j, mine in ((0, 0, a.gi_xx), (1, 1, a.gi_xx), (0, 1, 0.0),
-                               (0, 2, a.gi_xz), (1, 2, a.gi_yz), (2, 2, a.gi_zz)):
-                assert _rel(mine, g_inv[:, i, j]) <= 1e-13
 
     @settings(max_examples=200, deadline=None)
     @given(space=st.sampled_from([NIL, PSL, H2R, FLAT]),
@@ -288,9 +273,6 @@ class TestErrorPaths:
     def test_out_of_domain_array_point(self):
         with pytest.raises(OutOfDomain):
             ambient_components(np.array([0.1, 2.5]), np.array([0.0, 0.0]), PSL)
-        # inside 4 + kappa r^2 > 0 but within the model-disk margin
-        with pytest.raises(OutOfDomain):
-            AmbientCache(np.array([0.1, 2.0 - 1e-10]), np.array([0.0, 0.0]), PSL)
 
     # on x = 0 with fy = 0, I12 = 0 and fx = 1e200 overflows det I to +inf
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
@@ -300,7 +282,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
     def test_degenerate_metric_array_jet(self, bad):
-        amb = AmbientCache(np.array([0.2, 0.0]), np.array([0.1, 0.3]), PSL)
+        amb = ambient_components(np.array([0.2, 0.0]), np.array([0.1, 0.3]), PSL)
         jet = [np.array([0.5, bad])] + [np.zeros(2)] * 4
         with pytest.raises(DegenerateMetric):
             mean_curvature_arrays(amb, *jet)

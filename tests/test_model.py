@@ -10,8 +10,9 @@ from ektau.model import (Point3, SpaceParams, base_distance, christoffel,
                          christoffel_components, conformal_factor,
                          critical_mean_curvature, curvature_report,
                          frame_matrix, metric_at, metric_components,
-                         metric_derivatives, orthonormal_frame,
+                         orthonormal_frame,
                          scalar_curvature, sphere_exists, _killing_residual_at)
+from ektau.graph_geometry import Jet2, shape_data
 from fd_curvature import christoffel_fd, curvature_report_fd
 
 NIL = SpaceParams(kappa=0.0, tau=0.5)
@@ -48,6 +49,25 @@ class TestSpaceParams:
 
     def test_roundtrip(self):
         assert SpaceParams.from_dict(PSL.to_dict()) == PSL
+
+
+# the pointwise entry points, each called at a point with x = v
+POINTWISE = {
+    "metric_at": lambda v, p: metric_at(Point3(v, 0.0), p),
+    "christoffel": lambda v, p: christoffel(Point3(v, 0.0), p),
+    "curvature_report": lambda v, p: curvature_report(Point3(v, 0.0), p),
+    "orthonormal_frame": lambda v, p: orthonormal_frame(Point3(v, 0.0), p),
+    "conformal_factor": lambda v, p: conformal_factor(v, 0.0, p),
+    "shape_data": lambda v, p: shape_data(Jet2(v, 0.0, 0, 0, 0, 0, 0, 0), p),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(POINTWISE))
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("params", [NIL, PSL], ids=["nil", "psl"])
+def test_non_finite_point_rejected(entry, bad, params):
+    with pytest.raises(OutOfDomain, match="non-finite point"):
+        POINTWISE[entry](bad, params)
 
 
 class TestConformalFactor:
@@ -96,7 +116,7 @@ class TestMetric:
         rng = np.random.RandomState(5)
         d = 1e-6
         for x, y, _ in random_points(PSL, 10, rng):
-            dg = metric_derivatives(x, y, PSL)
+            dg = metric_at(Point3(x, y), PSL).dg
             fd_x = (metric_components(x + d, y, PSL)
                     - metric_components(x - d, y, PSL)) / (2 * d)
             fd_y = (metric_components(x, y + d, PSL)
@@ -166,8 +186,8 @@ class TestChristoffel:
         rng = np.random.RandomState(10)
         for params in (NIL, PSL):
             for x, y, _ in random_points(params, 20, rng):
-                g = metric_components(x, y, params)
-                dg = metric_derivatives(x, y, params)
+                m = metric_at(Point3(x, y), params)
+                g, dg = m.g, m.dg
                 gam = christoffel_components(x, y, params)
                 lhs = np.moveaxis(dg, -1, 0)  # [k, i, j]
                 rhs = (np.einsum("lki,lj->kij", gam, g)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ektau.errors import NoSphere, UnsupportedSign
-from ektau.graph_geometry import _forms, ambient_components
-from ektau.model import SpaceParams, conformal_factor_jet
+from ektau.graph_geometry import _forms
+from ektau.model import SpaceParams, ambient_components, conformal_factor_jet
 from ektau.rotational import (EQUATOR_NU, cap_heights, cmc_cylinder_curve,
                               hemisphere_height, shoot_rotational_graph)
 from ode_shoot import _series_quartic, shoot
@@ -35,7 +35,7 @@ def circle_geodesic_curvature(r_model: float, params: SpaceParams) -> float:
     orthogonally to the tangent.  Evaluated at (r, 0) by symmetry.  This is
     the numeric oracle for the closed form k_g = 1/r - kappa r/4.
     """
-    lam, lam_x, lam_y, *_ = conformal_factor_jet(r_model, 0.0, params)
+    lam, lam_x, lam_y = conformal_factor_jet(r_model, 0.0, params)
     lam = float(lam); lam_x = float(lam_x); lam_y = float(lam_y)
     # c(t) = (r cos t, r sin t) at t=0: c' = (0, r), c'' = (-r, 0)
     cp = np.array([0.0, r_model])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ektau import solver
 from ektau.errors import (ConfigInvalid, NonConvergence, OutOfDomain,
                           VerticalBlowup)
-from ektau.model import SpaceParams
+from ektau.model import DOMAIN_MARGIN, SpaceParams
 from ektau.solver import (DomainGrid, GraphSolution, SolverConfig,
                           continuation_in_H, disk_grid, graph_height,
                           rectangle_grid, sigma_profile, solve_dirichlet)
@@ -39,6 +39,14 @@ class TestGrids:
     def test_disk_mask_inside_model_domain(self):
         with pytest.raises(OutOfDomain):
             disk_grid(2.5, 24, PSL)
+        # every interior node inside 4 + kappa r^2 > 0, the farthest at
+        # radius 2 - 1e-10: within DOMAIN_MARGIN of the edge of the PSL disk
+        center = (1.6093134831976523, 0.0)
+        g = disk_grid(0.5, 9, NIL, center=center)
+        r = np.hypot(g.X[g.interior], g.Y[g.interior])
+        assert 2.0 - DOMAIN_MARGIN < r.max() < 2.0
+        with pytest.raises(OutOfDomain, match="leaves the model domain"):
+            disk_grid(0.5, 9, PSL, center=center)
 
     def test_ghosts_touch_interior(self):
         g = disk_grid(0.7, 24, NIL)
