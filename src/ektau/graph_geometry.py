@@ -88,13 +88,15 @@ def _forms(amb: Ambient, fx, fy, fxx, fxy, fyy, orientation: int):
      dx_xx, dx_xy, dx_xz, dx_yy, dx_yz,
      dy_xx, dy_xy, dy_xz, dy_yy, dy_yz) = amb
 
-    # z components of g T1 and g T2 (g_zz = 1), then the first form
-    gT1z = g_xz + fx
-    gT2z = g_yz + fy
-    I11 = g_xx + fx * (g_xz + gT1z)
-    I12 = g_xy + fy * g_xz + fx * gT2z
-    I22 = g_yy + fy * (g_yz + gT2z)
-    det_I = I11 * I22 - I12 * I12
+    # z components of g T1 and g T2 (g_zz = 1), then the first form; on
+    # arrays, jets that the check below rejects may overflow on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        gT1z = g_xz + fx
+        gT2z = g_yz + fy
+        I11 = g_xx + fx * (g_xz + gT1z)
+        I12 = g_xy + fy * g_xz + fx * gT2z
+        I22 = g_yy + fy * (g_yz + gT2z)
+        det_I = I11 * I22 - I12 * I12
     if not _all((det_I >= _DET_FLOOR) & (det_I < math.inf)):
         raise DegenerateMetric("first fundamental form is numerically degenerate")
 

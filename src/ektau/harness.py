@@ -23,11 +23,14 @@ import numpy as np
 
 from . import graph_geometry as gg
 from . import model, rotational, solver, stability
-from .errors import (ConfigInvalid, DegenerateMetric, EktauError, IoFailure,
-                     IterationLimit, NonConvergence, OutOfDomain, VerticalBlowup)
+from .errors import (ConfigInvalid, EktauError, IoFailure, IterationLimit,
+                     OutOfDomain)
 from .model import Point3, SpaceParams
 
 PLOT_HEADER = "H n height hemi_height bound lambda_min status"
+
+# row status of an error: the solve failures, then the checks after a solve
+FAILURES = {**solver.FAILURES, IterationLimit: "stability_failed"}
 
 
 def rosenberg_bound(H: float, params: SpaceParams) -> float | None:
@@ -57,7 +60,6 @@ class ExperimentConfig:
     params: SpaceParams
     H_list: list[float]
     grid_sizes: list[int]
-    domain_shape: str = "disk"
     domain_radius: float = 1.0
     domain_center: tuple[float, float] = (0.0, 0.0)
     boundary_value: float = 0.0
@@ -74,8 +76,6 @@ class ExperimentConfig:
             raise ConfigInvalid("H_list must be nonempty, finite and positive")
         if not self.grid_sizes or any(n < 16 for n in self.grid_sizes):
             raise ConfigInvalid("grid sizes must be >= 16")
-        if self.domain_shape != "disk":
-            raise ConfigInvalid("sweeps support disk domains")
         if not (math.isfinite(self.domain_radius) and self.domain_radius > 0):
             raise ConfigInvalid("domain_radius must be finite and positive")
         if len(self.domain_center) != 2 or not all(
@@ -113,9 +113,7 @@ class ReportRecord:
     tau: float
     H: float
     n: int
-    # converged | vertical_blowup | non_convergence | stability_failed |
-    # degenerate_metric | out_of_domain
-    status: str
+    status: str     # "converged" or a value of FAILURES
     height: float | None = None
     hemisphere_height: float | None = None
     rosenberg_bound: float | None = None
@@ -142,6 +140,25 @@ def _atomic_write(path: Path, text: str) -> None:
         raise IoFailure("cannot write %s: %s" % (path, exc))
 
 
+def _measure(rec: ReportRecord, sol: solver.GraphSolution,
+             cfg: ExperimentConfig) -> dict:
+    """Fill the row of a converged solve; returns its solution record."""
+    rec.height = solver.graph_height(sol)
+    rec.residual_max = sol.residual_max
+    rec.min_abs_nu = sol.min_abs_nu
+    rec.max_sigma_interior = sol.max_sigma_interior
+    if rec.hemisphere_height:
+        rec.height_over_hemisphere = rec.height / rec.hemisphere_height
+    if cfg.check_sigma_profile:
+        far = [s for dist, s in solver.sigma_profile(sol) if dist > 0.2]
+        rec.sigma_far_from_boundary = max(far) if far else None
+    if cfg.check_stability:
+        op = stability.assemble_jacobi(sol)
+        rec.lambda_min = stability.smallest_eigenvalue(op).lambda_min
+        rec.angle_residual = stability.angle_jacobi_residual(sol)
+    return sol.to_record()
+
+
 def _fmt(value) -> str:
     if value is None:
         return "nan"
@@ -151,70 +168,44 @@ def _fmt(value) -> str:
 def run_experiment(cfg: ExperimentConfig) -> list[ReportRecord]:
     """Solve the configured sweep and (optionally) persist its records.
 
-    Rows are ordered by (n, H), failures never abort the sweep, and rows
-    without a cap (`solver.has_cap`: the blow-up band) are warm-started from
-    the last success on their grid in ascending H.
+    Rows are ordered by (n, H).  Each grid is swept by
+    `solver.continuation_in_H`, which warm-starts the rows without a cap
+    from the last success.  An error in FAILURES never aborts the sweep:
+    the row takes its status from that table.
     """
     params = cfg.params
-    hemi_cache: dict[float, float | None] = {}
-    bound_cache: dict[float, float | None] = {}
-    for H in sorted(set(cfg.H_list)):
-        if cfg.check_conjecture:
-            try:
-                hemi_cache[H] = rotational.hemisphere_height(H, params) \
-                    if model.sphere_exists(H, params) else None
-            except EktauError:
-                hemi_cache[H] = None
-        if cfg.check_rosenberg:
-            bound_cache[H] = rosenberg_bound(H, params)
+    H_values = sorted(set(cfg.H_list))
+    # rotational spheres are implemented for kappa <= 0 only
+    hemi = {H: rotational.hemisphere_height(H, params)
+            if cfg.check_conjecture and params.kappa <= 0
+            and model.sphere_exists(H, params) else None for H in H_values}
+    bound = {H: rosenberg_bound(H, params) if cfg.check_rosenberg else None
+             for H in H_values}
 
-    def run_grid(n: int):
-        grid = None
-        records = []
-        warm = None
-        for H in sorted(set(cfg.H_list)):
-            rec = ReportRecord(kappa=params.kappa, tau=params.tau, H=H, n=n,
-                               status="converged",
-                               hemisphere_height=hemi_cache.get(H),
-                               rosenberg_bound=bound_cache.get(H))
+    pairs = []
+    for n in sorted(set(cfg.grid_sizes)):
+        try:
+            grid = solver.disk_grid(cfg.domain_radius, n, params,
+                                    center=cfg.domain_center)
+        except OutOfDomain as exc:
+            steps = [solver.ContinuationStep(H, None, FAILURES[OutOfDomain],
+                                             str(exc)) for H in H_values]
+        else:
+            steps = solver.continuation_in_H(grid, cfg.boundary_value,
+                                             H_values, params, cfg.solver)
+        for step in steps:
+            rec = ReportRecord(kappa=params.kappa, tau=params.tau, H=step.H,
+                               n=n, status=step.failure or "converged",
+                               hemisphere_height=hemi[step.H],
+                               rosenberg_bound=bound[step.H],
+                               message=step.message)
             sol_record = None
-            try:
-                if grid is None:
-                    grid = solver.disk_grid(cfg.domain_radius, n, params,
-                                            center=cfg.domain_center)
-                sol = solver.solve_dirichlet(
-                    grid, cfg.boundary_value, H, params, cfg.solver,
-                    init_values=None if solver.has_cap(grid, H) else warm)
-                warm = sol.values
-                rec.height = solver.graph_height(sol)
-                rec.residual_max = sol.residual_max
-                rec.min_abs_nu = sol.min_abs_nu
-                rec.max_sigma_interior = sol.max_sigma_interior
-                if rec.hemisphere_height:
-                    rec.height_over_hemisphere = rec.height / rec.hemisphere_height
-                if cfg.check_sigma_profile:
-                    prof = solver.sigma_profile(sol)
-                    far = [s for dist, s in prof if dist > 0.2]
-                    rec.sigma_far_from_boundary = max(far) if far else None
-                if cfg.check_stability:
-                    op = stability.assemble_jacobi(sol)
-                    rec.lambda_min = stability.smallest_eigenvalue(op).lambda_min
-                    rec.angle_residual = stability.angle_jacobi_residual(sol)
-                sol_record = sol.to_record()
-            except VerticalBlowup as exc:
-                rec.status, rec.message = "vertical_blowup", str(exc)
-            except NonConvergence as exc:
-                rec.status, rec.message = "non_convergence", str(exc)
-            except IterationLimit as exc:
-                rec.status, rec.message = "stability_failed", str(exc)
-            except DegenerateMetric as exc:
-                rec.status, rec.message = "degenerate_metric", str(exc)
-            except OutOfDomain as exc:
-                rec.status, rec.message = "out_of_domain", str(exc)
-            records.append((rec, sol_record))
-        return records
-
-    pairs = [pair for n in sorted(set(cfg.grid_sizes)) for pair in run_grid(n)]
+            if step.ok:
+                try:
+                    sol_record = _measure(rec, step.solution, cfg)
+                except tuple(FAILURES) as exc:
+                    rec.status, rec.message = FAILURES[type(exc)], str(exc)
+            pairs.append((rec, sol_record))
 
     if cfg.output_dir is not None:
         out = Path(cfg.output_dir)

@@ -85,18 +85,22 @@ class SpaceParams:
         return self.kappa == 0.0 and self.tau == 0.0
 
     def contains(self, x, y) -> bool:
-        """True iff every point is finite and, for kappa < 0, strictly
-        inside the model disk by DOMAIN_MARGIN."""
+        """True iff every point has a finite x^2 + y^2 and, for kappa < 0,
+        lies strictly inside the model disk by DOMAIN_MARGIN."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        inside = np.isfinite(x) & np.isfinite(y)
+        with np.errstate(over="ignore"):
+            r2 = x ** 2 + y ** 2
+        inside = np.isfinite(r2)
         if self.kappa < 0:
-            inside &= x ** 2 + y ** 2 < (self.domain_radius - DOMAIN_MARGIN) ** 2
+            inside &= r2 < (self.domain_radius - DOMAIN_MARGIN) ** 2
         return bool(inside.all())
 
     def require_inside(self, x, y) -> None:
         if not self.contains(x, y):
             if not (np.isfinite(x).all() and np.isfinite(y).all()):
                 raise OutOfDomain("non-finite point")
+            if self.kappa >= 0:
+                raise OutOfDomain("point so far out that x^2 + y^2 overflows")
             raise OutOfDomain(
                 "point outside the model disk of radius %g" % self.domain_radius
             )

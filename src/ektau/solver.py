@@ -672,11 +672,16 @@ def graph_height(sol: GraphSolution) -> float:
     return float(np.max(np.abs(sol.interior_values() - sol.boundary_value)))
 
 
+# status of a sweep row whose solve raised one of these
+FAILURES = {VerticalBlowup: "vertical_blowup", NonConvergence: "non_convergence",
+            DegenerateMetric: "degenerate_metric", OutOfDomain: "out_of_domain"}
+
+
 @dataclass
 class ContinuationStep:
     H: float
     solution: GraphSolution | None
-    failure: str | None
+    failure: str | None     # a value of FAILURES, None on success
     message: str = ""
 
     @property
@@ -688,36 +693,32 @@ class ContinuationStep:
         return graph_height(self.solution) if self.solution is not None else None
 
 
-def continuation_in_H(grid: DomainGrid, boundary_value: float, H_min: float,
-                      H_max: float, steps: int, params: SpaceParams,
-                      cfg: SolverConfig | None = None,
+def continuation_in_H(grid: DomainGrid, boundary_value: float, H_values,
+                      params: SpaceParams, cfg: SolverConfig | None = None,
                       orientation: int = -1) -> list[ContinuationStep]:
-    """Sweep of solves over `steps` equispaced H values.
+    """One solve per H of the ascending `H_values` on one grid.
 
-    Failures are recorded with their mode and never abort the sweep.  Solves
-    without a cap (`has_cap`: the blow-up band) restart from the last success.
+    Failures are recorded with their FAILURES status and never abort the
+    sweep.  Solves without a cap (`has_cap`: the blow-up band) restart from
+    the last success.
     """
-    if not (0 <= H_min < H_max):
-        raise ConfigInvalid("need 0 <= H_min < H_max")
-    if steps < 2:
-        raise ConfigInvalid("need at least two sweep points")
-    cfg = cfg or SolverConfig()
+    H_values = list(H_values)
+    if not (H_values and all(math.isfinite(H) and H >= 0 for H in H_values)
+            and all(a < b for a, b in zip(H_values, H_values[1:]))):
+        raise ConfigInvalid("H values must be nonempty, finite, >= 0 and "
+                            "ascending")
     out: list[ContinuationStep] = []
     warm: np.ndarray | None = None
-    for H in np.linspace(H_min, H_max, steps):
-        H = float(H)
+    for H in H_values:
         try:
             sol = solve_dirichlet(grid, boundary_value, H, params, cfg,
                                   orientation=orientation,
                                   init_values=None if has_cap(grid, H) else warm)
+        except tuple(FAILURES) as exc:
+            out.append(ContinuationStep(H, None, FAILURES[type(exc)], str(exc)))
+        else:
             warm = sol.values
-            out.append(ContinuationStep(H=H, solution=sol, failure=None))
-        except VerticalBlowup as exc:
-            out.append(ContinuationStep(H=H, solution=None,
-                                        failure="vertical_blowup", message=str(exc)))
-        except NonConvergence as exc:
-            out.append(ContinuationStep(H=H, solution=None,
-                                        failure="non_convergence", message=str(exc)))
+            out.append(ContinuationStep(H, sol, None))
     return out
 
 

@@ -302,26 +302,25 @@ def cylinder_stability(H: float, params: SpaceParams,
     curve = rotational.cmc_cylinder_curve(H, params)
     if curve.closed:
         # induced flat metric of the cylinder in (arclength, z) coordinates:
-        # [[1 + F^2, F], [F, 1]] with F = <gamma', dz>
+        # [[1 + F^2, F], [F, 1]] with F = <gamma', dz>; det 1, so its
+        # inverse is [[1, -F], [-F, 1 + F^2]]
         r_m = curve.model_radius
         a = model.ambient_components(r_m, 0.0, params)
         F = a.g_yz / a.lam                 # unit base tangent at (r, 0) is dy/lam
         circ = 2.0 * math.pi * r_m * a.lam
-        G = np.array([[1.0 + F * F, F], [F, 1.0]])
-        Gi = np.linalg.inv(G)
+        Gi = (1.0, -F, 1.0 + F * F)
         hx = circ / n_circle
         periodic = True
         nx = n_circle
     else:
-        Gi = np.eye(2)
+        Gi = (1.0, 0.0, 1.0)
         hx = L / (n_circle - 1)
         periodic = False
         nx = n_circle
     hy = L / (n_axis - 1)
     dof = np.arange(nx * n_axis).reshape(nx, n_axis)
     # det G = 1: unit area density
-    K, lump = _q1_assemble(dof, Gi[0, 0], Gi[0, 1], Gi[1, 1], 1.0, hx, hy,
-                           periodic_x=periodic)
+    K, lump = _q1_assemble(dof, *Gi, 1.0, hx, hy, periodic_x=periodic)
     A = (K - sp.diags(lump * c)).tocsr()
     # K is positive semidefinite and the constant mode attains -c
     op = DiscreteOperator(dimension=nx * n_axis, matrix=A,

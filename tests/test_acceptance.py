@@ -211,7 +211,7 @@ def test_criterion_10_hemisphere_decay():
 def test_criterion_11_nonexistence_probe():
     t0 = time.time()
     grid = disk_grid(1.0, 48, FLAT)
-    steps = continuation_in_H(grid, 0.0, 0.0, 1.2, 25, FLAT)
+    steps = continuation_in_H(grid, 0.0, np.linspace(0.0, 1.2, 25), FLAT)
     low = [s for s in steps if s.H <= 0.95 + 1e-9]
     high = [s for s in steps if s.H > 1.0 + 1e-9]
     ok = all(s.ok for s in low) and len(high) >= 3 \

@@ -58,8 +58,9 @@ class TestConfig:
             ExperimentConfig(params=NIL, H_list=[-0.5], grid_sizes=[24])
 
     def test_from_dict_rejects_unknown_keys(self):
-        # workers: the removed thread-pool option
-        for key in ("bogus", "workers"):
+        # workers: the removed thread-pool option; domain_shape: the removed
+        # shape option (disks only)
+        for key in ("bogus", "workers", "domain_shape"):
             with pytest.raises(ConfigInvalid, match="unknown config keys"):
                 ExperimentConfig.from_dict({
                     "params": {"kappa": 0.0, "tau": 0.5},
@@ -222,6 +223,23 @@ class TestRunExperiment:
         assert records[2].height > 0
         lines = (Path(cfg.output_dir) / "sweep.dat").read_text().splitlines()
         assert [ln.split()[-1] for ln in lines[1:]] == [r.status for r in records]
+
+    def test_grid_outside_model_disk_gives_out_of_domain_rows(self, tmp_path):
+        # PSL's model disk has radius 2: no grid of radius 2.5 is built
+        outputs = []
+        for name in ("a", "b"):
+            cfg = small_config(tmp_path, name, params=PSL, domain_radius=2.5,
+                               H_list=[0.3, 0.6], grid_sizes=[24, 32])
+            records = run_experiment(cfg)
+            assert [(r.n, r.H, r.status) for r in records] == [
+                (n, H, "out_of_domain") for n in (24, 32) for H in (0.3, 0.6)]
+            assert all(r.message == "grid interior leaves the model domain"
+                       and r.height is None for r in records)
+            out = Path(cfg.output_dir)
+            assert not any((out / "solutions").iterdir())
+            outputs.append([(out / f).read_bytes()
+                            for f in ("records.json", "sweep.dat")])
+        assert outputs[0] == outputs[1]
 
     def test_sigma_profile_check(self, tmp_path):
         off = run_experiment(small_config(tmp_path, "off"))

@@ -70,6 +70,15 @@ def test_non_finite_point_rejected(entry, bad, params):
         POINTWISE[entry](bad, params)
 
 
+@pytest.mark.parametrize("entry", sorted(POINTWISE))
+@pytest.mark.parametrize("params", [FLAT, NIL], ids=["flat", "nil"])
+def test_overflowing_radius_rejected(entry, params):
+    # a finite point whose x^2 + y^2 overflows: with kappa = 0 the conformal
+    # factor would read 4 / (4 + 0 * inf) = NaN
+    with pytest.raises(OutOfDomain, match="x\\^2 \\+ y\\^2 overflows"):
+        POINTWISE[entry](1e200, params)
+
+
 class TestConformalFactor:
     def test_origin_any_params(self):
         for params in (NIL, PSL, FLAT, SpaceParams(2.0, 0.1)):

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ektau import solver
-from ektau.errors import (ConfigInvalid, NonConvergence, OutOfDomain,
-                          VerticalBlowup)
+from ektau.errors import (ConfigInvalid, DegenerateMetric, NonConvergence,
+                          OutOfDomain, VerticalBlowup)
 from ektau.model import DOMAIN_MARGIN, SpaceParams
 from ektau.solver import (DomainGrid, GraphSolution, SolverConfig,
                           continuation_in_H, disk_grid, graph_height,
@@ -542,25 +542,25 @@ class TestGlobalization:
 class TestContinuation:
     def test_flat_unit_disk_blows_up_past_one(self):
         g = disk_grid(1.0, 32, FLAT)
-        steps = continuation_in_H(g, 0.0, 0.0, 1.2, 13, FLAT)
+        steps = continuation_in_H(g, 0.0, np.linspace(0.0, 1.2, 13), FLAT)
         assert all(s.ok for s in steps if s.H <= 0.91)
         late = [s for s in steps if s.H > 1.05]
         assert late and all(s.failure == "vertical_blowup" for s in late)
 
     def test_zero_H_always_succeeds(self):
         g = disk_grid(0.8, 24, NIL)
-        steps = continuation_in_H(g, 0.0, 0.0, 0.4, 3, NIL)
+        steps = continuation_in_H(g, 0.0, np.linspace(0.0, 0.4, 3), NIL)
         assert steps[0].H == 0.0 and steps[0].ok
 
     def test_heights_nondecreasing_on_success_prefix(self):
         g = disk_grid(1.0, 32, FLAT)
-        steps = continuation_in_H(g, 0.0, 0.0, 1.1, 12, FLAT)
+        steps = continuation_in_H(g, 0.0, np.linspace(0.0, 1.1, 12), FLAT)
         heights = [s.height for s in steps if s.ok]
         assert all(b >= a - 1e-6 for a, b in zip(heights, heights[1:]))
 
     def test_converging_steps_start_from_the_cap(self):
         g = disk_grid(1.0, 24, NIL)
-        steps = continuation_in_H(g, 0.0, 0.3, 0.9, 3, NIL)
+        steps = continuation_in_H(g, 0.0, np.linspace(0.3, 0.9, 3), NIL)
         for s in steps:
             cold = solve_dirichlet(g, 0.0, s.H, NIL)
             assert s.solution.newton_iterations == cold.newton_iterations
@@ -568,9 +568,35 @@ class TestContinuation:
 
     def test_sweep_never_aborts(self):
         g = disk_grid(1.0, 24, NIL)
-        steps = continuation_in_H(g, 0.0, 0.5, 2.0, 7, NIL)
+        steps = continuation_in_H(g, 0.0, np.linspace(0.5, 2.0, 7), NIL)
         assert len(steps) == 7
         assert any(not s.ok for s in steps)
+
+    def test_numerical_errors_recorded_as_failures(self, monkeypatch):
+        real = solver.solve_dirichlet
+        raised = {0.3: DegenerateMetric("first fundamental form degenerate"),
+                  0.5: OutOfDomain("point outside the model disk")}
+
+        def raise_by_H(grid, bv, H, *args, **kwargs):
+            if H in raised:
+                raise raised[H]
+            return real(grid, bv, H, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_dirichlet", raise_by_H)
+        steps = continuation_in_H(disk_grid(1.0, 24, NIL), 0.0,
+                                  [0.3, 0.5, 0.6], NIL)
+        assert [s.failure for s in steps] == [
+            "degenerate_metric", "out_of_domain", None]
+        assert [s.message for s in steps[:2]] == [str(e) for e in raised.values()]
+        assert steps[2].ok and steps[2].height > 0
+
+    @pytest.mark.parametrize("H_values", [
+        [], [0.5, 0.3], [0.3, 0.3], [-0.1, 0.5], [0.2, math.nan],
+        [0.2, math.inf]], ids=["empty", "descending", "repeated", "negative",
+                               "nan", "inf"])
+    def test_bad_H_values_rejected(self, H_values):
+        with pytest.raises(ConfigInvalid, match="H values"):
+            continuation_in_H(disk_grid(1.0, 16, NIL), 0.0, H_values, NIL)
 
 
 class TestSigmaProfile:
@@ -606,7 +632,7 @@ class TestSigmaProfile:
 
     def test_bounded_far_from_boundary_across_sweep(self):
         g = disk_grid(1.0, 24, FLAT)
-        steps = continuation_in_H(g, 0.0, 0.1, 0.9, 5, FLAT)
+        steps = continuation_in_H(g, 0.0, np.linspace(0.1, 0.9, 5), FLAT)
         far = []
         for s in steps:
             assert s.ok
