@@ -74,8 +74,11 @@ class ExperimentConfig:
         if not self.H_list or not all(
                 math.isfinite(H) and H > 0 for H in self.H_list):
             raise ConfigInvalid("H_list must be nonempty, finite and positive")
-        if not self.grid_sizes or any(n < 16 for n in self.grid_sizes):
-            raise ConfigInvalid("grid sizes must be >= 16")
+        if not self.grid_sizes or not all(
+                isinstance(n, (int, np.integer)) and n >= 16
+                for n in self.grid_sizes):
+            raise ConfigInvalid("grid sizes must be integers >= 16, got %r"
+                                % (self.grid_sizes,))
         if not (math.isfinite(self.domain_radius) and self.domain_radius > 0):
             raise ConfigInvalid("domain_radius must be finite and positive")
         if len(self.domain_center) != 2 or not all(
@@ -83,6 +86,11 @@ class ExperimentConfig:
             raise ConfigInvalid("domain_center must be two finite numbers")
         if not math.isfinite(self.boundary_value):
             raise ConfigInvalid("boundary_value must be finite")
+        # both checks measure the distance to the boundary, kappa <= 0 only
+        if self.params.kappa > 0 and (self.check_stability
+                                      or self.check_sigma_profile):
+            raise ConfigInvalid("check_stability and check_sigma_profile "
+                                "need kappa <= 0")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

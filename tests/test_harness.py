@@ -57,6 +57,25 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             ExperimentConfig(params=NIL, H_list=[-0.5], grid_sizes=[24])
 
+    @pytest.mark.parametrize("sizes", [[24.7], [24.0], ["24"], [24, 32.5]])
+    def test_non_integral_grid_size_rejected(self, sizes):
+        # records.json would record the float while the lattice, the
+        # solution file name and sweep.dat use its integer part
+        with pytest.raises(ConfigInvalid, match="grid sizes"):
+            ExperimentConfig(params=NIL, H_list=[0.5], grid_sizes=sizes)
+
+    @pytest.mark.parametrize("check", ["check_stability",
+                                       "check_sigma_profile"])
+    def test_boundary_distance_checks_rejected_for_positive_kappa(self,
+                                                                  check):
+        # both checks need the distance to the boundary, which the model
+        # has for kappa <= 0 only: a sweep would abort at its first row
+        sphere = SpaceParams(1.0, 0.2)
+        with pytest.raises(ConfigInvalid, match="kappa <= 0"):
+            ExperimentConfig(params=sphere, H_list=[0.3, 0.6],
+                             grid_sizes=[24], **{check: True})
+        ExperimentConfig(params=sphere, H_list=[0.3, 0.6], grid_sizes=[24])
+
     def test_from_dict_rejects_unknown_keys(self):
         # workers: the removed thread-pool option; domain_shape: the removed
         # shape option (disks only)

@@ -1,17 +1,20 @@
 """Dirichlet solver: oracles, invariants, continuation, serialization."""
 
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ektau import solver
-from ektau.errors import (ConfigInvalid, DegenerateMetric, NonConvergence,
-                          OutOfDomain, VerticalBlowup)
+from ektau.errors import (ConfigInvalid, DegenerateMetric, IoFailure,
+                          NonConvergence, OutOfDomain, VerticalBlowup)
+from ektau.graph_geometry import mean_curvature_sensitivities
 from ektau.model import DOMAIN_MARGIN, SpaceParams
 from ektau.solver import (DomainGrid, GraphSolution, SolverConfig,
                           continuation_in_H, disk_grid, graph_height,
@@ -174,7 +177,7 @@ def _ghost_reference(g, i, j):
 
 def _lattice_jets(g, f):
     full = f(g.X, g.Y).ravel()
-    return {k: g.stencil[k] @ full for k in JETS}
+    return dict(zip(JETS, (g.jet_full @ full).reshape(len(JETS), -1)))
 
 
 class TestStencilExactness:
@@ -236,6 +239,31 @@ class TestExactJacobian:
         rm, _, _ = solver._residual(g, u - eps * v, H, orientation)
         fd = (rp - rm) / (2 * eps)
         assert np.abs(Jv - fd).max() <= 1e-7 * np.abs(Jv).max()
+
+
+class TestJacobianRefill:
+    """The bincount refill against the operator it stands for: the sum over
+    jets k of diag(dH/d jet k) times block k of jet_u, by scipy products."""
+
+    @pytest.mark.parametrize("grid", [
+        lambda: disk_grid(0.6, 24, NIL, center=(0.05, -0.03)),
+        lambda: disk_grid(0.8, 33, PSL, center=(-0.1, 0.07)),
+        lambda: rectangle_grid((0.5, 0.3), 20, FLAT, center=(0.1, 0.0))],
+        ids=["nil_disk", "psl_disk", "flat_rectangle"])
+    @pytest.mark.parametrize("orientation", [-1, 1])
+    def test_matches_sum_of_scaled_blocks(self, grid, orientation):
+        g = grid()
+        ii, jj = g.interior_ij[:, 0], g.interior_ij[:, 1]
+        x, y = g.X[ii, jj], g.Y[ii, jj]
+        u = 0.3 * (x * x - y * y) + 0.2 * x * y - 0.1 * y
+        _, _, j = solver._residual(g, u, 0.7, orientation)
+        J = solver._jacobian(g, j, orientation)
+        _, _, dH = mean_curvature_sensitivities(g.ambient(), *j, orientation)
+        m = g.n_interior
+        blocks = [g.jet_u[k * m:(k + 1) * m] for k in range(len(JETS))]
+        ref = sum(sp.diags(dH[k]) @ b for k, b in zip(JETS, blocks))
+        assert J.shape == ref.shape == (m, m)
+        assert abs(J - ref).max() <= 1e-13 * abs(J).max()
 
 
 class TestSolveDirichlet:
@@ -663,6 +691,27 @@ class TestSerialization:
         H, _ = mean_curvature_arrays(back.grid.ambient(), fx, fy, fxx, fxy,
                                      fyy, back.orientation)
         assert np.abs(H - 0.6).max() <= 10 * back.residual_max + 1e-12
+
+    @pytest.mark.parametrize("damage", ["truncated_values", "missing_key",
+                                        "not_json"])
+    def test_bad_record_rejected_with_path(self, tmp_path, damage):
+        rec = solve_dirichlet(disk_grid(0.6, 16, NIL), 0.0, 0.6,
+                              NIL).to_record()
+        path = tmp_path / "sol.json"
+        if damage == "truncated_values":
+            rec["values"] = rec["values"][:-1]
+        elif damage == "missing_key":
+            del rec["H_target"]
+        path.write_text("{" if damage == "not_json" else json.dumps(rec))
+        with pytest.raises(ConfigInvalid, match="bad solution .*sol.json"):
+            GraphSolution.load(path)
+        if damage != "not_json":
+            with pytest.raises(ConfigInvalid, match="bad solution record"):
+                GraphSolution.from_record(rec)
+
+    def test_missing_file_is_io_failure(self, tmp_path):
+        with pytest.raises(IoFailure, match="missing.json"):
+            GraphSolution.load(tmp_path / "missing.json")
 
     def test_older_record_with_converged_key_loads(self):
         g = disk_grid(0.6, 24, NIL)
