@@ -5,9 +5,11 @@ fields are T1 = (1, 0, fx) and T2 = (0, 1, fy).  Everything downstream (the
 Dirichlet solver, the stability assembly, point evaluation by `shape_data`)
 evaluates mean curvature through one kernel, `_forms`, written in explicit
 component arithmetic on closed-form ambient data (`model.ambient_components`).
-The same code runs on numpy arrays (the lattice evaluations behind
+The same code runs on numpy arrays (`mean_curvature_arrays`, behind
 `shape_arrays`) and on Python floats (`shape_data`), where it stays off
-numpy and returns Python floats bit-identical to the array path.
+numpy and returns Python floats bit-identical to the array path.  The
+exact Jacobian partials (`mean_curvature_sensitivities`) are read off the
+intermediates of an array pass, so one pass serves H and its partials.
 
 Since the ambient metric does not depend on z, none of the quantities here
 depend on the value f itself, only on the point (x, y) and the derivatives
@@ -148,7 +150,11 @@ def _forms(amb: Ambient, fx, fy, fxx, fxy, fyy, orientation: int):
     }
 
 
-def _array_forms(amb: Ambient, fx, fy, fxx, fxy, fyy, orientation):
+def mean_curvature_arrays(amb: Ambient, fx, fy, fxx, fxy, fyy,
+                          orientation: int = -1):
+    """The graph kernel over the points of `amb`, the solver's residual: the
+    dict of `shape_arrays` (the normal as a tuple of components) plus the
+    underscore intermediates that `mean_curvature_sensitivities` reuses."""
     return _forms(amb, np.asarray(fx, dtype=float),
                   np.asarray(fy, dtype=float), np.asarray(fxx, dtype=float),
                   np.asarray(fxy, dtype=float), np.asarray(fyy, dtype=float),
@@ -162,32 +168,24 @@ def shape_arrays(amb: Ambient, fx, fy, fxx, fxy, fyy, orientation: int = -1):
     second-form components II11, II12, II22, the normal components (n, 3),
     and nu, H, sigma_sq arrays.
     """
-    d = _array_forms(amb, fx, fy, fxx, fxy, fyy, orientation)
+    d = mean_curvature_arrays(amb, fx, fy, fxx, fxy, fyy, orientation)
     out = {k: v for k, v in d.items() if not k.startswith("_")}
     out["normal"] = np.stack(d["normal"], axis=-1)
     return out
 
 
-def mean_curvature_arrays(amb: Ambient, fx, fy, fxx, fxy, fyy,
-                          orientation: int = -1):
-    """(H, nu) over the points of `amb`; the solver's residual evaluation."""
-    data = _array_forms(amb, fx, fy, fxx, fxy, fyy, orientation)
-    return data["H"], data["nu"]
-
-
-def mean_curvature_sensitivities(amb: Ambient, fx, fy, fxx, fxy, fyy,
-                                 orientation: int = -1):
-    """H, nu and the exact partials of H with respect to the jet entries.
+def mean_curvature_sensitivities(amb: Ambient, d: dict, orientation: int = -1):
+    """Exact partials of H in the jet entries, keyed by jet name, read off
+    the dict `d` of `mean_curvature_arrays` without a kernel pass.
 
     The second fundamental form is affine in the second derivatives with
     dII_ab/df_ab = nu, which gives dH/dfxx, dH/dfxy, dH/dfyy.  The partials
     in fx and fy differentiate the kernel's own quantities by the chain
-    rule in one pass: with H = (I22 II11 - 2 I12 II12 + I11 II22) / (2 det I),
+    rule: with H = (I22 II11 - 2 I12 II12 + I11 II22) / (2 det I),
     dT1/dfx = dT2/dfy = e_z and dw/dfx = -orientation e_x,
     dw/dfy = -orientation e_y move I_ab, det I, the conormal norm |w| and
     P_ab = Gamma(T_a, T_b).w = N.C_ab.
     """
-    d = _array_forms(amb, fx, fy, fxx, fxy, fyy, orientation)
     s = float(orientation)
     nu, H, inv_det, nrm = d["nu"], d["H"], d["_inv_det"], d["_nrm"]
     I11, I12, I22 = d["I11"], d["I12"], d["I22"]
@@ -218,7 +216,7 @@ def mean_curvature_sensitivities(amb: Ambient, fx, fy, fxx, fxy, fyy,
                 + dI11 * II22 + I11 * dII22)
         ddet = dI11 * I22 + I11 * dI22 - 2.0 * I12 * dI12
         dH[name] = 0.5 * (dnum - 2.0 * H * ddet) * inv_det
-    return H, nu, dH
+    return dH
 
 
 def shape_data(jet: Jet2, params: SpaceParams, orientation: int = -1) -> ShapeData:

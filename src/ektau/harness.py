@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -139,18 +138,9 @@ class ReportRecord:
         return dataclasses.asdict(self)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise IoFailure("cannot write %s: %s" % (path, exc))
-
-
 def _measure(rec: ReportRecord, sol: solver.GraphSolution,
-             cfg: ExperimentConfig) -> dict:
-    """Fill the row of a converged solve; returns its solution record."""
+             cfg: ExperimentConfig) -> None:
+    """Fill the row of a converged solve."""
     rec.height = solver.graph_height(sol)
     rec.residual_max = sol.residual_max
     rec.min_abs_nu = sol.min_abs_nu
@@ -164,7 +154,6 @@ def _measure(rec: ReportRecord, sol: solver.GraphSolution,
         op = stability.assemble_jacobi(sol)
         rec.lambda_min = stability.smallest_eigenvalue(op).lambda_min
         rec.angle_residual = stability.angle_jacobi_residual(sol)
-    return sol.to_record()
 
 
 def _fmt(value) -> str:
@@ -179,8 +168,16 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRecord]:
     Rows are ordered by (n, H).  Each grid is swept by
     `solver.continuation_in_H`, which warm-starts the rows without a cap
     from the last success.  An error in FAILURES never aborts the sweep:
-    the row takes its status from that table.
+    the row takes its status from that table.  An output directory that
+    cannot be created fails with `IoFailure` before the first solve.
     """
+    if cfg.output_dir is not None:
+        out = Path(cfg.output_dir)
+        soldir = out / "solutions"
+        try:
+            soldir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoFailure("cannot create %s: %s" % (soldir, exc))
     params = cfg.params
     H_values = sorted(set(cfg.H_list))
     # rotational spheres are implemented for kappa <= 0 only
@@ -207,34 +204,31 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRecord]:
                                hemisphere_height=hemi[step.H],
                                rosenberg_bound=bound[step.H],
                                message=step.message)
-            sol_record = None
-            if step.ok:
+            sol = step.solution
+            if sol is not None:
                 try:
-                    sol_record = _measure(rec, step.solution, cfg)
+                    _measure(rec, sol, cfg)
                 except tuple(FAILURES) as exc:
                     rec.status, rec.message = FAILURES[type(exc)], str(exc)
-            pairs.append((rec, sol_record))
+                    sol = None
+            pairs.append((rec, sol))
 
     if cfg.output_dir is not None:
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        soldir = out / "solutions"
-        soldir.mkdir(exist_ok=True)
-        for rec, sol_record in pairs:
-            if sol_record is not None:
+        for rec, sol in pairs:
+            if sol is not None:
                 name = "sol_H%s_n%d.json" % (_fmt(rec.H), rec.n)
-                _atomic_write(soldir / name, json.dumps(sol_record, sort_keys=True))
+                sol.save(soldir / name)
                 rec.solution_file = str(Path("solutions") / name)
-        _atomic_write(out / "records.json",
-                      json.dumps([rec.to_dict() for rec, _ in pairs],
-                                 sort_keys=True, indent=1))
+        solver._atomic_write(out / "records.json",
+                             json.dumps([rec.to_dict() for rec, _ in pairs],
+                                        sort_keys=True, indent=1))
         lines = [PLOT_HEADER]
         for rec, _ in pairs:
             lines.append(" ".join([
                 _fmt(rec.H), "%d" % rec.n, _fmt(rec.height),
                 _fmt(rec.hemisphere_height), _fmt(rec.rosenberg_bound),
                 _fmt(rec.lambda_min), rec.status]))
-        _atomic_write(out / "sweep.dat", "\n".join(lines) + "\n")
+        solver._atomic_write(out / "sweep.dat", "\n".join(lines) + "\n")
     return [rec for rec, _ in pairs]
 
 

@@ -4,9 +4,11 @@ The unknown is the nodal height field on a uniform lattice covering the
 domain.  Nodal jets come from centered second-order differences, stacked
 into one sparse operator per lattice that gives all five jets in one
 product; at each interior node the residual is H(jet) - H_target, driven to
-zero by a damped Newton iteration.  Its Jacobian is exact: the partials of
-H with respect to all five jet entries are analytic
-(`mean_curvature_sensitivities`), and the stencils and the boundary closure
+zero by a damped Newton iteration.  The residual is the one place where
+jets enter the graph kernel (`mean_curvature_arrays`); each iterate carries
+that kernel dict, and its exact Jacobian (`mean_curvature_sensitivities`,
+analytic partials of H in all five jet entries) and the solution's min|nu|
+and max|sigma| are read off it.  The stencils and the boundary closure
 are linear, so each Jacobian only refills, in one `bincount`, the values of
 one sparsity pattern cached on the grid.  One SuperLU factor
 (minimum-degree ordering of J^T + J, symmetric mode) per Newton run is the
@@ -36,8 +38,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -397,6 +401,17 @@ def rectangle_grid(extents, n: int, params: SpaceParams, center=(0.0, 0.0)) -> D
     return DomainGrid("rectangle", center, n, params, extents=extents)
 
 
+def _atomic_write(path, text: str) -> None:
+    """Write text to a sibling temporary file and rename it onto path."""
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise IoFailure("cannot write %s: %s" % (path, exc))
+
+
 @dataclass
 class GraphSolution:
     """Converged graph over a masked grid with convergence metadata."""
@@ -453,8 +468,7 @@ class GraphSolution:
             raise ConfigInvalid("bad solution record: %r" % (exc,))
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_record(), fh, sort_keys=True)
+        _atomic_write(path, json.dumps(self.to_record(), sort_keys=True))
 
     @classmethod
     def load(cls, path) -> "GraphSolution":
@@ -467,21 +481,18 @@ class GraphSolution:
             raise ConfigInvalid("bad solution %s: %s" % (path, exc))
 
 
-def _jets_from_u(grid: DomainGrid, u: np.ndarray):
-    return (grid.jet_u @ u).reshape(len(_JET_NAMES), -1)
-
-
 def _residual(grid: DomainGrid, u, H_target, orientation):
-    j = _jets_from_u(grid, u)
-    H, nu = mean_curvature_arrays(grid.ambient(), *j, orientation)
-    return H - H_target, nu, j
+    """H - H_target at the unknowns u, and the kernel dict it came from."""
+    d = mean_curvature_arrays(grid.ambient(), *(grid.jet_u @ u).reshape(
+        len(_JET_NAMES), -1), orientation)
+    return d["H"] - H_target, d
 
 
-def _jacobian(grid: DomainGrid, j, orientation):
-    """sum over k of diag(dH/d jet k) @ block k of jet_u, in CSC.
+def _jacobian(grid: DomainGrid, d, orientation):
+    """sum over k of diag(dH/d jet k) @ block k of jet_u, in CSC, from dict d.
 
     Entries of different blocks that share a slot add up in block order."""
-    _, _, dH = mean_curvature_sensitivities(grid.ambient(), *j, orientation)
+    dH = mean_curvature_sensitivities(grid.ambient(), d, orientation)
     indptr, indices, slots = grid._jacobian_pattern()
     S = grid.jet_u
     weights = np.repeat(np.concatenate([dH[k] for k in _JET_NAMES]),
@@ -530,33 +541,35 @@ def _linear_solve(J, b, state: dict):
 def _newton(grid: DomainGrid, H_target: float, cfg: SolverConfig,
             orientation: int, u: np.ndarray):
     """Damped Newton on the nodal residual; raises on blowup or stall."""
-    r, nu, j = _residual(grid, u, H_target, orientation)
-    if np.min(np.abs(nu)) < BLOWUP_NU:
+    r, d = _residual(grid, u, H_target, orientation)
+    if np.min(np.abs(d["nu"])) < BLOWUP_NU:
         raise VerticalBlowup("initial iterate is not a graph: min|nu| < %g" % BLOWUP_NU)
     rnorm = float(np.max(np.abs(r)))
     forced_left = 25
-    history: list[tuple[float, float]] = [(rnorm, float(np.min(np.abs(nu))))]
+    history: list[tuple[float, float]] = [(rnorm, float(np.min(np.abs(d["nu"]))))]
     chase = False
     lu_state: dict = {}
     for it in range(cfg.max_newton + 1):
         if rnorm <= cfg.tol_residual:
-            return u, rnorm, nu, it
+            return u, rnorm, d, it
         if it == cfg.max_newton:
             break
-        du = _linear_solve(_jacobian(grid, j, orientation), -r, lu_state)
+        J = _jacobian(grid, d, orientation)
+        d = None        # every trial brings its own; free this one for the LU
+        du = _linear_solve(J, -r, lu_state)
         # one pass over the step lengths: the first admissible trial is the
         # forced-step candidate, the first Armijo trial the line-search step
         step = forced = None
         for t in _STEP_LENGTHS:
             u_try = u + t * du
             try:
-                r_try, nu_try, j_try = _residual(grid, u_try, H_target, orientation)
+                r_try, d_try = _residual(grid, u_try, H_target, orientation)
             except DegenerateMetric:
                 continue
             rn_try = float(np.max(np.abs(r_try)))
             if not math.isfinite(rn_try):
                 continue
-            trial = (u_try, r_try, nu_try, j_try, rn_try)
+            trial = (u_try, r_try, d_try, rn_try)
             forced = forced or trial
             if chase:
                 break
@@ -576,14 +589,14 @@ def _newton(grid: DomainGrid, H_target: float, cfg: SolverConfig,
             if forced is None:
                 raise NonConvergence(
                     "Newton diverged at residual %.3e (H=%g)" % (rnorm, H_target))
-            _, _, nu_try, _, rn_try = forced
-            steepening = float(np.min(np.abs(nu_try))) < history[-1][1]
+            _, _, d_try, rn_try = forced
+            steepening = float(np.min(np.abs(d_try["nu"]))) < history[-1][1]
             if not steepening and rn_try >= rnorm:
                 raise NonConvergence(
                     "Newton stalled at residual %.3e (H=%g)" % (rnorm, H_target))
             step = forced
-        u, r, nu, j, rnorm = step
-        nu_min = float(np.min(np.abs(nu)))
+        u, r, d, rnorm = step
+        nu_min = float(np.min(np.abs(d["nu"])))
         if nu_min < BLOWUP_NU:
             raise VerticalBlowup(
                 "graph turned vertical during iteration: min|nu| < %g at H=%g"
@@ -616,9 +629,10 @@ def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
     """Solve H(graph jet) = H at every interior node, Dirichlet data on the boundary.
 
     The discrete problem is solved with boundary value zero and shifted
-    afterwards.  init_values (full-lattice array, already relative to the
-    same boundary value) warm-starts the iteration; without them it starts
-    from the cap, signed -orientation, where `has_cap` holds, else from zero.
+    afterwards.  init_values (an (n, n) lattice array of heights with the
+    same boundary value, finite at the interior nodes) warm-starts the
+    iteration; without them it starts from the cap, signed -orientation,
+    where `has_cap` holds, else from zero.
     """
     if grid.params.to_dict() != params.to_dict():
         raise ConfigInvalid("grid was built for different space parameters")
@@ -630,8 +644,18 @@ def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
                             % boundary_value)
     cfg = cfg or SolverConfig()
     if init_values is not None:
-        u0 = np.asarray(init_values, dtype=float).ravel()[
-            grid.interior.ravel()] - boundary_value
+        try:
+            init_values = np.asarray(init_values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid("init_values must be numeric: %s" % exc)
+        if init_values.shape != grid.interior.shape:
+            raise ConfigInvalid("init_values must have the lattice shape %r, "
+                                "got %r" % (grid.interior.shape,
+                                            init_values.shape))
+        u0 = init_values[grid.interior] - boundary_value
+        if not np.isfinite(u0).all():
+            raise ConfigInvalid("init_values must be finite at the interior "
+                                "nodes")
     elif has_cap(grid, H):
         r = np.hypot(grid.X - grid.center[0], grid.Y - grid.center[1])
         u0 = -orientation * rotational.cap_heights(
@@ -639,7 +663,7 @@ def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
     else:
         u0 = np.zeros(grid.n_interior)
     try:
-        u, rnorm, nu, iters = _newton(grid, H, cfg, orientation, u0)
+        u, rnorm, d, iters = _newton(grid, H, cfg, orientation, u0)
     except (NonConvergence, VerticalBlowup):
         if not (init_values is None and H > 0):
             raise
@@ -649,18 +673,17 @@ def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
         iters = 0
         for k, Hk in enumerate(np.linspace(0.0, H, 5)[1:], 1):
             try:
-                u, rnorm, nu, its = _newton(grid, float(Hk), cfg, orientation, u)
+                u, rnorm, d, its = _newton(grid, float(Hk), cfg, orientation, u)
             except (NonConvergence, VerticalBlowup) as exc:
                 raise type(exc)("%s (ramp stage %d/4 after a failed cold start)"
                                 % (exc, k)) from exc
             iters += its
     full = grid.full_values(u, 0.0) + boundary_value
-    data = shape_arrays(grid.ambient(), *_jets_from_u(grid, u), orientation)
     return GraphSolution(
         grid=grid, values=full, params=params, H_target=H,
         boundary_value=boundary_value, residual_max=rnorm,
-        min_abs_nu=float(np.min(np.abs(data["nu"]))),
-        max_sigma_interior=float(np.sqrt(np.max(data["sigma_sq"]))),
+        min_abs_nu=float(np.min(np.abs(d["nu"]))),
+        max_sigma_interior=float(np.sqrt(np.max(d["sigma_sq"]))),
         newton_iterations=iters, orientation=orientation)
 
 

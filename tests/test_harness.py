@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ektau
-from ektau.errors import ConfigInvalid
+from ektau.errors import ConfigInvalid, IoFailure
 from ektau.harness import (ExperimentConfig, cli_dispatch, rosenberg_bound,
                            run_experiment)
 from ektau.model import SpaceParams
@@ -274,6 +274,18 @@ class TestRunExperiment:
         assert [r.sigma_far_from_boundary for r in on
                 if r.status != "converged"] == [None]
 
+    def test_bad_output_dir_fails_before_any_solve(self, tmp_path,
+                                                   monkeypatch):
+        from ektau import solver
+        calls = []
+        monkeypatch.setattr(solver, "solve_dirichlet",
+                            lambda *args, **kwargs: calls.append(args))
+        (tmp_path / "afile").write_text("")
+        cfg = small_config(tmp_path, "afile/out")
+        with pytest.raises(IoFailure, match="cannot create .*afile"):
+            run_experiment(cfg)
+        assert calls == []
+
     def test_conjecture_ratio_below_one(self, tmp_path):
         cfg = small_config(tmp_path, "conj")
         for r in run_experiment(cfg):
@@ -338,6 +350,14 @@ class TestCli:
                            "--H", "0.49"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_unwritable_solve_output_reported(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json"
+        rc = cli_dispatch(["solve", "--kappa", "0", "--tau", "0.5", "--H",
+                           "0.8", "--n", "24", "--out", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: cannot write %s" % path)
 
     def test_non_finite_H_rejected_cleanly(self, capsys):
         rc = cli_dispatch(["cylinder", "--kappa", "0", "--tau", "0.5",

@@ -11,10 +11,10 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ektau import solver
+from ektau import graph_geometry, solver
 from ektau.errors import (ConfigInvalid, DegenerateMetric, IoFailure,
                           NonConvergence, OutOfDomain, VerticalBlowup)
-from ektau.graph_geometry import mean_curvature_sensitivities
+from ektau.graph_geometry import mean_curvature_sensitivities, shape_arrays
 from ektau.model import DOMAIN_MARGIN, SpaceParams
 from ektau.solver import (DomainGrid, GraphSolution, SolverConfig,
                           continuation_in_H, disk_grid, graph_height,
@@ -232,11 +232,11 @@ class TestExactJacobian:
             + 1e-3 * rng.randn(g.n_interior)
         v = rng.randn(g.n_interior)
         H = 0.7
-        _, _, j = solver._residual(g, u, H, orientation)
-        Jv = solver._jacobian(g, j, orientation) @ v
+        _, d = solver._residual(g, u, H, orientation)
+        Jv = solver._jacobian(g, d, orientation) @ v
         eps = 1e-6
-        rp, _, _ = solver._residual(g, u + eps * v, H, orientation)
-        rm, _, _ = solver._residual(g, u - eps * v, H, orientation)
+        rp, _ = solver._residual(g, u + eps * v, H, orientation)
+        rm, _ = solver._residual(g, u - eps * v, H, orientation)
         fd = (rp - rm) / (2 * eps)
         assert np.abs(Jv - fd).max() <= 1e-7 * np.abs(Jv).max()
 
@@ -256,9 +256,9 @@ class TestJacobianRefill:
         ii, jj = g.interior_ij[:, 0], g.interior_ij[:, 1]
         x, y = g.X[ii, jj], g.Y[ii, jj]
         u = 0.3 * (x * x - y * y) + 0.2 * x * y - 0.1 * y
-        _, _, j = solver._residual(g, u, 0.7, orientation)
-        J = solver._jacobian(g, j, orientation)
-        _, _, dH = mean_curvature_sensitivities(g.ambient(), *j, orientation)
+        _, d = solver._residual(g, u, 0.7, orientation)
+        J = solver._jacobian(g, d, orientation)
+        dH = mean_curvature_sensitivities(g.ambient(), d, orientation)
         m = g.n_interior
         blocks = [g.jet_u[k * m:(k + 1) * m] for k in range(len(JETS))]
         ref = sum(sp.diags(dH[k]) @ b for k, b in zip(JETS, blocks))
@@ -285,8 +285,8 @@ class TestSolveDirichlet:
         sol = solve_dirichlet(g, 0.0, 1.0, FLAT)
         from ektau.graph_geometry import mean_curvature_arrays
         fx, fy, fxx, fxy, fyy = sol.jets()
-        H, _ = mean_curvature_arrays(g.ambient(), fx, fy, fxx, fxy, fyy,
-                                     sol.orientation)
+        H = mean_curvature_arrays(g.ambient(), fx, fy, fxx, fxy, fyy,
+                                  sol.orientation)["H"]
         assert np.abs(H - 1.0).max() <= 1e-10
 
     def test_translation_equivariance(self):
@@ -406,6 +406,23 @@ class TestSolveDirichlet:
         with pytest.raises(ConfigInvalid):
             solve_dirichlet(g, 0.0, 0.5, NIL)
 
+    @pytest.mark.parametrize("init, message", [
+        (np.zeros((10, 10)), "lattice shape"),
+        (np.zeros(24 * 24 + 1), "lattice shape"),
+        (np.zeros(24 * 24), "lattice shape"),
+        (np.full((24, 24), np.nan), "finite at the interior nodes"),
+        ([["a"] * 24] * 24, "numeric")],
+        ids=["small", "one_too_many", "flat", "nan", "strings"])
+    def test_bad_init_values_rejected_before_newton(self, monkeypatch, init,
+                                                    message):
+        calls = []
+        monkeypatch.setattr(solver, "_newton",
+                            lambda *args: calls.append(args))
+        g = disk_grid(1.0, 24, NIL)
+        with pytest.raises(ConfigInvalid, match="init_values must .*" + message):
+            solve_dirichlet(g, 0.0, 0.8, NIL, init_values=init)
+        assert calls == []
+
 
 class TestColdStart:
     """Cold solves start from the rotational cap where `has_cap` holds and
@@ -473,6 +490,48 @@ class TestColdStart:
         np.testing.assert_array_equal(starts[0], warm[g.interior])
         assert sol.newton_iterations == iters
         np.testing.assert_array_equal(sol.values[g.interior], u)
+
+
+class TestKernelPasses:
+    """Each Newton point runs the graph kernel once: the Jacobian and the
+    solution summary are read off the dict of its residual."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        counts = {"forms": 0, "residual": 0}
+
+        def counting(key, real):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(graph_geometry, "_forms",
+                            counting("forms", graph_geometry._forms))
+        monkeypatch.setattr(solver, "mean_curvature_arrays",
+                            counting("residual", solver.mean_curvature_arrays))
+        return counts
+
+    @pytest.mark.parametrize("params", [NIL, PSL], ids=["nil", "psl"])
+    def test_cold_solve(self, monkeypatch, params):
+        g = disk_grid(1.0, 32, params, center=(0.07, -0.05))
+        counts = self._count(monkeypatch)
+        sol = solve_dirichlet(g, 0.0, 0.8, params)
+        assert sol.newton_iterations >= 2
+        assert counts["forms"] == counts["residual"] \
+            >= sol.newton_iterations + 1
+        monkeypatch.undo()
+        # the summary is the one shape_arrays gives at the final values
+        jets = (g.jet_u @ sol.values[g.interior]).reshape(len(JETS), -1)
+        d = shape_arrays(g.ambient(), *jets, sol.orientation)
+        assert sol.min_abs_nu == float(np.min(np.abs(d["nu"])))
+        assert sol.max_sigma_interior == float(np.sqrt(np.max(d["sigma_sq"])))
+
+    def test_ramp_failure(self, monkeypatch):
+        counts = self._count(monkeypatch)
+        with pytest.raises(VerticalBlowup, match="ramp stage"):
+            solve_dirichlet(disk_grid(1.0, 16, FLAT), 0.0, 1.0, FLAT)
+        assert counts["forms"] == counts["residual"] > 0
 
 
 class TestNewtonLinearSolve:
@@ -688,8 +747,8 @@ class TestSerialization:
         back = GraphSolution.load(path)
         from ektau.graph_geometry import mean_curvature_arrays
         fx, fy, fxx, fxy, fyy = back.jets()
-        H, _ = mean_curvature_arrays(back.grid.ambient(), fx, fy, fxx, fxy,
-                                     fyy, back.orientation)
+        H = mean_curvature_arrays(back.grid.ambient(), fx, fy, fxx, fxy,
+                                  fyy, back.orientation)["H"]
         assert np.abs(H - 0.6).max() <= 10 * back.residual_max + 1e-12
 
     @pytest.mark.parametrize("damage", ["truncated_values", "missing_key",
@@ -712,6 +771,19 @@ class TestSerialization:
     def test_missing_file_is_io_failure(self, tmp_path):
         with pytest.raises(IoFailure, match="missing.json"):
             GraphSolution.load(tmp_path / "missing.json")
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        sol = solve_dirichlet(disk_grid(0.6, 16, NIL), 0.0, 0.6, NIL)
+        path = tmp_path / "sol.json"
+        path.write_text("old")
+
+        def disk_full(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(solver.os, "replace", disk_full)
+        with pytest.raises(IoFailure, match="disk full"):
+            sol.save(path)
+        assert path.read_text() == "old"
 
     def test_older_record_with_converged_key_loads(self):
         g = disk_grid(0.6, 24, NIL)
