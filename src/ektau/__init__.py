@@ -17,7 +17,7 @@ from .model import (CurvatureReport, MetricAtPoint, Point3, SpaceParams,
                     orthonormal_frame, scalar_curvature, sphere_exists)
 from .rotational import (PlanarCircle, ProfileCurve, cmc_cylinder_curve,
                          hemisphere_height, shoot_rotational_graph)
-from .solver import (ContinuationStep, DomainGrid, GraphSolution, SolverConfig,
+from .solver import (ContinuationStep, DomainGrid, GraphSolution,
                      continuation_in_H, disk_grid, graph_height,
                      rectangle_grid, sigma_profile, solve_dirichlet)
 from .stability import (CylinderStability, DiscreteOperator, SpectrumReport,

@@ -15,7 +15,7 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,12 +48,6 @@ def rosenberg_bound(H: float, params: SpaceParams) -> float | None:
     return 2.0 * math.pi / math.sqrt(3.0 * c)
 
 
-def _reject_unknown_keys(keys, owner, what: str) -> None:
-    unknown = set(keys) - {f.name for f in dataclasses.fields(owner)}
-    if unknown:
-        raise ConfigInvalid("unknown %s keys: %s" % (what, sorted(unknown)))
-
-
 @dataclass
 class ExperimentConfig:
     params: SpaceParams
@@ -67,7 +61,6 @@ class ExperimentConfig:
     check_conjecture: bool = True
     check_sigma_profile: bool = False
     check_stability: bool = False
-    solver: solver.SolverConfig = field(default_factory=solver.SolverConfig)
 
     def __post_init__(self):
         if not self.H_list or not all(
@@ -85,6 +78,11 @@ class ExperimentConfig:
             raise ConfigInvalid("domain_center must be two finite numbers")
         if not math.isfinite(self.boundary_value):
             raise ConfigInvalid("boundary_value must be finite")
+        for name in ("check_rosenberg", "check_conjecture",
+                     "check_sigma_profile", "check_stability"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigInvalid("%s must be true or false, got %r"
+                                    % (name, getattr(self, name)))
         # both checks measure the distance to the boundary, kappa <= 0 only
         if self.params.kappa > 0 and (self.check_stability
                                       or self.check_sigma_profile):
@@ -95,13 +93,12 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
         params = SpaceParams.from_dict(d.pop("params"))
-        solver_d = d.pop("solver", {})
-        _reject_unknown_keys(d, cls, "config")
-        _reject_unknown_keys(solver_d, solver.SolverConfig, "solver config")
-        solver_cfg = solver.SolverConfig(**solver_d)
+        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ConfigInvalid("unknown config keys: %s" % sorted(unknown))
         if "domain_center" in d:
             d["domain_center"] = tuple(d["domain_center"])
-        return cls(params=params, solver=solver_cfg, **d)
+        return cls(params=params, **d)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -197,7 +194,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRecord]:
                                              str(exc)) for H in H_values]
         else:
             steps = solver.continuation_in_H(grid, cfg.boundary_value,
-                                             H_values, params, cfg.solver)
+                                             H_values, params)
         for step in steps:
             rec = ReportRecord(kappa=params.kappa, tau=params.tau, H=step.H,
                                n=n, status=step.failure or "converged",

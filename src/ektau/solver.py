@@ -4,16 +4,18 @@ The unknown is the nodal height field on a uniform lattice covering the
 domain.  Nodal jets come from centered second-order differences, stacked
 into one sparse operator per lattice that gives all five jets in one
 product; at each interior node the residual is H(jet) - H_target, driven to
-zero by a damped Newton iteration.  The residual is the one place where
-jets enter the graph kernel (`mean_curvature_arrays`); each iterate carries
-that kernel dict, and its exact Jacobian (`mean_curvature_sensitivities`,
-analytic partials of H in all five jet entries) and the solution's min|nu|
-and max|sigma| are read off it.  The stencils and the boundary closure
-are linear, so each Jacobian only refills, in one `bincount`, the values of
-one sparsity pattern cached on the grid.  One SuperLU factor
-(minimum-degree ordering of J^T + J, symmetric mode) per Newton run is the
-right preconditioner of GMRES on each later exact Jacobian; 15 GMRES
-iterations short of a relative residual of 1e-6 trigger a refactor.
+zero by a damped Newton iteration.  Its settings are fixed: convergence at
+a max-norm residual of 1e-10, at most 50 iterations per run.  The residual
+is the one place where jets enter the graph kernel
+(`mean_curvature_arrays`); each iterate carries that kernel dict, and its
+exact Jacobian (`mean_curvature_sensitivities`, analytic partials of H in
+all five jet entries) and the solution's min|nu| and max|sigma| are read
+off it.  The stencils and the boundary closure are linear, so each
+Jacobian only refills, in one `bincount`, the values of one sparsity
+pattern cached on the grid.  One SuperLU factor (minimum-degree ordering
+of J^T + J, symmetric mode) per Newton run is the right preconditioner of
+GMRES on each later exact Jacobian; 15 GMRES iterations short of a
+relative residual of 1e-6 trigger a refactor.
 
 Each Newton iteration makes one pass over the step lengths 1, 1/2, ...,
 2**-13: the first Armijo step wins, else the first admissible one is forced
@@ -24,10 +26,10 @@ ramps H up from zero in four solves, and a failure there names its stage.
 
 Disk domains close the stencils with ghost values extrapolated along the
 lattice direction whose circle crossing lies closest to the ghost: the
-Dirichlet value is imposed at the exact crossing point and a quadratic
-(falling back to linear for thin cuts) through the crossing and one or two
-interior nodes defines the ghost value.  The closure is linear in the
-unknowns, so it folds into the Jacobian exactly.
+Dirichlet value, zero, is imposed at the exact crossing point and a
+quadratic (falling back to linear for thin cuts) through the crossing and
+one or two interior nodes defines the ghost value.  The closure is linear
+in the unknowns, so it folds into the Jacobian exactly.
 
 Vertical translations are isometries, so the solver always works with
 boundary value zero internally and shifts the result; translation
@@ -36,6 +38,7 @@ equivariance holds to the bit.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -56,6 +59,11 @@ from .model import Ambient, SpaceParams, ambient_components
 
 BLOWUP_NU = 1e-3
 
+# convergence: max-norm residual, and the iteration budget of each Newton
+# run (cold start, ramp stage)
+_TOL_RESIDUAL = 1e-10
+_MAX_NEWTON = 50
+
 # one GMRES cycle on a reused factor: iterations and relative residual
 _KRYLOV_ITERATIONS = 15
 _KRYLOV_RTOL = 1e-6
@@ -75,21 +83,6 @@ def _dot2(u, v):
     like the BLAS dot of `u @ v` on single vectors (a fused multiply-add on
     most builds), so vectorized and per-node geometry agree to the bit."""
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
-
-
-@dataclass
-class SolverConfig:
-    """Newton settings: `tol_residual` is the max-norm residual of convergence,
-    `max_newton` the iteration budget of each run (cold start, ramp stage)."""
-    tol_residual: float = 1e-10
-    max_newton: int = 50
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tol_residual) and self.tol_residual > 0):
-            raise ConfigInvalid("tol_residual must be finite and positive, "
-                                "got %r" % (self.tol_residual,))
-        if self.max_newton < 1:
-            raise ConfigInvalid("max_newton must be >= 1")
 
 
 class DomainGrid:
@@ -181,33 +174,27 @@ class DomainGrid:
     # -- boundary closure --------------------------------------------------
 
     def _build_closure(self):
-        """full = closure_A @ u + closure_b * boundary_value."""
-        n, n2 = self.n, self.n * self.n
+        """full = closure_A @ u: the lattice values under boundary value zero."""
+        n = self.n
         ii, jj = self.interior_ij[:, 0], self.interior_ij[:, 1]
         rows = [ii * n + jj]
         cols = [np.arange(self.n_interior)]
         vals = [np.ones(self.n_interior)]
-        b = np.zeros(n2)
-        if self.shape == "rectangle":
-            b[~self.interior.ravel()] = 1.0
-        else:
-            b[(~self.interior & ~self.ghost).ravel()] = 1.0
-            ghost_flat, bv, node_rows, node_cols, node_vals = self._ghost_weights()
-            b[ghost_flat] = bv
+        if self.shape == "disk":
+            node_rows, node_cols, node_vals = self._ghost_weights()
             rows.append(node_rows); cols.append(node_cols); vals.append(node_vals)
         self.closure_A = sp.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n2, self.n_interior))
-        self.closure_b = b
+            shape=(n * n, self.n_interior))
 
     def _ghost_weights(self):
         """Extrapolation weights of every ghost node, as arrays.
 
-        Returns the ghost nodes' flat indices with their boundary-value
-        weights, and (row, interior column, weight) triplets of the node
-        weights.  Each ghost extrapolates along the direction whose circle
-        crossing lies closest to it; axis directions come first, so the
-        diagonals only win a strictly closer crossing.
+        Returns (row, interior column, weight) triplets of the node weights.
+        Each ghost extrapolates along the direction whose circle crossing
+        lies closest to it; axis directions come first, so the diagonals
+        only win a strictly closer crossing.  Ghosts without a crossing get
+        no weights: they hold the boundary value, zero.
         """
         n = self.n
         cx, cy = self.center
@@ -248,8 +235,6 @@ class DomainGrid:
         best = np.argmin(s_all, axis=1)
         found = np.isfinite(s_all[np.arange(len(gi)), best])
 
-        # isolated corner ghosts pin to the boundary value
-        bv = np.ones(len(gi))
         g = np.nonzero(found)[0]
         s = s_all[g, best[g]]
         di, dj = dirs[best[g], 0], dirs[best[g], 1]
@@ -264,17 +249,14 @@ class DomainGrid:
         # quadratic through the crossing (distance s in units of the step)
         # and the nodes at distances 1 and 2, evaluated at 0
         t = s[quad]
-        bv[g[quad]] = 2.0 / ((1.0 - t) * (2.0 - t))
         w1[quad] = -2.0 * t / (1.0 - t)
         w2[quad] = t / (2.0 - t)
         # crossing sits almost on the nearest node: skip it so the weights
         # stay bounded as s -> 1
         t = s[skip]
-        bv[g[skip]] = 2.0 / (2.0 - t)
         w2[skip] = -t / (2.0 - t)
         # linear through the crossing and the nearest node
         t = np.minimum(s[lin], _GHOST_QUADRATIC_LIMIT)
-        bv[g[lin]] = 1.0 / (1.0 - t)
         w1[lin] = -t / (1.0 - t)
 
         ghost_flat = gi * n + gj
@@ -283,7 +265,7 @@ class DomainGrid:
         node_cols = np.concatenate([self.idx[i1[use1], j1[use1]],
                                     self.idx[i2[use2], j2[use2]]])
         node_vals = np.concatenate([w1[use1], w2[use2]])
-        return ghost_flat, bv, node_rows, node_cols, node_vals
+        return node_rows, node_cols, node_vals
 
     # -- jet operators --------------------------------------------------------
 
@@ -347,9 +329,9 @@ class DomainGrid:
                                  slots.astype(np.int32))
         return self._jac_pattern
 
-    def full_values(self, u: np.ndarray, boundary_value: float = 0.0) -> np.ndarray:
-        v = self.closure_A @ u + self.closure_b * boundary_value
-        return v.reshape(self.n, self.n)
+    def full_values(self, u: np.ndarray) -> np.ndarray:
+        """Lattice values of the unknowns u under boundary value zero."""
+        return (self.closure_A @ u).reshape(self.n, self.n)
 
     def boundary_distance(self) -> np.ndarray:
         """Base-plane distance of each interior node to the domain boundary."""
@@ -402,14 +384,17 @@ def rectangle_grid(extents, n: int, params: SpaceParams, center=(0.0, 0.0)) -> D
 
 
 def _atomic_write(path, text: str) -> None:
-    """Write text to a sibling temporary file and rename it onto path."""
+    """Write text to a sibling temporary file and rename it onto path; on
+    failure the temporary file is removed and path is left as it was."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
         tmp.write_text(text)
         os.replace(tmp, path)
     except OSError as exc:
-        raise IoFailure("cannot write %s: %s" % (path, exc))
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise IoFailure("cannot write %s: %s" % (path, exc.strerror or exc))
 
 
 @dataclass
@@ -538,8 +523,8 @@ def _linear_solve(J, b, state: dict):
     return state["lu"].solve(b)
 
 
-def _newton(grid: DomainGrid, H_target: float, cfg: SolverConfig,
-            orientation: int, u: np.ndarray):
+def _newton(grid: DomainGrid, H_target: float, orientation: int,
+            u: np.ndarray):
     """Damped Newton on the nodal residual; raises on blowup or stall."""
     r, d = _residual(grid, u, H_target, orientation)
     if np.min(np.abs(d["nu"])) < BLOWUP_NU:
@@ -549,10 +534,10 @@ def _newton(grid: DomainGrid, H_target: float, cfg: SolverConfig,
     history: list[tuple[float, float]] = [(rnorm, float(np.min(np.abs(d["nu"]))))]
     chase = False
     lu_state: dict = {}
-    for it in range(cfg.max_newton + 1):
-        if rnorm <= cfg.tol_residual:
+    for it in range(_MAX_NEWTON + 1):
+        if rnorm <= _TOL_RESIDUAL:
             return u, rnorm, d, it
-        if it == cfg.max_newton:
+        if it == _MAX_NEWTON:
             break
         J = _jacobian(grid, d, orientation)
         d = None        # every trial brings its own; free this one for the LU
@@ -612,7 +597,7 @@ def _newton(grid: DomainGrid, H_target: float, cfg: SolverConfig,
                 chase = True
     raise NonConvergence(
         "Newton exhausted %d iterations, residual %.3e (H=%g)"
-        % (cfg.max_newton, rnorm, H_target))
+        % (_MAX_NEWTON, rnorm, H_target))
 
 
 def has_cap(grid: DomainGrid, H: float) -> bool:
@@ -623,8 +608,7 @@ def has_cap(grid: DomainGrid, H: float) -> bool:
 
 
 def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
-                    params: SpaceParams, cfg: SolverConfig | None = None,
-                    orientation: int = -1,
+                    params: SpaceParams, orientation: int = -1,
                     init_values: np.ndarray | None = None) -> GraphSolution:
     """Solve H(graph jet) = H at every interior node, Dirichlet data on the boundary.
 
@@ -642,7 +626,6 @@ def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
     if not math.isfinite(boundary_value):
         raise ConfigInvalid("boundary value must be finite, got %r"
                             % boundary_value)
-    cfg = cfg or SolverConfig()
     if init_values is not None:
         try:
             init_values = np.asarray(init_values, dtype=float)
@@ -663,7 +646,7 @@ def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
     else:
         u0 = np.zeros(grid.n_interior)
     try:
-        u, rnorm, d, iters = _newton(grid, H, cfg, orientation, u0)
+        u, rnorm, d, iters = _newton(grid, H, orientation, u0)
     except (NonConvergence, VerticalBlowup):
         if not (init_values is None and H > 0):
             raise
@@ -673,12 +656,12 @@ def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
         iters = 0
         for k, Hk in enumerate(np.linspace(0.0, H, 5)[1:], 1):
             try:
-                u, rnorm, d, its = _newton(grid, float(Hk), cfg, orientation, u)
+                u, rnorm, d, its = _newton(grid, float(Hk), orientation, u)
             except (NonConvergence, VerticalBlowup) as exc:
                 raise type(exc)("%s (ramp stage %d/4 after a failed cold start)"
                                 % (exc, k)) from exc
             iters += its
-    full = grid.full_values(u, 0.0) + boundary_value
+    full = grid.full_values(u) + boundary_value
     return GraphSolution(
         grid=grid, values=full, params=params, H_target=H,
         boundary_value=boundary_value, residual_max=rnorm,
@@ -714,7 +697,7 @@ class ContinuationStep:
 
 
 def continuation_in_H(grid: DomainGrid, boundary_value: float, H_values,
-                      params: SpaceParams, cfg: SolverConfig | None = None,
+                      params: SpaceParams,
                       orientation: int = -1) -> list[ContinuationStep]:
     """One solve per H of the ascending `H_values` on one grid.
 
@@ -731,7 +714,7 @@ def continuation_in_H(grid: DomainGrid, boundary_value: float, H_values,
     warm: np.ndarray | None = None
     for H in H_values:
         try:
-            sol = solve_dirichlet(grid, boundary_value, H, params, cfg,
+            sol = solve_dirichlet(grid, boundary_value, H, params,
                                   orientation=orientation,
                                   init_values=None if has_cap(grid, H) else warm)
         except tuple(FAILURES) as exc:
@@ -742,16 +725,16 @@ def continuation_in_H(grid: DomainGrid, boundary_value: float, H_values,
     return out
 
 
-def sigma_profile(sol: GraphSolution, n_bins: int = 10):
-    """Max |sigma| binned by base-plane distance to the domain boundary."""
+def sigma_profile(sol: GraphSolution):
+    """Max |sigma| in 10 equal bins of base-plane distance to the domain
+    boundary, as (bin center, max) pairs of the nonempty bins."""
     data = shape_arrays(sol.grid.ambient(), *sol.jets(), sol.orientation)
     sigma = np.sqrt(np.maximum(data["sigma_sq"], 0.0))
     dist = sol.grid.boundary_distance()
-    edges = np.linspace(0.0, float(dist.max()) + 1e-15, n_bins + 1)
+    edges = np.linspace(0.0, float(dist.max()) + 1e-15, 11)
     prof = []
-    for k in range(n_bins):
-        m = (dist >= edges[k]) & (dist < edges[k + 1])
-        if not m.any():
-            continue
-        prof.append((float(0.5 * (edges[k] + edges[k + 1])), float(sigma[m].max())))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        m = (dist >= lo) & (dist < hi)
+        if m.any():
+            prof.append((float(0.5 * (lo + hi)), float(sigma[m].max())))
     return prof

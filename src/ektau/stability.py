@@ -54,8 +54,12 @@ class SpectrumReport:
     iterations: int
 
 
-# Krylov basis cap: memory stays O(_KRYLOV_BASIS n) whatever max_iter is
+# Krylov basis cap: memory stays O(_KRYLOV_BASIS n) whatever the budget
 _KRYLOV_BASIS = 40
+
+# Lanczos stopping rule: relative Ritz residual, and the budget of solves
+_EIG_TOL = 1e-10
+_EIG_MAX_SOLVES = 5000
 
 # 2x2 Gauss points on [0,1]
 _GP = ((0.5 - 0.5 / math.sqrt(3.0)), (0.5 + 0.5 / math.sqrt(3.0)))
@@ -163,8 +167,7 @@ def assemble_jacobi(sol: GraphSolution) -> DiscreteOperator:
                             lower_bound=-float(q.max()))
 
 
-def smallest_eigenvalue(op: DiscreteOperator, tol: float = 1e-10,
-                        max_iter: int = 5000) -> SpectrumReport:
+def smallest_eigenvalue(op: DiscreteOperator) -> SpectrumReport:
     """Smallest generalized eigenvalue of (matrix, mass) by shift-invert Lanczos.
 
     One LU of B - sigma I (B the mass-scaled matrix, sigma just under
@@ -174,12 +177,9 @@ def smallest_eigenvalue(op: DiscreteOperator, tol: float = 1e-10,
     seeded random share that reaches a ground state orthogonal to it; it is
     fully reorthogonalized and restarts from its Ritz vector when full or
     invariant.  The smallest Ritz pair of B is returned once
-    ||Bx - lam x|| <= tol max(1, |lam|); `iterations` counts the solves.
+    ||Bx - lam x|| <= 1e-10 max(1, |lam|); `iterations` counts the solves,
+    at most 5000 (`IterationLimit` beyond).
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive, got %r" % tol)
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1, got %r" % max_iter)
     m = op.mass.diagonal()
     if not (np.isfinite(m).all() and (m > 0).all()):
         raise ValueError("mass diagonal must be finite and positive")
@@ -208,11 +208,12 @@ def smallest_eigenvalue(op: DiscreteOperator, tol: float = 1e-10,
         theta, Y = np.linalg.eigh(T[:k, :k])
         lam, x, Bx = float(theta[0]), Y[:, 0] @ Q[:k], Y[:, 0] @ BQ[:k]
         resid = float(np.linalg.norm(Bx - lam * x) / np.linalg.norm(x))
-        if resid <= tol * max(1.0, abs(lam)):
+        if resid <= _EIG_TOL * max(1.0, abs(lam)):
             return SpectrumReport(lambda_min=lam, eigvec_residual=resid,
                                   iterations=solves)
-        if solves == max_iter:
-            raise IterationLimit("Lanczos did not converge in %d solves" % max_iter)
+        if solves == _EIG_MAX_SOLVES:
+            raise IterationLimit("Lanczos did not converge in %d solves"
+                                 % _EIG_MAX_SOLVES)
         w = lu.solve(Q[k - 1])
         solves += 1
         w_norm = np.linalg.norm(w)
@@ -277,27 +278,25 @@ class CylinderStability:
     tube_length: float
 
 
-def cylinder_stability(H: float, params: SpaceParams,
-                       n_circle: int = 40, n_axis: int = 80) -> CylinderStability:
+def cylinder_stability(H: float, params: SpaceParams) -> CylinderStability:
     """Stability of the vertical cylinder over the curve with kappa_g = 2H.
 
     Closed form: the cylinder operator is Laplacian + (4H^2 + kappa), so it
     is stable iff 4H^2 + kappa <= 0, with margin -(4H^2 + kappa).  The
-    surrogate assembles the flat operator on a finite tube of length
-    20/(2H) (periodic for closed curves, free ends otherwise) and solves
-    for the smallest eigenvalue; the constant mode realizes the margin.
+    surrogate assembles the flat operator on a 40 x 80 lattice (around the
+    curve, along the axis) over a finite tube of length 20/(2H), periodic
+    for closed curves and with free ends otherwise, and solves for the
+    smallest eigenvalue; the constant mode realizes the margin.
     """
     if not (math.isfinite(H) and H > 0):
         raise ValueError("cylinder stability needs a finite H > 0")
-    if n_circle < 3 or n_axis < 2:
-        raise ValueError("cylinder stability needs n_circle >= 3 and "
-                         "n_axis >= 2")
     if params.kappa > 0:
         raise UnsupportedSign("cylinder criterion restricted to kappa <= 0")
     c = 4.0 * H * H + params.kappa
     margin = -c
     stable = c <= 0.0
     L = 20.0 / (2.0 * H)
+    nx, ny = 40, 80             # nodes around the base curve, along the axis
 
     curve = rotational.cmc_cylinder_curve(H, params)
     if curve.closed:
@@ -309,23 +308,19 @@ def cylinder_stability(H: float, params: SpaceParams,
         F = a.g_yz / a.lam                 # unit base tangent at (r, 0) is dy/lam
         circ = 2.0 * math.pi * r_m * a.lam
         Gi = (1.0, -F, 1.0 + F * F)
-        hx = circ / n_circle
-        periodic = True
-        nx = n_circle
+        hx = circ / nx
     else:
         Gi = (1.0, 0.0, 1.0)
-        hx = L / (n_circle - 1)
-        periodic = False
-        nx = n_circle
-    hy = L / (n_axis - 1)
-    dof = np.arange(nx * n_axis).reshape(nx, n_axis)
+        hx = L / (nx - 1)
+    hy = L / (ny - 1)
+    dof = np.arange(nx * ny).reshape(nx, ny)
     # det G = 1: unit area density
-    K, lump = _q1_assemble(dof, *Gi, 1.0, hx, hy, periodic_x=periodic)
+    K, lump = _q1_assemble(dof, *Gi, 1.0, hx, hy, periodic_x=curve.closed)
     A = (K - sp.diags(lump * c)).tocsr()
     # K is positive semidefinite and the constant mode attains -c
-    op = DiscreteOperator(dimension=nx * n_axis, matrix=A,
+    op = DiscreteOperator(dimension=nx * ny, matrix=A,
                           mass=sp.diags(lump).tocsr(), lower_bound=-c)
-    rep = smallest_eigenvalue(op, tol=1e-10)
+    rep = smallest_eigenvalue(op)
     return CylinderStability(
         stable=stable, margin=margin, constant_mode_rq=margin,
         lambda_min_spectral=rep.lambda_min,

@@ -88,10 +88,23 @@ class TestConfig:
     @pytest.mark.parametrize("key", ["jet_fd_step", "continuation_steps",
                                      "damping", "auto_continue"])
     def test_removed_solver_keys_rejected(self, key):
-        with pytest.raises(ConfigInvalid, match="unknown solver config keys"):
+        # the solver settings are fixed, so "solver" itself is unknown
+        with pytest.raises(ConfigInvalid, match="unknown config keys"):
             ExperimentConfig.from_dict({
                 "params": {"kappa": 0.0, "tau": 0.5},
                 "H_list": [0.5], "grid_sizes": [24], "solver": {key: 1}})
+
+    @pytest.mark.parametrize("check", ["check_rosenberg", "check_conjecture",
+                                       "check_sigma_profile",
+                                       "check_stability"])
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_non_boolean_check_flags_rejected(self, check, value):
+        # "false" is truthy and 0 falsy: neither may switch a check
+        with pytest.raises(ConfigInvalid, match=check + " must be true or "
+                           "false"):
+            ExperimentConfig.from_dict({
+                "params": {"kappa": 0.0, "tau": 0.5},
+                "H_list": [0.5], "grid_sizes": [24], check: value})
 
     @pytest.mark.parametrize("H", [math.nan, math.inf])
     def test_non_finite_H_list_rejected(self, H):
@@ -113,9 +126,9 @@ class TestConfig:
         p.write_text(json.dumps({
             "params": {"kappa": 0.0, "tau": 0.5},
             "H_list": [0.5], "grid_sizes": [24],
-            "solver": {"tol_residual": 1e-9}}))
+            "domain_center": [0.1, -0.2]}))
         cfg = ExperimentConfig.from_json(p)
-        assert cfg.solver.tol_residual == 1e-9
+        assert cfg.domain_center == (0.1, -0.2)
 
 
 def small_config(tmp_path, name, **kw):

@@ -10,15 +10,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from ektau import graph_geometry, solver
 from ektau.errors import (ConfigInvalid, DegenerateMetric, IoFailure,
                           NonConvergence, OutOfDomain, VerticalBlowup)
 from ektau.graph_geometry import mean_curvature_sensitivities, shape_arrays
-from ektau.model import DOMAIN_MARGIN, SpaceParams
-from ektau.solver import (DomainGrid, GraphSolution, SolverConfig,
-                          continuation_in_H, disk_grid, graph_height,
-                          rectangle_grid, sigma_profile, solve_dirichlet)
+from ektau.model import DOMAIN_MARGIN, SpaceParams, base_distance
+from ektau.solver import (DomainGrid, GraphSolution, continuation_in_H,
+                          disk_grid, graph_height, rectangle_grid,
+                          sigma_profile, solve_dirichlet)
 
 NIL = SpaceParams(0.0, 0.5)
 PSL = SpaceParams(-1.0, 0.5)
@@ -58,16 +59,11 @@ class TestGrids:
             neigh = g.interior[max(0, i - 1):i + 2, max(0, j - 1):j + 2]
             assert neigh.any()
 
-    def test_closure_partition_of_unity(self):
-        # ghost weights reproduce constants: A @ 1 + b = 1
-        g = disk_grid(0.7, 32, PSL)
-        ones = np.ones(g.n_interior)
-        full = g.closure_A @ ones + g.closure_b
-        np.testing.assert_allclose(full, 1.0, atol=1e-12)
-
     def test_ghost_weights_match_per_node_reference(self):
         # the closure's ghost rows against a per-ghost transcription of the
-        # extrapolation rule in plain Python floats
+        # extrapolation rule in plain Python floats; the closure holds
+        # boundary value zero, and the weights reproduce constants, so the
+        # reference's boundary weight is what the node weights leave of 1
         for g in (disk_grid(0.7, 33, PSL, center=(0.05, -0.02)),
                   disk_grid(0.45, 20, FLAT, center=(-0.1, 0.07))):
             A = g.closure_A.tocsr()
@@ -80,7 +76,7 @@ class TestGrids:
                 assert got.keys() == want.keys()
                 for k, w in want.items():
                     assert got[k] == pytest.approx(w, rel=1e-13, abs=1e-15)
-                assert g.closure_b[row] == pytest.approx(bv, rel=1e-13)
+                assert 1.0 - sum(got.values()) == pytest.approx(bv, rel=1e-13)
 
     @pytest.mark.parametrize("make", [
         lambda: disk_grid(math.nan, 16, FLAT),
@@ -136,6 +132,28 @@ class TestGrids:
         r = rectangle_grid((0.4, 0.3), 16, FLAT)
         r2 = DomainGrid.from_descriptor(r.descriptor(), FLAT)
         assert r2.extents == (0.4, 0.3)
+
+    @pytest.mark.parametrize("extents, n, center", [
+        ((0.4, 0.3), 16, (0.1, -0.2)), ((0.6, 0.5), 24, (0.0, 0.0))])
+    def test_hyperbolic_rectangle_boundary_distance(self, extents, n, center):
+        # kappa < 0: the grid samples the edges, so its distance lies just
+        # above the geodesic distance to the boundary, minimized per edge
+        g = rectangle_grid(extents, n, PSL, center=center)
+        (cx, cy), (ex, ey) = center, extents
+        edges = [((cx - ex, cx + ex), lambda t: (t, cy - ey)),
+                 ((cx - ex, cx + ex), lambda t: (t, cy + ey)),
+                 ((cy - ey, cy + ey), lambda t: (cx - ex, t)),
+                 ((cy - ey, cy + ey), lambda t: (cx + ex, t))]
+        got = g.boundary_distance()
+        for (i, j), d in zip(g.interior_ij, got):
+            p = (g.xs[i], g.ys[j])
+            oracle = math.inf
+            for bounds, point in edges:
+                dist = lambda t: float(base_distance(p, point(t), PSL))
+                best = minimize_scalar(dist, bounds=bounds, method="bounded",
+                                       options={"xatol": 1e-12})
+                oracle = min(oracle, best.fun, *(dist(t) for t in bounds))
+            assert oracle - 1e-9 <= d <= 1.01 * oracle
 
 
 def _ghost_reference(g, i, j):
@@ -395,12 +413,6 @@ class TestSolveDirichlet:
         with pytest.raises(ConfigInvalid, match="boundary value must be finite"):
             solve_dirichlet(g, value, 0.5, FLAT)
 
-    @pytest.mark.parametrize("field", ["tol_residual"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
-    def test_solver_config_rejects_bad_values(self, field, value):
-        with pytest.raises(ConfigInvalid, match=field + " must be finite"):
-            SolverConfig(**{field: value})
-
     def test_mismatched_params_rejected(self):
         g = disk_grid(0.5, 24, FLAT)
         with pytest.raises(ConfigInvalid):
@@ -433,9 +445,9 @@ class TestColdStart:
         starts = []
         real = solver._newton
 
-        def spy(grid, H, cfg, orientation, u):
+        def spy(grid, H, orientation, u):
             starts.append(u.copy())
-            return real(grid, H, cfg, orientation, u)
+            return real(grid, H, orientation, u)
 
         monkeypatch.setattr(solver, "_newton", spy)
         return starts
@@ -443,8 +455,7 @@ class TestColdStart:
     def test_off_centre_cap_reaches_the_zero_start_solution(self):
         g = disk_grid(1.0, 64, NIL, center=(0.07, -0.05))
         assert solver.has_cap(g, 0.8)
-        u, _, _, iters = solver._newton(g, 0.8, SolverConfig(), -1,
-                                        np.zeros(g.n_interior))
+        u, _, _, iters = solver._newton(g, 0.8, -1, np.zeros(g.n_interior))
         sol = solve_dirichlet(g, 0.0, 0.8, NIL)
         assert graph_height(sol) == pytest.approx(np.abs(u).max(), rel=1e-12)
         assert sol.newton_iterations < iters
@@ -465,7 +476,7 @@ class TestColdStart:
         (disk_grid(0.6, 24, NIL), 0.0)])
     def test_zero_start_without_a_cap(self, grid, H):
         assert not solver.has_cap(grid, H)
-        u, _, _, iters = solver._newton(grid, H, SolverConfig(), -1,
+        u, _, _, iters = solver._newton(grid, H, -1,
                                         np.zeros(grid.n_interior))
         sol = solve_dirichlet(grid, 0.0, H, grid.params)
         assert sol.newton_iterations == iters
@@ -483,8 +494,7 @@ class TestColdStart:
     def test_explicit_init_values_are_the_start(self, monkeypatch):
         g = disk_grid(1.0, 32, NIL)
         warm = solve_dirichlet(g, 0.0, 0.7, NIL).values
-        u, _, _, iters = solver._newton(g, 0.75, SolverConfig(), -1,
-                                        warm[g.interior])
+        u, _, _, iters = solver._newton(g, 0.75, -1, warm[g.interior])
         starts = self._first_iterates(monkeypatch)
         sol = solve_dirichlet(g, 0.0, 0.75, NIL, init_values=warm)
         np.testing.assert_array_equal(starts[0], warm[g.interior])
@@ -585,11 +595,12 @@ class TestNewtonLinearSolve:
         assert sol.newton_iterations == plain.newton_iterations
         assert graph_height(sol) == pytest.approx(graph_height(plain), rel=1e-12)
 
-    def test_iteration_budget_exhausted(self):
+    def test_iteration_budget_exhausted(self, monkeypatch):
         g = disk_grid(1.0, 32, NIL)
         assert solve_dirichlet(g, 0.0, 0.8, NIL).newton_iterations > 1
-        with pytest.raises(NonConvergence, match="exhausted"):
-            solve_dirichlet(g, 0.0, 0.8, NIL, SolverConfig(max_newton=1))
+        monkeypatch.setattr(solver, "_MAX_NEWTON", 1)
+        with pytest.raises(NonConvergence, match="exhausted 1 iterations"):
+            solve_dirichlet(g, 0.0, 0.8, NIL)
 
 
 RAMP_LAST = " (ramp stage 4/4 after a failed cold start)"
@@ -784,6 +795,15 @@ class TestSerialization:
         with pytest.raises(IoFailure, match="disk full"):
             sol.save(path)
         assert path.read_text() == "old"
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
+        target = tmp_path / "x.json"
+        target.mkdir()                  # the rename onto it fails
+        with pytest.raises(IoFailure) as info:
+            solver._atomic_write(target, "text")
+        assert str(info.value).startswith("cannot write %s: " % target)
+        assert ".tmp" not in str(info.value)
+        assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
 
     def test_older_record_with_converged_key_loads(self):
         g = disk_grid(0.6, 24, NIL)

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ektau import stability
 from ektau.errors import IterationLimit
 from ektau.model import SpaceParams
 from ektau.solver import disk_grid, rectangle_grid, solve_dirichlet
@@ -141,22 +142,11 @@ class TestSmallestEigenvalue:
         assert rep.lambda_min == pytest.approx(exact, rel=1e-9)
         assert rep.eigvec_residual <= 1e-10
 
-    def test_iteration_limit(self):
+    def test_iteration_limit(self, monkeypatch):
         op, _ = unit_square_operator(24)
+        monkeypatch.setattr(stability, "_EIG_MAX_SOLVES", 2)
         with pytest.raises(IterationLimit, match="did not converge in 2"):
-            smallest_eigenvalue(op, max_iter=2)
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
-    def test_rejects_bad_tol(self, tol):
-        op, _ = unit_square_operator(16)
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
-            smallest_eigenvalue(op, tol=tol)
-
-    @pytest.mark.parametrize("max_iter", [0, -3])
-    def test_rejects_bad_max_iter(self, max_iter):
-        op, _ = unit_square_operator(16)
-        with pytest.raises(ValueError, match="max_iter must be >= 1"):
-            smallest_eigenvalue(op, max_iter=max_iter)
+            smallest_eigenvalue(op)
 
     @pytest.mark.parametrize("entry", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_mass(self, entry):
@@ -220,14 +210,6 @@ class TestCylinderStability:
     def test_rejects_non_finite_or_non_positive_H(self, H):
         with pytest.raises(ValueError, match="finite H > 0"):
             cylinder_stability(H, NIL)
-
-    @pytest.mark.parametrize("n_circle, n_axis", [(0, 80), (2, 80), (40, 1),
-                                                  (40, 0)])
-    def test_rejects_too_few_nodes(self, n_circle, n_axis):
-        for kappa in (0.0, -9.0):           # closed and open base curves
-            with pytest.raises(ValueError, match="n_circle >= 3"):
-                cylinder_stability(1.0, SpaceParams(kappa, 0.5),
-                                   n_circle=n_circle, n_axis=n_axis)
 
     def test_sign_grid(self):
         for H in (0.25, 0.5, 1.0, 2.0):
