@@ -21,8 +21,8 @@ Each Newton iteration makes one pass over the step lengths 1, 1/2, ...,
 2**-13: the first Armijo step wins, else the first admissible one is forced
 while min|nu| or the residual falls (at most 25 times), and in chase mode at
 once.  Cold solves on disks with 0 < H R < 1 start from the rotational cap
-about the grid center, others from zero; a failed cold start with H > 0
-ramps H up from zero in four solves, and a failure there names its stage.
+about the grid center, others from zero; each solve is one Newton run, and
+its failure propagates as raised.
 
 Disk domains close the stencils with ghost values extrapolated along the
 lattice direction whose circle crossing lies closest to the ghost: the
@@ -59,8 +59,7 @@ from .model import Ambient, SpaceParams, ambient_components
 
 BLOWUP_NU = 1e-3
 
-# convergence: max-norm residual, and the iteration budget of each Newton
-# run (cold start, ramp stage)
+# convergence: max-norm residual, and the iteration budget of a Newton run
 _TOL_RESIDUAL = 1e-10
 _MAX_NEWTON = 50
 
@@ -397,6 +396,14 @@ def _atomic_write(path, text: str) -> None:
         raise IoFailure("cannot write %s: %s" % (path, exc.strerror or exc))
 
 
+def _check_orientation(orientation) -> int:
+    """The orientation, if it is the int +1 or -1 (a bool or float is not)."""
+    if type(orientation) is not int or orientation not in (-1, 1):
+        raise ConfigInvalid("orientation must be the integer +1 or -1, got %r"
+                            % (orientation,))
+    return orientation
+
+
 @dataclass
 class GraphSolution:
     """Converged graph over a masked grid with convergence metadata."""
@@ -448,7 +455,7 @@ class GraphSolution:
                        min_abs_nu=float(rec["min_abs_nu"]),
                        max_sigma_interior=float(rec["max_sigma_interior"]),
                        newton_iterations=int(rec.get("newton_iterations", 0)),
-                       orientation=int(rec.get("orientation", -1)))
+                       orientation=_check_orientation(rec.get("orientation", -1)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigInvalid("bad solution record: %r" % (exc,))
 
@@ -616,10 +623,12 @@ def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
     afterwards.  init_values (an (n, n) lattice array of heights with the
     same boundary value, finite at the interior nodes) warm-starts the
     iteration; without them it starts from the cap, signed -orientation,
-    where `has_cap` holds, else from zero.
+    where `has_cap` holds, else from zero.  The solve is one Newton run: a
+    failure (`VerticalBlowup`, `NonConvergence`) propagates as raised.
     """
     if grid.params.to_dict() != params.to_dict():
         raise ConfigInvalid("grid was built for different space parameters")
+    _check_orientation(orientation)
     if not (math.isfinite(H) and H >= 0):
         raise ConfigInvalid("H must be finite and >= 0 (flip the orientation "
                             "for H < 0), got %r" % H)
@@ -645,22 +654,7 @@ def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
             r[grid.interior], grid.radius, H, params)
     else:
         u0 = np.zeros(grid.n_interior)
-    try:
-        u, rnorm, d, iters = _newton(grid, H, orientation, u0)
-    except (NonConvergence, VerticalBlowup):
-        if not (init_values is None and H > 0):
-            raise
-        # cold start overshot: ramp H up from zero; a blowup under the
-        # warm-started ramp is genuine and propagates
-        u = np.zeros(grid.n_interior)
-        iters = 0
-        for k, Hk in enumerate(np.linspace(0.0, H, 5)[1:], 1):
-            try:
-                u, rnorm, d, its = _newton(grid, float(Hk), orientation, u)
-            except (NonConvergence, VerticalBlowup) as exc:
-                raise type(exc)("%s (ramp stage %d/4 after a failed cold start)"
-                                % (exc, k)) from exc
-            iters += its
+    u, rnorm, d, iters = _newton(grid, H, orientation, u0)
     full = grid.full_values(u) + boundary_value
     return GraphSolution(
         grid=grid, values=full, params=params, H_target=H,

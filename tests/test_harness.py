@@ -190,6 +190,23 @@ class TestRunExperiment:
                             for f in ("records.json", "sweep.dat")])
         assert outputs[0] == outputs[1]
 
+    def test_rows_without_a_cap_fail_in_one_run(self, tmp_path):
+        # H R > 1 from the first row: both rows are cold zero starts, and
+        # each message is the one Newton run's own
+        sweep_files = []
+        for name in ("a", "b"):
+            cfg = small_config(tmp_path, name, H_list=[1.1, 1.3],
+                               grid_sizes=[48])
+            records = run_experiment(cfg)
+            assert [r.status for r in records] == ["vertical_blowup"] * 2
+            out = Path(cfg.output_dir)
+            saved = json.loads((out / "records.json").read_text())
+            assert [r["message"] for r in saved] == [
+                "graph turned vertical during iteration: min|nu| < 0.001 "
+                "at H=%g" % H for H in (1.1, 1.3)]
+            sweep_files.append((out / "sweep.dat").read_bytes())
+        assert sweep_files[0] == sweep_files[1]
+
     def test_height_column_roundtrip(self, tmp_path):
         cfg = small_config(tmp_path, "rt")
         records = run_experiment(cfg)
