@@ -1,14 +1,21 @@
 """Rotational profiles, hemisphere heights, cylinder base curves."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from ektau.errors import NoSphere, UnsupportedSign
 from ektau.graph_geometry import _forms
 from ektau.model import SpaceParams, ambient_components, conformal_factor_jet
-from ektau.rotational import (EQUATOR_NU, cap_heights, cmc_cylinder_curve,
+from ektau.rotational import (EQUATOR_NU, PROFILE_PANELS, _equator_angle,
+                              cap_heights, cmc_cylinder_curve,
                               hemisphere_height, shoot_rotational_graph)
 from ode_shoot import _series_quartic, shoot
 
@@ -19,11 +26,11 @@ FLAT = SpaceParams(0.0, 0.0)
 SPACES = {"nil": NIL, "psl": PSL, "h2r": H2R, "flat": FLAT}
 
 # hemisphere heights at H = 1, frozen from the ODE shoot of tests/ode_shoot.py
-# at two step sizes agreeing to 1e-6; the quadrature is within 4e-8 of both
+# at two step sizes agreeing to 1e-6; the closed form is within 4e-8 of both
 NIL_HEMI_H1 = 1.0795583
 PSL_HEMI_H1 = 1.3089867
-# PSL at H = 0.5001, just above the critical 1/2: quadrature, matching a
-# 40-digit mpmath evaluation of the same integral to 7e-15 relative
+# PSL at H = 0.5001, just above the critical 1/2: within 7e-15 relative of
+# a 40-digit mpmath evaluation of the height integral, 218.596605151918051
 PSL_HEMI_NEAR_CRITICAL = 218.5966051519166
 
 
@@ -116,14 +123,13 @@ class TestShooting:
                            0.0, 0.0, 0.0, 0.0, +1)
                 assert d["nu"] == pytest.approx(nu, rel=1e-12)
 
-    def test_profile_height_matches_quadrature(self):
-        # at H = 0.5001 the kappa = -1 integrand peaks sharply at the cut
+    def test_profile_height_is_hemisphere_height(self):
+        # the last sample is the cut t* = 1/EQUATOR_NU for both functions
         for params in SPACES.values():
             for H in (0.5001, 0.6, 1.0, 5.0):
                 prof = shoot_rotational_graph(H, params)
                 assert prof.samples[-1, 1] == prof.hemisphere_height
-                assert prof.hemisphere_height == pytest.approx(
-                    hemisphere_height(H, params), rel=1e-12)
+                assert prof.hemisphere_height == hemisphere_height(H, params)
 
     def test_no_sphere_raises(self):
         with pytest.raises(NoSphere):
@@ -192,6 +198,81 @@ class TestHemisphereHeight:
     def test_bad_H_rejected_at_entry(self, H):
         with pytest.raises(ValueError, match="finite H > 0"):
             hemisphere_height(H, NIL)
+
+
+def mpmath_heights(H: float, params: SpaceParams, ts) -> list:
+    """Heights from the pole to each t = 1/nu of the increasing ts at 40
+    digits: mpmath's integration of the rational integrand in t, split at
+    each decade of t and at each t."""
+    with mpmath.workdps(40):
+        H, k, tau = (mpmath.mpf(v) for v in (H, params.kappa, params.tau))
+        C, D = 4 * H * H + k, 4 * tau * tau - k
+        ts = [mpmath.mpf(t) for t in ts]
+        ends = sorted(set([mpmath.mpf(1)] + ts + [
+            mpmath.mpf(10) ** j for j in range(1, 7) if 10 ** j < ts[-1]]))
+        cum = [mpmath.mpf(0)]
+        for a, b in zip(ends, ends[1:]):
+            cum.append(cum[-1] + mpmath.quad(
+                lambda u: 4 * H * (H * H + tau * tau) * u * u
+                / ((H * H * u * u + tau * tau) * (C * u * u + D)), [a, b]))
+        return [cum[ends.index(t)] for t in ts]
+
+
+def assert_match(got, refs):
+    for g, ref in zip(got, refs):
+        assert abs(g - ref) <= 1e-13 * ref, (g, ref)
+
+
+class TestClosedForm:
+    """The closed-form heights against an independent 40-digit oracle."""
+
+    @pytest.mark.parametrize("kappa", [0.0, -1e-8, -1e-4, -1.0, -4.0])
+    def test_heights_match_mpmath_oracle(self, kappa):
+        # kappa -> 0^- and tau -> 0 cancel in the partial fractions; next to
+        # the critical H = sqrt(-kappa)/2, 4H^2 + kappa cancels
+        low = math.sqrt(-kappa) / 2 * (1 + 1e-9) if kappa else 1e-3
+        for tau in (0.0, 1e-8, 0.5, 2.0):
+            params = SpaceParams(kappa, tau)
+            for H in (low, 1.3, 1000.0):
+                # the profile at theta, where t = sqrt(1 + tau^2 r^2) / cos
+                prof = shoot_rotational_graph(H, params)
+                theta = np.linspace(0.0, _equator_angle(H, params),
+                                    PROFILE_PANELS + 1)
+                picks = (1, 64, PROFILE_PANELS - 1)
+                with mpmath.workdps(40):
+                    th = [mpmath.mpf(theta[i]) for i in picks]
+                    ts = [mpmath.sqrt(1 + (tau * mpmath.sin(x) / H) ** 2)
+                          / mpmath.cos(x) for x in th]
+                assert_match([prof.samples[i, 1] for i in picks]
+                             + [hemisphere_height(H, params)],
+                             mpmath_heights(H, params, ts + [1.0 / EQUATOR_NU]))
+
+    @pytest.mark.parametrize("kappa, H", [(-1.0, 0.5 * (1 + 1e-6)),
+                                          (-1.0, 0.5 * (1 + 1e-7)),
+                                          (-4.0, 1.0 + 1e-7)])
+    def test_near_critical_without_warnings(self, kappa, H):
+        params = SpaceParams(kappa, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = hemisphere_height(H, params)
+            prof = shoot_rotational_graph(H, params)
+        assert prof.hemisphere_height == h
+        assert_match([h], mpmath_heights(H, params, [1.0 / EQUATOR_NU]))
+
+    def test_heights_leave_scipy_integrate_unimported(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("import sys\n"
+                "from ektau import SpaceParams, hemisphere_height, "
+                "shoot_rotational_graph\n"
+                "hemisphere_height(0.8, SpaceParams(-1.0, 0.5))\n"
+                "shoot_rotational_graph(0.8, SpaceParams(-1.0, 0.5))\n"
+                "print('scipy.integrate' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestCapHeights:
