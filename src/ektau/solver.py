@@ -494,17 +494,17 @@ def _jacobian(grid: DomainGrid, d, orientation):
                           indices, indptr), shape=(m, m))
 
 
-def _factor(J):
-    """SuperLU with a minimum-degree ordering on the pattern of J^T + J.
+def _factor(J, ordering: str = "MMD_AT_PLUS_A"):
+    """SuperLU in symmetric mode, by default with a minimum-degree ordering
+    on the pattern of J^T + J.
 
     Only the closure's ghost couplings break the symmetry of the Jacobian's
     pattern, so that ordering suits it, and symmetric mode, which prefers
     diagonal pivots, keeps the factors close to the ordering's fill.  The
     shifted Jacobi operators of `stability` are symmetric positive definite,
-    so diagonal pivots are safe there too.
-    """
-    return spla.splu(J, permc_spec="MMD_AT_PLUS_A",
-                     options=dict(SymmetricMode=True))
+    so diagonal pivots are safe there too; those of a lattice come permuted
+    into nested-dissection order and pass "NATURAL"."""
+    return spla.splu(J, permc_spec=ordering, options=dict(SymmetricMode=True))
 
 
 def _linear_solve(J, b, state: dict):

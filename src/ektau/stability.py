@@ -12,14 +12,17 @@ The smallest eigenvalue of the generalized symmetric problem is computed
 by shift-invert Lanczos (Ericsson and Ruhe 1980, Math. Comp. 35) on one
 symmetric-mode LU, shifted just below a lower bound of the spectrum: -max q
 for solved graphs (the stiffness part is positive semidefinite),
--(4H^2 + kappa) for cylinders, Gershgorin for operators built by hand.  A
-seeded random share of the Krylov start vector guards against a missed
-ground state; scipy's Lanczos solvers are kept on the test side as an
-independent oracle.
+-(4H^2 + kappa) for cylinders, Gershgorin for operators built by hand.
+Graph operators are factored in nested-dissection order (George 1973,
+SIAM J. Numer. Anal. 10), cylinders and hand-built operators in minimum
+degree.  A seeded random share of the Krylov start vector guards against a
+missed ground state; scipy's Lanczos solvers are kept on the test side as
+an independent oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,12 +42,15 @@ class DiscreteOperator:
 
     `lower_bound`, when known, is a number no larger than the smallest
     generalized eigenvalue; the eigensolver shifts just below it.
+    `ordering`, when set, is the fill-reducing order of the unknowns in
+    which the eigensolver factors; SuperLU's minimum degree otherwise.
     """
 
     dimension: int
     matrix: sp.csr_matrix
     mass: sp.csr_matrix
     lower_bound: float | None = None
+    ordering: np.ndarray | None = None
 
 
 @dataclass
@@ -64,6 +70,11 @@ _EIG_MAX_SOLVES = 5000
 # 2x2 Gauss points on [0,1]
 _GP = ((0.5 - 0.5 / math.sqrt(3.0)), (0.5 + 0.5 / math.sqrt(3.0)))
 
+# Q1 cell corners, and the neighbour offsets in row-major column order
+_CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
+_OFFSETS = tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1))
+_ND_LEAF = 16             # nested-dissection boxes this small are not cut
+
 
 def _reference_stiffness(hx: float, hy: float):
     """Reference integrals A_kl[a,b] = int d_k phi_a d_l phi_b over a cell."""
@@ -82,53 +93,79 @@ def _reference_stiffness(hx: float, hy: float):
     return A11, A12, A22
 
 
-def _q1_assemble(dof: np.ndarray, W11, W12, W22, sqrt_det, hx: float, hy: float,
-                 periodic_x: bool = False):
-    """Stiffness and lumped mass for the weak Laplacian with coefficient W.
+def _q1_assemble(dof: np.ndarray, W11, W12, W22, sqrt_det, potential,
+                 hx: float, hy: float, periodic_x: bool = False):
+    """CSR weak form of -(Laplacian + potential), coefficient W, and the
+    lumped mass diagonal.
 
-    dof is an (nx, ny) array of dof indices with -1 marking constrained
-    nodes; the nodal fields W11/W12/W22/sqrt_det may hold NaN there.  Cells
-    touching at least one dof are assembled with the mean of their defined
-    corner coefficients.
+    dof numbers the free nodes row by row, -1 marking fixed ones (the nodal
+    fields may be NaN there); a cell takes the mean of its defined corner
+    values.  Cell corners (a, b) couple in row a at neighbour offset b - a,
+    so the stiffness is summed as a 3 x 3 stencil on the lattice, averaged
+    with its mirror and read off at the free neighbours in CSR order.
     """
     nx, ny = dof.shape
-    ndof = int(dof.max()) + 1
-    ci = np.arange(nx if periodic_x else nx - 1)
-    cj = np.arange(ny - 1)
-    CI, CJ = np.meshgrid(ci, cj, indexing="ij")
-    ip1 = (CI + 1) % nx if periodic_x else CI + 1
-    corners = [(CI, CJ), (ip1, CJ), (CI, CJ + 1), (ip1, CJ + 1)]
-    cdof = np.stack([dof[a, b] for a, b in corners])           # (4, m, k)
-    keep = (cdof >= 0).any(axis=0)
-    cdof = cdof[:, keep]
+    cx = nx if periodic_x else nx - 1          # cells along x
 
-    def cell_mean(field):
-        field = np.broadcast_to(field, dof.shape)
-        vals = np.stack([field[a, b] for a, b in corners])[:, keep]
-        cnt = np.isfinite(vals)
-        vals = np.where(cnt, vals, 0.0)
-        return vals.sum(axis=0) / np.maximum(cnt.sum(axis=0), 1)
+    def padded(arr, fill=0.0):
+        # node (i, j) at [..., i + 1, j + 1], wrapped along x if periodic
+        pad = np.pad(arr, [(0, 0)] * (arr.ndim - 2) + [(1, 1)] * 2,
+                     constant_values=fill)
+        if periodic_x:
+            pad[..., 0, :], pad[..., -1, :] = pad[..., -2, :], pad[..., 1, :]
+        return pad
 
-    cW11, cW12, cW22, cdet = (cell_mean(f) for f in (W11, W12, W22, sqrt_det))
+    def at(pad, di, dj):                       # node (i + di, j + dj)
+        return pad[..., 1 + di:1 + di + nx, 1 + dj:1 + dj + ny]
+
+    nodal = padded(np.stack([np.broadcast_to(f, dof.shape)
+                             for f in (W11, W12, W22, sqrt_det)]), np.nan)
+    vals = np.stack([at(nodal, ox, oy)[..., :cx, :-1] for ox, oy in _CORNERS])
+    cnt = np.isfinite(vals)
+    vals[~cnt] = 0.0
+    mean = vals.sum(axis=0) / np.maximum(cnt.sum(axis=0), 1)
+    # cell (i, j) kept at its corner node (i, j), zero past the lattice edge
+    cW11, cW12, cW22, cdet = padded(np.pad(mean, ((0, 0), (0, nx - cx), (0, 1))))
     A11, A12, A22 = _reference_stiffness(hx, hy)
-
-    rows, cols, vals = [], [], []
-    for a in range(4):
-        for b in range(4):
-            va = cW11 * A11[a, b] + cW12 * A12[a, b] + cW22 * A22[a, b]
-            m = (cdof[a] >= 0) & (cdof[b] >= 0)
-            rows.append(cdof[a][m]); cols.append(cdof[b][m]); vals.append(va[m])
-    K = sp.csr_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(ndof, ndof))
-    K = 0.5 * (K + K.T)
-
-    lump = np.zeros(ndof)
+    stencil = np.zeros((9, nx, ny))
+    for a, (ax, ay) in enumerate(_CORNERS):
+        w11, w12, w22 = (at(w, -ax, -ay) for w in (cW11, cW12, cW22))
+        for b, (bx, by) in enumerate(_CORNERS):
+            stencil[3 * (bx - ax) + by - ay + 4] += (
+                w11 * A11[a, b] + w12 * A12[a, b] + w22 * A22[a, b])
     share = 0.25 * hx * hy * cdet
-    for a in range(4):
-        m = cdof[a] >= 0
-        np.add.at(lump, cdof[a][m], share[m])
-    return K, lump
+    lump = sum(at(share, -ax, -ay) for ax, ay in _CORNERS)
+    mirror = padded(stencil)
+    stencil += np.stack([at(mirror[8 - k], di, dj)
+                         for k, (di, dj) in enumerate(_OFFSETS)])
+    stencil *= 0.5
+    stencil[4] -= lump * potential
+    cols = padded(dof, -1)
+    cols = np.stack([at(cols, di, dj) for di, dj in _OFFSETS], axis=-1)
+    free = (cols >= 0) & (dof >= 0)[..., None]
+    A = sp.csr_matrix((np.moveaxis(stencil, 0, -1)[free], cols[free],
+                       np.r_[0, np.cumsum(free.sum(axis=-1)[dof >= 0])]),
+                      shape=(int(dof.max()) + 1,) * 2)
+    A.sort_indices()                           # a periodic wrap puts a column last
+    return A, lump[dof >= 0]
+
+
+@functools.lru_cache(maxsize=8)
+def _nd_order(nx: int, ny: int) -> np.ndarray:
+    """Row-major node numbers of an nx x ny lattice in nested-dissection
+    order: a line across the longer side, which separates the halves for
+    the 3 x 3 couplings, follows each half, dissected in turn (George 1973)."""
+    def dissect(box):
+        if box.size <= _ND_LEAF:
+            return [box.ravel()]
+        if box.shape[0] < box.shape[1]:
+            box = box.T
+        m = box.shape[0] // 2
+        return dissect(box[:m]) + dissect(box[m + 1:]) + [box[m]]
+
+    order = np.concatenate(dissect(np.arange(nx * ny).reshape(nx, ny)))
+    order.flags.writeable = False
+    return order
 
 
 def _solution_fields(sol: GraphSolution):
@@ -153,52 +190,79 @@ def _solution_fields(sol: GraphSolution):
 
 
 def assemble_jacobi(sol: GraphSolution) -> DiscreteOperator:
-    """Weak form of -(Laplace-Beltrami + q) on the solution, Dirichlet."""
+    """Weak form of -(Laplace-Beltrami + q) on the solution, Dirichlet,
+    in the grid's numbering, ordered for the factor by nested dissection."""
     g = sol.grid
     f = _solution_fields(sol)
-    K, lump = _q1_assemble(g.idx, f["W11"], f["W12"], f["W22"], f["sqrt_det"],
-                           g.hx, g.hy)
-    q = f["q"][g.interior]
-    A = (K - sp.diags(lump * q)).tocsr()
-    # K is positive semidefinite (SPD cell coefficients W), so by Weyl the
-    # mass-scaled operator K' - diag(q) has no eigenvalue below -max q
-    return DiscreteOperator(dimension=g.n_interior, matrix=A,
-                            mass=sp.diags(lump).tocsr(),
-                            lower_bound=-float(q.max()))
+    A, lump = _q1_assemble(g.idx, f["W11"], f["W12"], f["W22"], f["sqrt_det"],
+                           f["q"], g.hx, g.hy)
+    nd = g.idx.ravel()[_nd_order(g.n, g.n)]
+    # the stiffness is positive semidefinite (SPD cell coefficients W), so
+    # by Weyl the mass-scaled operator K' - diag(q) has no eigenvalue below
+    # -max q
+    return DiscreteOperator(
+        dimension=g.n_interior, matrix=A, mass=sp.diags(lump).tocsr(),
+        lower_bound=-float(np.max(f["q"][g.interior])), ordering=nd[nd >= 0])
 
 
 def smallest_eigenvalue(op: DiscreteOperator) -> SpectrumReport:
     """Smallest generalized eigenvalue of (matrix, mass) by shift-invert Lanczos.
 
     One LU of B - sigma I (B the mass-scaled matrix, sigma just under
-    `op.lower_bound`, Gershgorin of B when unset) serves the whole solve.
-    The Krylov space of its inverse starts from the all-ones vector (these
+    `op.lower_bound`, Gershgorin of B when unset) serves the whole solve,
+    factored in `op.ordering` if set, else in minimum-degree order.  The
+    Krylov space of its inverse starts from the all-ones vector (these
     Schrodinger-type operators have a sign-definite ground state) plus a
     seeded random share that reaches a ground state orthogonal to it; it is
     fully reorthogonalized and restarts from its Ritz vector when full or
     invariant.  The smallest Ritz pair of B is returned once
     ||Bx - lam x|| <= 1e-10 max(1, |lam|); `iterations` counts the solves,
-    at most 5000 (`IterationLimit` beyond).
+    at most 5000 (`IterationLimit` beyond).  A matrix that is not square,
+    does not match `dimension` or the mass, or has a non-finite entry, and
+    an ordering that is no permutation raise `ValueError` before any
+    factorization.
     """
+    n = op.dimension
+    shape = op.matrix.shape
+    if shape[0] != shape[1]:
+        raise ValueError("operator matrix must be square, not %d x %d" % shape)
+    if shape != (n, n):
+        raise ValueError("operator matrix is %d x %d but its dimension is %d"
+                         % (*shape, n))
+    if op.mass.shape != shape:
+        raise ValueError("mass matrix is %d x %d but the operator is %d x %d"
+                         % (*op.mass.shape, *shape))
+    if op.ordering is not None and not np.array_equal(
+            np.sort(op.ordering), np.arange(n)):
+        raise ValueError("ordering must be a permutation of the %d unknowns" % n)
     m = op.mass.diagonal()
     if not (np.isfinite(m).all() and (m > 0).all()):
         raise ValueError("mass diagonal must be finite and positive")
+    B = sp.csr_matrix(op.matrix)
+    if not np.isfinite(B.data).all():
+        raise ValueError("operator matrix has a non-finite entry")
+    # B = D A D on the data array, D = mass^(-1/2)
     d = 1.0 / np.sqrt(m)
-    B = (sp.diags(d) @ op.matrix @ sp.diags(d)).tocsr()
-    n = B.shape[0]
+    B = sp.csr_matrix((B.data * np.repeat(d, np.diff(B.indptr)) * d[B.indices],
+                       B.indices, B.indptr), shape=B.shape)
+    v = np.ones(n) + 1e-2 * np.random.RandomState(1234).standard_normal(n)
+    if op.ordering is not None:        # the spectrum ignores the numbering
+        B, v = B[op.ordering][:, op.ordering], v[op.ordering]
     lb = op.lower_bound
     if lb is None:
         radii = np.asarray(abs(B).sum(axis=1)).ravel() - abs(B.diagonal())
         lb = float((B.diagonal() - radii).min())
     shift = lb - 1e-3 * max(1.0, abs(lb))
+    M = B.tocsc()
+    M.setdiag(B.diagonal() - shift)            # in place on a stored diagonal
     try:
-        lu = _factor((B - shift * sp.identity(n, format="csr")).tocsc())
+        lu = _factor(M, "MMD_AT_PLUS_A" if op.ordering is None else "NATURAL")
     except RuntimeError as exc:
         raise IterationLimit("could not factor the shifted operator") from exc
+    del M                              # the Krylov loop needs only B and lu
 
     size = min(_KRYLOV_BASIS, n)
     Q, BQ, T = np.empty((size, n)), np.empty((size, n)), np.empty((size, size))
-    v = np.ones(n) + 1e-2 * np.random.RandomState(1234).standard_normal(n)
     k = solves = 0
     while True:
         Q[k] = v / np.linalg.norm(v)
@@ -242,20 +306,11 @@ def angle_jacobi_residual(sol: GraphSolution, margin: float | None = None) -> fl
     nu, q = f["nu"], f["q"]
     W11, W12, W22, sdet = f["W11"], f["W12"], f["W22"], f["sqrt_det"]
     hx, hy = g.hx, g.hy
-
-    def dx(a):
-        out = np.full_like(a, np.nan)
-        out[1:-1, :] = (a[2:, :] - a[:-2, :]) / (2 * hx)
-        return out
-
-    def dy(a):
-        out = np.full_like(a, np.nan)
-        out[:, 1:-1] = (a[:, 2:] - a[:, :-2]) / (2 * hy)
-        return out
-
-    P = W11 * dx(nu) + W12 * dy(nu)
-    Q = W12 * dx(nu) + W22 * dy(nu)
-    lap = (dx(P) + dy(Q)) / sdet
+    # central differences; the lattice edge, outside the interior, is NaN
+    nu_x, nu_y = np.gradient(nu, hx, hy)
+    P = W11 * nu_x + W12 * nu_y
+    Q = W12 * nu_x + W22 * nu_y
+    lap = (np.gradient(P, hx, axis=0) + np.gradient(Q, hy, axis=1)) / sdet
     res = lap + nu * q
     dist = np.full((g.n, g.n), np.nan)
     dist[g.interior] = g.boundary_distance()
@@ -315,9 +370,9 @@ def cylinder_stability(H: float, params: SpaceParams) -> CylinderStability:
     hy = L / (ny - 1)
     dof = np.arange(nx * ny).reshape(nx, ny)
     # det G = 1: unit area density
-    K, lump = _q1_assemble(dof, *Gi, 1.0, hx, hy, periodic_x=curve.closed)
-    A = (K - sp.diags(lump * c)).tocsr()
-    # K is positive semidefinite and the constant mode attains -c
+    A, lump = _q1_assemble(dof, *Gi, 1.0, c, hx, hy, periodic_x=curve.closed)
+    # the stiffness is positive semidefinite and the constant mode attains
+    # -c; no ordering: minimum degree beats box dissection on these lattices
     op = DiscreteOperator(dimension=nx * ny, matrix=A,
                           mass=sp.diags(lump).tocsr(), lower_bound=-c)
     rep = smallest_eigenvalue(op)

@@ -1,11 +1,16 @@
 """Discrete stability operators, eigensolver, angle-function residual."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from q1_oracle import q1_assemble
 
 from ektau import stability
 from ektau.errors import IterationLimit
@@ -70,6 +75,126 @@ class TestAssembly:
         energy_quad = float(np.sum((grad_sq - q * bump**2) * np.sqrt(det))
                             * g.hx * g.hy)
         assert energy_matrix == pytest.approx(energy_quad, rel=0.02)
+
+
+class TestAgainstCornerPairOracle:
+    """The index-arithmetic CSR assembly against the COO corner-pair one."""
+
+    @staticmethod
+    def assert_close(A, lump, K, lump_ref):
+        assert A.shape == K.shape
+        assert abs(A - K).max() <= 1e-14 * abs(K).max()
+        assert np.max(np.abs(lump - lump_ref)) <= 1e-14 * np.max(lump_ref)
+
+    @pytest.mark.parametrize("n", [24, 48, 96])
+    @pytest.mark.parametrize("params,center,H", [
+        (NIL, (0.13, -0.07), 0.7), (PSL, (-0.1, 0.2), 0.6)])
+    def test_off_centre_disks(self, n, params, center, H):
+        g = disk_grid(0.7, n, params, center=center)
+        sol = solve_dirichlet(g, 0.0, H, params)
+        op = assemble_jacobi(sol)
+        f = stability._solution_fields(sol)
+        K, lump = q1_assemble(g.idx, f["W11"], f["W12"], f["W22"],
+                              f["sqrt_det"], f["q"], g.hx, g.hy)
+        self.assert_close(op.matrix, op.mass.diagonal(), K, lump)
+
+    @pytest.mark.parametrize("n", [24, 48, 96])
+    def test_flat_rectangle(self, n):
+        g = rectangle_grid((0.5, 0.3), n, FLAT, center=(0.2, -0.1))
+        sol = solve_dirichlet(g, 0.0, 0.9, FLAT)
+        op = assemble_jacobi(sol)
+        f = stability._solution_fields(sol)
+        K, lump = q1_assemble(g.idx, f["W11"], f["W12"], f["W22"],
+                              f["sqrt_det"], f["q"], g.hx, g.hy)
+        self.assert_close(op.matrix, op.mass.diagonal(), K, lump)
+
+    @pytest.mark.parametrize("kappa,H,closed", [
+        (0.0, 1.0, True), (-1.0, 1.0, True), (-1.0, 0.3, False)])
+    def test_cylinder_lattices(self, monkeypatch, kappa, H, closed):
+        calls = []
+        real = stability._q1_assemble
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs, real(*args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(stability, "_q1_assemble", recording)
+        assert cylinder_stability(H, SpaceParams(kappa, 0.5)).closed == closed
+        (args, kwargs, (A, lump)), = calls
+        assert kwargs == {"periodic_x": closed}
+        K, lump_ref = q1_assemble(*args, **kwargs)
+        self.assert_close(A, lump, K, lump_ref)
+
+
+def _shifted_mmd_factor(op):
+    """SuperLU of the shifted, mass-scaled operator in minimum-degree order."""
+    d = sp.diags(1.0 / np.sqrt(op.mass.diagonal()))
+    B = (d @ op.matrix @ d).tocsr()
+    lb = op.lower_bound
+    shift = lb - 1e-3 * max(1.0, abs(lb))
+    M = (B - shift * sp.identity(op.dimension, format="csr")).tocsc()
+    return spla.splu(M, permc_spec="MMD_AT_PLUS_A",
+                     options=dict(SymmetricMode=True))
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("n", [64, 96])
+    @pytest.mark.parametrize("params", [NIL, PSL])
+    def test_fill_at_most_minimum_degree(self, monkeypatch, params, n):
+        sol = solve_dirichlet(disk_grid(1.0, n, params), 0.0, 0.8, params)
+        op = assemble_jacobi(sol)
+        factors = []
+        real = spla.splu
+
+        def recording_splu(*args, **kwargs):
+            factors.append(real(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(spla, "splu", recording_splu)
+        rep = smallest_eigenvalue(op)
+        lu, = factors
+        mmd = _shifted_mmd_factor(op)
+        assert lu.L.nnz + lu.U.nnz <= mmd.L.nnz + mmd.U.nnz
+        rep_mmd = smallest_eigenvalue(dataclasses.replace(op, ordering=None))
+        assert rep.lambda_min == pytest.approx(rep_mmd.lambda_min, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (33, 33), (16, 40)])
+    def test_order_is_a_permutation_with_separating_lines(self, shape):
+        order = stability._nd_order(*shape)
+        assert np.array_equal(np.sort(order), np.arange(order.size))
+        assert not order.flags.writeable
+        rank = np.argsort(order).reshape(shape)
+        # the last node numbered lies on the first cut, which splits the
+        # box across its longer side into two halves numbered before it
+        i, j = np.unravel_index(np.argmax(rank), shape)
+        nx, ny = shape
+        if nx >= ny:
+            cut, low, high = rank[i], rank[:i], rank[i + 1:]
+        else:
+            cut, low, high = rank[:, j], rank[:, :j], rank[:, j + 1:]
+        assert low.max() < high.min() and high.max() < cut.min()
+
+
+@functools.lru_cache(maxsize=None)
+def _centred_disk_solution(space, n):
+    params = {"nil": NIL, "psl": PSL, "flat": FLAT}[space]
+    R = 0.5 if space == "flat" else 1.0
+    return solve_dirichlet(disk_grid(R, n, params), 0.0, 0.7 / R, params)
+
+
+class TestRotationAboutTheAxis:
+    @settings(max_examples=30, deadline=None)
+    @given(space=st.sampled_from(["nil", "psl", "flat"]),
+           n=st.sampled_from([24, 33, 48]), k=st.integers(1, 3))
+    def test_lambda_min_unchanged_by_quarter_turns(self, space, n, k):
+        # a turn about the z-axis is an isometry of E(kappa, tau), and a
+        # quarter turn maps the centred disk lattice to itself
+        sol = _centred_disk_solution(space, n)
+        assert np.array_equal(np.rot90(sol.grid.interior, k), sol.grid.interior)
+        turned = dataclasses.replace(sol, values=np.rot90(sol.values, k).copy())
+        lam = smallest_eigenvalue(assemble_jacobi(sol)).lambda_min
+        lam_turned = smallest_eigenvalue(assemble_jacobi(turned)).lambda_min
+        assert lam_turned == pytest.approx(lam, rel=1e-12)
 
 
 class TestSmallestEigenvalue:
@@ -157,6 +282,54 @@ class TestSmallestEigenvalue:
                                op.lower_bound)
         with pytest.raises(ValueError, match="mass diagonal"):
             smallest_eigenvalue(bad)
+
+    def test_rejects_non_square_matrix(self):
+        op, _ = unit_square_operator(16)
+        bad = DiscreteOperator(op.dimension, op.matrix[:, :-1], op.mass)
+        with pytest.raises(ValueError, match="must be square"):
+            smallest_eigenvalue(bad)
+
+    def test_rejects_matrix_not_matching_dimension(self):
+        op, _ = unit_square_operator(16)
+        bad = DiscreteOperator(op.dimension + 1, op.matrix, op.mass)
+        with pytest.raises(ValueError, match="dimension is %d" % (op.dimension + 1)):
+            smallest_eigenvalue(bad)
+
+    def test_rejects_mass_not_matching_matrix(self):
+        op, _ = unit_square_operator(16)
+        mass = sp.diags(op.mass.diagonal()[:-1]).tocsr()
+        bad = DiscreteOperator(op.dimension, op.matrix, mass)
+        with pytest.raises(ValueError, match="mass matrix is"):
+            smallest_eigenvalue(bad)
+
+    @pytest.mark.parametrize("ordering", [[0, 0, 1], [0, 1, 3], [2, 1]])
+    def test_rejects_ordering_that_is_no_permutation(self, ordering):
+        op = DiscreteOperator(3, sp.identity(3, format="csr"),
+                              sp.identity(3, format="csr"), ordering=ordering)
+        with pytest.raises(ValueError, match="permutation of the 3 unknowns"):
+            smallest_eigenvalue(op)
+
+    def test_diagonal_missing_from_the_pattern_is_shifted(self):
+        # [[0, 1], [1, 0]] blocks store no diagonal: eigenvalues -1 and 1
+        m = 10
+        A = sp.kron(sp.identity(m), sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]]))
+        A = A.tocsr()
+        A.eliminate_zeros()
+        assert not A.diagonal().any() and A.nnz == 2 * m
+        rep = smallest_eigenvalue(
+            DiscreteOperator(2 * m, A, sp.identity(2 * m, format="csr")))
+        assert rep.lambda_min == pytest.approx(-1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_rejects_non_finite_matrix_entry(self, monkeypatch, entry):
+        op, _ = unit_square_operator(16)
+        A = op.matrix.copy()
+        A.data[7] = entry
+        calls = []
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1))
+        with pytest.raises(ValueError, match="non-finite entry"):
+            smallest_eigenvalue(DiscreteOperator(op.dimension, A, op.mass))
+        assert not calls
 
     def test_solved_graphs_are_stable(self):
         for params, R, H in ((FLAT, 0.5, 1.0), (NIL, 1.0, 0.8), (PSL, 1.0, 0.8)):
