@@ -5,9 +5,9 @@ fields are T1 = (1, 0, fx) and T2 = (0, 1, fy).  Everything downstream (the
 Dirichlet solver, the stability assembly, point evaluation by `shape_data`)
 evaluates mean curvature through one kernel, `_forms`, written in explicit
 component arithmetic on closed-form ambient data (`model.ambient_components`).
-The same code runs on numpy arrays (`mean_curvature_arrays`, behind
-`shape_arrays`) and on Python floats (`shape_data`), where it stays off
-numpy and returns Python floats bit-identical to the array path.  The
+The same code runs on numpy arrays, entered at `mean_curvature_arrays`
+alone, and on Python floats (`shape_data`), where it stays off numpy and
+returns Python floats bit-identical to the array path.  The
 exact Jacobian partials (`mean_curvature_sensitivities`) are read off the
 intermediates of an array pass, so one pass serves H and its partials.
 
@@ -152,26 +152,14 @@ def _forms(amb: Ambient, fx, fy, fxx, fxy, fyy, orientation: int):
 
 def mean_curvature_arrays(amb: Ambient, fx, fy, fxx, fxy, fyy,
                           orientation: int = -1):
-    """The graph kernel over the points of `amb`, the solver's residual: the
-    dict of `shape_arrays` (the normal as a tuple of components) plus the
-    underscore intermediates that `mean_curvature_sensitivities` reuses."""
+    """The graph kernel over the points of `amb`, its one array entry: a
+    dict of the forms I11, I12, I22, det_I, II11, II12, II22, Iinv11,
+    Iinv12, Iinv22, the normal as a tuple of components, nu, H, sigma_sq,
+    and the underscore intermediates `mean_curvature_sensitivities` reuses."""
     return _forms(amb, np.asarray(fx, dtype=float),
                   np.asarray(fy, dtype=float), np.asarray(fxx, dtype=float),
                   np.asarray(fxy, dtype=float), np.asarray(fyy, dtype=float),
                   orientation)
-
-
-def shape_arrays(amb: Ambient, fx, fy, fxx, fxy, fyy, orientation: int = -1):
-    """Vectorized fundamental forms over the points of `amb`.
-
-    Returns a dict with first-form components I11, I12, I22, det_I, the
-    second-form components II11, II12, II22, the normal components (n, 3),
-    and nu, H, sigma_sq arrays.
-    """
-    d = mean_curvature_arrays(amb, fx, fy, fxx, fxy, fyy, orientation)
-    out = {k: v for k, v in d.items() if not k.startswith("_")}
-    out["normal"] = np.stack(d["normal"], axis=-1)
-    return out
 
 
 def mean_curvature_sensitivities(amb: Ambient, d: dict, orientation: int = -1):

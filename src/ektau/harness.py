@@ -40,8 +40,8 @@ def rosenberg_bound(H: float, params: SpaceParams) -> float | None:
     the height of an H-graph over its boundary section.  Returns None when
     3H^2 + S <= 0.
     """
-    if H <= 0:
-        raise ConfigInvalid("rosenberg bound needs H > 0")
+    if not (math.isfinite(H) and H > 0):
+        raise ConfigInvalid("rosenberg bound needs a finite H > 0, got %r" % H)
     c = 3.0 * H * H + model.scalar_curvature(params)
     if c <= 0:
         return None

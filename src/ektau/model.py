@@ -370,8 +370,8 @@ def critical_mean_curvature(params: SpaceParams) -> float:
 
 def sphere_exists(H: float, params: SpaceParams) -> bool:
     """True iff 4 H^2 + kappa > 0."""
-    if H <= 0:
-        raise NonPositiveH("sphere existence requires H > 0")
+    if not (math.isfinite(H) and H > 0):
+        raise NonPositiveH("sphere existence needs a finite H > 0, got %r" % H)
     return 4.0 * H * H + params.kappa > 0.0
 
 

@@ -229,8 +229,8 @@ def cmc_cylinder_curve(H: float, params: SpaceParams) -> PlanarCircle:
     so the closed circle has r = 1/(H + sqrt(H^2 + kappa/4)), which is
     1/(2H) when kappa = 0.
     """
-    if H <= 0:
-        raise ValueError("cylinder curve needs H > 0")
+    if not (math.isfinite(H) and H > 0):
+        raise ValueError("cylinder curve needs a finite H > 0, got %r" % H)
     if params.kappa > 0:
         raise UnsupportedSign("cylinder curves restricted to kappa <= 0")
     kg = 2.0 * H

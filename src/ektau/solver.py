@@ -1,12 +1,13 @@
 """Dirichlet solver for vertical graphs of prescribed constant mean curvature.
 
 The unknown is the nodal height field on a uniform lattice covering the
-domain.  Nodal jets come from centered second-order differences, stacked
-into one sparse operator per lattice that gives all five jets in one
-product; at each interior node the residual is H(jet) - H_target, driven to
-zero by a damped Newton iteration.  Its settings are fixed: convergence at
-a max-norm residual of 1e-10, at most 50 iterations per run.  The residual
-is the one place where jets enter the graph kernel
+domain.  Nodal jets come from centered second-order differences composed
+with the boundary closure into one sparse operator per lattice, `jet_u`,
+that maps the unknowns to all five jets in one product, for Newton and for
+a solution's `jets()` alike.  At each interior node the residual is
+H(jet) - H_target, driven to zero by a damped Newton iteration.  Its
+settings are fixed: convergence at a max-norm residual of 1e-10, at most
+50 iterations per run.  Jets enter the graph kernel at its one array entry
 (`mean_curvature_arrays`); each iterate carries that kernel dict, and its
 exact Jacobian (`mean_curvature_sensitivities`, analytic partials of H in
 all five jet entries) and the solution's min|nu| and max|sigma| are read
@@ -50,11 +51,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import model, rotational
+from . import graph_geometry, model, rotational
 from .errors import (ConfigInvalid, DegenerateMetric, IoFailure,
                      NonConvergence, OutOfDomain, VerticalBlowup)
-from .graph_geometry import (mean_curvature_arrays,
-                             mean_curvature_sensitivities, shape_arrays)
+from .graph_geometry import mean_curvature_arrays, mean_curvature_sensitivities
 from .model import Ambient, SpaceParams, ambient_components
 
 BLOWUP_NU = 1e-3
@@ -269,31 +269,9 @@ class DomainGrid:
     # -- jet operators --------------------------------------------------------
 
     def _build_stencils(self):
-        """Stacked jet operators of the interior nodes: `jet_full` maps full
-        lattice values, `jet_u` the unknowns through the closure; block k
-        (rows k m to (k + 1) m) gives the jet _JET_NAMES[k]."""
-        n, m = self.n, self.n_interior
-        hx, hy = self.hx, self.hy
-        ii, jj = self.interior_ij[:, 0], self.interior_ij[:, 1]
-        # (offset, weight) of each jet in _JET_NAMES order: fx, fy, fxx, fxy, fyy
-        stencils = (
-            [((1, 0), 1 / (2 * hx)), ((-1, 0), -1 / (2 * hx))],
-            [((0, 1), 1 / (2 * hy)), ((0, -1), -1 / (2 * hy))],
-            [((1, 0), 1 / hx**2), ((0, 0), -2 / hx**2), ((-1, 0), 1 / hx**2)],
-            [((1, 1), 1 / (4 * hx * hy)), ((-1, -1), 1 / (4 * hx * hy)),
-             ((1, -1), -1 / (4 * hx * hy)), ((-1, 1), -1 / (4 * hx * hy))],
-            [((0, 1), 1 / hy**2), ((0, 0), -2 / hy**2), ((0, -1), 1 / hy**2)],
-        )
-        rows, cols, vals = [], [], []
-        for k, entries in enumerate(stencils):
-            for (di, dj), w in entries:
-                rows.append(k * m + np.arange(m))
-                cols.append((ii + di) * n + (jj + dj))
-                vals.append(np.full(m, w))
-        self.jet_full = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(len(stencils) * m, n * n))
-        self.jet_u = (self.jet_full @ self.closure_A).tocsr()
+        """`jet_u`, the lattice's one jet operator: `_jet_stencils` through
+        the closure, so `jet_u @ u` stacks the jets in the same blocks."""
+        self.jet_u = (_jet_stencils(self) @ self.closure_A).tocsr()
 
     # -- helpers -------------------------------------------------------------
 
@@ -374,6 +352,32 @@ class DomainGrid:
                    extents=tuple(d["extents"]) if "extents" in d else None)
 
 
+def _jet_stencils(grid: DomainGrid) -> sp.csr_matrix:
+    """Centred differences at the interior nodes on full lattice values:
+    block k (rows k m to (k + 1) m) gives the jet _JET_NAMES[k]."""
+    n, m = grid.n, grid.n_interior
+    hx, hy = grid.hx, grid.hy
+    ii, jj = grid.interior_ij[:, 0], grid.interior_ij[:, 1]
+    # (offset, weight) of each jet in _JET_NAMES order: fx, fy, fxx, fxy, fyy
+    stencils = (
+        [((1, 0), 1 / (2 * hx)), ((-1, 0), -1 / (2 * hx))],
+        [((0, 1), 1 / (2 * hy)), ((0, -1), -1 / (2 * hy))],
+        [((1, 0), 1 / hx**2), ((0, 0), -2 / hx**2), ((-1, 0), 1 / hx**2)],
+        [((1, 1), 1 / (4 * hx * hy)), ((-1, -1), 1 / (4 * hx * hy)),
+         ((1, -1), -1 / (4 * hx * hy)), ((-1, 1), -1 / (4 * hx * hy))],
+        [((0, 1), 1 / hy**2), ((0, 0), -2 / hy**2), ((0, -1), 1 / hy**2)],
+    )
+    rows, cols, vals = [], [], []
+    for k, entries in enumerate(stencils):
+        for (di, dj), w in entries:
+            rows.append(k * m + np.arange(m))
+            cols.append((ii + di) * n + (jj + dj))
+            vals.append(np.full(m, w))
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(len(stencils) * m, n * n))
+
+
 def disk_grid(radius: float, n: int, params: SpaceParams, center=(0.0, 0.0)) -> DomainGrid:
     return DomainGrid("disk", center, n, params, radius=radius)
 
@@ -423,9 +427,10 @@ class GraphSolution:
         return self.values[self.grid.interior]
 
     def jets(self):
-        """Nodal jets at interior nodes: rows fx, fy, fxx, fxy, fyy."""
-        full = (self.values - self.boundary_value).ravel()
-        return (self.grid.jet_full @ full).reshape(len(_JET_NAMES), -1)
+        """Jets at interior nodes, rows fx, fy, fxx, fxy, fyy, by `jet_u`:
+        at boundary value zero, those Newton converged on, bit for bit."""
+        u = self.interior_values() - self.boundary_value
+        return (self.grid.jet_u @ u).reshape(len(_JET_NAMES), -1)
 
     def to_record(self) -> dict:
         return {
@@ -722,8 +727,11 @@ def continuation_in_H(grid: DomainGrid, boundary_value: float, H_values,
 def sigma_profile(sol: GraphSolution):
     """Max |sigma| in 10 equal bins of base-plane distance to the domain
     boundary, as (bin center, max) pairs of the nonempty bins."""
-    data = shape_arrays(sol.grid.ambient(), *sol.jets(), sol.orientation)
-    sigma = np.sqrt(np.maximum(data["sigma_sq"], 0.0))
+    # through the module: benchmark/tracing.py counts calls of the name
+    # bound in this module as Newton residuals
+    d = graph_geometry.mean_curvature_arrays(sol.grid.ambient(), *sol.jets(),
+                                             sol.orientation)
+    sigma = np.sqrt(np.maximum(d["sigma_sq"], 0.0))
     dist = sol.grid.boundary_distance()
     edges = np.linspace(0.0, float(dist.max()) + 1e-15, 11)
     prof = []

@@ -31,7 +31,7 @@ import scipy.sparse as sp
 
 from . import model, rotational
 from .errors import IterationLimit, NotConverged, UnsupportedSign
-from .graph_geometry import jacobi_potential_from, shape_arrays
+from .graph_geometry import jacobi_potential_from, mean_curvature_arrays
 from .model import SpaceParams
 from .solver import GraphSolution, _factor
 
@@ -171,8 +171,7 @@ def _nd_order(nx: int, ny: int) -> np.ndarray:
 def _solution_fields(sol: GraphSolution):
     """Nodal W coefficients, area density, potential and nu on the lattice."""
     g = sol.grid
-    fx, fy, fxx, fxy, fyy = sol.jets()
-    d = shape_arrays(g.ambient(), fx, fy, fxx, fxy, fyy, sol.orientation)
+    d = mean_curvature_arrays(g.ambient(), *sol.jets(), sol.orientation)
     det = d["det_I"]
     sqrt_det = np.sqrt(det)
     shape = (g.n, g.n)
@@ -326,7 +325,6 @@ class CylinderStability:
 
     stable: bool
     margin: float
-    constant_mode_rq: float
     lambda_min_spectral: float
     spectral_stable: bool
     closed: bool
@@ -377,7 +375,6 @@ def cylinder_stability(H: float, params: SpaceParams) -> CylinderStability:
                           mass=sp.diags(lump).tocsr(), lower_bound=-c)
     rep = smallest_eigenvalue(op)
     return CylinderStability(
-        stable=stable, margin=margin, constant_mode_rq=margin,
-        lambda_min_spectral=rep.lambda_min,
+        stable=stable, margin=margin, lambda_min_spectral=rep.lambda_min,
         spectral_stable=rep.lambda_min >= -1e-8 * max(1.0, abs(c)),
         closed=curve.closed, tube_length=L)

@@ -3,7 +3,8 @@
 `benchmark/tracing.py` reports a per-layer metric as absent when the name it
 wraps is gone, so a rename in the package would silently null that metric;
 a traced solve checks that the wrapped kernel entry points are still the
-ones each Newton point calls.
+ones each Newton point calls, and traced measurements of a solved graph
+that they are not counted as Newton residuals.
 """
 
 import importlib
@@ -11,7 +12,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from ektau import solver
+from ektau import solver, stability
 from ektau.model import SpaceParams
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
@@ -51,3 +52,22 @@ def test_traced_solve_counts_kernel_entry_points(monkeypatch):
         == iterations
     assert names.count("graph_geometry.mean_curvature_arrays") \
         >= iterations + 1
+
+
+def test_traced_measurements_record_no_residual(monkeypatch):
+    # the spectrum ops and sigma_profile enter the graph kernel at
+    # mean_curvature_arrays too, but not through the name the residual
+    # count wraps, so graph_geometry.residual_calls counts Newton only
+    tracing = _load_tracing(monkeypatch)
+    grid = solver.disk_grid(1.0, 24, SpaceParams(0.0, 0.5))
+    sol = solver.solve_dirichlet(grid, 0.0, 0.8, grid.params)
+    tracer = tracing.Tracer()
+    with tracing.Hooks(tracer) as hooks:
+        stability.smallest_eigenvalue(stability.assemble_jacobi(sol))
+        stability.angle_jacobi_residual(sol)
+        solver.sigma_profile(sol)
+    assert hooks.absent == set()
+    names = [s.name for s in tracer.spans]
+    assert {"stability.assemble_jacobi", "stability.smallest_eigenvalue",
+            "stability.angle_jacobi_residual"} <= set(names)
+    assert "graph_geometry.mean_curvature_arrays" not in names

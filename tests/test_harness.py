@@ -43,6 +43,11 @@ class TestRosenbergBound:
         assert rosenberg_bound(1.0, NIL) == pytest.approx(
             2 * math.pi / math.sqrt(7.5), rel=1e-9)
 
+    @pytest.mark.parametrize("H", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_H(self, H):
+        with pytest.raises(ConfigInvalid, match="finite"):
+            rosenberg_bound(H, NIL)
+
     def test_decreasing_in_c(self):
         bounds = [rosenberg_bound(H, NIL) for H in (0.5, 0.8, 1.2, 2.0)]
         assert all(a > b for a, b in zip(bounds, bounds[1:]))

@@ -266,6 +266,11 @@ class TestDerivedConstants:
         with pytest.raises(NonPositiveH):
             sphere_exists(0.0, NIL)
 
+    @pytest.mark.parametrize("H", [math.nan, math.inf, -math.inf])
+    def test_sphere_exists_rejects_non_finite_H(self, H):
+        with pytest.raises(NonPositiveH, match="finite"):
+            sphere_exists(H, NIL)
+
     def test_base_distance_flat_and_hyperbolic(self):
         assert base_distance((0, 0), (3, 4), NIL) == pytest.approx(5.0)
         # radial geodesic in the curvature -1 disk of radius 2

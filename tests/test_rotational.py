@@ -313,6 +313,11 @@ class TestCylinderCurves:
         c = cmc_cylinder_curve(1.01, SpaceParams(-4.0, 0.5))
         assert c.closed
 
+    @pytest.mark.parametrize("H", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_H(self, H):
+        with pytest.raises(ValueError, match="finite"):
+            cmc_cylinder_curve(H, NIL)
+
     def test_hyperbolic_radius_against_closed_form(self):
         # geodesic circles of curvature k_g in curvature kappa = -a^2 have
         # k_g = a coth(a rho): rho = artanh(a / k_g) / a

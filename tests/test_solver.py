@@ -15,7 +15,8 @@ from scipy.optimize import minimize_scalar
 from ektau import graph_geometry, solver
 from ektau.errors import (ConfigInvalid, DegenerateMetric, IoFailure,
                           NonConvergence, OutOfDomain, VerticalBlowup)
-from ektau.graph_geometry import mean_curvature_sensitivities, shape_arrays
+from ektau.graph_geometry import (mean_curvature_arrays,
+                                  mean_curvature_sensitivities)
 from ektau.model import DOMAIN_MARGIN, SpaceParams, base_distance
 from ektau.solver import (DomainGrid, GraphSolution, continuation_in_H,
                           disk_grid, graph_height, rectangle_grid,
@@ -196,7 +197,8 @@ def _ghost_reference(g, i, j):
 
 def _lattice_jets(g, f):
     full = f(g.X, g.Y).ravel()
-    return dict(zip(JETS, (g.jet_full @ full).reshape(len(JETS), -1)))
+    jets = solver._jet_stencils(g) @ full
+    return dict(zip(JETS, jets.reshape(len(JETS), -1)))
 
 
 class TestStencilExactness:
@@ -302,7 +304,6 @@ class TestSolveDirichlet:
     def test_defining_equation_holds_at_nodes(self):
         g = disk_grid(0.5, 32, FLAT)
         sol = solve_dirichlet(g, 0.0, 1.0, FLAT)
-        from ektau.graph_geometry import mean_curvature_arrays
         fx, fy, fxx, fxy, fyy = sol.jets()
         H = mean_curvature_arrays(g.ambient(), fx, fy, fxx, fxy, fyy,
                                   sol.orientation)["H"]
@@ -588,9 +589,24 @@ class TestKernelPasses:
         assert counts["forms"] == counts["residual"] \
             >= sol.newton_iterations + 1
         monkeypatch.undo()
-        # the summary is the one shape_arrays gives at the final values
-        jets = (g.jet_u @ sol.values[g.interior]).reshape(len(JETS), -1)
-        d = shape_arrays(g.ambient(), *jets, sol.orientation)
+        # the summary is the one the kernel gives at the solution's jets
+        d = mean_curvature_arrays(g.ambient(), *sol.jets(), sol.orientation)
+        assert sol.min_abs_nu == float(np.min(np.abs(d["nu"])))
+        assert sol.max_sigma_interior == float(np.sqrt(np.max(d["sigma_sq"])))
+
+    @pytest.mark.parametrize("n", [16, 33, 48])
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.07, -0.05)],
+                             ids=["centred", "off_centre"])
+    @pytest.mark.parametrize("params", [NIL, PSL, FLAT],
+                             ids=["nil", "psl", "flat"])
+    def test_solution_jets_are_the_converged_jets(self, params, center, n):
+        # one jet operator: the kernel on sol.jets() gives back the summary
+        # of the last Newton residual to the bit
+        g = disk_grid(0.6, n, params, center=center)
+        sol = solve_dirichlet(g, 0.0, 0.8, params)
+        assert sol.newton_iterations >= 1
+        d = mean_curvature_arrays(g.ambient(), *sol.jets(), sol.orientation)
+        assert sol.residual_max == float(np.max(np.abs(d["H"] - 0.8)))
         assert sol.min_abs_nu == float(np.min(np.abs(d["nu"])))
         assert sol.max_sigma_interior == float(np.sqrt(np.max(d["sigma_sq"])))
 
@@ -812,11 +828,11 @@ class TestSerialization:
         path = tmp_path / "sol.json"
         sol.save(path)
         back = GraphSolution.load(path)
-        from ektau.graph_geometry import mean_curvature_arrays
         fx, fy, fxx, fxy, fyy = back.jets()
         H = mean_curvature_arrays(back.grid.ambient(), fx, fy, fxx, fxy,
                                   fyy, back.orientation)["H"]
-        assert np.abs(H - 0.6).max() <= 10 * back.residual_max + 1e-12
+        # the saved values and the rebuilt grid give back the Newton jets
+        assert float(np.abs(H - 0.6).max()) == back.residual_max
 
     @pytest.mark.parametrize("damage", ["truncated_values", "missing_key",
                                         "not_json"])

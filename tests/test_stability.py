@@ -58,9 +58,11 @@ class TestAssembly:
         bump[np.hypot(X, Y) > 0.59] = 0.0
         energy_matrix = float(bump @ (op.matrix @ bump))
 
-        from ektau.graph_geometry import jacobi_potential_from, shape_arrays
+        from ektau.graph_geometry import (jacobi_potential_from,
+                                          mean_curvature_arrays)
         fx, fy, fxx, fxy, fyy = sol.jets()
-        d = shape_arrays(g.ambient(), fx, fy, fxx, fxy, fyy, sol.orientation)
+        d = mean_curvature_arrays(g.ambient(), fx, fy, fxx, fxy, fyy,
+                                  sol.orientation)
         q = jacobi_potential_from(d["nu"], d["sigma_sq"], sol.params)
         det = d["det_I"]
         full = np.zeros((g.n, g.n))
