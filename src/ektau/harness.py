@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,6 +64,10 @@ class ExperimentConfig:
     check_stability: bool = False
 
     def __post_init__(self):
+        for H in self.H_list or ():
+            if isinstance(H, bool) or not isinstance(H, numbers.Real):
+                raise ConfigInvalid("H_list entries must be real numbers, "
+                                    "got %r" % (H,))
         if not self.H_list or not all(
                 math.isfinite(H) and H > 0 for H in self.H_list):
             raise ConfigInvalid("H_list must be nonempty, finite and positive")
@@ -163,10 +168,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRecord]:
     """Solve the configured sweep and (optionally) persist its records.
 
     Rows are ordered by (n, H).  Each grid is swept by
-    `solver.continuation_in_H`, which warm-starts the rows without a cap
-    from the last success.  An error in FAILURES never aborts the sweep:
-    the row takes its status from that table.  An output directory that
-    cannot be created fails with `IoFailure` before the first solve.
+    `solver.continuation_in_H`, one independent cold solve per row.  An
+    error in FAILURES never aborts the sweep: the row takes its status
+    from that table.  An output directory that cannot be created fails
+    with `IoFailure` before the first solve.
     """
     if cfg.output_dir is not None:
         out = Path(cfg.output_dir)

@@ -698,11 +698,11 @@ class ContinuationStep:
 def continuation_in_H(grid: DomainGrid, boundary_value: float, H_values,
                       params: SpaceParams,
                       orientation: int = -1) -> list[ContinuationStep]:
-    """One solve per H of the ascending `H_values` on one grid.
+    """One cold `solve_dirichlet` per H of the ascending `H_values`.
 
-    Failures are recorded with their FAILURES status and never abort the
-    sweep.  Solves without a cap (`has_cap`: the blow-up band) restart from
-    the last success.
+    The rows are independent: each is the standalone solve at its H, so no
+    row depends on the others in the list.  Failures are recorded with their
+    FAILURES status and never abort the sweep.
     """
     H_values = list(H_values)
     if not (H_values and all(math.isfinite(H) and H >= 0 for H in H_values)
@@ -710,16 +710,13 @@ def continuation_in_H(grid: DomainGrid, boundary_value: float, H_values,
         raise ConfigInvalid("H values must be nonempty, finite, >= 0 and "
                             "ascending")
     out: list[ContinuationStep] = []
-    warm: np.ndarray | None = None
     for H in H_values:
         try:
             sol = solve_dirichlet(grid, boundary_value, H, params,
-                                  orientation=orientation,
-                                  init_values=None if has_cap(grid, H) else warm)
+                                  orientation=orientation)
         except tuple(FAILURES) as exc:
             out.append(ContinuationStep(H, None, FAILURES[type(exc)], str(exc)))
         else:
-            warm = sol.values
             out.append(ContinuationStep(H, sol, None))
     return out
 

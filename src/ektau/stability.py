@@ -217,9 +217,9 @@ def smallest_eigenvalue(op: DiscreteOperator) -> SpectrumReport:
     invariant.  The smallest Ritz pair of B is returned once
     ||Bx - lam x|| <= 1e-10 max(1, |lam|); `iterations` counts the solves,
     at most 5000 (`IterationLimit` beyond).  A matrix that is not square,
-    does not match `dimension` or the mass, or has a non-finite entry, and
-    an ordering that is no permutation raise `ValueError` before any
-    factorization.
+    does not match `dimension` or the mass, or has a non-finite entry, a
+    mass that is not diagonal (lumped), and an ordering that is no
+    permutation raise `ValueError` before any factorization.
     """
     n = op.dimension
     shape = op.matrix.shape
@@ -231,6 +231,9 @@ def smallest_eigenvalue(op: DiscreteOperator) -> SpectrumReport:
     if op.mass.shape != shape:
         raise ValueError("mass matrix is %d x %d but the operator is %d x %d"
                          % (*op.mass.shape, *shape))
+    mass = sp.coo_matrix(op.mass)
+    if ((mass.row != mass.col) & (mass.data != 0)).any():
+        raise ValueError("mass matrix must be diagonal (lumped)")
     if op.ordering is not None and not np.array_equal(
             np.sort(op.ordering), np.arange(n)):
         raise ValueError("ordering must be a permutation of the %d unknowns" % n)

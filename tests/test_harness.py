@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -116,6 +117,17 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             ExperimentConfig(params=NIL, H_list=[0.5, H], grid_sizes=[24])
 
+    @pytest.mark.parametrize("H", [True, "0.8", None])
+    def test_non_numeric_H_list_entry_rejected(self, H):
+        # True would run as H = 1 and be recorded as "H": true
+        with pytest.raises(ConfigInvalid, match=r"H_list entries must be "
+                           r"real numbers, got %s" % re.escape(repr(H))):
+            ExperimentConfig(params=NIL, H_list=[0.5, H], grid_sizes=[24])
+        with pytest.raises(ConfigInvalid, match="H_list entries"):
+            ExperimentConfig.from_dict({
+                "params": {"kappa": 0.0, "tau": 0.5},
+                "H_list": [0.5, H], "grid_sizes": [24]})
+
     @pytest.mark.parametrize("field, value", [
         ("domain_radius", math.nan), ("domain_radius", math.inf),
         ("domain_center", (math.nan, 0.0)), ("domain_center", (0.0, math.inf)),
@@ -168,7 +180,7 @@ class TestRunExperiment:
         b = (Path(cfg2.output_dir) / "sweep.dat").read_bytes()
         assert a == b
 
-    def test_warm_start_only_where_no_cap_exists(self, tmp_path, monkeypatch):
+    def test_no_row_is_warm_started(self, tmp_path, monkeypatch):
         from ektau import solver
         real = solver.solve_dirichlet
         warm = {}
@@ -180,12 +192,12 @@ class TestRunExperiment:
         monkeypatch.setattr(solver, "solve_dirichlet", spy)
         cfg = small_config(tmp_path, "starts", H_list=[0.5, 0.8, 1.0, 1.2])
         records = run_experiment(cfg)
-        assert warm == {0.5: False, 0.8: False, 1.0: True, 1.2: True}
+        assert warm == {0.5: False, 0.8: False, 1.0: False, 1.2: False}
         assert [r.status for r in records] == [
             "converged", "converged", "vertical_blowup", "vertical_blowup"]
 
     def test_rerun_byte_identical_across_start_paths(self, tmp_path):
-        # cap-started rows and warm-started blow-up rows in one sweep
+        # cap-started rows and zero-started blow-up rows in one sweep
         outputs = []
         for name in ("a", "b"):
             cfg = small_config(tmp_path, name, H_list=[0.5, 0.8, 1.2])

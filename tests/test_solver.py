@@ -728,13 +728,26 @@ class TestContinuation:
         heights = [s.height for s in steps if s.ok]
         assert all(b >= a - 1e-6 for a, b in zip(heights, heights[1:]))
 
-    def test_converging_steps_start_from_the_cap(self):
-        g = disk_grid(1.0, 24, NIL)
-        steps = continuation_in_H(g, 0.0, np.linspace(0.3, 0.9, 3), NIL)
+    @pytest.mark.parametrize("grid, params, H_values", [
+        (disk_grid(1.0, 24, NIL), NIL, [0.0, 0.4, 0.8, 1.05, 1.3]),
+        (rectangle_grid((0.4, 0.4), 24, FLAT), FLAT,
+         [0.5, 1.0, 1.5, 2.0, 3.0])], ids=["nil-disk", "flat-rectangle"])
+    def test_every_step_is_its_standalone_solve(self, grid, params, H_values):
+        # the rectangle has no cap, so a start carried over from an earlier
+        # row would converge to other bits at H = 1, 1.5 and 2
+        steps = continuation_in_H(grid, 0.0, H_values, params)
+        assert {s.ok for s in steps} == {True, False}
         for s in steps:
-            cold = solve_dirichlet(g, 0.0, s.H, NIL)
-            assert s.solution.newton_iterations == cold.newton_iterations
-            np.testing.assert_array_equal(s.solution.values, cold.values)
+            try:
+                alone = solve_dirichlet(grid, 0.0, s.H, params)
+            except tuple(solver.FAILURES) as exc:
+                assert (s.failure, s.message) == (solver.FAILURES[type(exc)],
+                                                  str(exc))
+            else:
+                assert s.ok
+                assert (s.solution.newton_iterations
+                        == alone.newton_iterations)
+                assert np.array_equal(s.solution.values, alone.values)
 
     def test_sweep_never_aborts(self):
         g = disk_grid(1.0, 24, NIL)

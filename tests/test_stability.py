@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
@@ -303,6 +304,25 @@ class TestSmallestEigenvalue:
         bad = DiscreteOperator(op.dimension, op.matrix, mass)
         with pytest.raises(ValueError, match="mass matrix is"):
             smallest_eigenvalue(bad)
+
+    def test_rejects_consistent_mass(self, monkeypatch):
+        # P1 Dirichlet problem on 50 nodes with its consistent mass: reading
+        # only the mass diagonal would give 754.786, the true generalized
+        # eigenvalue is 503.509
+        n, h = 50, 1.0 / 51
+        K = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
+                     [-1, 0, 1]) / h ** 2
+        M = sp.diags([np.ones(n - 1), 4 * np.ones(n), np.ones(n - 1)],
+                     [-1, 0, 1]) * (h / 6)
+        exact = scipy.linalg.eigh(K.toarray(), M.toarray(),
+                                  eigvals_only=True)[0]
+        assert exact == pytest.approx(503.509, abs=1e-3)
+        calls = []
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1))
+        with pytest.raises(ValueError, match=r"must be diagonal \(lumped\)"):
+            smallest_eigenvalue(DiscreteOperator(n, K.tocsr(), M.tocsr(),
+                                                 lower_bound=0.0))
+        assert not calls
 
     @pytest.mark.parametrize("ordering", [[0, 0, 1], [0, 1, 3], [2, 1]])
     def test_rejects_ordering_that_is_no_permutation(self, ordering):
