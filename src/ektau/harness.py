@@ -33,6 +33,12 @@ PLOT_HEADER = "H n height hemi_height bound lambda_min status"
 FAILURES = {**solver.FAILURES, IterationLimit: "stability_failed"}
 
 
+def _finite_real(x) -> bool:
+    """Whether x is a finite real number (a bool is not)."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
 def rosenberg_bound(H: float, params: SpaceParams) -> float | None:
     """Radius bound 2*pi/sqrt(3c) with c = 3H^2 + S, when c is positive.
 
@@ -72,17 +78,23 @@ class ExperimentConfig:
                 math.isfinite(H) and H > 0 for H in self.H_list):
             raise ConfigInvalid("H_list must be nonempty, finite and positive")
         if not self.grid_sizes or not all(
-                isinstance(n, (int, np.integer)) and n >= 16
+                isinstance(n, (int, np.integer))
+                and 16 <= n <= solver.MAX_NODES_PER_SIDE
                 for n in self.grid_sizes):
-            raise ConfigInvalid("grid sizes must be integers >= 16, got %r"
-                                % (self.grid_sizes,))
-        if not (math.isfinite(self.domain_radius) and self.domain_radius > 0):
-            raise ConfigInvalid("domain_radius must be finite and positive")
+            raise ConfigInvalid("grid sizes must be integers in [16, %d], "
+                                "got %r" % (solver.MAX_NODES_PER_SIDE,
+                                            self.grid_sizes))
+        if not (_finite_real(self.domain_radius) and self.domain_radius > 0):
+            raise ConfigInvalid("domain_radius must be a finite positive "
+                                "number")
         if len(self.domain_center) != 2 or not all(
-                map(math.isfinite, self.domain_center)):
+                map(_finite_real, self.domain_center)):
             raise ConfigInvalid("domain_center must be two finite numbers")
-        if not math.isfinite(self.boundary_value):
-            raise ConfigInvalid("boundary_value must be finite")
+        if not _finite_real(self.boundary_value):
+            raise ConfigInvalid("boundary_value must be a finite number")
+        if not (self.output_dir is None or isinstance(self.output_dir, str)):
+            raise ConfigInvalid("output_dir must be a string or null, got %r"
+                                % (self.output_dir,))
         for name in ("check_rosenberg", "check_conjecture",
                      "check_sigma_profile", "check_stability"):
             if not isinstance(getattr(self, name), bool):
@@ -96,14 +108,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        params = SpaceParams.from_dict(d.pop("params"))
+        """The config a JSON object describes; any malformed entry raises
+        ConfigInvalid, never a raw KeyError, TypeError or ValueError."""
+        try:
+            d = dict(d)
+            params = SpaceParams.from_dict(d.pop("params"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigInvalid("config must be an object whose params hold "
+                                "finite kappa and tau: %r" % (exc,))
         unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigInvalid("unknown config keys: %s" % sorted(unknown))
-        if "domain_center" in d:
-            d["domain_center"] = tuple(d["domain_center"])
-        return cls(params=params, **d)
+        try:
+            if "domain_center" in d:
+                d["domain_center"] = tuple(d["domain_center"])
+            return cls(params=params, **d)
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid("bad config: %r" % (exc,))
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -112,7 +133,7 @@ class ExperimentConfig:
                 return cls.from_dict(json.load(fh))
         except OSError as exc:
             raise IoFailure("cannot read config %s: %s" % (path, exc))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (ConfigInvalid, ValueError) as exc:
             raise ConfigInvalid("bad config %s: %s" % (path, exc))
 
 

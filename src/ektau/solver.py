@@ -12,11 +12,11 @@ settings are fixed: convergence at a max-norm residual of 1e-10, at most
 exact Jacobian (`mean_curvature_sensitivities`, analytic partials of H in
 all five jet entries) and the solution's min|nu| and max|sigma| are read
 off it.  The stencils and the boundary closure are linear, so each
-Jacobian only refills, in one `bincount`, the values of one sparsity
-pattern cached on the grid.  One SuperLU factor (minimum-degree ordering
-of J^T + J, symmetric mode) per Newton run is the right preconditioner of
-GMRES on each later exact Jacobian; 15 GMRES iterations short of a
-relative residual of 1e-6 trigger a refactor.
+Jacobian is one sparse product S @ jet_u, where S holds those partials as
+a row of five diagonal matrices.  One SuperLU factor (minimum-degree
+ordering of J^T + J, symmetric mode) per Newton run is the right
+preconditioner of GMRES on each later exact Jacobian; 15 GMRES iterations
+short of a relative residual of 1e-6 trigger a refactor.
 
 Each Newton iteration makes one pass over the step lengths 1, 1/2, ...,
 2**-13: the first Armijo step wins, else the first admissible one is forced
@@ -59,6 +59,10 @@ from .model import Ambient, SpaceParams, ambient_components
 
 BLOWUP_NU = 1e-3
 
+# the most nodes per side a lattice may have, checked before any allocation:
+# a lattice keeps dozens of arrays of n^2 entries, several GB at this n
+MAX_NODES_PER_SIDE = 4096
+
 # convergence: max-norm residual, and the iteration budget of a Newton run
 _TOL_RESIDUAL = 1e-10
 _MAX_NEWTON = 50
@@ -87,15 +91,17 @@ def _dot2(u, v):
 class DomainGrid:
     """Uniform lattice with an interior mask over a disk or rectangle.
 
-    The lattice covers the bounding box with n nodes per side.  `interior`
-    flags the unknowns; for disks, `ghost` flags exterior nodes adjacent to
-    the interior whose values are defined by the boundary closure.
+    The lattice covers the bounding box with n nodes per side, 8 <= n <=
+    MAX_NODES_PER_SIDE.  `interior` flags the unknowns; for disks, `ghost`
+    flags exterior nodes adjacent to the interior whose values are defined
+    by the boundary closure.
     """
 
     def __init__(self, shape: str, center, n: int, params: SpaceParams,
                  radius: float | None = None, extents=None):
-        if n < 8:
-            raise ConfigInvalid("need n >= 8 nodes per side")
+        if not 8 <= n <= MAX_NODES_PER_SIDE:
+            raise ConfigInvalid("need 8 <= n <= %d nodes per side, got %r"
+                                % (MAX_NODES_PER_SIDE, n))
         if shape not in ("disk", "rectangle"):
             raise ConfigInvalid("shape must be 'disk' or 'rectangle'")
         self.shape = shape
@@ -152,9 +158,9 @@ class DomainGrid:
 
         self._index_interior()
         self._build_closure()
-        self._build_stencils()
+        # the lattice's one jet operator: `jet_u @ u` stacks the jets
+        self.jet_u = (_jet_stencils(self) @ self.closure_A).tocsr()
         self._amb: Ambient | None = None
-        self._jac_pattern = None
 
     # -- masks and indexing ------------------------------------------------
 
@@ -266,13 +272,6 @@ class DomainGrid:
         node_vals = np.concatenate([w1[use1], w2[use2]])
         return node_rows, node_cols, node_vals
 
-    # -- jet operators --------------------------------------------------------
-
-    def _build_stencils(self):
-        """`jet_u`, the lattice's one jet operator: `_jet_stencils` through
-        the closure, so `jet_u @ u` stacks the jets in the same blocks."""
-        self.jet_u = (_jet_stencils(self) @ self.closure_A).tocsr()
-
     # -- helpers -------------------------------------------------------------
 
     def ambient(self) -> Ambient:
@@ -282,29 +281,6 @@ class DomainGrid:
             self._amb = ambient_components(self.X[ii, jj], self.Y[ii, jj],
                                            self.params)
         return self._amb
-
-    def _jacobian_pattern(self):
-        """CSC pattern shared by every Newton Jacobian on this grid.
-
-        Returns (indptr, indices, slots): the union of the patterns of the
-        five blocks of jet_u, and the position in it of every stored entry
-        of jet_u, in CSR order.
-        """
-        if self._jac_pattern is None:
-            m = self.n_interior
-            coo = self.jet_u.tocoo()
-            row = coo.row % m
-            pattern = sp.csc_matrix((np.ones(coo.nnz), (row, coo.col)),
-                                    shape=(m, m))
-            pattern.sum_duplicates()
-            # CSC with sorted indices: col * m + row increases along the data
-            keys = np.repeat(np.arange(m), np.diff(pattern.indptr)) * m \
-                + pattern.indices
-            # int32 halves what a grid kept alive by its solutions holds
-            slots = np.searchsorted(keys, coo.col.astype(np.int64) * m + row)
-            self._jac_pattern = (pattern.indptr, pattern.indices,
-                                 slots.astype(np.int32))
-        return self._jac_pattern
 
     def full_values(self, u: np.ndarray) -> np.ndarray:
         """Lattice values of the unknowns u under boundary value zero."""
@@ -486,17 +462,20 @@ def _residual(grid: DomainGrid, u, H_target, orientation):
 
 
 def _jacobian(grid: DomainGrid, d, orientation):
-    """sum over k of diag(dH/d jet k) @ block k of jet_u, in CSC, from dict d.
+    """S @ jet_u in CSC, from dict d, with S = [diag(dH/d fx) ...
+    diag(dH/d fyy)]: the sum over k of diag(dH/d jet k) @ block k of jet_u.
 
-    Entries of different blocks that share a slot add up in block order."""
+    Row i of S holds its five entries in block order, so the CSR product
+    adds the entries of different blocks that meet in one place in block
+    order.  Sums that are exactly zero are not stored."""
     dH = mean_curvature_sensitivities(grid.ambient(), d, orientation)
-    indptr, indices, slots = grid._jacobian_pattern()
-    S = grid.jet_u
-    weights = np.repeat(np.concatenate([dH[k] for k in _JET_NAMES]),
-                        np.diff(S.indptr)) * S.data
-    m = grid.n_interior
-    return sp.csc_matrix((np.bincount(slots, weights, len(indices)),
-                          indices, indptr), shape=(m, m))
+    m, k = grid.n_interior, len(_JET_NAMES)
+    # row i: dH/d jet j at node i, in column j m + i
+    data = np.stack([dH[name] for name in _JET_NAMES], axis=1).ravel()
+    cols = np.arange(k * m).reshape(k, m).T.ravel()
+    S = sp.csr_matrix((data, cols, np.arange(0, k * m + 1, k)),
+                      shape=(m, k * m))
+    return (S @ grid.jet_u).tocsc()
 
 
 def _factor(J, ordering: str = "MMD_AT_PLUS_A"):

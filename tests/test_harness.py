@@ -16,7 +16,7 @@ from ektau.errors import ConfigInvalid, IoFailure
 from ektau.harness import (ExperimentConfig, cli_dispatch, rosenberg_bound,
                            run_experiment)
 from ektau.model import SpaceParams
-from ektau.solver import GraphSolution, graph_height
+from ektau.solver import MAX_NODES_PER_SIDE, GraphSolution, graph_height
 
 NIL = SpaceParams(0.0, 0.5)
 PSL = SpaceParams(-1.0, 0.5)
@@ -69,6 +69,17 @@ class TestConfig:
         # solution file name and sweep.dat use its integer part
         with pytest.raises(ConfigInvalid, match="grid sizes"):
             ExperimentConfig(params=NIL, H_list=[0.5], grid_sizes=sizes)
+
+    @pytest.mark.parametrize("n", [MAX_NODES_PER_SIDE + 1, 10**12])
+    def test_grid_size_above_the_lattice_cap_rejected(self, monkeypatch, n):
+        def allocate(*args, **kwargs):
+            raise AssertionError("a lattice was about to be built")
+
+        monkeypatch.setattr(np, "linspace", allocate)
+        with pytest.raises(ConfigInvalid, match="grid sizes"):
+            ExperimentConfig(params=NIL, H_list=[0.5], grid_sizes=[24, n])
+        ExperimentConfig(params=NIL, H_list=[0.5],
+                         grid_sizes=[24, MAX_NODES_PER_SIDE])
 
     @pytest.mark.parametrize("check", ["check_stability",
                                        "check_sigma_profile"])
@@ -132,11 +143,21 @@ class TestConfig:
         ("domain_radius", math.nan), ("domain_radius", math.inf),
         ("domain_center", (math.nan, 0.0)), ("domain_center", (0.0, math.inf)),
         ("domain_center", (0.0,)),
-        ("boundary_value", math.nan), ("boundary_value", -math.inf)])
+        ("boundary_value", math.nan), ("boundary_value", -math.inf),
+        ("domain_radius", "1"), ("boundary_value", "0"),
+        ("domain_center", "ab"), ("output_dir", 5),
+        ("params", {"kappa": 0.0}), ("params", [0.0, 0.5]), ("params", None),
+        ("params", {"kappa": math.nan, "tau": 0.5})])
     def test_non_finite_domain_rejected(self, field, value):
+        # from_dict names the bad entry too: no raw KeyError, TypeError or
+        # ValueError leaves it
+        d = {"params": NIL.to_dict(), "H_list": [0.5], "grid_sizes": [24],
+             field: value}
         with pytest.raises(ConfigInvalid, match=field):
-            ExperimentConfig(params=NIL, H_list=[0.5], grid_sizes=[24],
-                             **{field: value})
+            ExperimentConfig.from_dict(d)
+        if field != "params":
+            with pytest.raises(ConfigInvalid, match=field):
+                ExperimentConfig(**{**d, "params": NIL})
 
     def test_from_json(self, tmp_path):
         p = tmp_path / "cfg.json"

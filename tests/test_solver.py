@@ -37,10 +37,41 @@ CAP_ORACLE = 1.0 - math.sqrt(1.0 - 0.25)  # 1/H - sqrt(1/H^2 - R^2), H=1, R=1/2
 NIL_DISK_H08 = 0.53240
 
 
+class Allocated(Exception):
+    """Raised by a patched `np.linspace`: a lattice was about to be built."""
+
+
+def _allocate(*args, **kwargs):
+    raise Allocated
+
+
 class TestGrids:
     def test_minimum_size(self):
         with pytest.raises(ConfigInvalid):
             disk_grid(0.5, 7, FLAT)
+
+    @pytest.mark.parametrize("entry", ["disk_grid", "rectangle_grid",
+                                       "from_record"])
+    def test_lattice_cap_checked_before_any_allocation(self, monkeypatch,
+                                                       entry):
+        rec = GraphSolution(disk_grid(1.0, 16, NIL), np.zeros((16, 16)), NIL,
+                            0.0, 0.0, 0.0, 1.0, 0.0).to_record()
+        monkeypatch.setattr(np, "linspace", _allocate)
+
+        def build(n):
+            if entry == "disk_grid":
+                return disk_grid(1.0, n, NIL)
+            if entry == "rectangle_grid":
+                return rectangle_grid((0.5, 0.5), n, NIL)
+            rec["grid"]["n"] = n
+            return GraphSolution.from_record(rec)
+
+        for n in (solver.MAX_NODES_PER_SIDE + 1, 10**9):
+            with pytest.raises(ConfigInvalid, match="nodes per side"):
+                build(n)
+        # the cap itself is a valid size: the build goes on to the lattice
+        with pytest.raises(Allocated):
+            build(solver.MAX_NODES_PER_SIDE)
 
     def test_disk_mask_inside_model_domain(self):
         with pytest.raises(OutOfDomain):
@@ -263,8 +294,9 @@ class TestExactJacobian:
 
 
 class TestJacobianRefill:
-    """The bincount refill against the operator it stands for: the sum over
-    jets k of diag(dH/d jet k) times block k of jet_u, by scipy products."""
+    """The Jacobian product S @ jet_u against the operator it stands for: the
+    sum over jets k of diag(dH/d jet k) times block k of jet_u, by scipy's
+    sparse addition.  Both add the blocks in order, so they agree to the bit."""
 
     @pytest.mark.parametrize("grid", [
         lambda: disk_grid(0.6, 24, NIL, center=(0.05, -0.03)),
@@ -284,7 +316,8 @@ class TestJacobianRefill:
         blocks = [g.jet_u[k * m:(k + 1) * m] for k in range(len(JETS))]
         ref = sum(sp.diags(dH[k]) @ b for k, b in zip(JETS, blocks))
         assert J.shape == ref.shape == (m, m)
-        assert abs(J - ref).max() <= 1e-13 * abs(J).max()
+        assert J.format == "csc" and J.has_sorted_indices
+        assert (J != ref).nnz == 0
 
 
 class TestSolveDirichlet:
