@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMetric
+from .errors import ConfigInvalid, DegenerateMetric
 from .model import Ambient, Point3, SpaceParams, TangentVector, ambient_components
 
 _DET_FLOOR = 1e-14
@@ -71,6 +71,14 @@ class ShapeData:
     sigma_sq: float
 
 
+def _check_orientation(orientation) -> int:
+    """The orientation, if it is the int +1 or -1 (a bool or float is not)."""
+    if type(orientation) is not int or orientation not in (-1, 1):
+        raise ConfigInvalid("orientation must be the integer +1 or -1, got %r"
+                            % (orientation,))
+    return orientation
+
+
 def _forms(amb: Ambient, fx, fy, fxx, fxy, fyy, orientation: int):
     """The graph kernel on floats or arrays, with the intermediates that the
     exact first-order partials reuse (keys with a leading underscore).
@@ -83,9 +91,7 @@ def _forms(amb: Ambient, fx, fy, fxx, fxy, fyy, orientation: int):
                 - ((d_x g)(T_a, T_b), (d_y g)(T_a, T_b), 0)],
     since T_a^i d_i = d_a on z-independent data.
     """
-    if orientation not in (-1, 1):
-        raise ValueError("orientation must be +1 or -1")
-    s = float(orientation)
+    s = float(_check_orientation(orientation))
     (_, _, _, g_xx, g_xy, g_xz, g_yy, g_yz, gi_xx, gi_xz, gi_yz, gi_zz,
      dx_xx, dx_xy, dx_xz, dx_yy, dx_yz,
      dy_xx, dy_xy, dy_xz, dy_yy, dy_yz) = amb

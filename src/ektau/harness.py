@@ -23,14 +23,18 @@ import numpy as np
 
 from . import graph_geometry as gg
 from . import model, rotational, solver, stability
-from .errors import (ConfigInvalid, EktauError, IoFailure, IterationLimit,
-                     OutOfDomain)
+from .errors import (ConfigInvalid, DegenerateMetric, EktauError, IoFailure,
+                     IterationLimit, NonConvergence, OutOfDomain,
+                     VerticalBlowup)
 from .model import Point3, SpaceParams
 
 PLOT_HEADER = "H n height hemi_height bound lambda_min status"
 
-# row status of an error: the solve failures, then the checks after a solve
-FAILURES = {**solver.FAILURES, IterationLimit: "stability_failed"}
+# row status of an error: the grid build and solve failures, then the
+# checks after a solve
+FAILURES = {VerticalBlowup: "vertical_blowup", NonConvergence: "non_convergence",
+            DegenerateMetric: "degenerate_metric", OutOfDomain: "out_of_domain",
+            IterationLimit: "stability_failed"}
 
 
 def _finite_real(x) -> bool:
@@ -70,7 +74,14 @@ class ExperimentConfig:
     check_stability: bool = False
 
     def __post_init__(self):
-        for H in self.H_list or ():
+        if not isinstance(self.params, SpaceParams):
+            raise ConfigInvalid("params must be a SpaceParams, got %r"
+                                % (self.params,))
+        for name in ("H_list", "grid_sizes", "domain_center"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ConfigInvalid("%s must be a list or tuple, got %r"
+                                    % (name, getattr(self, name)))
+        for H in self.H_list:
             if isinstance(H, bool) or not isinstance(H, numbers.Real):
                 raise ConfigInvalid("H_list entries must be real numbers, "
                                     "got %r" % (H,))
@@ -120,7 +131,7 @@ class ExperimentConfig:
         if unknown:
             raise ConfigInvalid("unknown config keys: %s" % sorted(unknown))
         try:
-            if "domain_center" in d:
+            if isinstance(d.get("domain_center"), list):
                 d["domain_center"] = tuple(d["domain_center"])
             return cls(params=params, **d)
         except (TypeError, ValueError) as exc:
@@ -188,11 +199,12 @@ def _fmt(value) -> str:
 def run_experiment(cfg: ExperimentConfig) -> list[ReportRecord]:
     """Solve the configured sweep and (optionally) persist its records.
 
-    Rows are ordered by (n, H).  Each grid is swept by
-    `solver.continuation_in_H`, one independent cold solve per row.  An
-    error in FAILURES never aborts the sweep: the row takes its status
-    from that table.  An output directory that cannot be created fails
-    with `IoFailure` before the first solve.
+    Rows are ordered by (n, H).  Each n builds one disk grid, and each row
+    is one cold `solver.solve_dirichlet` on it, independent of the others.
+    An error in FAILURES, from the grid build, the solve or the checks
+    after it, never aborts the sweep: the row takes its status from that
+    table.  An output directory that cannot be created fails with
+    `IoFailure` before the first solve.
     """
     if cfg.output_dir is not None:
         out = Path(cfg.output_dir)
@@ -212,28 +224,22 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRecord]:
 
     pairs = []
     for n in sorted(set(cfg.grid_sizes)):
-        try:
-            grid = solver.disk_grid(cfg.domain_radius, n, params,
-                                    center=cfg.domain_center)
-        except OutOfDomain as exc:
-            steps = [solver.ContinuationStep(H, None, FAILURES[OutOfDomain],
-                                             str(exc)) for H in H_values]
-        else:
-            steps = solver.continuation_in_H(grid, cfg.boundary_value,
-                                             H_values, params)
-        for step in steps:
-            rec = ReportRecord(kappa=params.kappa, tau=params.tau, H=step.H,
-                               n=n, status=step.failure or "converged",
-                               hemisphere_height=hemi[step.H],
-                               rosenberg_bound=bound[step.H],
-                               message=step.message)
-            sol = step.solution
-            if sol is not None:
-                try:
-                    _measure(rec, sol, cfg)
-                except tuple(FAILURES) as exc:
-                    rec.status, rec.message = FAILURES[type(exc)], str(exc)
-                    sol = None
+        grid = None
+        for H in H_values:
+            rec = ReportRecord(kappa=params.kappa, tau=params.tau, H=H, n=n,
+                               status="converged", hemisphere_height=hemi[H],
+                               rosenberg_bound=bound[H])
+            # through the module, where benchmark/tracing.py wraps both; a
+            # grid outside the model disk fails fast on every row of its n
+            try:
+                grid = grid or solver.disk_grid(cfg.domain_radius, n, params,
+                                                center=cfg.domain_center)
+                sol = solver.solve_dirichlet(grid, cfg.boundary_value, H,
+                                             params)
+                _measure(rec, sol, cfg)
+            except tuple(FAILURES) as exc:
+                rec.status, rec.message = FAILURES[type(exc)], str(exc)
+                sol = None
             pairs.append((rec, sol))
 
     if cfg.output_dir is not None:

@@ -54,7 +54,8 @@ import scipy.sparse.linalg as spla
 from . import graph_geometry, model, rotational
 from .errors import (ConfigInvalid, DegenerateMetric, IoFailure,
                      NonConvergence, OutOfDomain, VerticalBlowup)
-from .graph_geometry import mean_curvature_arrays, mean_curvature_sensitivities
+from .graph_geometry import (_check_orientation, mean_curvature_arrays,
+                             mean_curvature_sensitivities)
 from .model import Ambient, SpaceParams, ambient_components
 
 BLOWUP_NU = 1e-3
@@ -376,14 +377,6 @@ def _atomic_write(path, text: str) -> None:
         raise IoFailure("cannot write %s: %s" % (path, exc.strerror or exc))
 
 
-def _check_orientation(orientation) -> int:
-    """The orientation, if it is the int +1 or -1 (a bool or float is not)."""
-    if type(orientation) is not int or orientation not in (-1, 1):
-        raise ConfigInvalid("orientation must be the integer +1 or -1, got %r"
-                            % (orientation,))
-    return orientation
-
-
 @dataclass
 class GraphSolution:
     """Converged graph over a masked grid with convergence metadata."""
@@ -599,14 +592,11 @@ def has_cap(grid: DomainGrid, H: float) -> bool:
 
 
 def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
-                    params: SpaceParams, orientation: int = -1,
-                    init_values: np.ndarray | None = None) -> GraphSolution:
+                    params: SpaceParams, orientation: int = -1) -> GraphSolution:
     """Solve H(graph jet) = H at every interior node, Dirichlet data on the boundary.
 
     The discrete problem is solved with boundary value zero and shifted
-    afterwards.  init_values (an (n, n) lattice array of heights with the
-    same boundary value, finite at the interior nodes) warm-starts the
-    iteration; without them it starts from the cap, signed -orientation,
+    afterwards.  The iteration starts from the cap, signed -orientation,
     where `has_cap` holds, else from zero.  The solve is one Newton run: a
     failure (`VerticalBlowup`, `NonConvergence`) propagates as raised.
     """
@@ -619,20 +609,7 @@ def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
     if not math.isfinite(boundary_value):
         raise ConfigInvalid("boundary value must be finite, got %r"
                             % boundary_value)
-    if init_values is not None:
-        try:
-            init_values = np.asarray(init_values, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid("init_values must be numeric: %s" % exc)
-        if init_values.shape != grid.interior.shape:
-            raise ConfigInvalid("init_values must have the lattice shape %r, "
-                                "got %r" % (grid.interior.shape,
-                                            init_values.shape))
-        u0 = init_values[grid.interior] - boundary_value
-        if not np.isfinite(u0).all():
-            raise ConfigInvalid("init_values must be finite at the interior "
-                                "nodes")
-    elif has_cap(grid, H):
+    if has_cap(grid, H):
         r = np.hypot(grid.X - grid.center[0], grid.Y - grid.center[1])
         u0 = -orientation * rotational.cap_heights(
             r[grid.interior], grid.radius, H, params)
@@ -651,53 +628,6 @@ def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
 def graph_height(sol: GraphSolution) -> float:
     """Largest vertical offset from the boundary section."""
     return float(np.max(np.abs(sol.interior_values() - sol.boundary_value)))
-
-
-# status of a sweep row whose solve raised one of these
-FAILURES = {VerticalBlowup: "vertical_blowup", NonConvergence: "non_convergence",
-            DegenerateMetric: "degenerate_metric", OutOfDomain: "out_of_domain"}
-
-
-@dataclass
-class ContinuationStep:
-    H: float
-    solution: GraphSolution | None
-    failure: str | None     # a value of FAILURES, None on success
-    message: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.solution is not None
-
-    @property
-    def height(self) -> float | None:
-        return graph_height(self.solution) if self.solution is not None else None
-
-
-def continuation_in_H(grid: DomainGrid, boundary_value: float, H_values,
-                      params: SpaceParams,
-                      orientation: int = -1) -> list[ContinuationStep]:
-    """One cold `solve_dirichlet` per H of the ascending `H_values`.
-
-    The rows are independent: each is the standalone solve at its H, so no
-    row depends on the others in the list.  Failures are recorded with their
-    FAILURES status and never abort the sweep.
-    """
-    H_values = list(H_values)
-    if not (H_values and all(math.isfinite(H) and H >= 0 for H in H_values)
-            and all(a < b for a, b in zip(H_values, H_values[1:]))):
-        raise ConfigInvalid("H values must be nonempty, finite, >= 0 and "
-                            "ascending")
-    out: list[ContinuationStep] = []
-    for H in H_values:
-        try:
-            sol = solve_dirichlet(grid, boundary_value, H, params,
-                                  orientation=orientation)
-        except tuple(FAILURES) as exc:
-            out.append(ContinuationStep(H, None, FAILURES[type(exc)], str(exc)))
-        else:
-            out.append(ContinuationStep(H, sol, None))
-    return out
 
 
 def sigma_profile(sol: GraphSolution):

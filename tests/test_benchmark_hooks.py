@@ -3,8 +3,9 @@
 `benchmark/tracing.py` reports a per-layer metric as absent when the name it
 wraps is gone, so a rename in the package would silently null that metric;
 a traced solve checks that the wrapped kernel entry points are still the
-ones each Newton point calls, and traced measurements of a solved graph
-that they are not counted as Newton residuals.
+ones each Newton point calls, traced measurements of a solved graph that
+they are not counted as Newton residuals, and a traced sweep that each of
+its rows is one wrapped solve.
 """
 
 import importlib
@@ -12,7 +13,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from ektau import solver, stability
+from ektau import harness, solver, stability
 from ektau.model import SpaceParams
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
@@ -71,3 +72,24 @@ def test_traced_measurements_record_no_residual(monkeypatch):
     assert {"stability.assemble_jacobi", "stability.smallest_eigenvalue",
             "stability.angle_jacobi_residual"} <= set(names)
     assert "graph_geometry.mean_curvature_arrays" not in names
+
+
+def test_traced_sweep_solves_every_row_through_the_module(monkeypatch):
+    # run_experiment reaches disk_grid and solve_dirichlet through the
+    # solver module; a name bound at import would bypass the wrappers and
+    # zero the sweep's Newton iteration and failed-solve counts
+    tracing = _load_tracing(monkeypatch)
+    cfg = harness.ExperimentConfig(params=SpaceParams(0.0, 0.5),
+                                   H_list=[0.5, 0.8, 1.2], grid_sizes=[24])
+    tracer = tracing.Tracer()
+    with tracing.Hooks(tracer) as hooks:
+        records = harness.run_experiment(cfg)
+    assert hooks.absent == set()
+    assert [r.status for r in records] == [
+        "converged", "converged", "vertical_blowup"]
+    spans = tracer.spans
+    assert [s.name for s in spans].count("solver.disk_grid") == 1
+    assert [s.error for s in spans if s.name == "solver.solve_dirichlet"] \
+        == [False, False, True]
+    assert [s.name for s in spans if s.parent == -1] \
+        == ["harness.run_experiment"]

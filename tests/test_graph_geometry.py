@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ektau import model
-from ektau.errors import DegenerateMetric, OutOfDomain
+from ektau.errors import ConfigInvalid, DegenerateMetric, OutOfDomain
 from ektau.graph_geometry import (Jet2, _forms, angle_function,
                                   jacobi_potential, jacobi_potential_from,
                                   mean_curvature_arrays,
@@ -286,3 +286,18 @@ class TestErrorPaths:
         jet = [np.array([0.5, bad])] + [np.zeros(2)] * 4
         with pytest.raises(DegenerateMetric):
             mean_curvature_arrays(amb, *jet)
+
+    @pytest.mark.parametrize("entry", ["shape_data", "mean_curvature_arrays"])
+    @pytest.mark.parametrize("orientation", [0, 2, True, 1.0, "1", None])
+    def test_bad_orientation_rejected(self, entry, orientation):
+        # the solver's rule: the int +1 or -1, where True would run as +1
+        jet = Jet2(0.2, 0.1, 0.0, 0.3, -0.2, 0.5, 0.1, -0.4)
+        with pytest.raises(ConfigInvalid,
+                           match="orientation must be the integer"):
+            if entry == "shape_data":
+                shape_data(jet, NIL, orientation=orientation)
+            else:
+                amb = ambient_components(np.array([jet.x]),
+                                         np.array([jet.y]), NIL)
+                mean_curvature_arrays(amb, *(np.array([v]) for v in (
+                    jet.fx, jet.fy, jet.fxx, jet.fxy, jet.fyy)), orientation)

@@ -147,17 +147,23 @@ class TestConfig:
         ("domain_radius", "1"), ("boundary_value", "0"),
         ("domain_center", "ab"), ("output_dir", 5),
         ("params", {"kappa": 0.0}), ("params", [0.0, 0.5]), ("params", None),
-        ("params", {"kappa": math.nan, "tau": 0.5})])
+        ("params", {"kappa": math.nan, "tau": 0.5}),
+        ("H_list", 5), ("grid_sizes", 24), ("domain_center", 5)])
     def test_non_finite_domain_rejected(self, field, value):
-        # from_dict names the bad entry too: no raw KeyError, TypeError or
-        # ValueError leaves it
+        # from_dict and the constructor both name the bad entry: no raw
+        # KeyError, TypeError, ValueError or AttributeError leaves them
         d = {"params": NIL.to_dict(), "H_list": [0.5], "grid_sizes": [24],
              field: value}
         with pytest.raises(ConfigInvalid, match=field):
             ExperimentConfig.from_dict(d)
-        if field != "params":
-            with pytest.raises(ConfigInvalid, match=field):
-                ExperimentConfig(**{**d, "params": NIL})
+        with pytest.raises(ConfigInvalid, match=field):
+            ExperimentConfig(**{**d, "params": NIL, field: value})
+
+    def test_params_object_rejected_by_the_constructor(self):
+        # from_dict parses a params object; the constructor takes none
+        with pytest.raises(ConfigInvalid, match="params must be a SpaceParams"):
+            ExperimentConfig(params=NIL.to_dict(), H_list=[0.5],
+                             grid_sizes=[24])
 
     def test_from_json(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -201,21 +207,25 @@ class TestRunExperiment:
         b = (Path(cfg2.output_dir) / "sweep.dat").read_bytes()
         assert a == b
 
-    def test_no_row_is_warm_started(self, tmp_path, monkeypatch):
-        from ektau import solver
-        real = solver.solve_dirichlet
-        warm = {}
-
-        def spy(grid, bv, H, *args, init_values=None, **kwargs):
-            warm[H] = init_values is not None
-            return real(grid, bv, H, *args, init_values=init_values, **kwargs)
-
-        monkeypatch.setattr(solver, "solve_dirichlet", spy)
-        cfg = small_config(tmp_path, "starts", H_list=[0.5, 0.8, 1.0, 1.2])
+    def test_every_row_is_its_standalone_solve(self, tmp_path):
+        from ektau import harness, solver
+        cfg = small_config(tmp_path, "alone", H_list=[0.4, 0.8, 1.05, 1.3])
         records = run_experiment(cfg)
-        assert warm == {0.5: False, 0.8: False, 1.0: False, 1.2: False}
         assert [r.status for r in records] == [
             "converged", "converged", "vertical_blowup", "vertical_blowup"]
+        grid = solver.disk_grid(1.0, 24, NIL)
+        for rec in records:
+            try:
+                alone = solver.solve_dirichlet(grid, 0.0, rec.H, NIL)
+            except tuple(harness.FAILURES) as exc:
+                assert (rec.status, rec.message) == (
+                    harness.FAILURES[type(exc)], str(exc))
+                assert rec.solution_file is None
+            else:
+                assert (rec.status, rec.message) == ("converged", "")
+                saved = Path(cfg.output_dir) / rec.solution_file
+                assert saved.read_text() == json.dumps(alone.to_record(),
+                                                       sort_keys=True)
 
     def test_rerun_byte_identical_across_start_paths(self, tmp_path):
         # cap-started rows and zero-started blow-up rows in one sweep

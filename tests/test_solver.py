@@ -1,4 +1,4 @@
-"""Dirichlet solver: oracles, invariants, continuation, serialization."""
+"""Dirichlet solver: oracles, invariants, sweeps in H, serialization."""
 
 import json
 import math
@@ -18,9 +18,8 @@ from ektau.errors import (ConfigInvalid, DegenerateMetric, IoFailure,
 from ektau.graph_geometry import (mean_curvature_arrays,
                                   mean_curvature_sensitivities)
 from ektau.model import DOMAIN_MARGIN, SpaceParams, base_distance
-from ektau.solver import (DomainGrid, GraphSolution, continuation_in_H,
-                          disk_grid, graph_height, rectangle_grid,
-                          sigma_profile, solve_dirichlet)
+from ektau.solver import (DomainGrid, GraphSolution, disk_grid, graph_height,
+                          rectangle_grid, sigma_profile, solve_dirichlet)
 
 NIL = SpaceParams(0.0, 0.5)
 PSL = SpaceParams(-1.0, 0.5)
@@ -342,12 +341,25 @@ class TestSolveDirichlet:
                                   sol.orientation)["H"]
         assert np.abs(H - 1.0).max() <= 1e-10
 
-    def test_translation_equivariance(self):
-        g = disk_grid(0.5, 24, FLAT)
-        a = solve_dirichlet(g, 0.0, 1.0, FLAT)
-        b = solve_dirichlet(g, 1.3, 1.0, FLAT)
-        np.testing.assert_allclose(b.values, a.values + 1.3, atol=1e-12)
-        assert graph_height(a) == pytest.approx(graph_height(b), abs=1e-12)
+    @settings(max_examples=10, deadline=None)
+    @given(params=st.sampled_from([FLAT, NIL, PSL]), n=st.integers(16, 33),
+           H=st.floats(0.05, 0.9),
+           center=st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
+           c=st.one_of(st.floats(-1e3, -1.0), st.floats(1.0, 1e3)))
+    def test_translation_equivariance(self, params, n, H, center, c):
+        # the solver runs at boundary value zero and shifts the result, so
+        # a shifted boundary value is the same Newton run to the bit
+        g = disk_grid(1.0, n, params, center=center)
+        a = solve_dirichlet(g, 0.0, H, params)
+        b = solve_dirichlet(g, c, H, params)
+        assert np.array_equal(b.values, a.values + c)
+        for key in ("newton_iterations", "residual_max", "min_abs_nu",
+                    "max_sigma_interior"):
+            assert getattr(b, key) == getattr(a, key), key
+        # graph_height rounds (u + c) - c: with |u| < 1 <= |c| the sum is
+        # off by at most one ulp of |c| and the difference by half of one
+        assert abs(graph_height(b) - graph_height(a)) \
+            <= 1.5 * np.spacing(abs(c))
 
     @settings(max_examples=10, deadline=None)
     @given(params=st.sampled_from([NIL, PSL]), n=st.integers(8, 33),
@@ -453,25 +465,7 @@ class TestSolveDirichlet:
         with pytest.raises(ConfigInvalid):
             solve_dirichlet(g, 0.0, 0.5, NIL)
 
-    @pytest.mark.parametrize("init, message", [
-        (np.zeros((10, 10)), "lattice shape"),
-        (np.zeros(24 * 24 + 1), "lattice shape"),
-        (np.zeros(24 * 24), "lattice shape"),
-        (np.full((24, 24), np.nan), "finite at the interior nodes"),
-        ([["a"] * 24] * 24, "numeric")],
-        ids=["small", "one_too_many", "flat", "nan", "strings"])
-    def test_bad_init_values_rejected_before_newton(self, monkeypatch, init,
-                                                    message):
-        calls = []
-        monkeypatch.setattr(solver, "_newton",
-                            lambda *args: calls.append(args))
-        g = disk_grid(1.0, 24, NIL)
-        with pytest.raises(ConfigInvalid, match="init_values must .*" + message):
-            solve_dirichlet(g, 0.0, 0.8, NIL, init_values=init)
-        assert calls == []
-
-    @pytest.mark.parametrize("entry", ["solve_dirichlet", "continuation_in_H",
-                                       "from_record"])
+    @pytest.mark.parametrize("entry", ["solve_dirichlet", "from_record"])
     @pytest.mark.parametrize("orientation", [0, 2, -2, True, 1.0, "1", None])
     def test_bad_orientation_rejected_before_the_cap(self, monkeypatch, entry,
                                                      orientation):
@@ -483,9 +477,6 @@ class TestSolveDirichlet:
                            match="orientation must be the integer"):
             if entry == "solve_dirichlet":
                 solve_dirichlet(g, 0.0, 0.8, NIL, orientation=orientation)
-            elif entry == "continuation_in_H":
-                continuation_in_H(g, 0.0, [0.4, 0.8], NIL,
-                                  orientation=orientation)
             else:
                 rec = GraphSolution(g, np.zeros((16, 16)), NIL, 0.0, 0.0, 0.0,
                                     1.0, 0.0).to_record()
@@ -495,8 +486,8 @@ class TestSolveDirichlet:
 
 
 class TestColdStart:
-    """Cold solves start from the rotational cap where `has_cap` holds and
-    from zero otherwise; explicit initial values are taken as given."""
+    """Every solve starts from the rotational cap where `has_cap` holds and
+    from zero otherwise."""
 
     @staticmethod
     def _first_iterates(monkeypatch):
@@ -548,16 +539,6 @@ class TestColdStart:
         with pytest.raises(VerticalBlowup):
             solve_dirichlet(grid, 0.0, 2.0, FLAT)
         assert not starts[0].any()
-
-    def test_explicit_init_values_are_the_start(self, monkeypatch):
-        g = disk_grid(1.0, 32, NIL)
-        warm = solve_dirichlet(g, 0.0, 0.7, NIL).values
-        u, _, _, iters = solver._newton(g, 0.75, -1, warm[g.interior])
-        starts = self._first_iterates(monkeypatch)
-        sol = solve_dirichlet(g, 0.0, 0.75, NIL, init_values=warm)
-        np.testing.assert_array_equal(starts[0], warm[g.interior])
-        assert sol.newton_iterations == iters
-        np.testing.assert_array_equal(sol.values[g.interior], u)
 
 
 class TestComparison:
@@ -743,76 +724,17 @@ class TestGlobalization:
 
 
 class TestContinuation:
-    def test_flat_unit_disk_blows_up_past_one(self):
-        g = disk_grid(1.0, 32, FLAT)
-        steps = continuation_in_H(g, 0.0, np.linspace(0.0, 1.2, 13), FLAT)
-        assert all(s.ok for s in steps if s.H <= 0.91)
-        late = [s for s in steps if s.H > 1.05]
-        assert late and all(s.failure == "vertical_blowup" for s in late)
-
-    def test_zero_H_always_succeeds(self):
-        g = disk_grid(0.8, 24, NIL)
-        steps = continuation_in_H(g, 0.0, np.linspace(0.0, 0.4, 3), NIL)
-        assert steps[0].H == 0.0 and steps[0].ok
+    """Independent solves along a sweep of H on one grid."""
 
     def test_heights_nondecreasing_on_success_prefix(self):
         g = disk_grid(1.0, 32, FLAT)
-        steps = continuation_in_H(g, 0.0, np.linspace(0.0, 1.1, 12), FLAT)
-        heights = [s.height for s in steps if s.ok]
-        assert all(b >= a - 1e-6 for a, b in zip(heights, heights[1:]))
-
-    @pytest.mark.parametrize("grid, params, H_values", [
-        (disk_grid(1.0, 24, NIL), NIL, [0.0, 0.4, 0.8, 1.05, 1.3]),
-        (rectangle_grid((0.4, 0.4), 24, FLAT), FLAT,
-         [0.5, 1.0, 1.5, 2.0, 3.0])], ids=["nil-disk", "flat-rectangle"])
-    def test_every_step_is_its_standalone_solve(self, grid, params, H_values):
-        # the rectangle has no cap, so a start carried over from an earlier
-        # row would converge to other bits at H = 1, 1.5 and 2
-        steps = continuation_in_H(grid, 0.0, H_values, params)
-        assert {s.ok for s in steps} == {True, False}
-        for s in steps:
+        heights = []
+        for H in np.linspace(0.0, 1.1, 12):
             try:
-                alone = solve_dirichlet(grid, 0.0, s.H, params)
-            except tuple(solver.FAILURES) as exc:
-                assert (s.failure, s.message) == (solver.FAILURES[type(exc)],
-                                                  str(exc))
-            else:
-                assert s.ok
-                assert (s.solution.newton_iterations
-                        == alone.newton_iterations)
-                assert np.array_equal(s.solution.values, alone.values)
-
-    def test_sweep_never_aborts(self):
-        g = disk_grid(1.0, 24, NIL)
-        steps = continuation_in_H(g, 0.0, np.linspace(0.5, 2.0, 7), NIL)
-        assert len(steps) == 7
-        assert any(not s.ok for s in steps)
-
-    def test_numerical_errors_recorded_as_failures(self, monkeypatch):
-        real = solver.solve_dirichlet
-        raised = {0.3: DegenerateMetric("first fundamental form degenerate"),
-                  0.5: OutOfDomain("point outside the model disk")}
-
-        def raise_by_H(grid, bv, H, *args, **kwargs):
-            if H in raised:
-                raise raised[H]
-            return real(grid, bv, H, *args, **kwargs)
-
-        monkeypatch.setattr(solver, "solve_dirichlet", raise_by_H)
-        steps = continuation_in_H(disk_grid(1.0, 24, NIL), 0.0,
-                                  [0.3, 0.5, 0.6], NIL)
-        assert [s.failure for s in steps] == [
-            "degenerate_metric", "out_of_domain", None]
-        assert [s.message for s in steps[:2]] == [str(e) for e in raised.values()]
-        assert steps[2].ok and steps[2].height > 0
-
-    @pytest.mark.parametrize("H_values", [
-        [], [0.5, 0.3], [0.3, 0.3], [-0.1, 0.5], [0.2, math.nan],
-        [0.2, math.inf]], ids=["empty", "descending", "repeated", "negative",
-                               "nan", "inf"])
-    def test_bad_H_values_rejected(self, H_values):
-        with pytest.raises(ConfigInvalid, match="H values"):
-            continuation_in_H(disk_grid(1.0, 16, NIL), 0.0, H_values, NIL)
+                heights.append(graph_height(solve_dirichlet(g, 0.0, H, FLAT)))
+            except (VerticalBlowup, NonConvergence):
+                pass
+        assert all(b >= a - 1e-6 for a, b in zip(heights, heights[1:]))
 
 
 class TestSigmaProfile:
@@ -848,11 +770,10 @@ class TestSigmaProfile:
 
     def test_bounded_far_from_boundary_across_sweep(self):
         g = disk_grid(1.0, 24, FLAT)
-        steps = continuation_in_H(g, 0.0, np.linspace(0.1, 0.9, 5), FLAT)
         far = []
-        for s in steps:
-            assert s.ok
-            far.extend(v for d, v in sigma_profile(s.solution) if d > 0.2)
+        for H in np.linspace(0.1, 0.9, 5):
+            sol = solve_dirichlet(g, 0.0, H, FLAT)
+            far.extend(v for d, v in sigma_profile(sol) if d > 0.2)
         assert max(far) < 5.0
 
 
