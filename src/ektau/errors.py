@@ -1,8 +1,15 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and its scalar input rules."""
+
+import numbers
+import sys
 
 
 class EktauError(Exception):
     """Base class for all package errors."""
+
+
+class ConfigInvalid(EktauError, ValueError):
+    """Rejected input (an argument, config or record); also a ValueError."""
 
 
 class OutOfDomain(EktauError):
@@ -13,8 +20,8 @@ class UnsupportedSign(EktauError):
     """Operation not defined for this sign of the base curvature."""
 
 
-class NonPositiveH(EktauError):
-    """Operation requires a positive mean curvature value."""
+class NonPositiveH(ConfigInvalid):
+    """Rejected input: a mean curvature that is not a finite H > 0."""
 
 
 class DegenerateMetric(EktauError):
@@ -29,10 +36,6 @@ class VerticalBlowup(EktauError):
     """The iterate ceased to be a graph: min |nu| fell below the threshold."""
 
 
-class NotConverged(EktauError):
-    """Operation requires a converged solution."""
-
-
 class NoSphere(EktauError):
     """No rotational sphere exists for these (H, kappa, tau)."""
 
@@ -41,9 +44,23 @@ class IterationLimit(EktauError):
     """Eigenvalue iteration exceeded its iteration cap."""
 
 
-class ConfigInvalid(EktauError):
-    """Experiment configuration failed validation."""
-
-
 class IoFailure(EktauError):
     """Could not read or write a harness artifact."""
+
+
+def finite_real(x) -> bool:
+    """Whether x is a real number a finite float can hold (a bool is not)."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
+def finite_pair(v) -> bool:
+    """Whether v is a list, tuple or 1-d array of two finite real numbers."""
+    return ((isinstance(v, (list, tuple)) or getattr(v, "ndim", 0) == 1)
+            and len(v) == 2 and all(map(finite_real, v)))
+
+
+def check_H(H, what: str) -> None:
+    """Raise NonPositiveH unless H is a finite real number > 0."""
+    if not (finite_real(H) and H > 0):
+        raise NonPositiveH("%s needs a finite H > 0, got %r" % (what, H))

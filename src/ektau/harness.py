@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,7 @@ from . import graph_geometry as gg
 from . import model, rotational, solver, stability
 from .errors import (ConfigInvalid, DegenerateMetric, EktauError, IoFailure,
                      IterationLimit, NonConvergence, OutOfDomain,
-                     VerticalBlowup)
+                     VerticalBlowup, check_H, finite_pair, finite_real)
 from .model import Point3, SpaceParams
 
 PLOT_HEADER = "H n height hemi_height bound lambda_min status"
@@ -37,12 +36,6 @@ FAILURES = {VerticalBlowup: "vertical_blowup", NonConvergence: "non_convergence"
             IterationLimit: "stability_failed"}
 
 
-def _finite_real(x) -> bool:
-    """Whether x is a finite real number (a bool is not)."""
-    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
-            and math.isfinite(x))
-
-
 def rosenberg_bound(H: float, params: SpaceParams) -> float | None:
     """Radius bound 2*pi/sqrt(3c) with c = 3H^2 + S, when c is positive.
 
@@ -51,8 +44,7 @@ def rosenberg_bound(H: float, params: SpaceParams) -> float | None:
     the height of an H-graph over its boundary section.  Returns None when
     3H^2 + S <= 0.
     """
-    if not (math.isfinite(H) and H > 0):
-        raise ConfigInvalid("rosenberg bound needs a finite H > 0, got %r" % H)
+    check_H(H, "rosenberg bound")
     c = 3.0 * H * H + model.scalar_curvature(params)
     if c <= 0:
         return None
@@ -81,13 +73,10 @@ class ExperimentConfig:
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ConfigInvalid("%s must be a list or tuple, got %r"
                                     % (name, getattr(self, name)))
-        for H in self.H_list:
-            if isinstance(H, bool) or not isinstance(H, numbers.Real):
-                raise ConfigInvalid("H_list entries must be real numbers, "
-                                    "got %r" % (H,))
-        if not self.H_list or not all(
-                math.isfinite(H) and H > 0 for H in self.H_list):
+        if not self.H_list:
             raise ConfigInvalid("H_list must be nonempty, finite and positive")
+        for H in self.H_list:
+            check_H(H, "H_list entry")
         if not self.grid_sizes or not all(
                 isinstance(n, (int, np.integer))
                 and 16 <= n <= solver.MAX_NODES_PER_SIDE
@@ -95,13 +84,12 @@ class ExperimentConfig:
             raise ConfigInvalid("grid sizes must be integers in [16, %d], "
                                 "got %r" % (solver.MAX_NODES_PER_SIDE,
                                             self.grid_sizes))
-        if not (_finite_real(self.domain_radius) and self.domain_radius > 0):
+        if not (finite_real(self.domain_radius) and self.domain_radius > 0):
             raise ConfigInvalid("domain_radius must be a finite positive "
                                 "number")
-        if len(self.domain_center) != 2 or not all(
-                map(_finite_real, self.domain_center)):
+        if not finite_pair(self.domain_center):
             raise ConfigInvalid("domain_center must be two finite numbers")
-        if not _finite_real(self.boundary_value):
+        if not finite_real(self.boundary_value):
             raise ConfigInvalid("boundary_value must be a finite number")
         if not (self.output_dir is None or isinstance(self.output_dir, str)):
             raise ConfigInvalid("output_dir must be a string or null, got %r"
@@ -124,17 +112,17 @@ class ExperimentConfig:
         try:
             d = dict(d)
             params = SpaceParams.from_dict(d.pop("params"))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigInvalid("config must be an object whose params hold "
                                 "finite kappa and tau: %r" % (exc,))
         unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigInvalid("unknown config keys: %s" % sorted(unknown))
+        if isinstance(d.get("domain_center"), list):
+            d["domain_center"] = tuple(d["domain_center"])
         try:
-            if isinstance(d.get("domain_center"), list):
-                d["domain_center"] = tuple(d["domain_center"])
             return cls(params=params, **d)
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:        # a required key is missing
             raise ConfigInvalid("bad config: %r" % (exc,))
 
     @classmethod
@@ -144,7 +132,7 @@ class ExperimentConfig:
                 return cls.from_dict(json.load(fh))
         except OSError as exc:
             raise IoFailure("cannot read config %s: %s" % (path, exc))
-        except (ConfigInvalid, ValueError) as exc:
+        except ValueError as exc:       # ConfigInvalid and JSONDecodeError too
             raise ConfigInvalid("bad config %s: %s" % (path, exc))
 
 
@@ -388,7 +376,7 @@ def cli_dispatch(argv) -> int:
 
     try:
         return _run_command(args)
-    except (EktauError, ValueError) as exc:     # ValueError: rejected input
+    except EktauError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveH, OutOfDomain, UnsupportedSign
+from .errors import ConfigInvalid, OutOfDomain, UnsupportedSign, check_H, finite_real
 
 # Strict margin kept inside the model disk when kappa < 0; lam diverges at
 # the boundary.
@@ -55,15 +55,15 @@ class SpaceParams:
     tau: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.kappa) and math.isfinite(self.tau)):
-            raise ValueError("kappa and tau must be finite")
+        if not (finite_real(self.kappa) and finite_real(self.tau)):
+            raise ConfigInvalid("kappa and tau must be finite")
         if self.tau < 0:
-            raise ValueError("tau must be >= 0 (fix the orientation so tau >= 0)")
+            raise ConfigInvalid("tau must be >= 0 (fix the orientation so tau >= 0)")
         if self.kappa == 0.0 and self.tau == 0.0:
             return
-        scale = max(abs(self.kappa), 4 * self.tau**2)
-        if abs(self.kappa - 4 * self.tau**2) <= 1e-12 * scale:
-            raise ValueError(
+        scale = max(abs(self.kappa), 4 * self.tau * self.tau)
+        if abs(self.kappa - 4 * self.tau * self.tau) <= 1e-12 * scale:
+            raise ConfigInvalid(
                 "kappa - 4*tau^2 must not vanish (got kappa=%g, tau=%g)"
                 % (self.kappa, self.tau)
             )
@@ -370,8 +370,7 @@ def critical_mean_curvature(params: SpaceParams) -> float:
 
 def sphere_exists(H: float, params: SpaceParams) -> bool:
     """True iff 4 H^2 + kappa > 0."""
-    if not (math.isfinite(H) and H > 0):
-        raise NonPositiveH("sphere existence needs a finite H > 0, got %r" % H)
+    check_H(H, "sphere existence")
     return 4.0 * H * H + params.kappa > 0.0
 
 

@@ -42,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import model
-from .errors import NoSphere, UnsupportedSign
+from .errors import NoSphere, UnsupportedSign, check_H
 from .model import SpaceParams
 
 EQUATOR_NU = 1e-6
@@ -85,8 +85,7 @@ class PlanarCircle:
 
 def _check_sphere(H: float, params: SpaceParams) -> None:
     """Reject H and the space when no rotational sphere exists."""
-    if not (math.isfinite(H) and H > 0):
-        raise ValueError("hemisphere height needs a finite H > 0, got %r" % H)
+    check_H(H, "hemisphere height")
     if params.kappa > 0:
         raise UnsupportedSign("rotational spheres restricted to kappa <= 0")
     if not model.sphere_exists(H, params):
@@ -229,8 +228,7 @@ def cmc_cylinder_curve(H: float, params: SpaceParams) -> PlanarCircle:
     so the closed circle has r = 1/(H + sqrt(H^2 + kappa/4)), which is
     1/(2H) when kappa = 0.
     """
-    if not (math.isfinite(H) and H > 0):
-        raise ValueError("cylinder curve needs a finite H > 0, got %r" % H)
+    check_H(H, "cylinder curve")
     if params.kappa > 0:
         raise UnsupportedSign("cylinder curves restricted to kappa <= 0")
     kg = 2.0 * H

@@ -52,8 +52,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import graph_geometry, model, rotational
-from .errors import (ConfigInvalid, DegenerateMetric, IoFailure,
-                     NonConvergence, OutOfDomain, VerticalBlowup)
+from .errors import (ConfigInvalid, DegenerateMetric, IoFailure, NonConvergence,
+                     OutOfDomain, VerticalBlowup, finite_pair, finite_real)
 from .graph_geometry import (_check_orientation, mean_curvature_arrays,
                              mean_curvature_sensitivities)
 from .model import Ambient, SpaceParams, ambient_components
@@ -100,30 +100,30 @@ class DomainGrid:
 
     def __init__(self, shape: str, center, n: int, params: SpaceParams,
                  radius: float | None = None, extents=None):
-        if not 8 <= n <= MAX_NODES_PER_SIDE:
+        if not (isinstance(n, (int, np.integer)) and 8 <= n <= MAX_NODES_PER_SIDE):
             raise ConfigInvalid("need 8 <= n <= %d nodes per side, got %r"
                                 % (MAX_NODES_PER_SIDE, n))
         if shape not in ("disk", "rectangle"):
             raise ConfigInvalid("shape must be 'disk' or 'rectangle'")
+        if not isinstance(params, SpaceParams):
+            raise ConfigInvalid("params must be a SpaceParams, got %r" % (params,))
+        if not finite_pair(center):
+            raise ConfigInvalid("grid center must be two finite numbers")
         self.shape = shape
         self.center = (float(center[0]), float(center[1]))
-        if not all(map(math.isfinite, self.center)):
-            raise ConfigInvalid("grid center must be finite")
         self.n = int(n)
         self.params = params
         cx, cy = self.center
         if shape == "disk":
-            if radius is None or not (math.isfinite(radius) and radius > 0):
+            if not (finite_real(radius) and radius > 0):
                 raise ConfigInvalid("disk grid needs a finite positive radius")
             self.radius = float(radius)
             self.extents = (self.radius, self.radius)
         else:
-            if extents is None:
-                raise ConfigInvalid("rectangle grid needs extents")
+            if not (finite_pair(extents) and min(extents) > 0):
+                raise ConfigInvalid("rectangle grid needs two finite positive extents")
             self.radius = None
             self.extents = (float(extents[0]), float(extents[1]))
-            if not all(math.isfinite(e) and e > 0 for e in self.extents):
-                raise ConfigInvalid("extents must be finite and positive")
         ex, ey = self.extents
         # spans that overflow would warn inside linspace, before any check
         if not math.isfinite((cx + ex) - (cx - ex) + (cy + ey) - (cy - ey)):
@@ -324,9 +324,8 @@ class DomainGrid:
 
     @classmethod
     def from_descriptor(cls, d: dict, params: SpaceParams) -> "DomainGrid":
-        return cls(shape=d["shape"], center=tuple(d["center"]), n=int(d["n"]),
-                   params=params, radius=d.get("radius"),
-                   extents=tuple(d["extents"]) if "extents" in d else None)
+        return cls(d["shape"], d["center"], d["n"], params,
+                   radius=d.get("radius"), extents=d.get("extents"))
 
 
 def _jet_stencils(grid: DomainGrid) -> sp.csr_matrix:
@@ -430,7 +429,9 @@ class GraphSolution:
                        max_sigma_interior=float(rec["max_sigma_interior"]),
                        newton_iterations=int(rec.get("newton_iterations", 0)),
                        orientation=_check_orientation(rec.get("orientation", -1)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except ConfigInvalid:
+            raise
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigInvalid("bad solution record: %r" % (exc,))
 
     def save(self, path) -> None:
@@ -443,7 +444,7 @@ class GraphSolution:
                 return cls.from_record(json.load(fh))
         except OSError as exc:
             raise IoFailure("cannot read solution %s: %s" % (path, exc))
-        except (ConfigInvalid, ValueError) as exc:
+        except ValueError as exc:       # ConfigInvalid and JSONDecodeError too
             raise ConfigInvalid("bad solution %s: %s" % (path, exc))
 
 
@@ -600,15 +601,15 @@ def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
     where `has_cap` holds, else from zero.  The solve is one Newton run: a
     failure (`VerticalBlowup`, `NonConvergence`) propagates as raised.
     """
-    if grid.params.to_dict() != params.to_dict():
+    if grid.params != params:
         raise ConfigInvalid("grid was built for different space parameters")
     _check_orientation(orientation)
-    if not (math.isfinite(H) and H >= 0):
+    if not (finite_real(H) and H >= 0):
         raise ConfigInvalid("H must be finite and >= 0 (flip the orientation "
-                            "for H < 0), got %r" % H)
-    if not math.isfinite(boundary_value):
+                            "for H < 0), got %r" % (H,))
+    if not finite_real(boundary_value):
         raise ConfigInvalid("boundary value must be finite, got %r"
-                            % boundary_value)
+                            % (boundary_value,))
     if has_cap(grid, H):
         r = np.hypot(grid.X - grid.center[0], grid.Y - grid.center[1])
         u0 = -orientation * rotational.cap_heights(

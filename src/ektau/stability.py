@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import model, rotational
-from .errors import IterationLimit, NotConverged, UnsupportedSign
+from .errors import ConfigInvalid, IterationLimit, check_H
 from .graph_geometry import jacobi_potential_from, mean_curvature_arrays
 from .model import SpaceParams
 from .solver import GraphSolution, _factor
@@ -219,30 +219,30 @@ def smallest_eigenvalue(op: DiscreteOperator) -> SpectrumReport:
     at most 5000 (`IterationLimit` beyond).  A matrix that is not square,
     does not match `dimension` or the mass, or has a non-finite entry, a
     mass that is not diagonal (lumped), and an ordering that is no
-    permutation raise `ValueError` before any factorization.
+    permutation raise `ConfigInvalid` before any factorization.
     """
     n = op.dimension
     shape = op.matrix.shape
     if shape[0] != shape[1]:
-        raise ValueError("operator matrix must be square, not %d x %d" % shape)
+        raise ConfigInvalid("operator matrix must be square, not %d x %d" % shape)
     if shape != (n, n):
-        raise ValueError("operator matrix is %d x %d but its dimension is %d"
-                         % (*shape, n))
+        raise ConfigInvalid("operator matrix is %d x %d but its dimension is "
+                            "%d" % (*shape, n))
     if op.mass.shape != shape:
-        raise ValueError("mass matrix is %d x %d but the operator is %d x %d"
-                         % (*op.mass.shape, *shape))
+        raise ConfigInvalid("mass matrix is %d x %d but the operator is %d x "
+                            "%d" % (*op.mass.shape, *shape))
     mass = sp.coo_matrix(op.mass)
     if ((mass.row != mass.col) & (mass.data != 0)).any():
-        raise ValueError("mass matrix must be diagonal (lumped)")
+        raise ConfigInvalid("mass matrix must be diagonal (lumped)")
     if op.ordering is not None and not np.array_equal(
             np.sort(op.ordering), np.arange(n)):
-        raise ValueError("ordering must be a permutation of the %d unknowns" % n)
+        raise ConfigInvalid("ordering must be a permutation of the %d unknowns" % n)
     m = op.mass.diagonal()
     if not (np.isfinite(m).all() and (m > 0).all()):
-        raise ValueError("mass diagonal must be finite and positive")
+        raise ConfigInvalid("mass diagonal must be finite and positive")
     B = sp.csr_matrix(op.matrix)
     if not np.isfinite(B.data).all():
-        raise ValueError("operator matrix has a non-finite entry")
+        raise ConfigInvalid("operator matrix has a non-finite entry")
     # B = D A D on the data array, D = mass^(-1/2)
     d = 1.0 / np.sqrt(m)
     B = sp.csr_matrix((B.data * np.repeat(d, np.diff(B.indptr)) * d[B.indices],
@@ -318,7 +318,7 @@ def angle_jacobi_residual(sol: GraphSolution, margin: float | None = None) -> fl
     dist[g.interior] = g.boundary_distance()
     deep = g.interior & (dist > margin)
     if not deep.any():
-        raise NotConverged("no interior nodes beyond the requested margin")
+        raise ConfigInvalid("no interior nodes beyond the requested margin")
     return float(np.nanmax(np.abs(res[deep])))
 
 
@@ -344,10 +344,7 @@ def cylinder_stability(H: float, params: SpaceParams) -> CylinderStability:
     for closed curves and with free ends otherwise, and solves for the
     smallest eigenvalue; the constant mode realizes the margin.
     """
-    if not (math.isfinite(H) and H > 0):
-        raise ValueError("cylinder stability needs a finite H > 0")
-    if params.kappa > 0:
-        raise UnsupportedSign("cylinder criterion restricted to kappa <= 0")
+    check_H(H, "cylinder stability")
     c = 4.0 * H * H + params.kappa
     margin = -c
     stable = c <= 0.0

@@ -1,0 +1,245 @@
+"""Error policy: rejected input raises ConfigInvalid, and only EktauError
+leaves a public entry point."""
+
+import ast
+import builtins
+import inspect
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import ektau
+from ektau import errors, rotational, stability
+from ektau.errors import ConfigInvalid, EktauError, NonPositiveH
+from ektau.harness import ExperimentConfig, rosenberg_bound
+from ektau.model import SpaceParams, sphere_exists
+from ektau.solver import (DomainGrid, GraphSolution, disk_grid, rectangle_grid,
+                          solve_dirichlet)
+
+SRC = Path(ektau.__file__).parent
+NIL = SpaceParams(0.0, 0.5)
+
+
+def _raised_builtins(path):
+    """(line, name) of each `raise` of a builtin exception class in path."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and isinstance(
+                    getattr(builtins, exc.id, None), type) and issubclass(
+                    getattr(builtins, exc.id), BaseException):
+                found.append((node.lineno, exc.id))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_builtin_exception_raised(path):
+    assert _raised_builtins(path) == []
+
+
+def test_every_error_is_an_exported_ektau_error():
+    classes = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+               if c.__module__ == errors.__name__]
+    assert len(classes) > 1
+    for c in classes:
+        assert issubclass(c, EktauError)
+        assert getattr(ektau, c.__name__) is c
+    assert issubclass(ConfigInvalid, ValueError)
+    assert issubclass(NonPositiveH, ConfigInvalid)
+
+
+# -- bad input rejected at the entry point -----------------------------------
+
+def _record(shape="disk", **grid):
+    g = (disk_grid(1.0, 16, NIL) if shape == "disk"
+         else rectangle_grid((0.5, 0.5), 16, NIL))
+    rec = GraphSolution(g, np.zeros((16, 16)), NIL, 0.5, 0.0, 0.0, 1.0,
+                        0.0).to_record()
+    rec["grid"].update(grid)
+    return rec
+
+
+def _from_record(shape="disk", newton_iterations=0, **grid):
+    rec = _record(shape, **grid)
+    rec["newton_iterations"] = newton_iterations
+    return GraphSolution.from_record(rec)
+
+
+def _solve(boundary_value=0.0, H=0.5, params=NIL):
+    return solve_dirichlet(disk_grid(1.0, 16, NIL), boundary_value, H, params)
+
+
+def _grid(center=(0.0, 0.0), n=16, params=NIL, radius=1.0):
+    return DomainGrid("disk", center, n, params, radius=radius)
+
+
+def _non_square_operator():
+    return stability.DiscreteOperator(3, sp.eye(3, 2).tocsr(),
+                                      sp.eye(3).tocsr())
+
+
+# id: (call, error, message) of bad input that is rejected at the entry
+# point instead of escaping as a raw builtin error or running
+REJECTED = {
+    "record_center_of_one": (lambda: _from_record(center=[0.0]),
+                             ConfigInvalid, "grid center"),
+    "record_extents_of_one": (lambda: _from_record("rectangle", extents=[0.5]),
+                              ConfigInvalid, "extents"),
+    "record_n_infinite": (lambda: _from_record(n=math.inf),
+                          ConfigInvalid, "nodes per side"),
+    "record_n_fractional": (lambda: _from_record(n=16.7),
+                            ConfigInvalid, "nodes per side"),
+    "record_iterations_infinite": (
+        lambda: _from_record(newton_iterations=math.inf),
+        ConfigInvalid, "bad solution record: OverflowError"),
+    "solve_H_string": (lambda: _solve(H="0.5"),
+                       ConfigInvalid, "H must be finite and >= 0"),
+    "solve_boundary_string": (lambda: _solve(boundary_value="0"),
+                              ConfigInvalid, "boundary value must be finite"),
+    "solve_boundary_bool": (lambda: _solve(boundary_value=True),
+                            ConfigInvalid, "boundary value must be finite"),
+    "solve_params_none": (lambda: _solve(params=None),
+                          ConfigInvalid, "different space parameters"),
+    "grid_center_string": (lambda: _grid(center="ab"),
+                           ConfigInvalid, "grid center"),
+    "grid_n_string": (lambda: _grid(n="16"), ConfigInvalid, "nodes per side"),
+    "grid_n_fractional": (lambda: _grid(n=16.5),
+                          ConfigInvalid, "nodes per side"),
+    "grid_params_none": (lambda: _grid(params=None),
+                         ConfigInvalid, "params must be a SpaceParams"),
+    "grid_radius_string": (lambda: _grid(radius="1"),
+                           ConfigInvalid, "finite positive radius"),
+    "space_kappa_string": (lambda: SpaceParams("a", 1),
+                           ConfigInvalid, "kappa and tau must be finite"),
+    "space_tau_squared_overflows": (lambda: SpaceParams(0.0, 1e200),
+                                    ConfigInvalid, r"tau=1e\+200"),
+    "hemisphere_H_string": (lambda: rotational.hemisphere_height("1", NIL),
+                            NonPositiveH, "hemisphere height needs a finite "
+                            "H > 0, got '1'"),
+    "cylinder_curve_H_string": (
+        lambda: rotational.cmc_cylinder_curve("1", NIL),
+        NonPositiveH, "cylinder curve needs a finite H > 0"),
+    "cylinder_stability_H_string": (
+        lambda: stability.cylinder_stability("1", NIL),
+        NonPositiveH, "cylinder stability needs a finite H > 0"),
+    "sphere_exists_H_string": (lambda: sphere_exists("1", NIL),
+                               NonPositiveH, "sphere existence needs"),
+    "rosenberg_H_string": (lambda: rosenberg_bound("1", NIL),
+                           NonPositiveH, "rosenberg bound needs"),
+    "rosenberg_H_beyond_floats": (lambda: rosenberg_bound(10 ** 400, NIL),
+                                  NonPositiveH, "rosenberg bound needs"),
+    "eigen_operator_not_square": (
+        lambda: stability.smallest_eigenvalue(_non_square_operator()),
+        ConfigInvalid, "must be square"),
+    "angle_residual_margin_past_every_node": (
+        lambda: stability.angle_jacobi_residual(_solve(), margin=10.0),
+        ConfigInvalid, "no interior nodes beyond the requested margin"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_rejected_input_raises_config_invalid(case):
+    call, error, message = REJECTED[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_cylinder_stability_rejects_kappa_through_the_curve():
+    # the base curve's own check is the only kappa check
+    with pytest.raises(errors.UnsupportedSign, match="cylinder curves"):
+        stability.cylinder_stability(1.0, SpaceParams(1.0, 0.0))
+
+
+# -- only EktauError escapes, over JSON-like values -------------------------
+
+# integers stop at 64, so no drawn lattice has more than 64 nodes per side;
+# below, they are unbounded, which reaches past the float range
+_SCALARS = (st.none() | st.booleans() | st.integers(max_value=64)
+            | st.floats() | st.text(max_size=4))
+JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                    max_leaves=6)
+DELETE = object()       # a drawn value that removes the key
+
+_CONFIG = {"params": {"kappa": 0.0, "tau": 0.5}, "H_list": [0.5, 0.8],
+           "grid_sizes": [24], "domain_radius": 1.0,
+           "domain_center": [0.1, -0.2], "boundary_value": 0.0}
+_SETTINGS = settings(max_examples=60, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _only_ektau_errors(call):
+    try:
+        call()
+    except EktauError:
+        pass
+
+
+def _replaced(base, key, value):
+    """A copy of base with key set to value, or removed for DELETE."""
+    d = json.loads(json.dumps(base))
+    if value is DELETE:
+        d.pop(key, None)
+    else:
+        d[key] = value
+    return d
+
+
+@_SETTINGS
+@given(key=st.sampled_from(sorted(_CONFIG) + ["params.kappa", "params.tau",
+                                               "output_dir", "check_stability",
+                                               "unknown"]),
+       value=JSON | st.just(DELETE))
+def test_from_dict_lets_only_ektau_errors_out(key, value):
+    if key.startswith("params."):
+        d = _replaced(_CONFIG, "params", _replaced(_CONFIG["params"],
+                                                   key[7:], value))
+    else:
+        d = _replaced(_CONFIG, key, value)
+    _only_ektau_errors(lambda: ExperimentConfig.from_dict(d))
+
+
+@_SETTINGS
+@given(value=JSON)
+def test_from_dict_and_from_json_take_any_json_value(tmp_path, value):
+    _only_ektau_errors(lambda: ExperimentConfig.from_dict(value))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(value))
+    _only_ektau_errors(lambda: ExperimentConfig.from_json(path))
+
+
+@pytest.fixture(scope="module")
+def solved_record():
+    return solve_dirichlet(disk_grid(0.6, 16, NIL), 0.1, 0.6, NIL).to_record()
+
+
+_RECORD_KEYS = ["params", "grid", "H_target", "boundary_value", "residual_max",
+                "min_abs_nu", "max_sigma_interior", "newton_iterations",
+                "orientation", "values", "grid.shape", "grid.center",
+                "grid.n", "grid.radius", "grid.extents", "params.kappa",
+                "params.tau"]
+
+
+@_SETTINGS
+@given(key=st.sampled_from(_RECORD_KEYS), value=JSON | st.just(DELETE))
+def test_from_record_lets_only_ektau_errors_out(solved_record, key, value):
+    if "." in key:
+        outer, inner = key.split(".")
+        rec = _replaced(solved_record, outer,
+                        _replaced(solved_record[outer], inner, value))
+    else:
+        rec = _replaced(solved_record, key, value)
+    _only_ektau_errors(lambda: GraphSolution.from_record(rec))
+
+
+@_SETTINGS
+@given(kappa=JSON, tau=JSON)
+def test_space_params_lets_only_ektau_errors_out(kappa, tau):
+    _only_ektau_errors(lambda: SpaceParams(kappa, tau))

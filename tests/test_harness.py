@@ -131,10 +131,10 @@ class TestConfig:
     @pytest.mark.parametrize("H", [True, "0.8", None])
     def test_non_numeric_H_list_entry_rejected(self, H):
         # True would run as H = 1 and be recorded as "H": true
-        with pytest.raises(ConfigInvalid, match=r"H_list entries must be "
-                           r"real numbers, got %s" % re.escape(repr(H))):
+        with pytest.raises(ConfigInvalid, match=r"H_list entry needs a "
+                           r"finite H > 0, got %s" % re.escape(repr(H))):
             ExperimentConfig(params=NIL, H_list=[0.5, H], grid_sizes=[24])
-        with pytest.raises(ConfigInvalid, match="H_list entries"):
+        with pytest.raises(ConfigInvalid, match="H_list entry"):
             ExperimentConfig.from_dict({
                 "params": {"kappa": 0.0, "tau": 0.5},
                 "H_list": [0.5, H], "grid_sizes": [24]})

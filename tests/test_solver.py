@@ -292,7 +292,7 @@ class TestExactJacobian:
         assert np.abs(Jv - fd).max() <= 1e-7 * np.abs(Jv).max()
 
 
-class TestJacobianRefill:
+class TestJacobianProduct:
     """The Jacobian product S @ jet_u against the operator it stands for: the
     sum over jets k of diag(dH/d jet k) times block k of jet_u, by scipy's
     sparse addition.  Both add the blocks in order, so they agree to the bit."""
@@ -723,7 +723,7 @@ class TestGlobalization:
         assert len(calls) == jacobians
 
 
-class TestContinuation:
+class TestSolvesAlongH:
     """Independent solves along a sweep of H on one grid."""
 
     def test_heights_nondecreasing_on_success_prefix(self):
