@@ -1,7 +1,11 @@
-"""Exception taxonomy shared across the package, and its scalar input rules."""
+"""Exception taxonomy shared across the package, its scalar input rules and
+its one file writer."""
 
+import contextlib
 import numbers
+import os
 import sys
+from pathlib import Path
 
 
 class EktauError(Exception):
@@ -46,6 +50,20 @@ class IterationLimit(EktauError):
 
 class IoFailure(EktauError):
     """Could not read or write a harness artifact."""
+
+
+def atomic_write(path, text: str) -> None:
+    """Write text to a sibling temporary file and rename it onto path; on
+    failure the temporary file is removed and path is left as it was."""
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise IoFailure("cannot write %s: %s" % (path, exc.strerror or exc))
 
 
 def finite_real(x) -> bool:

@@ -24,7 +24,8 @@ from . import graph_geometry as gg
 from . import model, rotational, solver, stability
 from .errors import (ConfigInvalid, DegenerateMetric, EktauError, IoFailure,
                      IterationLimit, NonConvergence, OutOfDomain,
-                     VerticalBlowup, check_H, finite_pair, finite_real)
+                     VerticalBlowup, atomic_write, check_H, finite_pair,
+                     finite_real)
 from .model import Point3, SpaceParams
 
 PLOT_HEADER = "H n height hemi_height bound lambda_min status"
@@ -236,16 +237,16 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRecord]:
                 name = "sol_H%s_n%d.json" % (_fmt(rec.H), rec.n)
                 sol.save(soldir / name)
                 rec.solution_file = str(Path("solutions") / name)
-        solver._atomic_write(out / "records.json",
-                             json.dumps([rec.to_dict() for rec, _ in pairs],
-                                        sort_keys=True, indent=1))
+        atomic_write(out / "records.json",
+                     json.dumps([rec.to_dict() for rec, _ in pairs],
+                                sort_keys=True, indent=1))
         lines = [PLOT_HEADER]
         for rec, _ in pairs:
             lines.append(" ".join([
                 _fmt(rec.H), "%d" % rec.n, _fmt(rec.height),
                 _fmt(rec.hemisphere_height), _fmt(rec.rosenberg_bound),
                 _fmt(rec.lambda_min), rec.status]))
-        solver._atomic_write(out / "sweep.dat", "\n".join(lines) + "\n")
+        atomic_write(out / "sweep.dat", "\n".join(lines) + "\n")
     return [rec for rec, _ in pairs]
 
 

@@ -42,7 +42,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import model
-from .errors import NoSphere, UnsupportedSign, check_H
+from .errors import (ConfigInvalid, NoSphere, UnsupportedSign, atomic_write,
+                     check_H)
 from .model import SpaceParams
 
 EQUATOR_NU = 1e-6
@@ -51,6 +52,8 @@ PROFILE_PANELS = 128
 _S_CUT = 1.0 / EQUATOR_NU - 1.0
 # terms of the pole series in `_height`: its ratio is at most (Ht/tau)^2 <= 1/4
 _SERIES_TERMS = 28
+# the largest H of a rotational sphere, see `_check_sphere`
+_H_MAX = 1e60
 # Gauss-Legendre rule in theta of `cap_heights`
 _CAP_NODES, _CAP_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -66,10 +69,9 @@ class ProfileCurve:
     hemisphere_height: float
 
     def to_columnar(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("# r f fprime nu\n")
-            for (r, f, fp), nv in zip(self.samples, self.nu):
-                fh.write("%.17g %.17g %.17g %.17g\n" % (r, f, fp, nv))
+        atomic_write(path, "# r f fprime nu\n" + "".join(
+            "%.17g %.17g %.17g %.17g\n" % (r, f, fp, nv)
+            for (r, f, fp), nv in zip(self.samples, self.nu)))
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,14 @@ class PlanarCircle:
 
 
 def _check_sphere(H: float, params: SpaceParams) -> None:
-    """Reject H and the space when no rotational sphere exists."""
+    """Reject H and the space when no rotational sphere exists, and an H
+    above _H_MAX = 1e60: `_height` forms products of order H^4 / EQUATOR_NU^2,
+    which overflow from H = 1e74 on in flat space and Nil (a probe over flat
+    space, Nil, PSL and H^2 x R; PSL and H^2 x R hold up to 1e151)."""
     check_H(H, "hemisphere height")
+    if H > _H_MAX:
+        raise ConfigInvalid("hemisphere height needs H <= %g, got %r"
+                            % (_H_MAX, H))
     if params.kappa > 0:
         raise UnsupportedSign("rotational spheres restricted to kappa <= 0")
     if not model.sphere_exists(H, params):

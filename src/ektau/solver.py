@@ -39,13 +39,10 @@ equivariance holds to the bit.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,7 +50,8 @@ import scipy.sparse.linalg as spla
 
 from . import graph_geometry, model, rotational
 from .errors import (ConfigInvalid, DegenerateMetric, IoFailure, NonConvergence,
-                     OutOfDomain, VerticalBlowup, finite_pair, finite_real)
+                     OutOfDomain, VerticalBlowup, atomic_write, finite_pair,
+                     finite_real)
 from .graph_geometry import (_check_orientation, mean_curvature_arrays,
                              mean_curvature_sensitivities)
 from .model import Ambient, SpaceParams, ambient_components
@@ -362,27 +360,12 @@ def rectangle_grid(extents, n: int, params: SpaceParams, center=(0.0, 0.0)) -> D
     return DomainGrid("rectangle", center, n, params, extents=extents)
 
 
-def _atomic_write(path, text: str) -> None:
-    """Write text to a sibling temporary file and rename it onto path; on
-    failure the temporary file is removed and path is left as it was."""
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        with contextlib.suppress(OSError):
-            tmp.unlink(missing_ok=True)
-        raise IoFailure("cannot write %s: %s" % (path, exc.strerror or exc))
-
-
 @dataclass
 class GraphSolution:
     """Converged graph over a masked grid with convergence metadata."""
 
     grid: DomainGrid
     values: np.ndarray
-    params: SpaceParams
     H_target: float
     boundary_value: float
     residual_max: float
@@ -402,7 +385,7 @@ class GraphSolution:
 
     def to_record(self) -> dict:
         return {
-            "params": self.params.to_dict(),
+            "params": self.grid.params.to_dict(),
             "grid": self.grid.descriptor(),
             "H_target": self.H_target,
             "boundary_value": self.boundary_value,
@@ -418,16 +401,22 @@ class GraphSolution:
     @classmethod
     def from_record(cls, rec: dict) -> "GraphSolution":
         try:
-            params = SpaceParams.from_dict(rec["params"])
-            grid = DomainGrid.from_descriptor(rec["grid"], params)
+            grid = DomainGrid.from_descriptor(
+                rec["grid"], SpaceParams.from_dict(rec["params"]))
             values = np.array(rec["values"], dtype=float).reshape(grid.n, grid.n)
-            return cls(grid=grid, values=values, params=params,
-                       H_target=float(rec["H_target"]),
-                       boundary_value=float(rec["boundary_value"]),
+            H = float(rec["H_target"])
+            boundary_value = float(rec["boundary_value"])
+            _check_data(H, boundary_value)
+            iters = rec.get("newton_iterations", 0)
+            if not (type(iters) is int and iters >= 0):
+                raise ConfigInvalid("newton_iterations must be an int >= 0, "
+                                    "got %r" % (iters,))
+            return cls(grid=grid, values=values, H_target=H,
+                       boundary_value=boundary_value,
                        residual_max=float(rec["residual_max"]),
                        min_abs_nu=float(rec["min_abs_nu"]),
                        max_sigma_interior=float(rec["max_sigma_interior"]),
-                       newton_iterations=int(rec.get("newton_iterations", 0)),
+                       newton_iterations=iters,
                        orientation=_check_orientation(rec.get("orientation", -1)))
         except ConfigInvalid:
             raise
@@ -435,7 +424,7 @@ class GraphSolution:
             raise ConfigInvalid("bad solution record: %r" % (exc,))
 
     def save(self, path) -> None:
-        _atomic_write(path, json.dumps(self.to_record(), sort_keys=True))
+        atomic_write(path, json.dumps(self.to_record(), sort_keys=True))
 
     @classmethod
     def load(cls, path) -> "GraphSolution":
@@ -585,6 +574,16 @@ def _newton(grid: DomainGrid, H_target: float, orientation: int,
         % (_MAX_NEWTON, rnorm, H_target))
 
 
+def _check_data(H, boundary_value) -> None:
+    """The Dirichlet data rules of a solve and of a solution record."""
+    if not (finite_real(H) and H >= 0):
+        raise ConfigInvalid("H must be finite and >= 0 (flip the orientation "
+                            "for H < 0), got %r" % (H,))
+    if not finite_real(boundary_value):
+        raise ConfigInvalid("boundary value must be finite, got %r"
+                            % (boundary_value,))
+
+
 def has_cap(grid: DomainGrid, H: float) -> bool:
     """Whether the rotational cap about the grid center seeds cold solves:
     a disk with 0 < H R < 1 inside the chart of the profile (4 + kappa R^2 > 0)."""
@@ -604,12 +603,7 @@ def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
     if grid.params != params:
         raise ConfigInvalid("grid was built for different space parameters")
     _check_orientation(orientation)
-    if not (finite_real(H) and H >= 0):
-        raise ConfigInvalid("H must be finite and >= 0 (flip the orientation "
-                            "for H < 0), got %r" % (H,))
-    if not finite_real(boundary_value):
-        raise ConfigInvalid("boundary value must be finite, got %r"
-                            % (boundary_value,))
+    _check_data(H, boundary_value)
     if has_cap(grid, H):
         r = np.hypot(grid.X - grid.center[0], grid.Y - grid.center[1])
         u0 = -orientation * rotational.cap_heights(
@@ -619,7 +613,7 @@ def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
     u, rnorm, d, iters = _newton(grid, H, orientation, u0)
     full = grid.full_values(u) + boundary_value
     return GraphSolution(
-        grid=grid, values=full, params=params, H_target=H,
+        grid=grid, values=full, H_target=H,
         boundary_value=boundary_value, residual_max=rnorm,
         min_abs_nu=float(np.min(np.abs(d["nu"]))),
         max_sigma_interior=float(np.sqrt(np.max(d["sigma_sq"]))),

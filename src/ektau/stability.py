@@ -38,7 +38,8 @@ from .solver import GraphSolution, _factor
 
 @dataclass
 class DiscreteOperator:
-    """Weak form of -(Laplacian + q) with its mass (area) matrix.
+    """Weak form of -(Laplacian + q), `matrix`, with its lumped mass `mass`:
+    a 1-d array of one positive entry per unknown.
 
     `lower_bound`, when known, is a number no larger than the smallest
     generalized eigenvalue; the eigensolver shifts just below it.
@@ -46,9 +47,8 @@ class DiscreteOperator:
     which the eigensolver factors; SuperLU's minimum degree otherwise.
     """
 
-    dimension: int
     matrix: sp.csr_matrix
-    mass: sp.csr_matrix
+    mass: np.ndarray
     lower_bound: float | None = None
     ordering: np.ndarray | None = None
 
@@ -66,6 +66,11 @@ _KRYLOV_BASIS = 40
 # Lanczos stopping rule: relative Ritz residual, and the budget of solves
 _EIG_TOL = 1e-10
 _EIG_MAX_SOLVES = 5000
+
+# range of hy^2, the scale of a cell area on a cylinder's tube lattice: a
+# probe over Nil, PSL and kappa = -100 found the closed-form lambda_min for
+# cell areas from 3e-155 to 1e308 and overflow warnings past either end
+_TUBE_AREA = (1e-150, 1e300)
 
 # 2x2 Gauss points on [0,1]
 _GP = ((0.5 - 0.5 / math.sqrt(3.0)), (0.5 + 0.5 / math.sqrt(3.0)))
@@ -181,7 +186,7 @@ def _solution_fields(sol: GraphSolution):
                       ("W22", sqrt_det * d["I11"] / det),
                       ("sqrt_det", sqrt_det),
                       ("nu", d["nu"]),
-                      ("q", jacobi_potential_from(d["nu"], d["sigma_sq"], sol.params))):
+                      ("q", jacobi_potential_from(d["nu"], d["sigma_sq"], g.params))):
         full = np.full(shape, np.nan)
         full[g.interior] = arr
         fields[name] = full
@@ -199,9 +204,8 @@ def assemble_jacobi(sol: GraphSolution) -> DiscreteOperator:
     # the stiffness is positive semidefinite (SPD cell coefficients W), so
     # by Weyl the mass-scaled operator K' - diag(q) has no eigenvalue below
     # -max q
-    return DiscreteOperator(
-        dimension=g.n_interior, matrix=A, mass=sp.diags(lump).tocsr(),
-        lower_bound=-float(np.max(f["q"][g.interior])), ordering=nd[nd >= 0])
+    return DiscreteOperator(A, lump, lower_bound=-float(np.max(f["q"][g.interior])),
+                            ordering=nd[nd >= 0])
 
 
 def smallest_eigenvalue(op: DiscreteOperator) -> SpectrumReport:
@@ -216,28 +220,21 @@ def smallest_eigenvalue(op: DiscreteOperator) -> SpectrumReport:
     fully reorthogonalized and restarts from its Ritz vector when full or
     invariant.  The smallest Ritz pair of B is returned once
     ||Bx - lam x|| <= 1e-10 max(1, |lam|); `iterations` counts the solves,
-    at most 5000 (`IterationLimit` beyond).  A matrix that is not square,
-    does not match `dimension` or the mass, or has a non-finite entry, a
-    mass that is not diagonal (lumped), and an ordering that is no
-    permutation raise `ConfigInvalid` before any factorization.
+    at most 5000 (`IterationLimit` beyond).  A matrix that is not square or
+    has a non-finite entry, a mass that is not a 1-d real array of one finite
+    positive entry per unknown, and an ordering that is no permutation raise
+    `ConfigInvalid` before any factorization.
     """
-    n = op.dimension
     shape = op.matrix.shape
     if shape[0] != shape[1]:
         raise ConfigInvalid("operator matrix must be square, not %d x %d" % shape)
-    if shape != (n, n):
-        raise ConfigInvalid("operator matrix is %d x %d but its dimension is "
-                            "%d" % (*shape, n))
-    if op.mass.shape != shape:
-        raise ConfigInvalid("mass matrix is %d x %d but the operator is %d x "
-                            "%d" % (*op.mass.shape, *shape))
-    mass = sp.coo_matrix(op.mass)
-    if ((mass.row != mass.col) & (mass.data != 0)).any():
-        raise ConfigInvalid("mass matrix must be diagonal (lumped)")
+    n, m = shape[0], op.mass
+    if not (isinstance(m, np.ndarray) and m.dtype.kind in "fiu" and m.shape == (n,)):
+        raise ConfigInvalid("mass must be the lumped diagonal, a 1-d real "
+                            "array of %d entries" % n)
     if op.ordering is not None and not np.array_equal(
             np.sort(op.ordering), np.arange(n)):
         raise ConfigInvalid("ordering must be a permutation of the %d unknowns" % n)
-    m = op.mass.diagonal()
     if not (np.isfinite(m).all() and (m > 0).all()):
         raise ConfigInvalid("mass diagonal must be finite and positive")
     B = sp.csr_matrix(op.matrix)
@@ -342,7 +339,10 @@ def cylinder_stability(H: float, params: SpaceParams) -> CylinderStability:
     surrogate assembles the flat operator on a 40 x 80 lattice (around the
     curve, along the axis) over a finite tube of length 20/(2H), periodic
     for closed curves and with free ends otherwise, and solves for the
-    smallest eigenvalue; the constant mode realizes the margin.
+    smallest eigenvalue; the constant mode realizes the margin.  An H whose
+    lattice weights leave the float range (hy^2 outside _TUBE_AREA, so H
+    outside about [1.3e-151, 1.2e74]) raises `ConfigInvalid` before any
+    assembly.
     """
     check_H(H, "cylinder stability")
     c = 4.0 * H * H + params.kappa
@@ -350,6 +350,12 @@ def cylinder_stability(H: float, params: SpaceParams) -> CylinderStability:
     stable = c <= 0.0
     L = 20.0 / (2.0 * H)
     nx, ny = 40, 80             # nodes around the base curve, along the axis
+    hy = L / (ny - 1)
+    # a cell's area, of order hy^2, weights the mass, and the eigensolver
+    # scales the stiffness by its inverse and squares that in its norms
+    if not _TUBE_AREA[0] <= hy * hy <= _TUBE_AREA[1]:
+        raise ConfigInvalid("cylinder stability at H = %r: the tube lattice "
+                            "weights leave the float range" % (H,))
 
     curve = rotational.cmc_cylinder_curve(H, params)
     if curve.closed:
@@ -365,14 +371,12 @@ def cylinder_stability(H: float, params: SpaceParams) -> CylinderStability:
     else:
         Gi = (1.0, 0.0, 1.0)
         hx = L / (nx - 1)
-    hy = L / (ny - 1)
     dof = np.arange(nx * ny).reshape(nx, ny)
     # det G = 1: unit area density
     A, lump = _q1_assemble(dof, *Gi, 1.0, c, hx, hy, periodic_x=curve.closed)
     # the stiffness is positive semidefinite and the constant mode attains
     # -c; no ordering: minimum degree beats box dissection on these lattices
-    op = DiscreteOperator(dimension=nx * ny, matrix=A,
-                          mass=sp.diags(lump).tocsr(), lower_bound=-c)
+    op = DiscreteOperator(matrix=A, mass=lump, lower_bound=-c)
     rep = smallest_eigenvalue(op)
     return CylinderStability(
         stable=stable, margin=margin, lambda_min_spectral=rep.lambda_min,

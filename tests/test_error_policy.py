@@ -44,6 +44,44 @@ def test_no_builtin_exception_raised(path):
     assert _raised_builtins(path) == []
 
 
+def _file_writes(path):
+    """(line, name) of each file write in path outside `errors.atomic_write`:
+    a `write_text` or `write_bytes`, or an `open` whose mode is not a
+    literal read mode."""
+    tree = ast.parse(path.read_text())
+    writer = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+              and n.name == "atomic_write" and path.name == "errors.py"]
+    inside = {id(n) for w in writer for n in ast.walk(w)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in inside:
+            continue
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        if name in ("write_text", "write_bytes"):
+            found.append((node.lineno, name))
+        elif name == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords
+                                      if k.arg == "mode"]
+            if any(not (isinstance(m, ast.Constant) and isinstance(m.value, str)
+                        and not set(m.value) & set("wax+")) for m in modes):
+                found.append((node.lineno, name))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_files_are_written_only_by_atomic_write(path):
+    assert _file_writes(path) == []
+
+
+def test_file_write_check_finds_writes(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("open(p)\nopen(p, 'rb')\nopen(p, 'w')\n"
+                    "open(p, mode='a')\nopen(p, m)\nPath(p).write_text(t)\n")
+    assert _file_writes(path) == [(3, "open"), (4, "open"), (5, "open"),
+                                  (6, "write_text")]
+
+
 def test_every_error_is_an_exported_ektau_error():
     classes = [c for _, c in inspect.getmembers(errors, inspect.isclass)
                if c.__module__ == errors.__name__]
@@ -60,15 +98,20 @@ def test_every_error_is_an_exported_ektau_error():
 def _record(shape="disk", **grid):
     g = (disk_grid(1.0, 16, NIL) if shape == "disk"
          else rectangle_grid((0.5, 0.5), 16, NIL))
-    rec = GraphSolution(g, np.zeros((16, 16)), NIL, 0.5, 0.0, 0.0, 1.0,
-                        0.0).to_record()
+    rec = GraphSolution(g, np.zeros((16, 16)), H_target=0.5,
+                        boundary_value=0.0, residual_max=0.0, min_abs_nu=1.0,
+                        max_sigma_interior=0.0).to_record()
     rec["grid"].update(grid)
     return rec
 
 
-def _from_record(shape="disk", newton_iterations=0, **grid):
-    rec = _record(shape, **grid)
-    rec["newton_iterations"] = newton_iterations
+def _from_record(shape="disk", **grid):
+    return GraphSolution.from_record(_record(shape, **grid))
+
+
+def _record_with(**fields):
+    rec = _record()
+    rec.update(fields)
     return GraphSolution.from_record(rec)
 
 
@@ -81,8 +124,7 @@ def _grid(center=(0.0, 0.0), n=16, params=NIL, radius=1.0):
 
 
 def _non_square_operator():
-    return stability.DiscreteOperator(3, sp.eye(3, 2).tocsr(),
-                                      sp.eye(3).tocsr())
+    return stability.DiscreteOperator(sp.eye(3, 2).tocsr(), np.ones(3))
 
 
 # id: (call, error, message) of bad input that is rejected at the entry
@@ -97,8 +139,21 @@ REJECTED = {
     "record_n_fractional": (lambda: _from_record(n=16.7),
                             ConfigInvalid, "nodes per side"),
     "record_iterations_infinite": (
-        lambda: _from_record(newton_iterations=math.inf),
-        ConfigInvalid, "bad solution record: OverflowError"),
+        lambda: _record_with(newton_iterations=math.inf),
+        ConfigInvalid, "newton_iterations must be an int >= 0, got inf"),
+    "record_iterations_negative": (
+        lambda: _record_with(newton_iterations=-3),
+        ConfigInvalid, "newton_iterations must be an int >= 0, got -3"),
+    "record_iterations_fractional": (
+        lambda: _record_with(newton_iterations=2.5),
+        ConfigInvalid, "newton_iterations must be an int >= 0, got 2.5"),
+    "record_H_nan": (lambda: _record_with(H_target=math.nan),
+                     ConfigInvalid, r"H must be finite and >= 0 .*got nan"),
+    "record_H_negative": (lambda: _record_with(H_target=-0.5),
+                          ConfigInvalid, r"H must be finite and >= 0 .*got -0.5"),
+    "record_boundary_infinite": (
+        lambda: _record_with(boundary_value=math.inf),
+        ConfigInvalid, "boundary value must be finite, got inf"),
     "solve_H_string": (lambda: _solve(H="0.5"),
                        ConfigInvalid, "H must be finite and >= 0"),
     "solve_boundary_string": (lambda: _solve(boundary_value="0"),
@@ -131,6 +186,25 @@ REJECTED = {
         NonPositiveH, "cylinder stability needs a finite H > 0"),
     "sphere_exists_H_string": (lambda: sphere_exists("1", NIL),
                                NonPositiveH, "sphere existence needs"),
+    "hemisphere_H_beyond_closed_form": (
+        lambda: rotational.hemisphere_height(1e154, NIL),
+        ConfigInvalid, r"hemisphere height needs H <= 1e\+60, got 1e\+154"),
+    "hemisphere_H_overflowing_closed_form": (
+        lambda: rotational.hemisphere_height(1e100, NIL),
+        ConfigInvalid, r"hemisphere height needs H <= 1e\+60"),
+    "profile_H_overflowing_closed_form": (
+        lambda: rotational.shoot_rotational_graph(1e100, NIL),
+        ConfigInvalid, r"hemisphere height needs H <= 1e\+60"),
+    "cylinder_stability_H_tiny": (
+        lambda: stability.cylinder_stability(1e-200, NIL),
+        ConfigInvalid, "cylinder stability at H = 1e-200: the tube lattice "
+        "weights leave the float range"),
+    "cylinder_stability_H_huge": (
+        lambda: stability.cylinder_stability(1e200, NIL),
+        ConfigInvalid, r"cylinder stability at H = 1e\+200"),
+    "cylinder_stability_H_past_the_eigensolver": (
+        lambda: stability.cylinder_stability(1e150, NIL),
+        ConfigInvalid, r"cylinder stability at H = 1e\+150"),
     "rosenberg_H_string": (lambda: rosenberg_bound("1", NIL),
                            NonPositiveH, "rosenberg bound needs"),
     "rosenberg_H_beyond_floats": (lambda: rosenberg_bound(10 ** 400, NIL),

@@ -437,6 +437,15 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             "error: cannot write %s" % path)
 
+    @pytest.mark.parametrize("command, H, message", [
+        ("sphere", "1e300", "error: hemisphere height needs H <= 1e+60, "
+         "got 1e+300"),
+        ("cylinder", "1e-200", "error: cylinder stability at H = 1e-200: ")])
+    def test_H_past_the_float_range_rejected(self, capsys, command, H, message):
+        rc = cli_dispatch([command, "--kappa", "0", "--tau", "0.5", "--H", H])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(message)
+
     def test_non_finite_H_rejected_cleanly(self, capsys):
         rc = cli_dispatch(["cylinder", "--kappa", "0", "--tau", "0.5",
                            "--H", "nan"])

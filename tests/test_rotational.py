@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ektau.errors import NoSphere, UnsupportedSign
+from ektau.errors import IoFailure, NoSphere, UnsupportedSign
 from ektau.graph_geometry import _forms
 from ektau.model import SpaceParams, ambient_components, conformal_factor_jet
 from ektau.rotational import (EQUATOR_NU, PROFILE_PANELS, _equator_angle,
@@ -149,6 +149,12 @@ class TestShooting:
         assert data.shape == (len(prof.samples), 4)
         np.testing.assert_allclose(data[:, :3], prof.samples)
         np.testing.assert_allclose(data[:, 3], prof.nu)
+
+    def test_columnar_to_unwritable_path_is_io_failure(self, tmp_path):
+        path = tmp_path / "missing" / "profile.dat"
+        with pytest.raises(IoFailure, match="cannot write %s" % path):
+            shoot_rotational_graph(1.0, FLAT).to_columnar(path)
+        assert not (tmp_path / "missing").exists()
 
 
 class TestHemisphereHeight:

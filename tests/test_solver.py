@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from ektau import graph_geometry, solver
+from ektau import errors, graph_geometry, solver
 from ektau.errors import (ConfigInvalid, DegenerateMetric, IoFailure,
                           NonConvergence, OutOfDomain, VerticalBlowup)
 from ektau.graph_geometry import (mean_curvature_arrays,
@@ -53,8 +53,9 @@ class TestGrids:
                                        "from_record"])
     def test_lattice_cap_checked_before_any_allocation(self, monkeypatch,
                                                        entry):
-        rec = GraphSolution(disk_grid(1.0, 16, NIL), np.zeros((16, 16)), NIL,
-                            0.0, 0.0, 0.0, 1.0, 0.0).to_record()
+        rec = GraphSolution(disk_grid(1.0, 16, NIL), np.zeros((16, 16)),
+                            H_target=0.0, boundary_value=0.0, residual_max=0.0,
+                            min_abs_nu=1.0, max_sigma_interior=0.0).to_record()
         monkeypatch.setattr(np, "linspace", _allocate)
 
         def build(n):
@@ -478,8 +479,10 @@ class TestSolveDirichlet:
             if entry == "solve_dirichlet":
                 solve_dirichlet(g, 0.0, 0.8, NIL, orientation=orientation)
             else:
-                rec = GraphSolution(g, np.zeros((16, 16)), NIL, 0.0, 0.0, 0.0,
-                                    1.0, 0.0).to_record()
+                rec = GraphSolution(
+                    g, np.zeros((16, 16)), H_target=0.0, boundary_value=0.0,
+                    residual_max=0.0, min_abs_nu=1.0,
+                    max_sigma_interior=0.0).to_record()
                 rec["orientation"] = orientation
                 GraphSolution.from_record(rec)
         assert calls == []
@@ -786,7 +789,7 @@ class TestSerialization:
         back = GraphSolution.load(path)
         assert graph_height(back) == graph_height(sol)
         np.testing.assert_array_equal(back.values, sol.values)
-        assert back.params == sol.params
+        assert back.grid.params == sol.grid.params
         assert back.H_target == sol.H_target
 
     def test_reloaded_jets_reproduce_residual(self, tmp_path):
@@ -830,7 +833,7 @@ class TestSerialization:
         def disk_full(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr(solver.os, "replace", disk_full)
+        monkeypatch.setattr(errors.os, "replace", disk_full)
         with pytest.raises(IoFailure, match="disk full"):
             sol.save(path)
         assert path.read_text() == "old"
@@ -839,7 +842,7 @@ class TestSerialization:
         target = tmp_path / "x.json"
         target.mkdir()                  # the rename onto it fails
         with pytest.raises(IoFailure) as info:
-            solver._atomic_write(target, "text")
+            errors.atomic_write(target, "text")
         assert str(info.value).startswith("cannot write %s: " % target)
         assert ".tmp" not in str(info.value)
         assert [p.name for p in tmp_path.iterdir()] == ["x.json"]

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from q1_oracle import q1_assemble
 
 from ektau import stability
-from ektau.errors import IterationLimit
+from ektau.errors import ConfigInvalid, IterationLimit
 from ektau.model import SpaceParams
 from ektau.solver import disk_grid, rectangle_grid, solve_dirichlet
 from ektau.stability import (_KRYLOV_BASIS, DiscreteOperator,
@@ -39,7 +40,7 @@ class TestAssembly:
 
     def test_mass_positive(self):
         op, _ = unit_square_operator(24)
-        assert op.mass.diagonal().min() > 0
+        assert op.mass.min() > 0
 
     def test_flat_section_reduces_to_dirichlet_laplacian(self):
         # q = 0 and W = identity: lambda_min -> 2 pi^2 on the unit square
@@ -64,7 +65,7 @@ class TestAssembly:
         fx, fy, fxx, fxy, fyy = sol.jets()
         d = mean_curvature_arrays(g.ambient(), fx, fy, fxx, fxy, fyy,
                                   sol.orientation)
-        q = jacobi_potential_from(d["nu"], d["sigma_sq"], sol.params)
+        q = jacobi_potential_from(d["nu"], d["sigma_sq"], g.params)
         det = d["det_I"]
         full = np.zeros((g.n, g.n))
         full[g.interior] = bump
@@ -99,7 +100,7 @@ class TestAgainstCornerPairOracle:
         f = stability._solution_fields(sol)
         K, lump = q1_assemble(g.idx, f["W11"], f["W12"], f["W22"],
                               f["sqrt_det"], f["q"], g.hx, g.hy)
-        self.assert_close(op.matrix, op.mass.diagonal(), K, lump)
+        self.assert_close(op.matrix, op.mass, K, lump)
 
     @pytest.mark.parametrize("n", [24, 48, 96])
     def test_flat_rectangle(self, n):
@@ -109,7 +110,7 @@ class TestAgainstCornerPairOracle:
         f = stability._solution_fields(sol)
         K, lump = q1_assemble(g.idx, f["W11"], f["W12"], f["W22"],
                               f["sqrt_det"], f["q"], g.hx, g.hy)
-        self.assert_close(op.matrix, op.mass.diagonal(), K, lump)
+        self.assert_close(op.matrix, op.mass, K, lump)
 
     @pytest.mark.parametrize("kappa,H,closed", [
         (0.0, 1.0, True), (-1.0, 1.0, True), (-1.0, 0.3, False)])
@@ -131,11 +132,11 @@ class TestAgainstCornerPairOracle:
 
 def _shifted_mmd_factor(op):
     """SuperLU of the shifted, mass-scaled operator in minimum-degree order."""
-    d = sp.diags(1.0 / np.sqrt(op.mass.diagonal()))
+    d = sp.diags(1.0 / np.sqrt(op.mass))
     B = (d @ op.matrix @ d).tocsr()
     lb = op.lower_bound
     shift = lb - 1e-3 * max(1.0, abs(lb))
-    M = (B - shift * sp.identity(op.dimension, format="csr")).tocsc()
+    M = (B - shift * sp.identity(op.mass.size, format="csr")).tocsc()
     return spla.splu(M, permc_spec="MMD_AT_PLUS_A",
                      options=dict(SymmetricMode=True))
 
@@ -206,7 +207,7 @@ class TestSmallestEigenvalue:
         sol = solve_dirichlet(g, 0.0, 1.0, FLAT)
         op = assemble_jacobi(sol)
         rep = smallest_eigenvalue(op)
-        d = sp.diags(1.0 / np.sqrt(op.mass.diagonal()))
+        d = sp.diags(1.0 / np.sqrt(op.mass))
         B = (d @ op.matrix @ d).tocsc()
         oracle = spla.eigsh(B, k=1, which="SA", maxiter=10000)[0][0]
         assert rep.lambda_min == pytest.approx(oracle, abs=1e-8)
@@ -216,8 +217,8 @@ class TestSmallestEigenvalue:
         op, _ = unit_square_operator(32)
         rep = smallest_eigenvalue(op)
         c = 3.7
-        shifted = DiscreteOperator(op.dimension,
-                                   (op.matrix - c * op.mass).tocsr(), op.mass)
+        shifted = DiscreteOperator((op.matrix - c * sp.diags(op.mass)).tocsr(),
+                                   op.mass)
         rep_c = smallest_eigenvalue(shifted)
         assert rep_c.lambda_min == pytest.approx(rep.lambda_min - c, abs=1e-8)
 
@@ -241,7 +242,7 @@ class TestSmallestEigenvalue:
         for params, R, H in ((PSL, 1.0, 0.8), (FLAT, 0.5, 1.0)):
             sol = solve_dirichlet(disk_grid(R, 40, params), 0.0, H, params)
             op = assemble_jacobi(sol)
-            d = sp.diags(1.0 / np.sqrt(op.mass.diagonal()))
+            d = sp.diags(1.0 / np.sqrt(op.mass))
             B = (d @ op.matrix @ d).tocsc()
             oracle = spla.eigsh(B, k=1, which="SA", maxiter=10000)[0][0]
             assert op.lower_bound <= oracle
@@ -251,7 +252,7 @@ class TestSmallestEigenvalue:
         # orthogonal to the ground state (1, -1) with eigenvalue 1
         m = 20
         A = sp.kron(sp.identity(m), sp.csr_matrix([[2.0, 1.0], [1.0, 2.0]]))
-        op = DiscreteOperator(2 * m, A.tocsr(), sp.identity(2 * m, format="csr"))
+        op = DiscreteOperator(A.tocsr(), np.ones(2 * m))
         rep = smallest_eigenvalue(op)
         assert rep.lambda_min == pytest.approx(1.0, abs=1e-10)
         assert rep.eigvec_residual < 1e-10
@@ -263,7 +264,7 @@ class TestSmallestEigenvalue:
         n = 4000
         A = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
                      [-1, 0, 1])
-        op = DiscreteOperator(n, A.tocsr(), sp.identity(n, format="csr"))
+        op = DiscreteOperator(A.tocsr(), np.ones(n))
         rep = smallest_eigenvalue(op)
         assert rep.iterations > _KRYLOV_BASIS
         exact = 2.0 - 2.0 * math.cos(math.pi / (n + 1))
@@ -279,31 +280,40 @@ class TestSmallestEigenvalue:
     @pytest.mark.parametrize("entry", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_mass(self, entry):
         op, _ = unit_square_operator(16)
-        m = op.mass.diagonal().copy()
+        m = op.mass.copy()
         m[3] = entry
-        bad = DiscreteOperator(op.dimension, op.matrix, sp.diags(m).tocsr(),
-                               op.lower_bound)
+        bad = DiscreteOperator(op.matrix, m, op.lower_bound)
         with pytest.raises(ValueError, match="mass diagonal"):
             smallest_eigenvalue(bad)
 
     def test_rejects_non_square_matrix(self):
         op, _ = unit_square_operator(16)
-        bad = DiscreteOperator(op.dimension, op.matrix[:, :-1], op.mass)
+        bad = DiscreteOperator(op.matrix[:, :-1], op.mass)
         with pytest.raises(ValueError, match="must be square"):
             smallest_eigenvalue(bad)
 
-    def test_rejects_matrix_not_matching_dimension(self):
+    def test_rejects_mass_not_matching_matrix(self, monkeypatch):
         op, _ = unit_square_operator(16)
-        bad = DiscreteOperator(op.dimension + 1, op.matrix, op.mass)
-        with pytest.raises(ValueError, match="dimension is %d" % (op.dimension + 1)):
-            smallest_eigenvalue(bad)
+        n = op.mass.size
+        calls = []
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1))
+        with pytest.raises(ConfigInvalid, match="1-d real array of %d entries"
+                           % n):
+            smallest_eigenvalue(DiscreteOperator(op.matrix, op.mass[:-1]))
+        assert not calls
 
-    def test_rejects_mass_not_matching_matrix(self):
+    @pytest.mark.parametrize("mass", [
+        np.diag, lambda m: m[:, None], list, lambda m: m > 0, lambda m: None],
+        ids=["square", "column", "list", "bool", "none"])
+    def test_rejects_mass_that_is_no_1d_real_array(self, monkeypatch, mass):
+        # a 2-d array, a column, a list, a bool array and None, each before
+        # any factorization and none as a raw TypeError
         op, _ = unit_square_operator(16)
-        mass = sp.diags(op.mass.diagonal()[:-1]).tocsr()
-        bad = DiscreteOperator(op.dimension, op.matrix, mass)
-        with pytest.raises(ValueError, match="mass matrix is"):
-            smallest_eigenvalue(bad)
+        calls = []
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1))
+        with pytest.raises(ConfigInvalid, match="mass must be the lumped diagonal"):
+            smallest_eigenvalue(DiscreteOperator(op.matrix, mass(op.mass)))
+        assert not calls
 
     def test_rejects_consistent_mass(self, monkeypatch):
         # P1 Dirichlet problem on 50 nodes with its consistent mass: reading
@@ -319,15 +329,16 @@ class TestSmallestEigenvalue:
         assert exact == pytest.approx(503.509, abs=1e-3)
         calls = []
         monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1))
-        with pytest.raises(ValueError, match=r"must be diagonal \(lumped\)"):
-            smallest_eigenvalue(DiscreteOperator(n, K.tocsr(), M.tocsr(),
+        with pytest.raises(ConfigInvalid, match="mass must be the lumped "
+                           "diagonal, a 1-d real array of 50 entries"):
+            smallest_eigenvalue(DiscreteOperator(K.tocsr(), M.tocsr(),
                                                  lower_bound=0.0))
         assert not calls
 
     @pytest.mark.parametrize("ordering", [[0, 0, 1], [0, 1, 3], [2, 1]])
     def test_rejects_ordering_that_is_no_permutation(self, ordering):
-        op = DiscreteOperator(3, sp.identity(3, format="csr"),
-                              sp.identity(3, format="csr"), ordering=ordering)
+        op = DiscreteOperator(sp.identity(3, format="csr"), np.ones(3),
+                              ordering=ordering)
         with pytest.raises(ValueError, match="permutation of the 3 unknowns"):
             smallest_eigenvalue(op)
 
@@ -339,7 +350,7 @@ class TestSmallestEigenvalue:
         A.eliminate_zeros()
         assert not A.diagonal().any() and A.nnz == 2 * m
         rep = smallest_eigenvalue(
-            DiscreteOperator(2 * m, A, sp.identity(2 * m, format="csr")))
+            DiscreteOperator(A, np.ones(2 * m)))
         assert rep.lambda_min == pytest.approx(-1.0, abs=1e-10)
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf])
@@ -350,7 +361,7 @@ class TestSmallestEigenvalue:
         calls = []
         monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1))
         with pytest.raises(ValueError, match="non-finite entry"):
-            smallest_eigenvalue(DiscreteOperator(op.dimension, A, op.mass))
+            smallest_eigenvalue(DiscreteOperator(A, op.mass))
         assert not calls
 
     def test_solved_graphs_are_stable(self):
@@ -405,6 +416,26 @@ class TestCylinderStability:
     def test_rejects_non_finite_or_non_positive_H(self, H):
         with pytest.raises(ValueError, match="finite H > 0"):
             cylinder_stability(H, NIL)
+
+    @pytest.mark.parametrize("H", [1e-200, 1.2e-151, 1.3e74, 1e150, 1e200])
+    def test_rejects_H_past_the_float_range_before_assembly(self, monkeypatch,
+                                                            H):
+        calls = []
+        monkeypatch.setattr(stability, "_q1_assemble",
+                            lambda *a, **k: calls.append(1))
+        with pytest.raises(ConfigInvalid, match=re.escape(
+                "at H = %r: the tube lattice weights leave the float range" % H)):
+            cylinder_stability(H, NIL)
+        assert not calls
+
+    @pytest.mark.parametrize("params", [NIL, PSL, SpaceParams(-100.0, 0.5)])
+    @pytest.mark.parametrize("H", [1.3e-151, 1.2e74])
+    def test_H_at_either_end_of_the_range_keeps_the_closed_form(self, params,
+                                                                H):
+        # no overflow warning (warnings are errors) and the constant mode
+        cs = cylinder_stability(H, params)
+        c = 4.0 * H * H + params.kappa
+        assert cs.lambda_min_spectral == pytest.approx(-c, rel=1e-12, abs=1e-12)
 
     def test_sign_grid(self):
         for H in (0.25, 0.5, 1.0, 2.0):
