@@ -369,9 +369,11 @@ def critical_mean_curvature(params: SpaceParams) -> float:
 
 
 def sphere_exists(H: float, params: SpaceParams) -> bool:
-    """True iff 4 H^2 + kappa > 0."""
+    """True iff 4 H^2 + kappa > 0, decided as H above the critical
+    sqrt(-kappa)/2 so that no square of H underflows (4 H^2 is 0 in flat
+    space at H = 1e-200)."""
     check_H(H, "sphere existence")
-    return 4.0 * H * H + params.kappa > 0.0
+    return params.kappa >= 0 or H > math.sqrt(-params.kappa) / 2.0
 
 
 def base_distance(p1, p2, params: SpaceParams):

@@ -52,8 +52,8 @@ PROFILE_PANELS = 128
 _S_CUT = 1.0 / EQUATOR_NU - 1.0
 # terms of the pole series in `_height`: its ratio is at most (Ht/tau)^2 <= 1/4
 _SERIES_TERMS = 28
-# the largest H of a rotational sphere, see `_check_sphere`
-_H_MAX = 1e60
+# the smallest and the largest H of a rotational sphere, see `_check_sphere`
+_H_MIN, _H_MAX = 1e-60, 1e60
 # Gauss-Legendre rule in theta of `cap_heights`
 _CAP_NODES, _CAP_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -87,9 +87,12 @@ class PlanarCircle:
 
 def _check_sphere(H: float, params: SpaceParams) -> None:
     """Reject H and the space when no rotational sphere exists, and an H
-    above _H_MAX = 1e60: `_height` forms products of order H^4 / EQUATOR_NU^2,
-    which overflow from H = 1e74 on in flat space and Nil (a probe over flat
-    space, Nil, PSL and H^2 x R; PSL and H^2 x R hold up to 1e151)."""
+    outside [_H_MIN, _H_MAX] = [1e-60, 1e60]: `_height` forms products of
+    order H^4 / EQUATOR_NU^2, which overflow from H = 1e74 on in flat space
+    and Nil, and underflow in flat space below H = 1e-80, where the height
+    turns NaN (a probe over flat space, Nil, PSL and H^2 x R; PSL and
+    H^2 x R hold up to 1e151 and have no sphere below H = 1/2, Nil holds
+    down to 1e-154)."""
     check_H(H, "hemisphere height")
     if H > _H_MAX:
         raise ConfigInvalid("hemisphere height needs H <= %g, got %r"
@@ -99,6 +102,9 @@ def _check_sphere(H: float, params: SpaceParams) -> None:
     if not model.sphere_exists(H, params):
         raise NoSphere("no rotational sphere: 4H^2 + kappa = %g <= 0"
                        % (4 * H * H + params.kappa))
+    if H < _H_MIN:
+        raise ConfigInvalid("hemisphere height needs H >= %g, got %r"
+                            % (_H_MIN, H))
 
 
 def _equator_angle(H: float, params: SpaceParams) -> float:
@@ -148,7 +154,7 @@ def _height(s, H: float, params: SpaceParams) -> np.ndarray:
     t = 1.0 + s
     H2, T2 = H * H, tau * tau
     # rounded once from the exact value, as it cancels next to the critical
-    # H; positive wherever the rounded test of `model.sphere_exists` passes
+    # H; positive wherever `model.sphere_exists` passes
     C = float(4 * Fraction(H) ** 2 + Fraction(kappa))
     D = 4.0 * T2 - kappa
     # rho = 4 tau^2 / D; flat space (D = 0) is the kappa = 0 limit

@@ -14,16 +14,19 @@ all five jet entries) and the solution's min|nu| and max|sigma| are read
 off it.  The stencils and the boundary closure are linear, so each
 Jacobian is one sparse product S @ jet_u, where S holds those partials as
 a row of five diagonal matrices.  One SuperLU factor (minimum-degree
-ordering of J^T + J, symmetric mode) per Newton run is the right
-preconditioner of GMRES on each later exact Jacobian; 15 GMRES iterations
-short of a relative residual of 1e-6 trigger a refactor.
+ordering of J^T + J, symmetric mode) is the right preconditioner of GMRES
+on each later exact Jacobian; the next Jacobian is factored afresh when 15
+GMRES iterations fall short of a relative residual of 1e-6, and after every
+damped or forced step.
 
 Each Newton iteration makes one pass over the step lengths 1, 1/2, ...,
 2**-13: the first Armijo step wins, else the first admissible one is forced
 while min|nu| or the residual falls (at most 25 times), and in chase mode at
-once.  Cold solves on disks with 0 < H R < 1 start from the rotational cap
-about the grid center, others from zero; each solve is one Newton run, and
-its failure propagates as raised.
+once.  Chase mode starts when, over the last two iterations, the residual
+fell by less than 2% while min|nu| fell by more than 30%.  Cold solves on
+disks with 0 < H R < 1 start from the rotational cap about the grid center,
+others from zero; each solve is one Newton run, and its failure propagates
+as raised.
 
 Disk domains close the stencils with ghost values extrapolated along the
 lattice direction whose circle crossing lies closest to the ghost: the
@@ -479,7 +482,9 @@ def _linear_solve(J, b, state: dict):
 
     GMRES runs on y -> J @ lu.solve(y) from y = b (the chord step), so its
     residual is the true one; a short cycle refactors J, releasing the stale
-    factor first.  A singular J gets a regularized step, never reused."""
+    factor first.  `_newton` drops the factor after every damped or forced
+    step, so the next J is factored afresh.  A singular J gets a regularized
+    step, never reused."""
     lu = state.get("lu")
     if lu is not None:
         op = spla.LinearOperator(J.shape, matvec=lambda y: J @ lu.solve(y),
@@ -535,6 +540,8 @@ def _newton(grid: DomainGrid, H_target: float, orientation: int,
             if rn_try < rnorm * (1.0 - 1e-4 * t):
                 step = trial
                 break
+        if step is None or t < 1:
+            lu_state["lu"] = None       # factor the next Jacobian afresh
         if step is None:
             # Near a fold the line search stalls while the Newton direction
             # still points along the steepening branch: keep taking full
@@ -563,10 +570,11 @@ def _newton(grid: DomainGrid, H_target: float, orientation: int,
         history.append((rnorm, nu_min))
         # Damped steps that barely move the residual while the graph keeps
         # steepening are the signature of a solution sliding past a fold:
-        # switch to undamped steps so the verticality threshold is reached
-        # instead of exhausting the iteration budget.
-        if not chase and len(history) > 5:
-            r_then, nu_then = history[-6]
+        # when two iterations cut the residual by less than 2% and min|nu|
+        # by more than 30%, switch to undamped steps so the verticality
+        # threshold is reached instead of exhausting the iteration budget.
+        if not chase and len(history) > 2:
+            r_then, nu_then = history[-3]
             if rnorm > 0.98 * r_then and nu_min < 0.7 * nu_then:
                 chase = True
     raise NonConvergence(

@@ -24,6 +24,7 @@ from ektau.solver import (DomainGrid, GraphSolution, disk_grid, rectangle_grid,
 
 SRC = Path(ektau.__file__).parent
 NIL = SpaceParams(0.0, 0.5)
+FLAT = SpaceParams(0.0, 0.0)
 
 
 def _raised_builtins(path):
@@ -195,6 +196,12 @@ REJECTED = {
     "profile_H_overflowing_closed_form": (
         lambda: rotational.shoot_rotational_graph(1e100, NIL),
         ConfigInvalid, r"hemisphere height needs H <= 1e\+60"),
+    "hemisphere_H_underflowing_closed_form": (
+        lambda: rotational.hemisphere_height(1e-100, FLAT),
+        ConfigInvalid, "hemisphere height needs H >= 1e-60, got 1e-100"),
+    "profile_H_underflowing_closed_form": (
+        lambda: rotational.shoot_rotational_graph(1e-100, FLAT),
+        ConfigInvalid, "hemisphere height needs H >= 1e-60, got 1e-100"),
     "cylinder_stability_H_tiny": (
         lambda: stability.cylinder_stability(1e-200, NIL),
         ConfigInvalid, "cylinder stability at H = 1e-200: the tube lattice "

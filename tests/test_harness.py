@@ -364,6 +364,21 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert calls == []
 
+    def test_H_below_the_sphere_floor_fails_before_any_solve(self, tmp_path,
+                                                             monkeypatch):
+        # a flat sphere exists at every H > 0, but its closed-form height
+        # turns NaN below H = 1e-80, which records.json cannot hold
+        from ektau import solver
+        calls = []
+        monkeypatch.setattr(solver, "solve_dirichlet",
+                            lambda *args, **kwargs: calls.append(args))
+        cfg = small_config(tmp_path, "tiny", params=SpaceParams(0.0, 0.0),
+                           H_list=[0.5, 1e-100])
+        with pytest.raises(ConfigInvalid, match="hemisphere height needs "
+                           "H >= 1e-60, got 1e-100"):
+            run_experiment(cfg)
+        assert calls == []
+
     def test_conjecture_ratio_below_one(self, tmp_path):
         cfg = small_config(tmp_path, "conj")
         for r in run_experiment(cfg):
@@ -445,6 +460,13 @@ class TestCli:
         rc = cli_dispatch([command, "--kappa", "0", "--tau", "0.5", "--H", H])
         assert rc == 1
         assert capsys.readouterr().err.startswith(message)
+
+    def test_sphere_H_below_the_floor_rejected(self, capsys):
+        rc = cli_dispatch(["sphere", "--kappa", "0", "--tau", "0", "--H",
+                           "1e-100"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: hemisphere height needs H >= 1e-60, got 1e-100")
 
     def test_non_finite_H_rejected_cleanly(self, capsys):
         rc = cli_dispatch(["cylinder", "--kappa", "0", "--tau", "0.5",

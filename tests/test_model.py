@@ -266,6 +266,14 @@ class TestDerivedConstants:
         with pytest.raises(NonPositiveH):
             sphere_exists(0.0, NIL)
 
+    def test_sphere_exists_without_squaring_H(self):
+        # 4 H^2 underflows to 0 here, yet the flat sphere of radius 1/H exists
+        assert sphere_exists(1e-200, FLAT)
+        assert sphere_exists(5e-324, NIL)
+        # exactly at and one float above the critical 1/2 of PSL
+        assert not sphere_exists(0.5, PSL)
+        assert sphere_exists(math.nextafter(0.5, 1.0), PSL)
+
     @pytest.mark.parametrize("H", [math.nan, math.inf, -math.inf])
     def test_sphere_exists_rejects_non_finite_H(self, H):
         with pytest.raises(NonPositiveH, match="finite"):

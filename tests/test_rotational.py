@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ektau.errors import IoFailure, NoSphere, UnsupportedSign
+from ektau.errors import ConfigInvalid, IoFailure, NoSphere, UnsupportedSign
 from ektau.graph_geometry import _forms
 from ektau.model import SpaceParams, ambient_components, conformal_factor_jet
 from ektau.rotational import (EQUATOR_NU, PROFILE_PANELS, _equator_angle,
@@ -204,6 +204,32 @@ class TestHemisphereHeight:
     def test_bad_H_rejected_at_entry(self, H):
         with pytest.raises(ValueError, match="finite H > 0"):
             hemisphere_height(H, NIL)
+
+    # just below the floor, and where 4 H^2 underflows to 0 although the
+    # flat sphere exists (the closed form turns NaN below H = 1e-80)
+    @pytest.mark.parametrize("H", [1e-61, 1e-200])
+    def test_H_below_the_floor_rejected(self, H):
+        with pytest.raises(ConfigInvalid,
+                           match="hemisphere height needs H >= 1e-60, got %r"
+                           % H):
+            hemisphere_height(H, FLAT)
+
+    def test_no_sphere_below_the_floor_stays_no_sphere(self):
+        with pytest.raises(NoSphere):
+            hemisphere_height(1e-100, PSL)
+
+    def test_exact_at_the_floor(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flat = hemisphere_height(1e-60, FLAT)
+            prof = shoot_rotational_graph(1e-60, FLAT)
+            nil = hemisphere_height(1e-60, NIL)
+        assert flat == pytest.approx((1.0 - EQUATOR_NU) / 1e-60, rel=1e-14)
+        assert prof.hemisphere_height == flat
+        assert np.isfinite(prof.samples).all()
+        # H t << tau up to the cut: the integrand is H t^2 / tau^2 to 1e-100
+        t = 1.0 / EQUATOR_NU
+        assert nil == pytest.approx(1e-60 * (t**3 - 1) / (3 * 0.25), rel=1e-14)
 
 
 def mpmath_heights(H: float, params: SpaceParams, ts) -> list:

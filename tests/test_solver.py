@@ -694,6 +694,41 @@ class TestNewtonLinearSolve:
             solve_dirichlet(g, 0.0, 0.8, NIL)
 
 
+def _count_calls(monkeypatch, *names):
+    """Count the calls of the named `solver` functions from here on."""
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
+    return counts
+
+
+class TestFullSteps:
+    """The premise under the factor rule of `_newton`: a converged cap-start
+    solve accepts the full Newton step on every iteration, so it never drops
+    its factor and runs one residual per iteration."""
+
+    @pytest.mark.parametrize("HR", [0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.07, -0.05)],
+                             ids=["centred", "off_centre"])
+    @pytest.mark.parametrize("params", [FLAT, NIL, PSL, H2R],
+                             ids=["flat", "nil", "psl", "h2r"])
+    def test_one_factor_and_full_steps(self, monkeypatch, params, center, HR):
+        g = disk_grid(1.0, 24, params, center=center)
+        assert solver.has_cap(g, HR)
+        counts = _count_calls(monkeypatch, "_factor", "_residual")
+        sol = solve_dirichlet(g, 0.0, HR, params)
+        assert sol.newton_iterations >= 1
+        assert counts == {"_factor": 1,
+                          "_residual": sol.newton_iterations + 1}
+
+
 class TestGlobalization:
     """Cold solves past the fold: line search, forced steps and chase mode
     in one Newton run, pinned by its outcome and the number of Jacobians
@@ -701,29 +736,45 @@ class TestGlobalization:
     turns vertical."""
 
     @pytest.mark.parametrize("params, n, H, exc, message, jacobians", [
+        # damped steps, one forced step, then chase mode
         (FLAT, 16, 1.0, VerticalBlowup, "graph turned vertical during "
          "iteration: min|nu| < 0.001 at H=1", 13),
         (FLAT, 16, 1.2, VerticalBlowup, "graph turned vertical during "
          "iteration: min|nu| < 0.001 at H=1.2", 15),
-        # forced steps without chase mode
+        # a forced step without chase mode
         (NIL, 24, 1.05, VerticalBlowup, "graph turned vertical during "
          "iteration: min|nu| < 0.001 at H=1.05", 7),
+        # two damped steps start chase mode
         (NIL, 32, 1.3, VerticalBlowup, "graph turned vertical during "
-         "iteration: min|nu| < 0.001 at H=1.3", 6)])
+         "iteration: min|nu| < 0.001 at H=1.3", 5)])
     def test_cold_solve_past_the_fold(self, monkeypatch, params, n, H, exc,
                                       message, jacobians):
-        real = solver.mean_curvature_sensitivities
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "mean_curvature_sensitivities", counting)
+        counts = _count_calls(monkeypatch, "mean_curvature_sensitivities")
         with pytest.raises(exc) as info:
             solve_dirichlet(disk_grid(1.0, n, params), 0.0, H, params)
         assert str(info.value) == message
-        assert len(calls) == jacobians
+        assert counts["mean_curvature_sensitivities"] == jacobians
+
+    def test_damped_steps_refactor(self, monkeypatch):
+        # two full steps, three damped ones, then two forced steps in chase
+        # mode: each damped or forced step drops the factor, so every later
+        # Jacobian is factored afresh and the line searches stay short
+        counts = _count_calls(monkeypatch, "_factor", "_residual", "_jacobian")
+        with pytest.raises(VerticalBlowup,
+                           match=r"min\|nu\| < 0.001 at H=1.236"):
+            solve_dirichlet(disk_grid(1.0, 48, NIL), 0.0, 1.236, NIL)
+        assert counts == {"_factor": 6, "_residual": 22, "_jacobian": 7}
+
+    @pytest.mark.parametrize("params, n, H", [(NIL, 32, 4.0), (PSL, 24, 3.5)],
+                             ids=["nil", "psl"])
+    def test_rectangle_past_the_fold(self, params, n, H):
+        # no cap on a rectangle: the zero start slides past the fold until
+        # the graph turns vertical, not until the iteration budget runs out
+        g = rectangle_grid((0.4, 0.4), n, params, center=(0.05, -0.03))
+        with pytest.raises(VerticalBlowup) as info:
+            solve_dirichlet(g, 0.0, H, params)
+        assert str(info.value) == ("graph turned vertical during iteration: "
+                                   "min|nu| < 0.001 at H=%g" % H)
 
 
 class TestSolvesAlongH:
