@@ -46,10 +46,12 @@ def rosenberg_bound(H: float, params: SpaceParams) -> float | None:
     3H^2 + S <= 0.
     """
     check_H(H, "rosenberg bound")
-    c = 3.0 * H * H + model.scalar_curvature(params)
+    e, H1, p1 = model.unit_scale(H, params)
+    c = 3.0 * H1 * H1 + model.scalar_curvature(p1)
     if c <= 0:
         return None
-    return 2.0 * math.pi / math.sqrt(3.0 * c)
+    return model.unit_length(2.0 * math.pi / math.sqrt(3.0 * c), e,
+                             "rosenberg bound at H = %r" % (H,))
 
 
 @dataclass

@@ -59,10 +59,12 @@ class SpaceParams:
             raise ConfigInvalid("kappa and tau must be finite")
         if self.tau < 0:
             raise ConfigInvalid("tau must be >= 0 (fix the orientation so tau >= 0)")
-        if self.kappa == 0.0 and self.tau == 0.0:
-            return
-        scale = max(abs(self.kappa), 4 * self.tau * self.tau)
-        if abs(self.kappa - 4 * self.tau * self.tau) <= 1e-12 * scale:
+        t2 = 4 * self.tau * self.tau
+        if t2 == math.inf:
+            raise ConfigInvalid("4*tau^2 overflows (got kappa=%g, tau=%g)"
+                                % (self.kappa, self.tau))
+        # only a positive kappa can equal 4 tau^2 (a tiny tau squares to 0)
+        if self.kappa > 0 and abs(self.kappa - t2) <= 1e-12 * max(self.kappa, t2):
             raise ConfigInvalid(
                 "kappa - 4*tau^2 must not vanish (got kappa=%g, tau=%g)"
                 % (self.kappa, self.tau)
@@ -374,6 +376,27 @@ def sphere_exists(H: float, params: SpaceParams) -> bool:
     space at H = 1e-200)."""
     check_H(H, "sphere existence")
     return params.kappa >= 0 or H > math.sqrt(-params.kappa) / 2.0
+
+
+def unit_scale(H: float, params: SpaceParams):
+    """(e, H 2^-e, SpaceParams(kappa 4^-e, tau 2^-e)), with e putting the
+    largest of H, tau and sqrt|kappa| into [1, 2).  The dilation x = c x'
+    carries E(kappa, tau) to c E(kappa c^2, tau c) (Daniel 2007, Comment.
+    Math. Helv. 82, section 2): H -> c H and lengths -> lengths / c, exactly
+    for c = 2^-e."""
+    e = math.frexp(max(H, params.tau, math.sqrt(abs(params.kappa))))[1] - 1
+    return e, math.ldexp(H, -e), SpaceParams(math.ldexp(params.kappa, -2 * e),
+                                             math.ldexp(params.tau, -e))
+
+
+def unit_length(length: float, e: int, what: str) -> float:
+    """A length of the `unit_scale` space in the given one: length 2^-e, or
+    `ConfigInvalid` where that overflows."""
+    try:
+        return math.ldexp(length, -e)
+    except OverflowError:
+        raise ConfigInvalid("%s: the result %g * 2^%d leaves the float range"
+                            % (what, length, -e)) from None
 
 
 def base_distance(p1, p2, params: SpaceParams):

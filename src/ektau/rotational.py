@@ -52,8 +52,8 @@ PROFILE_PANELS = 128
 _S_CUT = 1.0 / EQUATOR_NU - 1.0
 # terms of the pole series in `_height`: its ratio is at most (Ht/tau)^2 <= 1/4
 _SERIES_TERMS = 28
-# the smallest and the largest H of a rotational sphere, see `_check_sphere`
-_H_MIN, _H_MAX = 1e-60, 1e60
+# the smallest normalized H of a rotational sphere: H^2 a normal float
+_H_FLOOR = 2.0 ** -511
 # Gauss-Legendre rule in theta of `cap_heights`
 _CAP_NODES, _CAP_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -85,26 +85,23 @@ class PlanarCircle:
     model_radius: float = float("nan")
 
 
-def _check_sphere(H: float, params: SpaceParams) -> None:
-    """Reject H and the space when no rotational sphere exists, and an H
-    outside [_H_MIN, _H_MAX] = [1e-60, 1e60]: `_height` forms products of
-    order H^4 / EQUATOR_NU^2, which overflow from H = 1e74 on in flat space
-    and Nil, and underflow in flat space below H = 1e-80, where the height
-    turns NaN (a probe over flat space, Nil, PSL and H^2 x R; PSL and
-    H^2 x R hold up to 1e151 and have no sphere below H = 1/2, Nil holds
-    down to 1e-154)."""
+def _check_sphere(H: float, params: SpaceParams):
+    """Reject H and the space when no rotational sphere exists, and return
+    their `model.unit_scale`, in which the closed forms are evaluated.  A
+    normalized H below _H_FLOOR = 2^-511 is rejected: its square is no
+    longer a normal float (H is more than about 1e154 below tau or
+    sqrt(-kappa))."""
     check_H(H, "hemisphere height")
-    if H > _H_MAX:
-        raise ConfigInvalid("hemisphere height needs H <= %g, got %r"
-                            % (_H_MAX, H))
     if params.kappa > 0:
         raise UnsupportedSign("rotational spheres restricted to kappa <= 0")
     if not model.sphere_exists(H, params):
         raise NoSphere("no rotational sphere: 4H^2 + kappa = %g <= 0"
                        % (4 * H * H + params.kappa))
-    if H < _H_MIN:
-        raise ConfigInvalid("hemisphere height needs H >= %g, got %r"
-                            % (_H_MIN, H))
+    e, H1, params1 = model.unit_scale(H, params)
+    if H1 < _H_FLOOR:
+        raise ConfigInvalid("hemisphere height needs H >= 2^-511 "
+                            "max(tau, sqrt(-kappa)), got %r" % (H,))
+    return e, H1, params1
 
 
 def _equator_angle(H: float, params: SpaceParams) -> float:
@@ -162,8 +159,9 @@ def _height(s, H: float, params: SpaceParams) -> np.ndarray:
     L = T2 + H2 * t
     if eps <= -0.5:
         M = D + C * t
-        h = 4.0 * H * s / -kappa * (D / M * _atanc(math.sqrt(C * D) * s / M)
-                                    - T2 / L * _atanc(H * tau * s / L))
+        # D / -kappa first: 1 / -kappa overflows where kappa << H^2
+        h = 4.0 * H * s * (D / -kappa / M * _atanc(math.sqrt(C * D) * s / M)
+                           - T2 / -kappa / L * _atanc(H * tau * s / L))
     else:
         # J = (delta phi / (1 + beta) - delta atan(eps y) / eps) / beta with
         # beta = b/a and y = sin cos / ((1 + beta)(cos^2 + beta sin^2)) of phi;
@@ -198,18 +196,21 @@ def shoot_rotational_graph(H: float, params: SpaceParams) -> ProfileCurve:
     and the last sample is the cut t* = 1/EQUATOR_NU itself;
     f' = H (dh/dtheta) / cos(theta); nu = cos(theta) / sqrt(1 + tau^2 r^2).
     """
-    _check_sphere(H, params)
-    theta = np.linspace(0.0, _equator_angle(H, params), PROFILE_PANELS + 1)
-    r = np.sin(theta) / H
+    e, H1, p1 = _check_sphere(H, params)
+    theta = np.linspace(0.0, _equator_angle(H1, p1), PROFILE_PANELS + 1)
+    r = np.sin(theta) / H1
     cos = np.cos(theta)
-    q = (1.0 + (params.tau / H) ** 2) * np.tan(theta) ** 2
+    q = (1.0 + (p1.tau / H1) ** 2) * np.tan(theta) ** 2
     s = q / (1.0 + np.sqrt(1.0 + q))
     s[-1] = _S_CUT
-    f = _height(s, H, params)
-    fp = H * _dh_dtheta(theta, H, params) / cos
-    nu = cos / np.sqrt(1.0 + (params.tau * r) ** 2)
-    return ProfileCurve(H=H, params=params, samples=np.stack([r, f, fp], axis=1),
-                        nu=nu, hemisphere_height=float(f[-1]))
+    f = _height(s, H1, p1)
+    fp = H1 * _dh_dtheta(theta, H1, p1) / cos
+    nu = cos / np.sqrt(1.0 + (p1.tau * r) ** 2)
+    # r and f are lengths, largest at the cut; f' and nu are scale-free
+    model.unit_length(max(r[-1], f[-1]), e, "hemisphere height at H = %r" % (H,))
+    samples = np.stack([np.ldexp(r, -e), np.ldexp(f, -e), fp], axis=1)
+    return ProfileCurve(H=H, params=params, samples=samples, nu=nu,
+                        hemisphere_height=float(samples[-1, 1]))
 
 
 def hemisphere_height(H: float, params: SpaceParams) -> float:
@@ -217,8 +218,9 @@ def hemisphere_height(H: float, params: SpaceParams) -> float:
 
     The closed form `_height` at the cut t* = 1/EQUATOR_NU.
     """
-    _check_sphere(H, params)
-    return float(_height(np.array([_S_CUT]), H, params)[0])
+    e, H1, p1 = _check_sphere(H, params)
+    return model.unit_length(float(_height(np.array([_S_CUT]), H1, p1)[0]), e,
+                             "hemisphere height at H = %r" % (H,))
 
 
 def cap_heights(r, R: float, H: float, params: SpaceParams) -> np.ndarray:

@@ -67,9 +67,8 @@ _KRYLOV_BASIS = 40
 _EIG_TOL = 1e-10
 _EIG_MAX_SOLVES = 5000
 
-# range of hy^2, the scale of a cell area on a cylinder's tube lattice: a
-# probe over Nil, PSL and kappa = -100 found the closed-form lambda_min for
-# cell areas from 3e-155 to 1e308 and overflow warnings past either end
+# range of hy^2, a cell area of the cylinder's tube lattice: a probe over Nil,
+# PSL and kappa = -100 found the closed form from 3e-155 to 1e308, not beyond
 _TUBE_AREA = (1e-150, 1e300)
 
 # 2x2 Gauss points on [0,1]
@@ -339,10 +338,11 @@ def cylinder_stability(H: float, params: SpaceParams) -> CylinderStability:
     surrogate assembles the flat operator on a 40 x 80 lattice (around the
     curve, along the axis) over a finite tube of length 20/(2H), periodic
     for closed curves and with free ends otherwise, and solves for the
-    smallest eigenvalue; the constant mode realizes the margin.  An H whose
-    lattice weights leave the float range (hy^2 outside _TUBE_AREA, so H
-    outside about [1.3e-151, 1.2e74]) raises `ConfigInvalid` before any
-    assembly.
+    smallest eigenvalue; the constant mode realizes the margin.  H with
+    hy^2 outside _TUBE_AREA (about [1.3e-151, 1.2e74]) raises `ConfigInvalid`
+    before any assembly.  `model.unit_scale` is of no help: that limit is a
+    ratio of scales (Nil at H = 1e-200 normalizes to 2e-200), and Lanczos's
+    shift and stop use max(1, |lambda|), so lambda would move.
     """
     check_H(H, "cylinder stability")
     c = 4.0 * H * H + params.kappa

@@ -1,0 +1,148 @@
+"""Dilations of E(kappa, tau) and the one scale rule of the closed forms.
+
+x = c x' carries E(kappa, tau) to c E(kappa c^2, tau c): H -> c H, lengths
+-> lengths / c, slopes and angle functions unchanged, Jacobi eigenvalues
+-> c^2 lambda.  For c = 2^k every product is exact, so the closed forms
+are equivariant to the bit; the cylinder's Lanczos surrogate is equivariant
+to its own stopping tolerance.
+"""
+
+import math
+import sys
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from ektau import rotational
+from ektau.errors import ConfigInvalid, EktauError
+from ektau.harness import rosenberg_bound
+from ektau.model import SpaceParams
+from ektau.stability import _EIG_TOL, cylinder_stability
+
+
+def dilate(H, params, k):
+    """(H 2^k, E(kappa 4^k, tau 2^k)): the space dilated by c = 2^k."""
+    return math.ldexp(H, k), SpaceParams(math.ldexp(params.kappa, 2 * k),
+                                         math.ldexp(params.tau, k))
+
+
+def log_uniform(lo, hi):
+    """Floats m 2^j with m uniform in [1, 2) and j uniform in [lo, hi]."""
+    return st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
+                     st.integers(lo, hi))
+
+
+# spaces and H of every shape, off the normal floats' edges so that each
+# dilation below is exact; kappa = 0 and tau = 0 included
+KAPPA = st.just(0.0) | log_uniform(-40, 10).map(lambda v: -v)
+TAU = st.just(0.0) | log_uniform(-40, 10)
+H_ANY = log_uniform(-40, 40)
+K = st.integers(-200, 200)
+
+
+def sphere_case(kappa, tau, H):
+    """The space and an H that has a rotational sphere in it."""
+    return max(H, math.sqrt(-kappa) / 2.0 * (1.0 + 2.0 ** -20)), \
+        SpaceParams(kappa, tau)
+
+
+@settings(max_examples=150, deadline=None)
+@given(KAPPA, TAU, H_ANY, K)
+def test_hemisphere_height_is_dilation_equivariant(kappa, tau, H, k):
+    H, params = sphere_case(kappa, tau, H)
+    Hc, pc = dilate(H, params, k)
+    assert rotational.hemisphere_height(Hc, pc) == math.ldexp(
+        rotational.hemisphere_height(H, params), -k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(KAPPA, TAU, H_ANY, K)
+def test_profile_is_dilation_equivariant(kappa, tau, H, k):
+    # r and f scale by 1/c; f' and nu do not move
+    H, params = sphere_case(kappa, tau, H)
+    prof = rotational.shoot_rotational_graph(H, params)
+    scaled = rotational.shoot_rotational_graph(*dilate(H, params, k))
+    assert np.array_equal(scaled.samples[:, :2],
+                          np.ldexp(prof.samples[:, :2], -k))
+    assert np.array_equal(scaled.samples[:, 2], prof.samples[:, 2])
+    assert np.array_equal(scaled.nu, prof.nu)
+    assert scaled.hemisphere_height == math.ldexp(prof.hemisphere_height, -k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(KAPPA | log_uniform(-40, 10), TAU, H_ANY, K)
+def test_rosenberg_bound_is_dilation_equivariant(kappa, tau, H, k):
+    assume(kappa <= 0 or abs(kappa - 4 * tau * tau) > 1e-6 * kappa)
+    params = SpaceParams(kappa, tau)
+    bound = rosenberg_bound(H, params)
+    scaled = rosenberg_bound(*dilate(H, params, k))
+    assert scaled == (None if bound is None else math.ldexp(bound, -k))
+
+
+# H^2 and the tube's cell areas stay inside _TUBE_AREA at every c drawn
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([(0.0, 0.5), (-1.0, 0.5), (-1.0, 0.0), (-0.3, 1.7),
+                        (-100.0, 0.25)]),
+       st.floats(0.05, 20.0), st.integers(-6, 6))
+def test_cylinder_stability_is_dilation_equivariant(space, H, k):
+    # lambda -> c^2 lambda within each run's Lanczos tolerance; it is not
+    # bit-exact, since the shift and the stop use max(1, |lambda|)
+    params = SpaceParams(*space)
+    lam = cylinder_stability(H, params).lambda_min_spectral
+    lam_c = cylinder_stability(*dilate(H, params, k)).lambda_min_spectral
+    tol = _EIG_TOL * (max(1.0, abs(lam))
+                      + math.ldexp(max(1.0, abs(lam_c)), -2 * k))
+    assert abs(math.ldexp(lam_c, -2 * k) - lam) <= tol
+
+
+# -- the scale rule over everything SpaceParams and check_H accept ---------
+
+# sign, then m 2^j over every finite float; tau stops where 4 tau^2 overflows
+FUZZ_KAPPA = st.just(0.0) | st.builds(lambda s, v: s * v,
+                                      st.sampled_from([-1.0, 1.0]),
+                                      log_uniform(-1074, 1023))
+FUZZ_TAU = st.just(0.0) | log_uniform(-1074, 510)
+FUZZ_H = log_uniform(-1074, 1023)
+
+
+def finite_positive_or_ektau_error(call):
+    try:
+        value = call()
+    except EktauError:
+        return None
+    assert value > 0 and math.isfinite(value), value
+    return value
+
+
+@settings(max_examples=400, deadline=None)
+@given(FUZZ_KAPPA, FUZZ_TAU, FUZZ_H)
+def test_scale_rule_answers_or_raises_ektau_error(kappa, tau, H):
+    try:
+        params = SpaceParams(kappa, tau)
+    except ConfigInvalid:
+        return
+    h = finite_positive_or_ektau_error(
+        lambda: rotational.hemisphere_height(H, params))
+    try:
+        prof = rotational.shoot_rotational_graph(H, params)
+    except EktauError:
+        pass
+    else:
+        # the profile's radius at the cut may leave the float range alone
+        assert prof.hemisphere_height == h
+        assert np.isfinite(prof.samples).all() and np.isfinite(prof.nu).all()
+    try:
+        bound = rosenberg_bound(H, params)
+    except EktauError:
+        return
+    # 3H^2 + S, exactly: "no bound" only where it is <= 0 up to rounding
+    c = (3 * Fraction(H) ** 2 + 2 * Fraction(params.kappa)
+         - 2 * Fraction(params.tau) ** 2)
+    if bound is None:
+        scale = 3 * Fraction(H) ** 2 + 2 * abs(Fraction(params.kappa)) \
+            + 2 * Fraction(params.tau) ** 2
+        assert c <= 4 * Fraction(sys.float_info.epsilon) * scale
+    else:
+        assert c > 0 and bound > 0 and math.isfinite(bound)

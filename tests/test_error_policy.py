@@ -175,7 +175,8 @@ REJECTED = {
     "space_kappa_string": (lambda: SpaceParams("a", 1),
                            ConfigInvalid, "kappa and tau must be finite"),
     "space_tau_squared_overflows": (lambda: SpaceParams(0.0, 1e200),
-                                    ConfigInvalid, r"tau=1e\+200"),
+                                    ConfigInvalid, r"4\*tau\^2 overflows "
+                                    r"\(got kappa=0, tau=1e\+200\)"),
     "hemisphere_H_string": (lambda: rotational.hemisphere_height("1", NIL),
                             NonPositiveH, "hemisphere height needs a finite "
                             "H > 0, got '1'"),
@@ -187,21 +188,26 @@ REJECTED = {
         NonPositiveH, "cylinder stability needs a finite H > 0"),
     "sphere_exists_H_string": (lambda: sphere_exists("1", NIL),
                                NonPositiveH, "sphere existence needs"),
+    # normalized H below 2^-511 (H^2 not a normal float), and heights past
+    # the float range; an H as large as 1e154 or 1e300 is answered
     "hemisphere_H_beyond_closed_form": (
-        lambda: rotational.hemisphere_height(1e154, NIL),
-        ConfigInvalid, r"hemisphere height needs H <= 1e\+60, got 1e\+154"),
+        lambda: rotational.hemisphere_height(1e-160, NIL),
+        ConfigInvalid, r"hemisphere height needs H >= 2\^-511 "
+        r"max\(tau, sqrt\(-kappa\)\), got 1e-160"),
     "hemisphere_H_overflowing_closed_form": (
-        lambda: rotational.hemisphere_height(1e100, NIL),
-        ConfigInvalid, r"hemisphere height needs H <= 1e\+60"),
+        lambda: rotational.hemisphere_height(1e-310, FLAT),
+        ConfigInvalid, "hemisphere height at H = 1e-310: the result .* "
+        "leaves the float range"),
     "profile_H_overflowing_closed_form": (
-        lambda: rotational.shoot_rotational_graph(1e100, NIL),
-        ConfigInvalid, r"hemisphere height needs H <= 1e\+60"),
+        lambda: rotational.shoot_rotational_graph(1e-310, FLAT),
+        ConfigInvalid, "hemisphere height at H = 1e-310: the result"),
     "hemisphere_H_underflowing_closed_form": (
-        lambda: rotational.hemisphere_height(1e-100, FLAT),
-        ConfigInvalid, "hemisphere height needs H >= 1e-60, got 1e-100"),
+        lambda: rotational.hemisphere_height(1e-100, SpaceParams(0.0, 1e60)),
+        ConfigInvalid, r"hemisphere height needs H >= 2\^-511 .*got 1e-100"),
     "profile_H_underflowing_closed_form": (
-        lambda: rotational.shoot_rotational_graph(1e-100, FLAT),
-        ConfigInvalid, "hemisphere height needs H >= 1e-60, got 1e-100"),
+        lambda: rotational.shoot_rotational_graph(1e-100,
+                                                  SpaceParams(0.0, 1e60)),
+        ConfigInvalid, r"hemisphere height needs H >= 2\^-511 .*got 1e-100"),
     "cylinder_stability_H_tiny": (
         lambda: stability.cylinder_stability(1e-200, NIL),
         ConfigInvalid, "cylinder stability at H = 1e-200: the tube lattice "
@@ -216,6 +222,10 @@ REJECTED = {
                            NonPositiveH, "rosenberg bound needs"),
     "rosenberg_H_beyond_floats": (lambda: rosenberg_bound(10 ** 400, NIL),
                                   NonPositiveH, "rosenberg bound needs"),
+    "rosenberg_bound_overflowing": (
+        lambda: rosenberg_bound(5e-324, FLAT),
+        ConfigInvalid, "rosenberg bound at H = 5e-324: the result .* leaves "
+        "the float range"),
     "eigen_operator_not_square": (
         lambda: stability.smallest_eigenvalue(_non_square_operator()),
         ConfigInvalid, "must be square"),

@@ -53,6 +53,18 @@ class TestRosenbergBound:
         bounds = [rosenberg_bound(H, NIL) for H in (0.5, 0.8, 1.2, 2.0)]
         assert all(a > b for a, b in zip(bounds, bounds[1:]))
 
+    # 3 H^2 overflowed to a bound of 0.0, or underflowed to "no bound",
+    # before the bound was evaluated in `model.unit_scale`
+    @pytest.mark.parametrize("H, params", [
+        (1e200, NIL), (1e-200, SpaceParams(0.0, 0.0))])
+    def test_extreme_H_keeps_the_bound(self, H, params):
+        # 3 H^2 dominates S, or S = 0: the bound is 2 pi / (3 H)
+        assert rosenberg_bound(H, params) == pytest.approx(
+            2 * math.pi / (3 * H), rel=1e-15, abs=0.0)
+
+    def test_tiny_H_below_negative_S_has_no_bound(self):
+        assert rosenberg_bound(1e-200, NIL) is None
+
 
 class TestConfig:
     def test_validation(self):
@@ -366,16 +378,15 @@ class TestRunExperiment:
 
     def test_H_below_the_sphere_floor_fails_before_any_solve(self, tmp_path,
                                                              monkeypatch):
-        # a flat sphere exists at every H > 0, but its closed-form height
-        # turns NaN below H = 1e-80, which records.json cannot hold
+        # the Nil sphere exists at every H > 0, but 1e-160 is more than
+        # 2^511 below tau, where the normalized H^2 is not a normal float
         from ektau import solver
         calls = []
         monkeypatch.setattr(solver, "solve_dirichlet",
                             lambda *args, **kwargs: calls.append(args))
-        cfg = small_config(tmp_path, "tiny", params=SpaceParams(0.0, 0.0),
-                           H_list=[0.5, 1e-100])
-        with pytest.raises(ConfigInvalid, match="hemisphere height needs "
-                           "H >= 1e-60, got 1e-100"):
+        cfg = small_config(tmp_path, "tiny", H_list=[0.5, 1e-160])
+        with pytest.raises(ConfigInvalid, match=r"hemisphere height needs "
+                           r"H >= 2\^-511 .*, got 1e-160"):
             run_experiment(cfg)
         assert calls == []
 
@@ -453,8 +464,8 @@ class TestCli:
             "error: cannot write %s" % path)
 
     @pytest.mark.parametrize("command, H, message", [
-        ("sphere", "1e300", "error: hemisphere height needs H <= 1e+60, "
-         "got 1e+300"),
+        ("sphere", "1e-310", "error: hemisphere height needs H >= 2^-511 "
+         "max(tau, sqrt(-kappa)), got 1e-310"),
         ("cylinder", "1e-200", "error: cylinder stability at H = 1e-200: ")])
     def test_H_past_the_float_range_rejected(self, capsys, command, H, message):
         rc = cli_dispatch([command, "--kappa", "0", "--tau", "0.5", "--H", H])
@@ -462,11 +473,12 @@ class TestCli:
         assert capsys.readouterr().err.startswith(message)
 
     def test_sphere_H_below_the_floor_rejected(self, capsys):
-        rc = cli_dispatch(["sphere", "--kappa", "0", "--tau", "0", "--H",
+        rc = cli_dispatch(["sphere", "--kappa", "0", "--tau", "1e100", "--H",
                            "1e-100"])
         assert rc == 1
         assert capsys.readouterr().err.startswith(
-            "error: hemisphere height needs H >= 1e-60, got 1e-100")
+            "error: hemisphere height needs H >= 2^-511 max(tau, "
+            "sqrt(-kappa)), got 1e-100")
 
     def test_non_finite_H_rejected_cleanly(self, capsys):
         rc = cli_dispatch(["cylinder", "--kappa", "0", "--tau", "0.5",

@@ -34,6 +34,11 @@ class TestSpaceParams:
         with pytest.raises(ValueError):
             SpaceParams(kappa=1.0, tau=0.5)
 
+    def test_tiny_tau_is_nil(self):
+        # 4 tau^2 underflows to 0 = kappa, but only a positive kappa can
+        # equal 4 tau^2
+        assert SpaceParams(0.0, 1e-200).theorem_scope
+
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             SpaceParams(kappa=0.0, tau=-0.5)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -205,14 +206,14 @@ class TestHemisphereHeight:
         with pytest.raises(ValueError, match="finite H > 0"):
             hemisphere_height(H, NIL)
 
-    # just below the floor, and where 4 H^2 underflows to 0 although the
-    # flat sphere exists (the closed form turns NaN below H = 1e-80)
+    # the floor is relative: H more than 2^511 below tau, where the
+    # normalized H^2 is no longer a normal float
     @pytest.mark.parametrize("H", [1e-61, 1e-200])
     def test_H_below_the_floor_rejected(self, H):
-        with pytest.raises(ConfigInvalid,
-                           match="hemisphere height needs H >= 1e-60, got %r"
-                           % H):
-            hemisphere_height(H, FLAT)
+        with pytest.raises(ConfigInvalid, match=re.escape(
+                "hemisphere height needs H >= 2^-511 max(tau, sqrt(-kappa)), "
+                "got %r" % H)):
+            hemisphere_height(H, SpaceParams(0.0, 1e100))
 
     def test_no_sphere_below_the_floor_stays_no_sphere(self):
         with pytest.raises(NoSphere):
@@ -231,23 +232,56 @@ class TestHemisphereHeight:
         t = 1.0 / EQUATOR_NU
         assert nil == pytest.approx(1e-60 * (t**3 - 1) / (3 * 0.25), rel=1e-14)
 
+    @pytest.mark.parametrize("H", [1e-61, 1e-200, 1e-300, 1e100, 1e300])
+    def test_flat_sphere_at_any_scale(self, H):
+        # the range [1e-60, 1e60] is gone: flat space has no scale but H
+        prof = shoot_rotational_graph(H, FLAT)
+        assert prof.hemisphere_height == hemisphere_height(H, FLAT)
+        assert prof.hemisphere_height == pytest.approx(
+            (1.0 - EQUATOR_NU) / H, rel=1e-14, abs=0.0)
+        assert prof.samples[-1, 0] == pytest.approx(
+            math.sqrt(1.0 - EQUATOR_NU ** 2) / H, rel=1e-14, abs=0.0)
+
+    # each raised ZeroDivisionError, returned 0.0, inf or NaN, or drifted
+    # by 7% before the closed forms were evaluated in `model.unit_scale`
+    @pytest.mark.parametrize("H, kappa, tau", [
+        (1e-20, 0.0, 1e-150), (1e20, -1.0, 1e100), (1e3, -1.0, 1e80),
+        (1e100, 0.0, 0.5), (1e300, 0.0, 0.5)])
+    def test_extreme_scale_ratios_match_mpmath(self, H, kappa, tau):
+        params = SpaceParams(kappa, tau)
+        assert_match([hemisphere_height(H, params)],
+                     mpmath_heights(H, params, [1.0 / EQUATOR_NU]))
+
+    @pytest.mark.parametrize("H, kappa", [
+        (1000.0, -1e-300), (1e20, -1e-300),
+        (5.945295452681629e46, -4.507274165404363e-223)])
+    def test_tiny_kappa_against_H_has_the_flat_limit(self, H, kappa):
+        # 1 / -kappa overflowed before the factor D = -kappa cancelled it
+        assert hemisphere_height(H, SpaceParams(kappa, 0.0)) == pytest.approx(
+            (1.0 - EQUATOR_NU) / H, rel=1e-14, abs=0.0)
+
 
 def mpmath_heights(H: float, params: SpaceParams, ts) -> list:
     """Heights from the pole to each t = 1/nu of the increasing ts at 40
     digits: mpmath's integration of the rational integrand in t, split at
-    each decade of t and at each t."""
+    each decade of t and at each t.  The integrand is divided by its value
+    at t = 1, as quad's tolerance is absolute and would pass a tiny height
+    after one level of the rule."""
     with mpmath.workdps(40):
         H, k, tau = (mpmath.mpf(v) for v in (H, params.kappa, params.tau))
         C, D = 4 * H * H + k, 4 * tau * tau - k
         ts = [mpmath.mpf(t) for t in ts]
         ends = sorted(set([mpmath.mpf(1)] + ts + [
             mpmath.mpf(10) ** j for j in range(1, 7) if 10 ** j < ts[-1]]))
+
+        def dh(u):
+            return (4 * H * (H * H + tau * tau) * u * u
+                    / ((H * H * u * u + tau * tau) * (C * u * u + D)))
+
         cum = [mpmath.mpf(0)]
         for a, b in zip(ends, ends[1:]):
-            cum.append(cum[-1] + mpmath.quad(
-                lambda u: 4 * H * (H * H + tau * tau) * u * u
-                / ((H * H * u * u + tau * tau) * (C * u * u + D)), [a, b]))
-        return [cum[ends.index(t)] for t in ts]
+            cum.append(cum[-1] + mpmath.quad(lambda u: dh(u) / dh(1), [a, b]))
+        return [dh(1) * cum[ends.index(t)] for t in ts]
 
 
 def assert_match(got, refs):
