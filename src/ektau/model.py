@@ -342,21 +342,25 @@ def curvature_report(p: Point3, params: SpaceParams) -> CurvatureReport:
     which is diag(kappa - 2 tau^2, kappa - 2 tau^2, 2 tau^2) on the frame.
     """
     params.require_inside(p.x, p.y)
-    k, t2 = params.kappa, params.tau ** 2
+    S, k, t2 = scalar_curvature(params), params.kappa, params.tau ** 2
     g, g_inv, dg = _metric_arrays(p.x, p.y, params)
     G = _christoffel(g_inv, dg)
     return CurvatureReport(
         christoffel=G,
         ricci=(k - 2 * t2) * g + (4 * t2 - k) * np.outer(g[2], g[2]),
         ricci_diag_frame=np.array([k - 2 * t2, k - 2 * t2, 2 * t2]),
-        scalar=scalar_curvature(params),
+        scalar=S,
         killing_residual=_killing_residual_at(p.x, p.y, params, G),
     )
 
 
 def scalar_curvature(params: SpaceParams) -> float:
     """The constant scalar curvature S = 2 kappa - 2 tau^2 of the space."""
-    return 2.0 * params.kappa - 2.0 * params.tau ** 2
+    S = 2.0 * params.kappa - 2.0 * params.tau ** 2
+    if not math.isfinite(S):
+        raise ConfigInvalid("scalar curvature 2 kappa - 2 tau^2 overflows "
+                            "(kappa=%g, tau=%g)" % (params.kappa, params.tau))
+    return S
 
 
 # ----------------------------------------------------------------------

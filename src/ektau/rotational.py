@@ -227,6 +227,8 @@ def cap_heights(r, R: float, H: float, params: SpaceParams) -> np.ndarray:
     """Cap heights int_r^R f'(s) ds at the model radii r <= R, for
     0 < H R < 1 and 4 + kappa R^2 > 0: one fixed Gauss-Legendre rule of the
     height integrand in theta on [asin(H r), asin(H R)] for every r at once.
+    The precondition is unchecked by decision: `solver.solve_dirichlet`, the
+    one caller, calls it only where `solver.has_cap` holds.
     """
     a = np.arcsin(H * np.asarray(r, dtype=float))[..., None]
     half = 0.5 * (math.asin(H * R) - a)
@@ -239,19 +241,21 @@ def cmc_cylinder_curve(H: float, params: SpaceParams) -> PlanarCircle:
 
     The cylinder over a base curve gamma has constant mean curvature H
     exactly when the geodesic curvature of gamma is 2H; the curve closes up
-    iff (2H)^2 + kappa > 0.  The origin circle of model radius r has
+    iff `model.sphere_exists`.  The origin circle of model radius r has
     geodesic curvature k_g = 1/r - kappa r/4 in the conformal base metric,
-    so the closed circle has r = 1/(H + sqrt(H^2 + kappa/4)), which is
-    1/(2H) when kappa = 0.
+    so the closed circle has r = 1/(H + sqrt(H^2 + kappa/4)), 1/(2H) when
+    kappa = 0, evaluated in the `model.unit_scale` of (H, kappa).
     """
     check_H(H, "cylinder curve")
     if params.kappa > 0:
         raise UnsupportedSign("cylinder curves restricted to kappa <= 0")
     kg = 2.0 * H
-    if kg * kg + params.kappa <= 0:
+    if not model.sphere_exists(H, params):
         return PlanarCircle(params=params, geodesic_curvature=kg,
                             radius=float("nan"), closed=False)
-    r_model = 1.0 / (H + math.sqrt(H * H + 0.25 * params.kappa))
+    e, H1, p1 = model.unit_scale(H, SpaceParams(params.kappa, 0.0))
+    r_model = model.unit_length(1.0 / (H1 + math.sqrt(H1 * H1 + 0.25 * p1.kappa)),
+                                e, "cylinder radius at H = %r" % (H,))
     rho = model.base_distance((0.0, 0.0), (r_model, 0.0), params)
     return PlanarCircle(params=params, geodesic_curvature=kg, radius=float(rho),
                         closed=True, model_radius=r_model)

@@ -21,12 +21,14 @@ damped or forced step.
 
 Each Newton iteration makes one pass over the step lengths 1, 1/2, ...,
 2**-13: the first Armijo step wins, else the first admissible one is forced
-while min|nu| or the residual falls (at most 25 times), and in chase mode at
-once.  Chase mode starts when, over the last two iterations, the residual
-fell by less than 2% while min|nu| fell by more than 30%.  Cold solves on
-disks with 0 < H R < 1 start from the rotational cap about the grid center,
-others from zero; each solve is one Newton run, and its failure propagates
-as raised.
+if it lowers min|nu| or the residual; chase mode skips the Armijo test.
+Chase mode starts when, over the last two iterations, the residual fell by
+less than 2% while min|nu| fell by more than 30%.  Any iterate, the start
+included, with min|nu| < 1e-3 raises `VerticalBlowup`; a pass with nothing
+to take or force ("stalled") and the budget ("exhausted") raise
+`NonConvergence`.  Cold solves on disks with 0 < H R < 1 start from the
+rotational cap about the grid center, others from zero; each solve is one
+Newton run, and its failure propagates as raised.
 
 Disk domains close the stencils with ghost values extrapolated along the
 lattice direction whose circle crossing lies closest to the ghost: the
@@ -289,7 +291,8 @@ class DomainGrid:
         return (self.closure_A @ u).reshape(self.n, self.n)
 
     def boundary_distance(self) -> np.ndarray:
-        """Base-plane distance of each interior node to the domain boundary."""
+        """Base-plane distance of each interior node to the domain boundary;
+        for kappa < 0 a disk is a geodesic circle, with its own center."""
         ii, jj = self.interior_ij[:, 0], self.interior_ij[:, 1]
         x, y = self.X[ii, jj], self.Y[ii, jj]
         p = self.params
@@ -297,10 +300,14 @@ class DomainGrid:
         if self.shape == "disk":
             if p.kappa == 0:
                 return self.radius - np.hypot(x - cx, y - cy)
-            # radial geodesic distance in the conformal disk model
-            d = model.base_distance((cx, cy), (x, y), p)
-            dR = model.base_distance((cx, cy), (cx + self.radius, cy), p)
-            return dR - d
+            # its diameter through the origin spans signed distances lo..hi
+            c = math.hypot(cx, cy)
+            u = np.array([cx, cy]) / c if c else np.array([1.0, 0.0])
+            t = np.array([c - self.radius, c + self.radius])
+            lo, hi = np.copysign(model.base_distance((0, 0), np.outer(u, t), p), t)
+            # model radius of the geodesic center, at distance (hi + lo) / 2
+            rc = p.domain_radius * math.tanh(0.5 * (hi + lo) / p.domain_radius)
+            return 0.5 * (hi - lo) - model.base_distance(rc * u, (x, y), p)
         ex, ey = self.extents
         if p.kappa == 0:
             return np.minimum.reduce([
@@ -504,16 +511,26 @@ def _linear_solve(J, b, state: dict):
 
 def _newton(grid: DomainGrid, H_target: float, orientation: int,
             u: np.ndarray):
-    """Damped Newton on the nodal residual; raises on blowup or stall."""
+    """Damped Newton on the nodal residual; one raise per way to give up."""
     r, d = _residual(grid, u, H_target, orientation)
-    if np.min(np.abs(d["nu"])) < BLOWUP_NU:
-        raise VerticalBlowup("initial iterate is not a graph: min|nu| < %g" % BLOWUP_NU)
     rnorm = float(np.max(np.abs(r)))
-    forced_left = 25
-    history: list[tuple[float, float]] = [(rnorm, float(np.min(np.abs(d["nu"]))))]
+    history: list[tuple[float, float]] = []
     chase = False
     lu_state: dict = {}
     for it in range(_MAX_NEWTON + 1):
+        nu_min = float(np.min(np.abs(d["nu"])))
+        if nu_min < BLOWUP_NU:
+            raise VerticalBlowup(
+                "graph turned vertical during iteration: min|nu| < %g at H=%g"
+                % (BLOWUP_NU, H_target))
+        history.append((rnorm, nu_min))
+        # two iterations that cut the residual by under 2% and min|nu| by
+        # over 30% mean sliding past a fold: force steps from here on, so
+        # the graph turns vertical instead of exhausting the budget
+        if not chase and len(history) > 2:
+            r_then, nu_then = history[-3]
+            if rnorm > 0.98 * r_then and nu_min < 0.7 * nu_then:
+                chase = True
         if rnorm <= _TOL_RESIDUAL:
             return u, rnorm, d, it
         if it == _MAX_NEWTON:
@@ -543,40 +560,15 @@ def _newton(grid: DomainGrid, H_target: float, orientation: int,
         if step is None or t < 1:
             lu_state["lu"] = None       # factor the next Jacobian afresh
         if step is None:
-            # Near a fold the line search stalls while the Newton direction
-            # still points along the steepening branch: keep taking full
-            # steps as long as min|nu| strictly descends, so that genuine
-            # non-existence terminates as the graph turning vertical rather
-            # than as an unexplained stall.
-            if forced_left <= 0:
-                raise NonConvergence(
-                    "Newton stalled at residual %.3e (H=%g)" % (rnorm, H_target))
-            forced_left -= 1
-            if forced is None:
-                raise NonConvergence(
-                    "Newton diverged at residual %.3e (H=%g)" % (rnorm, H_target))
-            _, _, d_try, rn_try = forced
-            steepening = float(np.min(np.abs(d_try["nu"]))) < history[-1][1]
-            if not steepening and rn_try >= rnorm:
+            # near a fold the line search stalls while the Newton direction
+            # still steepens the graph: force the step while it lowers
+            # min|nu| or the residual, so non-existence ends as VerticalBlowup
+            if forced is None or (forced[3] >= rnorm and
+                                  np.min(np.abs(forced[2]["nu"])) >= nu_min):
                 raise NonConvergence(
                     "Newton stalled at residual %.3e (H=%g)" % (rnorm, H_target))
             step = forced
         u, r, d, rnorm = step
-        nu_min = float(np.min(np.abs(d["nu"])))
-        if nu_min < BLOWUP_NU:
-            raise VerticalBlowup(
-                "graph turned vertical during iteration: min|nu| < %g at H=%g"
-                % (BLOWUP_NU, H_target))
-        history.append((rnorm, nu_min))
-        # Damped steps that barely move the residual while the graph keeps
-        # steepening are the signature of a solution sliding past a fold:
-        # when two iterations cut the residual by less than 2% and min|nu|
-        # by more than 30%, switch to undamped steps so the verticality
-        # threshold is reached instead of exhausting the iteration budget.
-        if not chase and len(history) > 2:
-            r_then, nu_then = history[-3]
-            if rnorm > 0.98 * r_then and nu_min < 0.7 * nu_then:
-                chase = True
     raise NonConvergence(
         "Newton exhausted %d iterations, residual %.3e (H=%g)"
         % (_MAX_NEWTON, rnorm, H_target))

@@ -186,6 +186,14 @@ class TestConfig:
         cfg = ExperimentConfig.from_json(p)
         assert cfg.domain_center == (0.1, -0.2)
 
+    def test_unreadable_config_is_io_failure(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        with pytest.raises(IoFailure, match="cannot read config .*missing.json"):
+            ExperimentConfig.from_json(path)
+        assert cli_dispatch(["sweep", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: cannot read config %s" % path)
+
 
 def small_config(tmp_path, name, **kw):
     base = dict(params=NIL, H_list=[0.5, 0.8], grid_sizes=[24],
@@ -425,6 +433,13 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["scalar"] == -2.5
         assert data["ricci_frame"] == [-1.5, -1.5, 0.5]
+
+    def test_curvature_overflow_rejected(self, capsys):
+        # 2 kappa overflows although kappa is a finite float
+        rc = cli_dispatch(["curvature", "--kappa=-1.7e308", "--tau", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: scalar curvature 2 kappa - 2 tau^2 overflows")
 
     def test_solve_json(self, capsys):
         rc = cli_dispatch(["solve", "--kappa", "0", "--tau", "0.5",

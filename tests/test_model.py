@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ektau.errors import NonPositiveH, OutOfDomain, UnsupportedSign
+from ektau.errors import ConfigInvalid, NonPositiveH, OutOfDomain, UnsupportedSign
 from ektau.model import (Point3, SpaceParams, base_distance, christoffel,
                          christoffel_components, conformal_factor,
                          critical_mean_curvature, curvature_report,
@@ -231,6 +231,14 @@ class TestCurvature:
         assert scalar_curvature(NIL) == pytest.approx(-0.5, abs=1e-8)
         assert scalar_curvature(PSL) == pytest.approx(-2.5, abs=1e-8)
         assert scalar_curvature(SpaceParams(-1.0, 0.0)) == pytest.approx(-2.0, abs=1e-8)
+
+    @pytest.mark.parametrize("params", [SpaceParams(-1.7e308, 0.0),
+                                        SpaceParams(-8e307, 5e153)])
+    def test_scalar_curvature_overflow_rejected(self, params):
+        with pytest.raises(ConfigInvalid, match="scalar curvature .* overflows"):
+            scalar_curvature(params)
+        with pytest.raises(ConfigInvalid, match="scalar curvature .* overflows"):
+            curvature_report(Point3(0.0, 0.0), params)
 
     def test_exact_path_vs_fd_oracle(self):
         for params in (NIL, PSL, SpaceParams(-1.0, 0.0), SpaceParams(-4.0, 0.5)):

@@ -384,6 +384,15 @@ class TestCylinderCurves:
         with pytest.raises(ValueError, match="finite"):
             cmc_cylinder_curve(H, NIL)
 
+    def test_tiny_H(self):
+        # (2H)^2 underflows to 0 at H = 1e-170 and loses digits at 1e-160;
+        # closure and radius must not square H
+        c = cmc_cylinder_curve(1e-170, SpaceParams(0.0, 0.5))
+        assert c.closed and c.model_radius == pytest.approx(5e169, rel=1e-15)
+        c = cmc_cylinder_curve(1e-160, SpaceParams(0.0, 0.5))
+        assert c.model_radius == pytest.approx(5e159, rel=1e-15)
+        assert c.radius == c.model_radius
+
     def test_hyperbolic_radius_against_closed_form(self):
         # geodesic circles of curvature k_g in curvature kappa = -a^2 have
         # k_g = a coth(a rho): rho = artanh(a / k_g) / a

@@ -188,6 +188,23 @@ class TestGrids:
                 oracle = min(oracle, best.fun, *(dist(t) for t in bounds))
             assert oracle - 1e-9 <= d <= 1.01 * oracle
 
+    @pytest.mark.parametrize("params", [PSL, H2R, SpaceParams(-0.3, 0.5)],
+                             ids=["psl", "h2r", "kappa_0.3"])
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.07, -0.05), (0.3, 0.0),
+                                        (-0.2, 0.4)])
+    def test_hyperbolic_disk_boundary_distance(self, params, center):
+        # kappa < 0: against the minimum distance to 4000 points on the
+        # boundary circle, which lies above the exact one by at most 2.2e-5
+        # on these grids
+        g = disk_grid(1.0, 24, params, center=center)
+        theta = np.linspace(0.0, 2 * np.pi, 4000, endpoint=False)
+        circle = (center[0] + np.cos(theta), center[1] + np.sin(theta))
+        got = g.boundary_distance()
+        oracle = np.array([base_distance((g.xs[i], g.ys[j]), circle, params).min()
+                           for i, j in g.interior_ij])
+        assert np.all(got <= oracle + 1e-12)
+        assert np.all(oracle - got <= 3e-5)
+
 
 def _ghost_reference(g, i, j):
     """(boundary weight, [((i, j), weight), ...]) of ghost (i, j)."""
@@ -775,6 +792,47 @@ class TestGlobalization:
             solve_dirichlet(g, 0.0, H, params)
         assert str(info.value) == ("graph turned vertical during iteration: "
                                    "min|nu| < 0.001 at H=%g" % H)
+
+
+class TestNewtonExits:
+    """Each way `_newton` gives up, reached on purpose."""
+
+    def test_steep_start_is_vertical_before_any_jacobian(self, monkeypatch):
+        g = disk_grid(1.0, 24, NIL)
+        counts = _count_calls(monkeypatch, "_jacobian")
+        steep = 1e4 * g.X[g.interior]
+        with pytest.raises(VerticalBlowup) as info:
+            solver._newton(g, 0.5, -1, steep)
+        assert str(info.value) == ("graph turned vertical during iteration: "
+                                   "min|nu| < 0.001 at H=0.5")
+        assert counts["_jacobian"] == 0
+
+    def test_no_admissible_trial_stalls(self, monkeypatch):
+        # the start evaluates; every trial of the first pass is degenerate
+        real, calls = solver._residual, []
+
+        def degenerate_trials(*args):
+            calls.append(1)
+            if len(calls) > 1:
+                raise DegenerateMetric("patched trial")
+            return real(*args)
+
+        monkeypatch.setattr(solver, "_residual", degenerate_trials)
+        with pytest.raises(NonConvergence,
+                           match=r"^Newton stalled at residual .* \(H=0.8\)$"):
+            solve_dirichlet(disk_grid(1.0, 24, NIL), 0.0, 0.8, NIL)
+        assert len(calls) == 1 + len(solver._STEP_LENGTHS)
+
+    def test_forced_step_that_helps_neither_stalls(self):
+        # a zero start on a rectangle past the fold whose forced candidate
+        # lowers neither the residual nor min|nu|; the non-existence it
+        # stands for would rather end as VerticalBlowup, so a change to the
+        # globalization (ROADMAP item 2) may move this pin
+        g = rectangle_grid((0.5, 0.8), 48, SpaceParams(0.0, 1.0),
+                           center=(0.2, 0.1))
+        with pytest.raises(NonConvergence) as info:
+            solve_dirichlet(g, 0.3, 1.5, SpaceParams(0.0, 1.0), orientation=1)
+        assert str(info.value) == "Newton stalled at residual 2.521e+01 (H=1.5)"
 
 
 class TestSolvesAlongH:

@@ -277,6 +277,17 @@ class TestSmallestEigenvalue:
         with pytest.raises(IterationLimit, match="did not converge in 2"):
             smallest_eigenvalue(op)
 
+    def test_factor_failure(self, monkeypatch):
+        op, _ = unit_square_operator(16)
+
+        def singular(*args):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(stability, "_factor", singular)
+        with pytest.raises(IterationLimit,
+                           match="could not factor the shifted operator"):
+            smallest_eigenvalue(op)
+
     @pytest.mark.parametrize("entry", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_mass(self, entry):
         op, _ = unit_square_operator(16)
