@@ -46,12 +46,17 @@ def rosenberg_bound(H: float, params: SpaceParams) -> float | None:
     3H^2 + S <= 0.
     """
     check_H(H, "rosenberg bound")
+    what = "rosenberg bound at H = %r" % (H,)
     e, H1, p1 = model.unit_scale(H, params)
-    c = 3.0 * H1 * H1 + model.scalar_curvature(p1)
+    S = model.scalar_curvature(p1)
+    if S == 0:
+        # 2 pi / (3H): H alone sets the scale, and no square of H underflows
+        m, e = math.frexp(H)
+        return model.unit_length(2.0 * math.pi / (3.0 * m), e, what)
+    c = 3.0 * H1 * H1 + S
     if c <= 0:
         return None
-    return model.unit_length(2.0 * math.pi / math.sqrt(3.0 * c), e,
-                             "rosenberg bound at H = %r" % (H,))
+    return model.unit_length(2.0 * math.pi / math.sqrt(3.0 * c), e, what)
 
 
 @dataclass

@@ -343,6 +343,9 @@ def curvature_report(p: Point3, params: SpaceParams) -> CurvatureReport:
     """
     params.require_inside(p.x, p.y)
     S, k, t2 = scalar_curvature(params), params.kappa, params.tau ** 2
+    if not math.isfinite(4 * t2 - k):
+        raise ConfigInvalid("Ricci coefficient 4 tau^2 - kappa overflows "
+                            "(kappa=%g, tau=%g)" % (k, params.tau))
     g, g_inv, dg = _metric_arrays(p.x, p.y, params)
     G = _christoffel(g_inv, dg)
     return CurvatureReport(
@@ -393,6 +396,18 @@ def unit_scale(H: float, params: SpaceParams):
                                              math.ldexp(params.tau, -e))
 
 
+def floored_unit_scale(H: float, params: SpaceParams, what: str):
+    """`unit_scale` of (H, params) for the rotational spheres and the
+    cylinders, which need a normalized H of at least 2^-511: below it H^2 is
+    no longer a normal float (H is more than about 1e154 below tau or
+    sqrt(-kappa)), and `ConfigInvalid` is raised."""
+    e, H1, params1 = unit_scale(H, params)
+    if H1 < 2.0 ** -511:
+        raise ConfigInvalid("%s needs H >= 2^-511 max(tau, sqrt(-kappa)), "
+                            "got %r" % (what, H))
+    return e, H1, params1
+
+
 def unit_length(length: float, e: int, what: str) -> float:
     """A length of the `unit_scale` space in the given one: length 2^-e, or
     `ConfigInvalid` where that overflows."""
@@ -410,12 +425,15 @@ def base_distance(p1, p2, params: SpaceParams):
     model of radius 2/sqrt(-kappa); for kappa = 0 it is Euclidean.  The
     Riemannian submersion makes this a lower bound for the ambient distance
     between points on the corresponding fibres.  Coordinates may be arrays
-    (broadcast against each other); the result then has their shape.
+    (broadcast against each other); the result then has their shape.  A
+    point outside the model domain raises `OutOfDomain`.
     """
     x1, y1 = np.asarray(p1[0], dtype=float), np.asarray(p1[1], dtype=float)
     x2, y2 = np.asarray(p2[0], dtype=float), np.asarray(p2[1], dtype=float)
     if params.kappa > 0:
         raise UnsupportedSign("base distance implemented for kappa <= 0 only")
+    params.require_inside(x1, y1)
+    params.require_inside(x2, y2)
     if params.kappa == 0:
         return np.hypot(x2 - x1, y2 - y1)
     a = math.sqrt(-params.kappa)

@@ -42,8 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import model
-from .errors import (ConfigInvalid, NoSphere, UnsupportedSign, atomic_write,
-                     check_H)
+from .errors import NoSphere, UnsupportedSign, atomic_write, check_H
 from .model import SpaceParams
 
 EQUATOR_NU = 1e-6
@@ -52,8 +51,6 @@ PROFILE_PANELS = 128
 _S_CUT = 1.0 / EQUATOR_NU - 1.0
 # terms of the pole series in `_height`: its ratio is at most (Ht/tau)^2 <= 1/4
 _SERIES_TERMS = 28
-# the smallest normalized H of a rotational sphere: H^2 a normal float
-_H_FLOOR = 2.0 ** -511
 # Gauss-Legendre rule in theta of `cap_heights`
 _CAP_NODES, _CAP_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -87,21 +84,15 @@ class PlanarCircle:
 
 def _check_sphere(H: float, params: SpaceParams):
     """Reject H and the space when no rotational sphere exists, and return
-    their `model.unit_scale`, in which the closed forms are evaluated.  A
-    normalized H below _H_FLOOR = 2^-511 is rejected: its square is no
-    longer a normal float (H is more than about 1e154 below tau or
-    sqrt(-kappa))."""
+    their `model.floored_unit_scale`, in which the closed forms are
+    evaluated."""
     check_H(H, "hemisphere height")
     if params.kappa > 0:
         raise UnsupportedSign("rotational spheres restricted to kappa <= 0")
     if not model.sphere_exists(H, params):
         raise NoSphere("no rotational sphere: 4H^2 + kappa = %g <= 0"
                        % (4 * H * H + params.kappa))
-    e, H1, params1 = model.unit_scale(H, params)
-    if H1 < _H_FLOOR:
-        raise ConfigInvalid("hemisphere height needs H >= 2^-511 "
-                            "max(tau, sqrt(-kappa)), got %r" % (H,))
-    return e, H1, params1
+    return model.floored_unit_scale(H, params, "hemisphere height")
 
 
 def _equator_angle(H: float, params: SpaceParams) -> float:
@@ -244,7 +235,8 @@ def cmc_cylinder_curve(H: float, params: SpaceParams) -> PlanarCircle:
     iff `model.sphere_exists`.  The origin circle of model radius r has
     geodesic curvature k_g = 1/r - kappa r/4 in the conformal base metric,
     so the closed circle has r = 1/(H + sqrt(H^2 + kappa/4)), 1/(2H) when
-    kappa = 0, evaluated in the `model.unit_scale` of (H, kappa).
+    kappa = 0; r and its geodesic radius are evaluated in the
+    `model.unit_scale` of (H, kappa).
     """
     check_H(H, "cylinder curve")
     if params.kappa > 0:
@@ -254,8 +246,9 @@ def cmc_cylinder_curve(H: float, params: SpaceParams) -> PlanarCircle:
         return PlanarCircle(params=params, geodesic_curvature=kg,
                             radius=float("nan"), closed=False)
     e, H1, p1 = model.unit_scale(H, SpaceParams(params.kappa, 0.0))
-    r_model = model.unit_length(1.0 / (H1 + math.sqrt(H1 * H1 + 0.25 * p1.kappa)),
-                                e, "cylinder radius at H = %r" % (H,))
-    rho = model.base_distance((0.0, 0.0), (r_model, 0.0), params)
-    return PlanarCircle(params=params, geodesic_curvature=kg, radius=float(rho),
-                        closed=True, model_radius=r_model)
+    r1 = 1.0 / (H1 + math.sqrt(H1 * H1 + 0.25 * p1.kappa))
+    rho1 = float(model.base_distance((0.0, 0.0), (r1, 0.0), p1))
+    what = "cylinder radius at H = %r" % (H,)
+    return PlanarCircle(params=params, geodesic_curvature=kg,
+                        radius=model.unit_length(rho1, e, what), closed=True,
+                        model_radius=model.unit_length(r1, e, what))

@@ -210,7 +210,10 @@ class DomainGrid:
         R = self.radius
         gi, gj = np.nonzero(self.ghost)
         pg = np.stack([self.xs[gi], self.ys[gj]], axis=1)
-        e = pg - np.array([cx, cy])
+        # lengths in units of a power of two near R, exactly, so that the
+        # discriminant's fourth powers stay normal floats at any radius
+        unit = math.ldexp(1.0, -math.frexp(R)[1])
+        e = (pg - np.array([cx, cy])) * unit
         dirs = np.array([(1, 0), (-1, 0), (0, 1), (0, -1),
                          (1, 1), (1, -1), (-1, 1), (-1, -1)])
 
@@ -227,10 +230,11 @@ class DomainGrid:
         valid = interior_at(ni, nj)
         ni, nj = np.clip(ni, 0, n - 1), np.clip(nj, 0, n - 1)
         d = np.stack([self.xs[ni], self.ys[nj]], axis=2) - pg[:, None, :]
+        d *= unit
         d[~valid] = 1.0                       # keep a > 0 off the lattice
         a = _dot2(d, d)
         bq = _dot2(2.0 * d, e[:, None, :])
-        cq = _dot2(e, e)[:, None] - R * R
+        cq = _dot2(e, e)[:, None] - (R * unit) ** 2
         disc = bq * bq - 4 * a * cq
         valid &= disc >= 0
         sq = np.sqrt(np.where(valid, disc, 0.0))
@@ -319,8 +323,10 @@ class DomainGrid:
             np.stack([cx - ex + 2 * ex * ts, np.full_like(ts, cy + ey)], 1),
             np.stack([np.full_like(ts, cx - ex), cy - ey + 2 * ey * ts], 1),
             np.stack([np.full_like(ts, cx + ex), cy - ey + 2 * ey * ts], 1)])
-        return np.array([model.base_distance((xi, yi), edges.T, p).min()
-                         for xi, yi in zip(x, y)])
+        dist = np.full(len(x), np.inf)
+        for q in edges:
+            np.minimum(dist, model.base_distance((x, y), q, p), out=dist)
+        return dist
 
     def descriptor(self) -> dict:
         d = {"shape": self.shape, "center": list(self.center), "n": self.n}
@@ -511,7 +517,11 @@ def _linear_solve(J, b, state: dict):
 
 def _newton(grid: DomainGrid, H_target: float, orientation: int,
             u: np.ndarray):
-    """Damped Newton on the nodal residual; one raise per way to give up."""
+    """Damped Newton on the nodal residual; one raise per way to give up.
+
+    The residual's rounding floor grows with H, so the tolerance is
+    _TOL_RESIDUAL scaled by 2^e for H in [2^e, 2^(e + 1)), e >= 0."""
+    tol = math.ldexp(_TOL_RESIDUAL, max(0, math.frexp(H_target)[1] - 1))
     r, d = _residual(grid, u, H_target, orientation)
     rnorm = float(np.max(np.abs(r)))
     history: list[tuple[float, float]] = []
@@ -531,7 +541,7 @@ def _newton(grid: DomainGrid, H_target: float, orientation: int,
             r_then, nu_then = history[-3]
             if rnorm > 0.98 * r_then and nu_min < 0.7 * nu_then:
                 chase = True
-        if rnorm <= _TOL_RESIDUAL:
+        if rnorm <= tol:
             return u, rnorm, d, it
         if it == _MAX_NEWTON:
             break

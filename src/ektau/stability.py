@@ -67,10 +67,6 @@ _KRYLOV_BASIS = 40
 _EIG_TOL = 1e-10
 _EIG_MAX_SOLVES = 5000
 
-# range of hy^2, a cell area of the cylinder's tube lattice: a probe over Nil,
-# PSL and kappa = -100 found the closed form from 3e-155 to 1e308, not beyond
-_TUBE_AREA = (1e-150, 1e300)
-
 # 2x2 Gauss points on [0,1]
 _GP = ((0.5 - 0.5 / math.sqrt(3.0)), (0.5 + 0.5 / math.sqrt(3.0)))
 
@@ -218,7 +214,9 @@ def smallest_eigenvalue(op: DiscreteOperator) -> SpectrumReport:
     seeded random share that reaches a ground state orthogonal to it; it is
     fully reorthogonalized and restarts from its Ritz vector when full or
     invariant.  The smallest Ritz pair of B is returned once
-    ||Bx - lam x|| <= 1e-10 max(1, |lam|); `iterations` counts the solves,
+    ||Bx - lam x|| <= 1e-10 max(1, |lam|), with B scaled by 2^-e first
+    where an entry exceeds 2^500 (lam then scales back by 2^e, and the rule
+    holds for B 2^-e); `iterations` counts the solves,
     at most 5000 (`IterationLimit` beyond).  A matrix that is not square or
     has a non-finite entry, a mass that is not a 1-d real array of one finite
     positive entry per unknown, and an ordering that is no permutation raise
@@ -243,11 +241,19 @@ def smallest_eigenvalue(op: DiscreteOperator) -> SpectrumReport:
     d = 1.0 / np.sqrt(m)
     B = sp.csr_matrix((B.data * np.repeat(d, np.diff(B.indptr)) * d[B.indices],
                        B.indices, B.indptr), shape=B.shape)
+    # the Krylov loop squares entries in its norms: past 2^500 it runs on
+    # B 2^-e, its largest entry in [1/2, 1), and lambda scales back by 2^e
+    e = math.frexp(float(np.max(np.abs(B.data), initial=0.0)))[1]
+    e = e if e > 500 else 0
+    if e:
+        B.data = np.ldexp(B.data, -e)
     v = np.ones(n) + 1e-2 * np.random.RandomState(1234).standard_normal(n)
     if op.ordering is not None:        # the spectrum ignores the numbering
         B, v = B[op.ordering][:, op.ordering], v[op.ordering]
     lb = op.lower_bound
-    if lb is None:
+    if lb is not None:
+        lb = math.ldexp(lb, -e)
+    else:
         radii = np.asarray(abs(B).sum(axis=1)).ravel() - abs(B.diagonal())
         lb = float((B.diagonal() - radii).min())
     shift = lb - 1e-3 * max(1.0, abs(lb))
@@ -271,7 +277,8 @@ def smallest_eigenvalue(op: DiscreteOperator) -> SpectrumReport:
         lam, x, Bx = float(theta[0]), Y[:, 0] @ Q[:k], Y[:, 0] @ BQ[:k]
         resid = float(np.linalg.norm(Bx - lam * x) / np.linalg.norm(x))
         if resid <= _EIG_TOL * max(1.0, abs(lam)):
-            return SpectrumReport(lambda_min=lam, eigvec_residual=resid,
+            return SpectrumReport(lambda_min=math.ldexp(lam, e),
+                                  eigvec_residual=math.ldexp(resid, e),
                                   iterations=solves)
         if solves == _EIG_MAX_SOLVES:
             raise IterationLimit("Lanczos did not converge in %d solves"
@@ -338,32 +345,31 @@ def cylinder_stability(H: float, params: SpaceParams) -> CylinderStability:
     surrogate assembles the flat operator on a 40 x 80 lattice (around the
     curve, along the axis) over a finite tube of length 20/(2H), periodic
     for closed curves and with free ends otherwise, and solves for the
-    smallest eigenvalue; the constant mode realizes the margin.  H with
-    hy^2 outside _TUBE_AREA (about [1.3e-151, 1.2e74]) raises `ConfigInvalid`
-    before any assembly.  `model.unit_scale` is of no help: that limit is a
-    ratio of scales (Nil at H = 1e-200 normalizes to 2e-200), and Lanczos's
-    shift and stop use max(1, |lambda|), so lambda would move.
+    smallest eigenvalue; the constant mode realizes the margin.  Both are
+    evaluated in the `model.floored_unit_scale` of (H, params), as the
+    rotational spheres are, and scaled back exactly (lambda and the margin
+    by 4^e, the tube length by 2^-e); the stability flags read the
+    normalized values.  A normalized H below 2^-511 and a margin past the
+    normal floats raise `ConfigInvalid` before any assembly.
     """
     check_H(H, "cylinder stability")
-    c = 4.0 * H * H + params.kappa
-    margin = -c
-    stable = c <= 0.0
-    L = 20.0 / (2.0 * H)
+    e, H1, p1 = model.floored_unit_scale(H, params, "cylinder stability")
+    what = "cylinder stability at H = %r" % (H,)
+    curve = rotational.cmc_cylinder_curve(H1, p1)
+    c = 4.0 * H1 * H1 + p1.kappa
+    if c and not -1021 <= math.frexp(c)[1] + 2 * e <= 1024:
+        raise ConfigInvalid("%s: the margin %g * 4^%d leaves the float range"
+                            % (what, -c, e))
+    L = 20.0 / (2.0 * H1)
+    tube_length = model.unit_length(L, e, what)
     nx, ny = 40, 80             # nodes around the base curve, along the axis
     hy = L / (ny - 1)
-    # a cell's area, of order hy^2, weights the mass, and the eigensolver
-    # scales the stiffness by its inverse and squares that in its norms
-    if not _TUBE_AREA[0] <= hy * hy <= _TUBE_AREA[1]:
-        raise ConfigInvalid("cylinder stability at H = %r: the tube lattice "
-                            "weights leave the float range" % (H,))
-
-    curve = rotational.cmc_cylinder_curve(H, params)
     if curve.closed:
         # induced flat metric of the cylinder in (arclength, z) coordinates:
         # [[1 + F^2, F], [F, 1]] with F = <gamma', dz>; det 1, so its
         # inverse is [[1, -F], [-F, 1 + F^2]]
         r_m = curve.model_radius
-        a = model.ambient_components(r_m, 0.0, params)
+        a = model.ambient_components(r_m, 0.0, p1)
         F = a.g_yz / a.lam                 # unit base tangent at (r, 0) is dy/lam
         circ = 2.0 * math.pi * r_m * a.lam
         Gi = (1.0, -F, 1.0 + F * F)
@@ -377,8 +383,9 @@ def cylinder_stability(H: float, params: SpaceParams) -> CylinderStability:
     # the stiffness is positive semidefinite and the constant mode attains
     # -c; no ordering: minimum degree beats box dissection on these lattices
     op = DiscreteOperator(matrix=A, mass=lump, lower_bound=-c)
-    rep = smallest_eigenvalue(op)
+    lam = smallest_eigenvalue(op).lambda_min
     return CylinderStability(
-        stable=stable, margin=margin, lambda_min_spectral=rep.lambda_min,
-        spectral_stable=rep.lambda_min >= -1e-8 * max(1.0, abs(c)),
-        closed=curve.closed, tube_length=L)
+        stable=c <= 0.0, margin=-math.ldexp(c, 2 * e),
+        lambda_min_spectral=model.unit_length(lam, -2 * e, what),
+        spectral_stable=lam >= -1e-8 * max(1.0, abs(c)),
+        closed=curve.closed, tube_length=tube_length)

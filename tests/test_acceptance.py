@@ -4,13 +4,16 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines; every tolerance is fixed here, nothing is calibrated at run time.
 """
 
+import hashlib
 import json
 import math
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from ektau.graph_geometry import Jet2, shape_data, jacobi_potential
 from ektau.harness import (FAILURES, ExperimentConfig, cli_dispatch,
@@ -61,9 +64,8 @@ def sweep_config(params, H_list, outdir):
                             check_rosenberg=True, check_conjecture=True)
 
 
-@pytest.fixture(scope="module")
-def sweeps(tmp_path_factory):
-    base = tmp_path_factory.mktemp("sweeps")
+def run_sweeps(base):
+    """The Nil and PSL sweeps of criteria 9 and 12, written under base."""
     nil_cfg = sweep_config(NIL, [0.5, 0.6, 0.75, 0.9, 0.95, 1.0, 1.5],
                            base / "nil")
     psl_cfg = sweep_config(PSL, [0.6, 0.75, 0.9, 0.92, 0.95, 1.2], base / "psl")
@@ -71,6 +73,26 @@ def sweeps(tmp_path_factory):
     records = {"nil": run_experiment(nil_cfg), "psl": run_experiment(psl_cfg)}
     return {"records": records, "configs": {"nil": nil_cfg, "psl": psl_cfg},
             "base": base, "runtime": time.time() - t0}
+
+
+@pytest.fixture(scope="module")
+def sweeps(tmp_path_factory):
+    return run_sweeps(tmp_path_factory.mktemp("sweeps"))
+
+
+# SHA-256 of every file the sweeps write: records.json, sweep.dat and the
+# solutions, with the numpy and scipy versions that made them.  Rebuild with
+#     PYTHONPATH=src python tests/test_acceptance.py
+DIGESTS = Path(__file__).with_name("acceptance_digests.json")
+
+
+def output_digests(base):
+    return {p.relative_to(base).as_posix(): hashlib.sha256(p.read_bytes())
+            .hexdigest() for p in sorted(base.rglob("*")) if p.is_file()}
+
+
+def library_versions():
+    return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def test_criterion_01_euclidean_hemisphere_cli(capsys):
@@ -251,3 +273,23 @@ def test_criterion_12_conjecture_report(sweeps, tmp_path):
             ok &= (first / name).read_bytes() == (second / name).read_bytes()
     report(12, ok, "max height/hemisphere %.4f over %d rows; reports "
            "byte-identical on rerun" % (max(ratios), len(ratios)), t0, 300.0)
+
+
+def test_sweep_output_bytes_match_the_committed_digests(sweeps):
+    # another numpy or scipy may round differently: bytes are compared only
+    # against the versions that made the digests
+    committed = json.loads(DIGESTS.read_text())
+    if committed["versions"] != library_versions():
+        pytest.skip("digests made with numpy %(numpy)s and scipy %(scipy)s"
+                    % committed["versions"] + "; this is numpy %(numpy)s and "
+                    "scipy %(scipy)s" % library_versions())
+    assert output_digests(sweeps["base"]) == committed["files"]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        run_sweeps(Path(tmp))
+        DIGESTS.write_text(json.dumps(
+            {"versions": library_versions(),
+             "files": output_digests(Path(tmp))}, indent=1, sort_keys=True)
+            + "\n")

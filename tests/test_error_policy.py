@@ -208,16 +208,19 @@ REJECTED = {
         lambda: rotational.shoot_rotational_graph(1e-100,
                                                   SpaceParams(0.0, 1e60)),
         ConfigInvalid, r"hemisphere height needs H >= 2\^-511 .*got 1e-100"),
+    # the cylinder shares the spheres' floor; its eigenvalue -(4H^2 + kappa)
+    # must stay a normal float (Nil at H = 1e150 is answered)
     "cylinder_stability_H_tiny": (
         lambda: stability.cylinder_stability(1e-200, NIL),
-        ConfigInvalid, "cylinder stability at H = 1e-200: the tube lattice "
-        "weights leave the float range"),
+        ConfigInvalid, r"cylinder stability needs H >= 2\^-511 "
+        r"max\(tau, sqrt\(-kappa\)\), got 1e-200"),
     "cylinder_stability_H_huge": (
         lambda: stability.cylinder_stability(1e200, NIL),
         ConfigInvalid, r"cylinder stability at H = 1e\+200"),
     "cylinder_stability_H_past_the_eigensolver": (
-        lambda: stability.cylinder_stability(1e150, NIL),
-        ConfigInvalid, r"cylinder stability at H = 1e\+150"),
+        lambda: stability.cylinder_stability(1e155, NIL),
+        ConfigInvalid, r"cylinder stability at H = 1e\+155: the margin .* "
+        "leaves the float range"),
     "rosenberg_H_string": (lambda: rosenberg_bound("1", NIL),
                            NonPositiveH, "rosenberg bound needs"),
     "rosenberg_H_beyond_floats": (lambda: rosenberg_bound(10 ** 400, NIL),

@@ -54,9 +54,12 @@ class TestRosenbergBound:
         assert all(a > b for a, b in zip(bounds, bounds[1:]))
 
     # 3 H^2 overflowed to a bound of 0.0, or underflowed to "no bound",
-    # before the bound was evaluated in `model.unit_scale`
+    # before the bound was evaluated in `model.unit_scale`; where S = 0
+    # (kappa = tau^2) 3 H^2 underflowed in the unit scale too, and the bound
+    # is now 2 pi / (3H) with no square of H
     @pytest.mark.parametrize("H, params", [
-        (1e200, NIL), (1e-200, SpaceParams(0.0, 0.0))])
+        (1e200, NIL), (1e-200, SpaceParams(0.0, 0.0)),
+        (1e-160, SpaceParams(1.0, 1.0)), (1e-200, SpaceParams(1.0, 1.0))])
     def test_extreme_H_keeps_the_bound(self, H, params):
         # 3 H^2 dominates S, or S = 0: the bound is 2 pi / (3 H)
         assert rosenberg_bound(H, params) == pytest.approx(
@@ -481,7 +484,8 @@ class TestCli:
     @pytest.mark.parametrize("command, H, message", [
         ("sphere", "1e-310", "error: hemisphere height needs H >= 2^-511 "
          "max(tau, sqrt(-kappa)), got 1e-310"),
-        ("cylinder", "1e-200", "error: cylinder stability at H = 1e-200: ")])
+        ("cylinder", "1e-200", "error: cylinder stability needs H >= 2^-511 "
+         "max(tau, sqrt(-kappa)), got 1e-200")])
     def test_H_past_the_float_range_rejected(self, capsys, command, H, message):
         rc = cli_dispatch([command, "--kappa", "0", "--tau", "0.5", "--H", H])
         assert rc == 1

@@ -240,6 +240,13 @@ class TestCurvature:
         with pytest.raises(ConfigInvalid, match="scalar curvature .* overflows"):
             curvature_report(Point3(0.0, 0.0), params)
 
+    def test_ricci_coefficient_overflow_rejected(self):
+        # S = 2 kappa - 2 tau^2 is finite, 4 tau^2 - kappa is not
+        params = SpaceParams(-1e307, math.sqrt(4.4e307))
+        assert math.isfinite(scalar_curvature(params))
+        with pytest.raises(ConfigInvalid, match=r"4 tau\^2 - kappa overflows"):
+            curvature_report(Point3(0.0, 0.0), params)
+
     def test_exact_path_vs_fd_oracle(self):
         for params in (NIL, PSL, SpaceParams(-1.0, 0.0), SpaceParams(-4.0, 0.5)):
             p = Point3(0.25, -0.35, 0.7)
@@ -302,3 +309,13 @@ class TestDerivedConstants:
         a, b, c = (0.1, 0.2), (-0.4, 0.5), (0.3, -0.6)
         assert base_distance(a, c, PSL) <= base_distance(a, b, PSL) \
             + base_distance(b, c, PSL) + 1e-12
+
+    @pytest.mark.parametrize("p1, p2, params, message", [
+        ((0.0, 0.0), (5.0, 0.0), PSL, "outside the model disk of radius 2"),
+        ((0.0, 0.0), ([0.5, 5.0], 0.0), PSL, "outside the model disk"),
+        ((math.nan, 0.0), (0.5, 0.0), PSL, "non-finite point"),
+        ((0.5, 0.0), (0.0, math.nan), NIL, "non-finite point")])
+    def test_base_distance_rejects_points_outside_the_domain(self, p1, p2,
+                                                             params, message):
+        with pytest.raises(OutOfDomain, match=message):
+            base_distance(p1, p2, params)

@@ -849,6 +849,29 @@ class TestSolvesAlongH:
         assert all(b >= a - 1e-6 for a, b in zip(heights, heights[1:]))
 
 
+class TestSmallDomains:
+    """Disks shrunk by powers of two: H R fixed, so the discrete problem is
+    the unit disk's up to the residual's rounding floor, which grows with H."""
+
+    @pytest.mark.parametrize("params", [FLAT, NIL, PSL])
+    @pytest.mark.parametrize("k", [14, 30, 100])
+    def test_tiny_disk_converges_to_the_flat_height(self, params, k):
+        R = 2.0 ** -k
+        H = 0.7 / R
+        sol = solve_dirichlet(disk_grid(R, 32, params), 0.0, H, params)
+        assert sol.newton_iterations == 3
+        assert sol.residual_max <= math.ldexp(1e-10, math.frexp(H)[1] - 1)
+        assert graph_height(sol) / R == pytest.approx(0.4074469511485,
+                                                      rel=1e-9)
+
+    @pytest.mark.parametrize("k", [250, 300])
+    def test_ghost_weights_are_dilation_invariant(self, k):
+        # the circle crossings in units of a power of two near R: the
+        # closure of a disk of R = 2^-k is the unit disk's, to the bit
+        g, g_k = disk_grid(1.0, 32, FLAT), disk_grid(2.0 ** -k, 32, FLAT)
+        assert (g.closure_A != g_k.closure_A).nnz == 0
+
+
 class TestSigmaProfile:
     def test_flat_section_is_totally_geodesic(self):
         g = disk_grid(0.6, 24, FLAT)

@@ -271,6 +271,27 @@ class TestSmallestEigenvalue:
         assert rep.lambda_min == pytest.approx(exact, rel=1e-9)
         assert rep.eigvec_residual <= 1e-10
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_operator_past_2_to_the_500_is_scaled(self, scale):
+        # the Krylov norms square the entries: no overflow, and no run to
+        # the solve budget
+        n = 50
+        A = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
+                     [-1, 0, 1]) * scale
+        rep = smallest_eigenvalue(DiscreteOperator(A.tocsr(), np.ones(n)))
+        exact = scale * 2.0 * (1.0 - math.cos(math.pi / (n + 1)))
+        assert rep.lambda_min == pytest.approx(exact, rel=1e-10)
+
+    def test_tiny_disk_keeps_the_unit_disk_eigenvalue(self):
+        # R = 2^-300: the Jacobi operator's entries are of order 2^600
+        lams = []
+        for R in (1.0, 2.0 ** -300):
+            sol = solve_dirichlet(disk_grid(R, 16, FLAT), 0.0, 0.7 / R, FLAT)
+            lams.append(smallest_eigenvalue(assemble_jacobi(sol)).lambda_min
+                        * R * R)
+        assert lams[1] == pytest.approx(lams[0], rel=1e-12)
+        assert lams[0] == pytest.approx(3.0829128420238, rel=1e-12)
+
     def test_iteration_limit(self, monkeypatch):
         op, _ = unit_square_operator(24)
         monkeypatch.setattr(stability, "_EIG_MAX_SOLVES", 2)
@@ -428,15 +449,21 @@ class TestCylinderStability:
         with pytest.raises(ValueError, match="finite H > 0"):
             cylinder_stability(H, NIL)
 
-    @pytest.mark.parametrize("H", [1e-200, 1.2e-151, 1.3e74, 1e150, 1e200])
+    @pytest.mark.parametrize("H, params, message", [
+        (1e-200, NIL, "cylinder stability needs H >= 2^-511 max(tau, "
+         "sqrt(-kappa)), got 1e-200"),
+        (1e200, NIL, "cylinder stability at H = 1e+200: the margin -6.82693 "
+         "* 4^664 leaves the float range"),
+        (1e-160, SpaceParams(0.0, 0.0), "cylinder stability at H = 1e-160: "
+         "the margin -7.90634 * 4^-532 leaves the float range")])
     def test_rejects_H_past_the_float_range_before_assembly(self, monkeypatch,
-                                                            H):
+                                                            H, params,
+                                                            message):
         calls = []
         monkeypatch.setattr(stability, "_q1_assemble",
                             lambda *a, **k: calls.append(1))
-        with pytest.raises(ConfigInvalid, match=re.escape(
-                "at H = %r: the tube lattice weights leave the float range" % H)):
-            cylinder_stability(H, NIL)
+        with pytest.raises(ConfigInvalid, match=re.escape(message)):
+            cylinder_stability(H, params)
         assert not calls
 
     @pytest.mark.parametrize("params", [NIL, PSL, SpaceParams(-100.0, 0.5)])
@@ -447,6 +474,17 @@ class TestCylinderStability:
         cs = cylinder_stability(H, params)
         c = 4.0 * H * H + params.kappa
         assert cs.lambda_min_spectral == pytest.approx(-c, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("H, params", [
+        (1.2e-151, NIL), (1.3e74, NIL), (1e100, NIL), (1e150, NIL),
+        (0.3, SpaceParams(-1e200, 0.5)), (0.3, SpaceParams(-1e300, 0.5))])
+    def test_far_scales_keep_the_closed_form(self, H, params):
+        # the tube lattice is built in the unit scale, so no cell area bounds
+        # H; only the normalized H and the margin itself are limited
+        cs = cylinder_stability(H, params)
+        c = 4.0 * H * H + params.kappa
+        assert cs.lambda_min_spectral == pytest.approx(-c, rel=1e-12, abs=1e-12)
+        assert cs.margin == pytest.approx(-c, rel=1e-15)
 
     def test_sign_grid(self):
         for H in (0.25, 0.5, 1.0, 2.0):
