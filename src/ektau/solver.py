@@ -13,11 +13,14 @@ exact Jacobian (`mean_curvature_sensitivities`, analytic partials of H in
 all five jet entries) and the solution's min|nu| and max|sigma| are read
 off it.  The stencils and the boundary closure are linear, so each
 Jacobian is one sparse product S @ jet_u, where S holds those partials as
-a row of five diagonal matrices.  One SuperLU factor (minimum-degree
-ordering of J^T + J, symmetric mode) is the right preconditioner of GMRES
-on each later exact Jacobian; the next Jacobian is factored afresh when 15
-GMRES iterations fall short of a relative residual of 1e-6, and after every
-damped or forced step.
+a row of five diagonal matrices.  Each Jacobian is built permuted into the
+grid's nested-dissection order (George 1973: a lattice line across the
+longer side of each box, down to boxes of 8 nodes), in which one SuperLU
+factor (symmetric mode) is taken as it stands and serves as the right
+preconditioner of GMRES on each later exact Jacobian; the step reuses the
+triangular solve of GMRES's closing residual check.  The next Jacobian is
+factored afresh when 15 GMRES iterations fall short of a relative residual
+of 1e-6, and after every damped or forced step.
 
 Each Newton iteration makes one pass over the step lengths 1, 1/2, ...,
 2**-13: the first Armijo step wins, else the first admissible one is forced
@@ -44,6 +47,7 @@ equivariance holds to the bit.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -83,6 +87,26 @@ _STEP_LENGTHS = tuple(0.5 ** k for k in range(14))
 _GHOST_QUADRATIC_LIMIT = 0.8
 
 _JET_NAMES = ("fx", "fy", "fxx", "fxy", "fyy")
+
+_ND_LEAF = 8              # nested-dissection boxes this small are not cut
+
+
+@functools.lru_cache(maxsize=8)
+def _nd_order(nx: int, ny: int) -> np.ndarray:
+    """Row-major node numbers of an nx x ny lattice in nested-dissection
+    order: a line across the longer side, which separates the halves for
+    the 3 x 3 couplings, follows each half, dissected in turn (George 1973)."""
+    def dissect(box):
+        if box.size <= _ND_LEAF:
+            return [box.ravel()]
+        if box.shape[0] < box.shape[1]:
+            box = box.T
+        m = box.shape[0] // 2
+        return dissect(box[:m]) + dissect(box[m + 1:]) + [box[m]]
+
+    order = np.concatenate(dissect(np.arange(nx * ny).reshape(nx, ny)))
+    order.flags.writeable = False
+    return order
 
 
 def _dot2(u, v):
@@ -165,6 +189,7 @@ class DomainGrid:
         # the lattice's one jet operator: `jet_u @ u` stacks the jets
         self.jet_u = (_jet_stencils(self) @ self.closure_A).tocsr()
         self._amb: Ambient | None = None
+        self._nd: np.ndarray | None = None
 
     # -- masks and indexing ------------------------------------------------
 
@@ -290,6 +315,16 @@ class DomainGrid:
                                            self.params)
         return self._amb
 
+    def nd_order(self) -> np.ndarray:
+        """The unknowns in the lattice's nested-dissection order, computed
+        once: both lattice factors, Newton's and the Jacobi operator's, take
+        their matrices permuted into it."""
+        if self._nd is None:
+            nd = self.idx.ravel()[_nd_order(self.n, self.n)]
+            self._nd = nd[nd >= 0]
+            self._nd.flags.writeable = False
+        return self._nd
+
     def full_values(self, u: np.ndarray) -> np.ndarray:
         """Lattice values of the unknowns u under boundary value zero."""
         return (self.closure_A @ u).reshape(self.n, self.n)
@@ -344,28 +379,28 @@ class DomainGrid:
 
 def _jet_stencils(grid: DomainGrid) -> sp.csr_matrix:
     """Centred differences at the interior nodes on full lattice values:
-    block k (rows k m to (k + 1) m) gives the jet _JET_NAMES[k]."""
+    block k (rows k m to (k + 1) m) gives the jet _JET_NAMES[k].  Built
+    straight into CSR, each row's entries in ascending lattice index."""
     n, m = grid.n, grid.n_interior
     hx, hy = grid.hx, grid.hy
     ii, jj = grid.interior_ij[:, 0], grid.interior_ij[:, 1]
-    # (offset, weight) of each jet in _JET_NAMES order: fx, fy, fxx, fxy, fyy
+    # (offset, weight) of each jet in _JET_NAMES order: fx, fy, fxx, fxy,
+    # fyy; the offsets (di, dj) ascend in di n + dj
     stencils = (
-        [((1, 0), 1 / (2 * hx)), ((-1, 0), -1 / (2 * hx))],
-        [((0, 1), 1 / (2 * hy)), ((0, -1), -1 / (2 * hy))],
-        [((1, 0), 1 / hx**2), ((0, 0), -2 / hx**2), ((-1, 0), 1 / hx**2)],
-        [((1, 1), 1 / (4 * hx * hy)), ((-1, -1), 1 / (4 * hx * hy)),
-         ((1, -1), -1 / (4 * hx * hy)), ((-1, 1), -1 / (4 * hx * hy))],
-        [((0, 1), 1 / hy**2), ((0, 0), -2 / hy**2), ((0, -1), 1 / hy**2)],
+        [((-1, 0), -1 / (2 * hx)), ((1, 0), 1 / (2 * hx))],
+        [((0, -1), -1 / (2 * hy)), ((0, 1), 1 / (2 * hy))],
+        [((-1, 0), 1 / hx**2), ((0, 0), -2 / hx**2), ((1, 0), 1 / hx**2)],
+        [((-1, -1), 1 / (4 * hx * hy)), ((-1, 1), -1 / (4 * hx * hy)),
+         ((1, -1), -1 / (4 * hx * hy)), ((1, 1), 1 / (4 * hx * hy))],
+        [((0, -1), 1 / hy**2), ((0, 0), -2 / hy**2), ((0, 1), 1 / hy**2)],
     )
-    rows, cols, vals = [], [], []
-    for k, entries in enumerate(stencils):
-        for (di, dj), w in entries:
-            rows.append(k * m + np.arange(m))
-            cols.append((ii + di) * n + (jj + dj))
-            vals.append(np.full(m, w))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(stencils) * m, n * n))
+    node = ii * n + jj
+    indices = [(node[:, None] + [di * n + dj for (di, dj), _ in entries]).ravel()
+               for entries in stencils]
+    data = [np.tile([w for _, w in entries], m) for entries in stencils]
+    indptr = np.r_[0, np.cumsum(np.repeat([len(e) for e in stencils], m))]
+    return sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
+                         shape=(len(stencils) * m, n * n))
 
 
 def disk_grid(radius: float, n: int, params: SpaceParams, center=(0.0, 0.0)) -> DomainGrid:
@@ -460,58 +495,81 @@ def _residual(grid: DomainGrid, u, H_target, orientation):
     return d["H"] - H_target, d
 
 
-def _jacobian(grid: DomainGrid, d, orientation):
+def _jacobian(grid: DomainGrid, d, orientation, order=None):
     """S @ jet_u in CSC, from dict d, with S = [diag(dH/d fx) ...
     diag(dH/d fyy)]: the sum over k of diag(dH/d jet k) @ block k of jet_u.
+    Given an order p of the unknowns, J[p][:, p] instead, the same entries
+    renumbered.
 
     Row i of S holds its five entries in block order, so the CSR product
     adds the entries of different blocks that meet in one place in block
-    order.  Sums that are exactly zero are not stored."""
+    order.  Sums that are exactly zero are not stored.  In order p, S takes
+    its rows in that order and the product's columns are renumbered in
+    place, so only the product and its CSC copy are ever alive."""
     dH = mean_curvature_sensitivities(grid.ambient(), d, orientation)
     m, k = grid.n_interior, len(_JET_NAMES)
-    # row i: dH/d jet j at node i, in column j m + i
-    data = np.stack([dH[name] for name in _JET_NAMES], axis=1).ravel()
-    cols = np.arange(k * m).reshape(k, m).T.ravel()
+    p = np.arange(m) if order is None else order
+    # row i: dH/d jet j at node p[i], in column j m + p[i]
+    data = np.stack([dH[name][p] for name in _JET_NAMES], axis=1).ravel()
+    cols = (np.arange(0, k * m, m) + p[:, None]).ravel()
     S = sp.csr_matrix((data, cols, np.arange(0, k * m + 1, k)),
                       shape=(m, k * m))
-    return (S @ grid.jet_u).tocsc()
+    J = S @ grid.jet_u
+    if order is not None:
+        rank = np.empty(m, dtype=J.indices.dtype)
+        rank[p] = np.arange(m)
+        J.indices = rank[J.indices]
+    return J.tocsc()
 
 
-def _factor(J, ordering: str = "MMD_AT_PLUS_A"):
-    """SuperLU in symmetric mode, by default with a minimum-degree ordering
-    on the pattern of J^T + J.
+def _factor(J, ordering: str):
+    """SuperLU in symmetric mode, in the given column ordering.
 
-    Only the closure's ghost couplings break the symmetry of the Jacobian's
-    pattern, so that ordering suits it, and symmetric mode, which prefers
-    diagonal pivots, keeps the factors close to the ordering's fill.  The
-    shifted Jacobi operators of `stability` are symmetric positive definite,
-    so diagonal pivots are safe there too; those of a lattice come permuted
-    into nested-dissection order and pass "NATURAL"."""
+    Lattice matrices (Newton's Jacobians, the Jacobi operators of a
+    solved graph) come permuted into the grid's nested-dissection order
+    and pass "NATURAL"; cylinders and hand-built operators pass
+    "MMD_AT_PLUS_A", minimum degree on the pattern of J^T + J.  Only the
+    closure's ghost couplings break the symmetry of a Jacobian's pattern,
+    and symmetric mode, which prefers diagonal pivots, keeps the factors
+    close to the ordering's fill.  The shifted Jacobi operators of
+    `stability` are symmetric positive definite, so diagonal pivots are
+    safe there too."""
     return spla.splu(J, permc_spec=ordering, options=dict(SymmetricMode=True))
 
 
 def _linear_solve(J, b, state: dict):
-    """Newton step x with J x = b, reusing the factor kept in `state`.
+    """Newton step x with J x = b, reusing the factor kept in `state`; J
+    comes in the grid's nested-dissection order (`_jacobian`), so it is
+    factored as it stands.
 
     GMRES runs on y -> J @ lu.solve(y) from y = b (the chord step), so its
-    residual is the true one; a short cycle refactors J, releasing the stale
-    factor first.  `_newton` drops the factor after every damped or forced
-    step, so the next J is factored afresh.  A singular J gets a regularized
-    step, never reused."""
+    residual is the true one.  Its last matvec is the closing residual check
+    on the y it returns, so the answer lu.solve(y) is that matvec's, kept:
+    one triangular solve per matvec and none after.  A short cycle refactors
+    J, releasing the stale factor first.  `_newton` drops the factor after
+    every damped or forced step, so the next J is factored afresh.  A
+    singular J gets a regularized step, never reused."""
     lu = state.get("lu")
     if lu is not None:
-        op = spla.LinearOperator(J.shape, matvec=lambda y: J @ lu.solve(y),
-                                 dtype=float)
+        last = [None, None]
+
+        def matvec(y):
+            x = lu.solve(y)
+            last[:] = y.copy(), x
+            return J @ x
+
+        op = spla.LinearOperator(J.shape, matvec=matvec, dtype=float)
         y, info = spla.gmres(op, b, x0=b, rtol=_KRYLOV_RTOL, atol=0.0,
                              restart=_KRYLOV_ITERATIONS, maxiter=1)
         if info == 0:
-            return lu.solve(y)
+            return last[1] if np.array_equal(last[0], y) else lu.solve(y)
         lu = state["lu"] = None
     try:
-        state["lu"] = _factor(J)
+        state["lu"] = _factor(J, "NATURAL")
     except RuntimeError:
         mu = 1e-8 + 1e-2 * float(np.max(np.abs(b)))
-        return _factor((J + mu * sp.identity(J.shape[0], format="csc")).tocsc()).solve(b)
+        return _factor((J + mu * sp.identity(J.shape[0], format="csc")).tocsc(),
+                       "NATURAL").solve(b)
     return state["lu"].solve(b)
 
 
@@ -527,6 +585,7 @@ def _newton(grid: DomainGrid, H_target: float, orientation: int,
     history: list[tuple[float, float]] = []
     chase = False
     lu_state: dict = {}
+    p = grid.nd_order()         # the numbering of J and of its factor
     for it in range(_MAX_NEWTON + 1):
         nu_min = float(np.min(np.abs(d["nu"])))
         if nu_min < BLOWUP_NU:
@@ -545,9 +604,10 @@ def _newton(grid: DomainGrid, H_target: float, orientation: int,
             return u, rnorm, d, it
         if it == _MAX_NEWTON:
             break
-        J = _jacobian(grid, d, orientation)
+        J = _jacobian(grid, d, orientation, p)
         d = None        # every trial brings its own; free this one for the LU
-        du = _linear_solve(J, -r, lu_state)
+        du = np.empty_like(u)
+        du[p] = _linear_solve(J, -r[p], lu_state)
         # one pass over the step lengths: the first admissible trial is the
         # forced-step candidate, the first Armijo trial the line-search step
         step = forced = None

@@ -13,16 +13,15 @@ by shift-invert Lanczos (Ericsson and Ruhe 1980, Math. Comp. 35) on one
 symmetric-mode LU, shifted just below a lower bound of the spectrum: -max q
 for solved graphs (the stiffness part is positive semidefinite),
 -(4H^2 + kappa) for cylinders, Gershgorin for operators built by hand.
-Graph operators are factored in nested-dissection order (George 1973,
-SIAM J. Numer. Anal. 10), cylinders and hand-built operators in minimum
-degree.  A seeded random share of the Krylov start vector guards against a
+Graph operators are factored in their grid's nested-dissection order
+(George 1973, SIAM J. Numer. Anal. 10), the one Newton's Jacobians are
+factored in; cylinders and hand-built operators in minimum degree.  A seeded random share of the Krylov start vector guards against a
 missed ground state; scipy's Lanczos solvers are kept on the test side as
 an independent oracle.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +32,8 @@ from . import model, rotational
 from .errors import ConfigInvalid, IterationLimit, check_H
 from .graph_geometry import jacobi_potential_from, mean_curvature_arrays
 from .model import SpaceParams
-from .solver import GraphSolution, _factor
+# _nd_order is the lattice order of `solver`, named here as well
+from .solver import GraphSolution, _factor, _nd_order  # noqa: F401
 
 
 @dataclass
@@ -44,7 +44,8 @@ class DiscreteOperator:
     `lower_bound`, when known, is a number no larger than the smallest
     generalized eigenvalue; the eigensolver shifts just below it.
     `ordering`, when set, is the fill-reducing order of the unknowns in
-    which the eigensolver factors; SuperLU's minimum degree otherwise.
+    which the eigensolver factors, for a solved graph its grid's
+    `nd_order()`; SuperLU's minimum degree otherwise.
     """
 
     matrix: sp.csr_matrix
@@ -73,7 +74,6 @@ _GP = ((0.5 - 0.5 / math.sqrt(3.0)), (0.5 + 0.5 / math.sqrt(3.0)))
 # Q1 cell corners, and the neighbour offsets in row-major column order
 _CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
 _OFFSETS = tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1))
-_ND_LEAF = 16             # nested-dissection boxes this small are not cut
 
 
 def _reference_stiffness(hx: float, hy: float):
@@ -150,24 +150,6 @@ def _q1_assemble(dof: np.ndarray, W11, W12, W22, sqrt_det, potential,
     return A, lump[dof >= 0]
 
 
-@functools.lru_cache(maxsize=8)
-def _nd_order(nx: int, ny: int) -> np.ndarray:
-    """Row-major node numbers of an nx x ny lattice in nested-dissection
-    order: a line across the longer side, which separates the halves for
-    the 3 x 3 couplings, follows each half, dissected in turn (George 1973)."""
-    def dissect(box):
-        if box.size <= _ND_LEAF:
-            return [box.ravel()]
-        if box.shape[0] < box.shape[1]:
-            box = box.T
-        m = box.shape[0] // 2
-        return dissect(box[:m]) + dissect(box[m + 1:]) + [box[m]]
-
-    order = np.concatenate(dissect(np.arange(nx * ny).reshape(nx, ny)))
-    order.flags.writeable = False
-    return order
-
-
 def _solution_fields(sol: GraphSolution):
     """Nodal W coefficients, area density, potential and nu on the lattice."""
     g = sol.grid
@@ -190,17 +172,17 @@ def _solution_fields(sol: GraphSolution):
 
 def assemble_jacobi(sol: GraphSolution) -> DiscreteOperator:
     """Weak form of -(Laplace-Beltrami + q) on the solution, Dirichlet,
-    in the grid's numbering, ordered for the factor by nested dissection."""
+    in the grid's numbering, ordered for the factor in the grid's
+    nested-dissection order, the one Newton factors in."""
     g = sol.grid
     f = _solution_fields(sol)
     A, lump = _q1_assemble(g.idx, f["W11"], f["W12"], f["W22"], f["sqrt_det"],
                            f["q"], g.hx, g.hy)
-    nd = g.idx.ravel()[_nd_order(g.n, g.n)]
     # the stiffness is positive semidefinite (SPD cell coefficients W), so
     # by Weyl the mass-scaled operator K' - diag(q) has no eigenvalue below
     # -max q
     return DiscreteOperator(A, lump, lower_bound=-float(np.max(f["q"][g.interior])),
-                            ordering=nd[nd >= 0])
+                            ordering=g.nd_order())
 
 
 def smallest_eigenvalue(op: DiscreteOperator) -> SpectrumReport:
@@ -214,8 +196,9 @@ def smallest_eigenvalue(op: DiscreteOperator) -> SpectrumReport:
     seeded random share that reaches a ground state orthogonal to it; it is
     fully reorthogonalized and restarts from its Ritz vector when full or
     invariant.  The smallest Ritz pair of B is returned once
-    ||Bx - lam x|| <= 1e-10 max(1, |lam|), with B scaled by 2^-e first
-    where an entry exceeds 2^500 (lam then scales back by 2^e, and the rule
+    ||Bx - lam x|| <= 1e-10 max(1, |lam|), with the matrix scaled by 2^-e
+    before the mass scaling where max|matrix| / min(mass) reaches 2^500, e
+    the exponent of that ratio (lam then scales back by 2^e, and the rule
     holds for B 2^-e); `iterations` counts the solves,
     at most 5000 (`IterationLimit` beyond).  A matrix that is not square or
     has a non-finite entry, a mass that is not a 1-d real array of one finite
@@ -237,16 +220,19 @@ def smallest_eigenvalue(op: DiscreteOperator) -> SpectrumReport:
     B = sp.csr_matrix(op.matrix)
     if not np.isfinite(B.data).all():
         raise ConfigInvalid("operator matrix has a non-finite entry")
+    # the Krylov loop squares entries in its norms: where max|A| / min(mass),
+    # a bound on max|B|, reaches 2^500 it runs on B 2^-e, e the exponent of
+    # that ratio, and lambda scales back by 2^e; A is scaled before the mass
+    # products, which then stay finite
+    fa, ea = math.frexp(float(np.max(np.abs(B.data), initial=0.0)))
+    fm, em = math.frexp(float(m.min()))
+    e = ea - em + (fa >= fm)
+    e = e if e > 500 else 0
+    data = np.ldexp(B.data, -e) if e else B.data
     # B = D A D on the data array, D = mass^(-1/2)
     d = 1.0 / np.sqrt(m)
-    B = sp.csr_matrix((B.data * np.repeat(d, np.diff(B.indptr)) * d[B.indices],
+    B = sp.csr_matrix((data * np.repeat(d, np.diff(B.indptr)) * d[B.indices],
                        B.indices, B.indptr), shape=B.shape)
-    # the Krylov loop squares entries in its norms: past 2^500 it runs on
-    # B 2^-e, its largest entry in [1/2, 1), and lambda scales back by 2^e
-    e = math.frexp(float(np.max(np.abs(B.data), initial=0.0)))[1]
-    e = e if e > 500 else 0
-    if e:
-        B.data = np.ldexp(B.data, -e)
     v = np.ones(n) + 1e-2 * np.random.RandomState(1234).standard_normal(n)
     if op.ordering is not None:        # the spectrum ignores the numbering
         B, v = B[op.ordering][:, op.ordering], v[op.ordering]
@@ -381,7 +367,8 @@ def cylinder_stability(H: float, params: SpaceParams) -> CylinderStability:
     # det G = 1: unit area density
     A, lump = _q1_assemble(dof, *Gi, 1.0, c, hx, hy, periodic_x=curve.closed)
     # the stiffness is positive semidefinite and the constant mode attains
-    # -c; no ordering: minimum degree beats box dissection on these lattices
+    # -c; no ordering: a periodic lattice has no one-line separators, and
+    # minimum degree beats box dissection on these lattices
     op = DiscreteOperator(matrix=A, mass=lump, lower_bound=-c)
     lam = smallest_eigenvalue(op).lambda_min
     return CylinderStability(

@@ -12,13 +12,18 @@ Not a test module (pytest collects `test_*.py` only).  Each row is one cold
 
 A row records its status (`converged` or the exception's class name), the
 SHA-256 of the solution's values or the exception's message, and the Newton
-count of a converged row.
+count of a converged row.  The values of the converged rows go beside the
+JSON, in an `.npz` of the same stem, keyed by row id.
 
     python tests/probe_matrix.py [--src DIR] --out rows.json
     python tests/probe_matrix.py --compare A.json B.json
 
 `--src` defaults to this tree's `src/`.  `--compare` prints each row that
-differs and exits 1 if any does.  One run takes about a minute on one core.
+differs, with the max relative drift max|a - b| / max|a| of its values and
+both Newton counts where both runs converged and kept their values, then one
+summary: rows identical, bits moved, counts moved, status moved, worst
+drift.  It exits 1 if any row differs.  One run takes about a minute on one
+core.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ import json
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 SPACES = {"flat": (0.0, 0.0), "nil": (0.0, 0.5), "psl": (-1.0, 0.5),
           "h2r": (-1.0, 0.0)}
@@ -52,13 +59,14 @@ def rows():
                            ("rect", ext, n, space, RECTANGLE_CENTER), k / 4)
 
 
-def run(src: Path) -> dict:
+def run(src: Path):
+    """(rows, values): each row's record, and the values of converged rows."""
     sys.path.insert(0, str(src))
     from ektau.errors import EktauError
     from ektau.model import SpaceParams
     from ektau.solver import disk_grid, rectangle_grid, solve_dirichlet
 
-    out = {}
+    out, values = {}, {}
     for key, (shape, size, n, space, center), H in rows():
         params = SpaceParams(*SPACES[space])
         build = disk_grid if shape == "disk" else rectangle_grid
@@ -71,15 +79,55 @@ def run(src: Path) -> dict:
         out[key] = {"status": "converged",
                     "sha256": hashlib.sha256(sol.values.tobytes()).hexdigest(),
                     "newton_iterations": sol.newton_iterations}
-    return out
+        values[key] = sol.values
+    return out, values
 
 
-def compare(a: dict, b: dict) -> int:
-    """Print the rows that differ between runs a and b; return their count."""
-    differ = [k for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k)]
+def values_path(rows_path: Path) -> Path:
+    return rows_path.with_suffix(".npz")
+
+
+def load_values(rows_path: Path) -> dict:
+    """The converged rows' values beside rows_path; none if absent."""
+    path = values_path(rows_path)
+    if not path.exists():
+        return {}
+    with np.load(path) as npz:
+        return {k: npz[k] for k in npz.files}
+
+
+def drift(a: np.ndarray, b: np.ndarray) -> float:
+    """max|a - b| / max|a|, or max|a - b| where a vanishes."""
+    return float(np.max(np.abs(a - b)) / (np.max(np.abs(a)) or 1.0))
+
+
+def compare(a: dict, b: dict, va: dict, vb: dict) -> int:
+    """Print the rows that differ between runs a and b, with the drift of
+    their values where va and vb hold both; return their count."""
+    keys = sorted(a.keys() | b.keys())
+    differ = [k for k in keys if a.get(k) != b.get(k)]
+    bits = counts = status = 0
+    worst = None
     for k in differ:
-        print("%s\n  A: %s\n  B: %s" % (k, a.get(k), b.get(k)))
-    print("%d of %d rows differ" % (len(differ), len(a.keys() | b.keys())))
+        ra, rb = a.get(k) or {}, b.get(k) or {}
+        if ra.get("status") != rb.get("status") or \
+                ra.get("message") != rb.get("message"):
+            status += 1
+        elif ra.get("newton_iterations") != rb.get("newton_iterations"):
+            counts += 1
+        else:
+            bits += 1
+        line = "%s\n  A: %s\n  B: %s" % (k, ra, rb)
+        if k in va and k in vb:
+            dk = drift(va[k], vb[k])
+            worst = dk if worst is None else max(worst, dk)
+            line += "\n  drift %.3g, Newton %s -> %s" % (
+                dk, ra["newton_iterations"], rb["newton_iterations"])
+        print(line)
+    print("%d of %d rows identical; bits moved %d, counts moved %d, status "
+          "moved %d; worst drift %s"
+          % (len(keys) - len(differ), len(keys), bits, counts, status,
+             "n/a" if worst is None else "%.3g" % worst))
     return len(differ)
 
 
@@ -92,12 +140,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.compare:
         a, b = (json.loads(p.read_text()) for p in args.compare)
-        return 1 if compare(a, b) else 0
+        va, vb = (load_values(p) for p in args.compare)
+        return 1 if compare(a, b, va, vb) else 0
     if args.out is None:
         ap.error("--out is required unless --compare is given")
     t0 = time.perf_counter()
-    out = run(args.src)
+    out, values = run(args.src)
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True))
+    np.savez_compressed(values_path(args.out), **values)
     counts: dict = {}
     for row in out.values():
         counts[row["status"]] = counts.get(row["status"], 0) + 1

@@ -287,6 +287,46 @@ class TestStencilExactness:
         np.testing.assert_allclose(j["fyy"], 2 * r, atol=tol2)
 
 
+def _coo_jet_stencils(g):
+    """The jet stencils by COO triplets and scipy's conversion, which sorts
+    each row: the oracle of the direct CSR construction."""
+    n, m = g.n, g.n_interior
+    hx, hy = g.hx, g.hy
+    ii, jj = g.interior_ij[:, 0], g.interior_ij[:, 1]
+    stencils = (
+        [((1, 0), 1 / (2 * hx)), ((-1, 0), -1 / (2 * hx))],
+        [((0, 1), 1 / (2 * hy)), ((0, -1), -1 / (2 * hy))],
+        [((1, 0), 1 / hx**2), ((0, 0), -2 / hx**2), ((-1, 0), 1 / hx**2)],
+        [((1, 1), 1 / (4 * hx * hy)), ((-1, -1), 1 / (4 * hx * hy)),
+         ((1, -1), -1 / (4 * hx * hy)), ((-1, 1), -1 / (4 * hx * hy))],
+        [((0, 1), 1 / hy**2), ((0, 0), -2 / hy**2), ((0, -1), 1 / hy**2)],
+    )
+    rows, cols, vals = [], [], []
+    for k, entries in enumerate(stencils):
+        for (di, dj), w in entries:
+            rows.append(k * m + np.arange(m))
+            cols.append((ii + di) * n + (jj + dj))
+            vals.append(np.full(m, w))
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(len(stencils) * m, n * n))
+
+
+class TestJetStencilsCsr:
+    @pytest.mark.parametrize("n", [24, 25, 48, 49])
+    @pytest.mark.parametrize("grid", [
+        lambda n: disk_grid(1.0, n, NIL, center=(0.03, -0.02)),
+        lambda n: disk_grid(0.8, n, PSL, center=(-0.1, 0.07)),
+        lambda n: rectangle_grid((0.5, 0.3), n, FLAT, center=(0.1, 0.0))],
+        ids=["nil_disk", "psl_disk", "flat_rectangle"])
+    def test_matches_the_coo_construction(self, grid, n):
+        g = grid(n)
+        S, ref = solver._jet_stencils(g), _coo_jet_stencils(g)
+        assert S.shape == ref.shape and S.has_sorted_indices
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(S, name), getattr(ref, name)), name
+
+
 class TestExactJacobian:
     @pytest.mark.parametrize("params", [NIL, PSL, H2R, FLAT],
                              ids=["nil", "psl", "h2r", "flat"])
@@ -652,6 +692,95 @@ class TestKernelPasses:
         assert counts["forms"] == counts["residual"] > 0
 
 
+class TestNestedDissectionOrder:
+    """Newton factors its Jacobian in the grid's nested-dissection order."""
+
+    @pytest.mark.parametrize("grid", [
+        lambda: disk_grid(1.0, 33, NIL, center=(0.03, -0.02)),
+        lambda: disk_grid(0.6, 48, PSL, center=(0.2, -0.1)),
+        lambda: rectangle_grid((0.5, 0.3), 20, FLAT, center=(0.1, 0.0)),
+        lambda: rectangle_grid((0.4, 0.4), 33, NIL)],
+        ids=["nil_disk", "psl_disk", "flat_rectangle", "nil_square"])
+    def test_grid_order_is_a_permutation_of_its_unknowns(self, grid):
+        g = grid()
+        p = g.nd_order()
+        assert np.array_equal(np.sort(p), np.arange(g.n_interior))
+        assert not p.flags.writeable and g.nd_order() is p
+        nd = g.idx.ravel()[solver._nd_order(g.n, g.n)]
+        assert np.array_equal(p, nd[nd >= 0])
+
+    def test_factor_takes_the_permuted_jacobian_natural(self, monkeypatch):
+        g = disk_grid(1.0, 32, NIL, center=(0.03, -0.02))
+        jacobians, factors = [], []
+        real_jacobian, real_factor = solver._jacobian, solver._factor
+
+        def recording_jacobian(*args):
+            jacobians.append(args)
+            return real_jacobian(*args)
+
+        def recording_factor(J, ordering):
+            factors.append((J, ordering))
+            return real_factor(J, ordering)
+
+        monkeypatch.setattr(solver, "_jacobian", recording_jacobian)
+        monkeypatch.setattr(solver, "_factor", recording_factor)
+        solve_dirichlet(g, 0.0, 0.8, NIL)
+        (J, ordering), = factors
+        assert ordering == "NATURAL"
+        grid, d, orientation, order = jacobians[0]
+        p = g.nd_order()
+        assert order is p
+        ref = solver._jacobian(grid, d, orientation)[p][:, p]
+        assert J.format == "csc" and J.has_sorted_indices
+        assert J.shape == ref.shape and (J != ref).nnz == 0
+
+    def test_answer_reuses_the_last_matvec_solve(self, monkeypatch):
+        # GMRES closes with a residual check on the y it returns: the answer
+        # lu.solve(y) is that matvec's, so no triangular solve follows it
+        log, steps = [], []
+        real_factor, real_gmres = solver._factor, spla.gmres
+        real_linear_solve = solver._linear_solve
+
+        class CountingLU:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, y):
+                log.append("solve")
+                return self.lu.solve(y)
+
+        def counting_gmres(op, b, **kwargs):
+            def matvec(y):
+                log.append("matvec")
+                return op.matvec(y)
+            y, info = real_gmres(spla.LinearOperator(op.shape, matvec=matvec,
+                                                     dtype=float), b, **kwargs)
+            log.append(("gmres", y.copy(), info))
+            return y, info
+
+        def recording_linear_solve(J, b, state):
+            lu, start = state.get("lu"), len(log)
+            x = real_linear_solve(J, b, state)
+            steps.append((lu, log[start:], x))
+            return x
+
+        monkeypatch.setattr(solver, "_factor",
+                            lambda J, ordering: CountingLU(real_factor(J, ordering)))
+        monkeypatch.setattr(spla, "gmres", counting_gmres)
+        monkeypatch.setattr(solver, "_linear_solve", recording_linear_solve)
+        sol = solve_dirichlet(disk_grid(1.0, 64, NIL), 0.0, 0.8, NIL)
+        reused = [(lu, events, x) for lu, events, x in steps if lu is not None]
+        assert sol.newton_iterations >= 2 and reused
+        for lu, events, x in reused:
+            *cycle, last = events
+            assert isinstance(last, tuple), "a solve after GMRES"
+            _, y, info = last
+            assert info == 0
+            assert cycle[::2] == ["matvec"] * (len(cycle) // 2)
+            assert cycle[1::2] == ["solve"] * (len(cycle) // 2)
+            assert x.tobytes() == lu.lu.solve(y).tobytes()
+
+
 class TestNewtonLinearSolve:
     """The branches of `_linear_solve`: reuse, refactor, regularize."""
 
@@ -679,11 +808,11 @@ class TestNewtonLinearSolve:
         real = solver._factor
         calls = []
 
-        def singular_first(J):
+        def singular_first(J, ordering):
             calls.append(1)
             if len(calls) == 1:
                 raise RuntimeError("Factor is exactly singular")
-            return real(J)
+            return real(J, ordering)
 
         monkeypatch.setattr(solver, "_factor", singular_first)
         sol = solve_dirichlet(g, 0.0, 0.8, NIL)

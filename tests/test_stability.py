@@ -162,6 +162,10 @@ class TestNestedDissection:
         rep_mmd = smallest_eigenvalue(dataclasses.replace(op, ordering=None))
         assert rep.lambda_min == pytest.approx(rep_mmd.lambda_min, rel=1e-12)
 
+    def test_graph_operator_takes_the_grid_order(self):
+        sol = solve_dirichlet(disk_grid(1.0, 24, PSL), 0.0, 0.8, PSL)
+        assert assemble_jacobi(sol).ordering is sol.grid.nd_order()
+
     @pytest.mark.parametrize("shape", [(8, 8), (33, 33), (16, 40)])
     def test_order_is_a_permutation_with_separating_lines(self, shape):
         order = stability._nd_order(*shape)
@@ -281,6 +285,17 @@ class TestSmallestEigenvalue:
         rep = smallest_eigenvalue(DiscreteOperator(A.tocsr(), np.ones(n)))
         exact = scale * 2.0 * (1.0 - math.cos(math.pi / (n + 1)))
         assert rep.lambda_min == pytest.approx(exact, rel=1e-10)
+
+    def test_tiny_mass_scales_the_matrix_before_the_product(self):
+        # max|A| / min(mass) ~ 4e310 overflows the mass scaling unless A is
+        # scaled first; lambda ~ 3.8e307 is a finite float (warnings are
+        # errors, so an overflow warning fails here too)
+        n = 50
+        A = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
+                     [-1, 0, 1]) * 1e10
+        rep = smallest_eigenvalue(DiscreteOperator(A.tocsr(), np.full(n, 1e-300)))
+        exact = 1e10 * 2.0 * (1.0 - math.cos(math.pi / (n + 1))) / 1e-300
+        assert rep.lambda_min == pytest.approx(exact, rel=1e-12)
 
     def test_tiny_disk_keeps_the_unit_disk_eigenvalue(self):
         # R = 2^-300: the Jacobi operator's entries are of order 2^600
