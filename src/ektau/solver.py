@@ -11,16 +11,17 @@ settings are fixed: convergence at a max-norm residual of 1e-10, at most
 (`mean_curvature_arrays`); each iterate carries that kernel dict, and its
 exact Jacobian (`mean_curvature_sensitivities`, analytic partials of H in
 all five jet entries) and the solution's min|nu| and max|sigma| are read
-off it.  The stencils and the boundary closure are linear, so each
-Jacobian is one sparse product S @ jet_u, where S holds those partials as
-a row of five diagonal matrices.  Each Jacobian is built permuted into the
+off it.  The stencils and the boundary closure are linear, so J x is the
+sum over jets k of dH/d jet k times (jet_u x)_k: GMRES applies J so, and
+J is assembled as one sparse product S @ jet_u (S holds the partials as a
+row of five diagonal matrices) only to be factored.  Newton works in the
 grid's nested-dissection order (George 1973: a lattice line across the
 longer side of each box, down to boxes of 8 nodes), in which one SuperLU
 factor (symmetric mode) is taken as it stands and serves as the right
-preconditioner of GMRES on each later exact Jacobian; the step reuses the
-triangular solve of GMRES's closing residual check.  The next Jacobian is
-factored afresh when 15 GMRES iterations fall short of a relative residual
-of 1e-6, and after every damped or forced step.
+preconditioner of GMRES (Saad and Schultz 1986) on each later Jacobian.
+The next Jacobian is assembled and factored afresh when 15 GMRES
+iterations fall short of a relative residual of 1e-6, and after every
+damped or forced step.
 
 Each Newton iteration makes one pass over the step lengths 1, 1/2, ...,
 2**-13: the first Armijo step wins, else the first admissible one is forced
@@ -54,6 +55,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -495,10 +497,11 @@ def _residual(grid: DomainGrid, u, H_target, orientation):
     return d["H"] - H_target, d
 
 
-def _jacobian(grid: DomainGrid, d, orientation, order=None):
-    """S @ jet_u in CSC, from dict d, with S = [diag(dH/d fx) ...
-    diag(dH/d fyy)]: the sum over k of diag(dH/d jet k) @ block k of jet_u.
-    Given an order p of the unknowns, J[p][:, p] instead, the same entries
+def _jacobian(grid: DomainGrid, dH, order=None):
+    """S @ jet_u in CSC, from the sensitivities dH of
+    `mean_curvature_sensitivities`, with S = [diag(dH/d fx) ... diag(dH/d
+    fyy)]: the sum over k of diag(dH/d jet k) @ block k of jet_u.  Given an
+    order p of the unknowns, J[p][:, p] instead, the same entries
     renumbered.
 
     Row i of S holds its five entries in block order, so the CSR product
@@ -506,7 +509,6 @@ def _jacobian(grid: DomainGrid, d, orientation, order=None):
     order.  Sums that are exactly zero are not stored.  In order p, S takes
     its rows in that order and the product's columns are renumbered in
     place, so only the product and its CSC copy are ever alive."""
-    dH = mean_curvature_sensitivities(grid.ambient(), d, orientation)
     m, k = grid.n_interior, len(_JET_NAMES)
     p = np.arange(m) if order is None else order
     # row i: dH/d jet j at node p[i], in column j m + p[i]
@@ -520,6 +522,19 @@ def _jacobian(grid: DomainGrid, d, orientation, order=None):
         rank[p] = np.arange(m)
         J.indices = rank[J.indices]
     return J.tocsc()
+
+
+def _jacobian_action(grid: DomainGrid, dH, order):
+    """x -> J x for J = `_jacobian(grid, dH, order)`, without assembling J:
+    x goes to the natural order, `jet_u` takes it to the five jets, their
+    dH-weighted sum is J x, and it comes back in the order given."""
+    w = np.stack([dH[name] for name in _JET_NAMES])
+
+    def apply(x):
+        x_natural = np.empty_like(x)
+        x_natural[order] = x
+        return (w * (grid.jet_u @ x_natural).reshape(w.shape)).sum(axis=0)[order]
+    return apply
 
 
 def _factor(J, ordering: str):
@@ -537,33 +552,69 @@ def _factor(J, ordering: str):
     return spla.splu(J, permc_spec=ordering, options=dict(SymmetricMode=True))
 
 
-def _linear_solve(J, b, state: dict):
-    """Newton step x with J x = b, reusing the factor kept in `state`; J
-    comes in the grid's nested-dissection order (`_jacobian`), so it is
-    factored as it stands.
+def _krylov(lu, apply, b):
+    """One cycle of right-preconditioned GMRES (Saad and Schultz 1986) for
+    apply(x) = b, preconditioned by lu.solve and started from the chord
+    step x0 = lu.solve(b); None when _KRYLOV_ITERATIONS Arnoldi vectors do
+    not bring the residual to _KRYLOV_RTOL ||b||.
 
-    GMRES runs on y -> J @ lu.solve(y) from y = b (the chord step), so its
-    residual is the true one.  Its last matvec is the closing residual check
-    on the y it returns, so the answer lu.solve(y) is that matvec's, kept:
-    one triangular solve per matvec and none after.  A short cycle refactors
-    J, releasing the stale factor first.  `_newton` drops the factor after
-    every damped or forced step, so the next J is factored afresh.  A
-    singular J gets a regularized step, never reused."""
+    Modified Gram-Schmidt builds the Arnoldi basis v_j and Givens rotations
+    keep the least-squares residual, the true one in exact arithmetic.  Each
+    z_j = lu.solve(v_j) is kept, so the answer x0 + sum c_j z_j needs no
+    further solve: k + 1 triangular solves for k Arnoldi vectors."""
+    k_max = _KRYLOV_ITERATIONS
+    x = lu.solve(b)
+    r = b - apply(x)
+    beta = float(np.linalg.norm(r))
+    tol = _KRYLOV_RTOL * float(np.linalg.norm(b))
+    if beta <= tol:
+        return x
+    V, Z = [r / beta], []
+    H = np.zeros((k_max + 1, k_max))    # Hessenberg, rotated to triangular
+    cs, sn = np.empty(k_max), np.empty(k_max)
+    g = np.zeros(k_max + 1)             # beta e_1, rotated alike
+    g[0] = beta
+    for j in range(k_max):
+        Z.append(lu.solve(V[j]))
+        w = apply(Z[j])
+        h = H[:, j]
+        for i in range(j + 1):
+            h[i] = w @ V[i]
+            w -= h[i] * V[i]
+        h[j + 1] = np.linalg.norm(w)
+        for i in range(j):
+            h[i], h[i + 1] = (cs[i] * h[i] + sn[i] * h[i + 1],
+                              cs[i] * h[i + 1] - sn[i] * h[i])
+        rho = math.hypot(h[j], h[j + 1])
+        cs[j], sn[j] = h[j] / rho, h[j + 1] / rho
+        h[j] = rho
+        g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+        if abs(g[j + 1]) <= tol:
+            c = scipy.linalg.solve_triangular(H[:j + 1, :j + 1], g[:j + 1])
+            return x + c @ Z
+        V.append(w / h[j + 1])
+    return None
+
+
+def _linear_solve(grid: DomainGrid, dH, b, state: dict):
+    """Newton step x with J x = b in the grid's nested-dissection order p,
+    J the Jacobian of the sensitivities dH, reusing the factor kept in
+    `state`.
+
+    A kept factor preconditions one GMRES cycle (`_krylov`) on J applied
+    matrix-free (`_jacobian_action`), so J is assembled (`_jacobian`, in
+    order p) only to be factored as it stands.  A short cycle drops the
+    stale factor before J is assembled and factored.  `_newton` drops the
+    factor after every damped or forced step, so the next J is factored
+    afresh.  A singular J gets a regularized step, never reused."""
+    p = grid.nd_order()
     lu = state.get("lu")
     if lu is not None:
-        last = [None, None]
-
-        def matvec(y):
-            x = lu.solve(y)
-            last[:] = y.copy(), x
-            return J @ x
-
-        op = spla.LinearOperator(J.shape, matvec=matvec, dtype=float)
-        y, info = spla.gmres(op, b, x0=b, rtol=_KRYLOV_RTOL, atol=0.0,
-                             restart=_KRYLOV_ITERATIONS, maxiter=1)
-        if info == 0:
-            return last[1] if np.array_equal(last[0], y) else lu.solve(y)
+        x = _krylov(lu, _jacobian_action(grid, dH, p), b)
+        if x is not None:
+            return x
         lu = state["lu"] = None
+    J = _jacobian(grid, dH, p)
     try:
         state["lu"] = _factor(J, "NATURAL")
     except RuntimeError:
@@ -604,10 +655,10 @@ def _newton(grid: DomainGrid, H_target: float, orientation: int,
             return u, rnorm, d, it
         if it == _MAX_NEWTON:
             break
-        J = _jacobian(grid, d, orientation, p)
+        dH = mean_curvature_sensitivities(grid.ambient(), d, orientation)
         d = None        # every trial brings its own; free this one for the LU
         du = np.empty_like(u)
-        du[p] = _linear_solve(J, -r[p], lu_state)
+        du[p] = _linear_solve(grid, dH, -r[p], lu_state)
         # one pass over the step lengths: the first admissible trial is the
         # forced-step candidate, the first Armijo trial the line-search step
         step = forced = None

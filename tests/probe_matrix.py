@@ -11,9 +11,11 @@ Not a test module (pytest collects `test_*.py` only).  Each row is one cold
   at (0.05, -0.03), with H in {0, 0.25, ..., 4}.
 
 A row records its status (`converged` or the exception's class name), the
-SHA-256 of the solution's values or the exception's message, and the Newton
-count of a converged row.  The values of the converged rows go beside the
-JSON, in an `.npz` of the same stem, keyed by row id.
+SHA-256 of the solution's values or the exception's message, the Newton
+count of a converged row, and how many times the solve called
+`solver._factor` and `solver._jacobian` (wrapped on the tree imported).
+The values of the converged rows go beside the JSON, in an `.npz` of the
+same stem, keyed by row id.
 
     python tests/probe_matrix.py [--src DIR] --out rows.json
     python tests/probe_matrix.py --compare A.json B.json
@@ -22,8 +24,10 @@ JSON, in an `.npz` of the same stem, keyed by row id.
 differs, with the max relative drift max|a - b| / max|a| of its values and
 both Newton counts where both runs converged and kept their values, then one
 summary: rows identical, bits moved, counts moved, status moved, worst
-drift.  It exits 1 if any row differs.  One run takes about a minute on one
-core.
+drift, and each run's total factors and Jacobian assemblies.  A row differs
+in its status, message, digest or Newton count; the factor and assembly
+counts only enter the totals.  It exits 1 if any row differs.  One run
+takes about a minute on one core.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ SIZES = (24, 32, 48)
 DISKS = ((1.0, (0.0, 0.0)), (0.6, (0.2, -0.1)), (1.0, (0.3, 0.1)))
 RECTANGLES = ((0.4, 0.4), (0.5, 0.3), (0.3, 0.2))
 RECTANGLE_CENTER = (0.05, -0.03)
+# per-row call counts: record key -> the `solver` name wrapped
+CALLS = {"factors": "_factor", "jacobians": "_jacobian"}
 
 
 def rows():
@@ -62,23 +68,37 @@ def rows():
 def run(src: Path):
     """(rows, values): each row's record, and the values of converged rows."""
     sys.path.insert(0, str(src))
+    from ektau import solver
     from ektau.errors import EktauError
     from ektau.model import SpaceParams
     from ektau.solver import disk_grid, rectangle_grid, solve_dirichlet
+
+    calls = dict.fromkeys(CALLS, 0)
+
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    for name, attr in CALLS.items():
+        setattr(solver, attr, counting(name, getattr(solver, attr)))
 
     out, values = {}, {}
     for key, (shape, size, n, space, center), H in rows():
         params = SpaceParams(*SPACES[space])
         build = disk_grid if shape == "disk" else rectangle_grid
+        calls.update(dict.fromkeys(CALLS, 0))
         try:
             sol = solve_dirichlet(build(size, n, params, center=center), 0.0,
                                   H, params)
         except EktauError as exc:
-            out[key] = {"status": type(exc).__name__, "message": str(exc)}
+            out[key] = {"status": type(exc).__name__, "message": str(exc),
+                        **calls}
             continue
         out[key] = {"status": "converged",
                     "sha256": hashlib.sha256(sol.values.tobytes()).hexdigest(),
-                    "newton_iterations": sol.newton_iterations}
+                    "newton_iterations": sol.newton_iterations, **calls}
         values[key] = sol.values
     return out, values
 
@@ -101,11 +121,27 @@ def drift(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)) / (np.max(np.abs(a)) or 1.0))
 
 
+def outcome(row: dict | None) -> dict | None:
+    """A row without its call counts: what a solve returned or raised."""
+    if row is None:
+        return None
+    return {k: v for k, v in row.items() if k not in CALLS}
+
+
+def totals(run: dict) -> str:
+    """Each call count summed over the run's rows, n/a where a row lacks it."""
+    parts = []
+    for name in CALLS:
+        counts = [row.get(name) for row in run.values()]
+        parts.append("%s %s" % (name, "n/a" if None in counts else sum(counts)))
+    return ", ".join(parts)
+
+
 def compare(a: dict, b: dict, va: dict, vb: dict) -> int:
     """Print the rows that differ between runs a and b, with the drift of
     their values where va and vb hold both; return their count."""
     keys = sorted(a.keys() | b.keys())
-    differ = [k for k in keys if a.get(k) != b.get(k)]
+    differ = [k for k in keys if outcome(a.get(k)) != outcome(b.get(k))]
     bits = counts = status = 0
     worst = None
     for k in differ:
@@ -128,6 +164,7 @@ def compare(a: dict, b: dict, va: dict, vb: dict) -> int:
           "moved %d; worst drift %s"
           % (len(keys) - len(differ), len(keys), bits, counts, status,
              "n/a" if worst is None else "%.3g" % worst))
+    print("A: %s\nB: %s" % (totals(a), totals(b)))
     return len(differ)
 
 

@@ -39,7 +39,7 @@ def test_every_package_hook_resolves(monkeypatch):
 
 def test_traced_solve_counts_kernel_entry_points(monkeypatch):
     # the per-layer call counts rest on these names: one residual per
-    # Newton point, one sensitivity pass per Jacobian
+    # Newton point, one sensitivity pass per Newton iteration
     tracing = _load_tracing(monkeypatch)
     tracer = tracing.Tracer()
     with tracing.Hooks(tracer) as hooks:

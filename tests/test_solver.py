@@ -342,7 +342,8 @@ class TestExactJacobian:
         v = rng.randn(g.n_interior)
         H = 0.7
         _, d = solver._residual(g, u, H, orientation)
-        Jv = solver._jacobian(g, d, orientation) @ v
+        dH = mean_curvature_sensitivities(g.ambient(), d, orientation)
+        Jv = solver._jacobian(g, dH) @ v
         eps = 1e-6
         rp, _ = solver._residual(g, u + eps * v, H, orientation)
         rm, _ = solver._residual(g, u - eps * v, H, orientation)
@@ -353,28 +354,48 @@ class TestExactJacobian:
 class TestJacobianProduct:
     """The Jacobian product S @ jet_u against the operator it stands for: the
     sum over jets k of diag(dH/d jet k) times block k of jet_u, by scipy's
-    sparse addition.  Both add the blocks in order, so they agree to the bit."""
+    sparse addition.  Both add the blocks in order, so they agree to the bit.
+    The matrix-free action of GMRES stands for the same operator."""
 
-    @pytest.mark.parametrize("grid", [
+    GRIDS = pytest.mark.parametrize("grid", [
         lambda: disk_grid(0.6, 24, NIL, center=(0.05, -0.03)),
         lambda: disk_grid(0.8, 33, PSL, center=(-0.1, 0.07)),
         lambda: rectangle_grid((0.5, 0.3), 20, FLAT, center=(0.1, 0.0))],
         ids=["nil_disk", "psl_disk", "flat_rectangle"])
-    @pytest.mark.parametrize("orientation", [-1, 1])
-    def test_matches_sum_of_scaled_blocks(self, grid, orientation):
-        g = grid()
+
+    @staticmethod
+    def _sensitivities(g, orientation):
         ii, jj = g.interior_ij[:, 0], g.interior_ij[:, 1]
         x, y = g.X[ii, jj], g.Y[ii, jj]
         u = 0.3 * (x * x - y * y) + 0.2 * x * y - 0.1 * y
         _, d = solver._residual(g, u, 0.7, orientation)
-        J = solver._jacobian(g, d, orientation)
-        dH = mean_curvature_sensitivities(g.ambient(), d, orientation)
+        return mean_curvature_sensitivities(g.ambient(), d, orientation)
+
+    @GRIDS
+    @pytest.mark.parametrize("orientation", [-1, 1])
+    def test_matches_sum_of_scaled_blocks(self, grid, orientation):
+        g = grid()
+        dH = self._sensitivities(g, orientation)
+        J = solver._jacobian(g, dH)
         m = g.n_interior
         blocks = [g.jet_u[k * m:(k + 1) * m] for k in range(len(JETS))]
         ref = sum(sp.diags(dH[k]) @ b for k, b in zip(JETS, blocks))
         assert J.shape == ref.shape == (m, m)
         assert J.format == "csc" and J.has_sorted_indices
         assert (J != ref).nnz == 0
+
+    @GRIDS
+    @pytest.mark.parametrize("orientation", [-1, 1])
+    def test_action_matches_the_assembled_jacobian(self, grid, orientation):
+        # in the grid's order, as Newton's GMRES applies it
+        g = grid()
+        dH = self._sensitivities(g, orientation)
+        p = g.nd_order()
+        J = solver._jacobian(g, dH, p)
+        x = np.random.RandomState(3).randn(g.n_interior)
+        Jx = solver._jacobian_action(g, dH, p)(x)
+        assert np.abs(Jx - J @ x).max() \
+            <= 1e-14 * np.abs(J.data).max() * np.abs(x).max()
 
 
 class TestSolveDirichlet:
@@ -727,58 +748,68 @@ class TestNestedDissectionOrder:
         solve_dirichlet(g, 0.0, 0.8, NIL)
         (J, ordering), = factors
         assert ordering == "NATURAL"
-        grid, d, orientation, order = jacobians[0]
+        grid, dH, order = jacobians[0]
         p = g.nd_order()
         assert order is p
-        ref = solver._jacobian(grid, d, orientation)[p][:, p]
+        ref = solver._jacobian(grid, dH)[p][:, p]
         assert J.format == "csc" and J.has_sorted_indices
         assert J.shape == ref.shape and (J != ref).nnz == 0
 
-    def test_answer_reuses_the_last_matvec_solve(self, monkeypatch):
-        # GMRES closes with a residual check on the y it returns: the answer
-        # lu.solve(y) is that matvec's, so no triangular solve follows it
-        log, steps = [], []
-        real_factor, real_gmres = solver._factor, spla.gmres
-        real_linear_solve = solver._linear_solve
+
+class TestMatrixFreeKrylov:
+    """Reused-factor steps run GMRES on the Jacobian applied from its
+    partials; a Jacobian is assembled only to be factored."""
+
+    def test_reused_factor_steps_solve_once_per_arnoldi_vector(self, monkeypatch):
+        # the chord step and its residual, then per Arnoldi vector one
+        # solve and one action; the answer combines the kept solves, so no
+        # solve follows the last action
+        cycles, residuals = [], []
+        real_krylov, real_linear_solve = solver._krylov, solver._linear_solve
+        real_jacobian = solver._jacobian
 
         class CountingLU:
-            def __init__(self, lu):
-                self.lu = lu
+            def __init__(self, lu, log):
+                self.lu, self.log = lu, log
 
             def solve(self, y):
-                log.append("solve")
+                self.log.append("solve")
                 return self.lu.solve(y)
 
-        def counting_gmres(op, b, **kwargs):
-            def matvec(y):
-                log.append("matvec")
-                return op.matvec(y)
-            y, info = real_gmres(spla.LinearOperator(op.shape, matvec=matvec,
-                                                     dtype=float), b, **kwargs)
-            log.append(("gmres", y.copy(), info))
-            return y, info
+        def recording_krylov(lu, apply, b):
+            log = []
 
-        def recording_linear_solve(J, b, state):
-            lu, start = state.get("lu"), len(log)
-            x = real_linear_solve(J, b, state)
-            steps.append((lu, log[start:], x))
+            def counting_apply(x):
+                log.append("apply")
+                return apply(x)
+
+            x = real_krylov(CountingLU(lu, log), counting_apply, b)
+            cycles.append((log, x))
             return x
 
-        monkeypatch.setattr(solver, "_factor",
-                            lambda J, ordering: CountingLU(real_factor(J, ordering)))
-        monkeypatch.setattr(spla, "gmres", counting_gmres)
-        monkeypatch.setattr(solver, "_linear_solve", recording_linear_solve)
+        def checking_linear_solve(grid, dH, b, state):
+            reused = state.get("lu") is not None
+            x = real_linear_solve(grid, dH, b, state)
+            if reused:
+                J = real_jacobian(grid, dH, grid.nd_order())
+                residuals.append(np.linalg.norm(b - J @ x) / np.linalg.norm(b))
+            return x
+
+        monkeypatch.setattr(solver, "_krylov", recording_krylov)
+        monkeypatch.setattr(solver, "_linear_solve", checking_linear_solve)
         sol = solve_dirichlet(disk_grid(1.0, 64, NIL), 0.0, 0.8, NIL)
-        reused = [(lu, events, x) for lu, events, x in steps if lu is not None]
-        assert sol.newton_iterations >= 2 and reused
-        for lu, events, x in reused:
-            *cycle, last = events
-            assert isinstance(last, tuple), "a solve after GMRES"
-            _, y, info = last
-            assert info == 0
-            assert cycle[::2] == ["matvec"] * (len(cycle) // 2)
-            assert cycle[1::2] == ["solve"] * (len(cycle) // 2)
-            assert x.tobytes() == lu.lu.solve(y).tobytes()
+        assert sol.newton_iterations >= 2 and cycles
+        assert len(residuals) == len(cycles)
+        for log, x in cycles:
+            assert x is not None
+            assert len(log) >= 2 and log == ["solve", "apply"] * (len(log) // 2)
+        assert max(residuals) <= solver._KRYLOV_RTOL
+
+    def test_every_assembled_jacobian_is_factored(self, monkeypatch):
+        counts = _count_calls(monkeypatch, "_factor", "_jacobian")
+        sol = solve_dirichlet(disk_grid(1.0, 64, NIL), 0.0, 0.8, NIL)
+        assert sol.newton_iterations > counts["_factor"] >= 1
+        assert counts["_jacobian"] == counts["_factor"]
 
 
 class TestNewtonLinearSolve:
@@ -904,12 +935,13 @@ class TestGlobalization:
     def test_damped_steps_refactor(self, monkeypatch):
         # two full steps, three damped ones, then two forced steps in chase
         # mode: each damped or forced step drops the factor, so every later
-        # Jacobian is factored afresh and the line searches stay short
+        # Jacobian is factored afresh and the line searches stay short; each
+        # assembled Jacobian is one that is factored
         counts = _count_calls(monkeypatch, "_factor", "_residual", "_jacobian")
         with pytest.raises(VerticalBlowup,
                            match=r"min\|nu\| < 0.001 at H=1.236"):
             solve_dirichlet(disk_grid(1.0, 48, NIL), 0.0, 1.236, NIL)
-        assert counts == {"_factor": 6, "_residual": 22, "_jacobian": 7}
+        assert counts == {"_factor": 6, "_residual": 22, "_jacobian": 6}
 
     @pytest.mark.parametrize("params, n, H", [(NIL, 32, 4.0), (PSL, 24, 3.5)],
                              ids=["nil", "psl"])
