@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import ConfigInvalid, OutOfDomain, UnsupportedSign, check_H, finite_real
 
-# Strict margin kept inside the model disk when kappa < 0; lam diverges at
-# the boundary.
+# Strict margin kept inside the model disk when kappa < 0, relative to its
+# radius so that it holds at every scale; lam diverges at the boundary.
 DOMAIN_MARGIN = 1e-9
 
 
@@ -88,13 +88,15 @@ class SpaceParams:
 
     def contains(self, x, y) -> bool:
         """True iff every point has a finite x^2 + y^2 and, for kappa < 0,
-        lies strictly inside the model disk by DOMAIN_MARGIN."""
+        lies strictly inside the model disk shrunk by 1 - DOMAIN_MARGIN."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         with np.errstate(over="ignore"):
             r2 = x ** 2 + y ** 2
         inside = np.isfinite(r2)
         if self.kappa < 0:
-            inside &= r2 < (self.domain_radius - DOMAIN_MARGIN) ** 2
+            # a float product overflows to inf where ** would raise
+            R = self.domain_radius * (1.0 - DOMAIN_MARGIN)
+            inside &= r2 < R * R
         return bool(inside.all())
 
     def require_inside(self, x, y) -> None:

@@ -24,15 +24,16 @@ iterations fall short of a relative residual of 1e-6, and after every
 damped or forced step.
 
 Each Newton iteration makes one pass over the step lengths 1, 1/2, ...,
-2**-13: the first Armijo step wins, else the first admissible one is forced
-if it lowers min|nu| or the residual; chase mode skips the Armijo test.
-Chase mode starts when, over the last two iterations, the residual fell by
-less than 2% while min|nu| fell by more than 30%.  Any iterate, the start
-included, with min|nu| < 1e-3 raises `VerticalBlowup`; a pass with nothing
-to take or force ("stalled") and the budget ("exhausted") raise
-`NonConvergence`.  Cold solves on disks with 0 < H R < 1 start from the
-rotational cap about the grid center, others from zero; each solve is one
-Newton run, and its failure propagates as raised.
+2**-13, skipping a trial whose metric degenerates: the first Armijo step
+wins, else the first trial is forced if it lowers min|nu|; chase mode skips
+the Armijo test.  Chase mode starts when, over the last two iterations, the
+residual fell by less than 2% while min|nu| fell by more than 30%.  Any
+iterate, the start included, with min|nu| < 1e-3 raises `VerticalBlowup`; a
+pass with nothing to take or force ("stalled"), the budget ("exhausted")
+and a Jacobian SuperLU finds singular raise `NonConvergence`.  Cold solves
+on disks with 0 < H R < 1 start from the rotational cap about the grid
+center, others from zero; each solve is one Newton run, and its failure
+propagates as raised.
 
 Disk domains close the stencils with ghost values extrapolated along the
 lattice direction whose circle crossing lies closest to the ghost: the
@@ -497,30 +498,27 @@ def _residual(grid: DomainGrid, u, H_target, orientation):
     return d["H"] - H_target, d
 
 
-def _jacobian(grid: DomainGrid, dH, order=None):
-    """S @ jet_u in CSC, from the sensitivities dH of
-    `mean_curvature_sensitivities`, with S = [diag(dH/d fx) ... diag(dH/d
-    fyy)]: the sum over k of diag(dH/d jet k) @ block k of jet_u.  Given an
-    order p of the unknowns, J[p][:, p] instead, the same entries
-    renumbered.
+def _jacobian(grid: DomainGrid, dH, p):
+    """J[p][:, p] in CSC for J = S @ jet_u, the Jacobian of the sensitivities
+    dH of `mean_curvature_sensitivities` in the order p of the unknowns, with
+    S = [diag(dH/d fx) ... diag(dH/d fyy)]: the sum over k of diag(dH/d jet
+    k) @ block k of jet_u.
 
     Row i of S holds its five entries in block order, so the CSR product
     adds the entries of different blocks that meet in one place in block
-    order.  Sums that are exactly zero are not stored.  In order p, S takes
-    its rows in that order and the product's columns are renumbered in
-    place, so only the product and its CSC copy are ever alive."""
+    order.  Sums that are exactly zero are not stored.  S takes its rows in
+    order p and the product's columns are renumbered in place, so only the
+    product and its CSC copy are ever alive."""
     m, k = grid.n_interior, len(_JET_NAMES)
-    p = np.arange(m) if order is None else order
     # row i: dH/d jet j at node p[i], in column j m + p[i]
     data = np.stack([dH[name][p] for name in _JET_NAMES], axis=1).ravel()
     cols = (np.arange(0, k * m, m) + p[:, None]).ravel()
     S = sp.csr_matrix((data, cols, np.arange(0, k * m + 1, k)),
                       shape=(m, k * m))
     J = S @ grid.jet_u
-    if order is not None:
-        rank = np.empty(m, dtype=J.indices.dtype)
-        rank[p] = np.arange(m)
-        J.indices = rank[J.indices]
+    rank = np.empty(m, dtype=J.indices.dtype)
+    rank[p] = np.arange(m)
+    J.indices = rank[J.indices]
     return J.tocsc()
 
 
@@ -606,7 +604,7 @@ def _linear_solve(grid: DomainGrid, dH, b, state: dict):
     order p) only to be factored as it stands.  A short cycle drops the
     stale factor before J is assembled and factored.  `_newton` drops the
     factor after every damped or forced step, so the next J is factored
-    afresh.  A singular J gets a regularized step, never reused."""
+    afresh.  A J that SuperLU finds singular raises `NonConvergence`."""
     p = grid.nd_order()
     lu = state.get("lu")
     if lu is not None:
@@ -614,13 +612,10 @@ def _linear_solve(grid: DomainGrid, dH, b, state: dict):
         if x is not None:
             return x
         lu = state["lu"] = None
-    J = _jacobian(grid, dH, p)
     try:
-        state["lu"] = _factor(J, "NATURAL")
-    except RuntimeError:
-        mu = 1e-8 + 1e-2 * float(np.max(np.abs(b)))
-        return _factor((J + mu * sp.identity(J.shape[0], format="csc")).tocsc(),
-                       "NATURAL").solve(b)
+        state["lu"] = _factor(_jacobian(grid, dH, p), "NATURAL")
+    except RuntimeError as exc:
+        raise NonConvergence("singular Newton Jacobian: %s" % exc) from None
     return state["lu"].solve(b)
 
 
@@ -654,13 +649,16 @@ def _newton(grid: DomainGrid, H_target: float, orientation: int,
         if rnorm <= tol:
             return u, rnorm, d, it
         if it == _MAX_NEWTON:
-            break
+            raise NonConvergence(
+                "Newton exhausted %d iterations, residual %.3e (H=%g)"
+                % (_MAX_NEWTON, rnorm, H_target))
         dH = mean_curvature_sensitivities(grid.ambient(), d, orientation)
         d = None        # every trial brings its own; free this one for the LU
         du = np.empty_like(u)
         du[p] = _linear_solve(grid, dH, -r[p], lu_state)
-        # one pass over the step lengths: the first admissible trial is the
-        # forced-step candidate, the first Armijo trial the line-search step
+        # one pass over the step lengths: the first trial whose metric does
+        # not degenerate is the forced-step candidate, the first Armijo
+        # trial the line-search step
         step = forced = None
         for t in _STEP_LENGTHS:
             u_try = u + t * du
@@ -669,8 +667,6 @@ def _newton(grid: DomainGrid, H_target: float, orientation: int,
             except DegenerateMetric:
                 continue
             rn_try = float(np.max(np.abs(r_try)))
-            if not math.isfinite(rn_try):
-                continue
             trial = (u_try, r_try, d_try, rn_try)
             forced = forced or trial
             if chase:
@@ -683,16 +679,12 @@ def _newton(grid: DomainGrid, H_target: float, orientation: int,
         if step is None:
             # near a fold the line search stalls while the Newton direction
             # still steepens the graph: force the step while it lowers
-            # min|nu| or the residual, so non-existence ends as VerticalBlowup
-            if forced is None or (forced[3] >= rnorm and
-                                  np.min(np.abs(forced[2]["nu"])) >= nu_min):
+            # min|nu|, so non-existence ends as VerticalBlowup
+            if forced is None or np.min(np.abs(forced[2]["nu"])) >= nu_min:
                 raise NonConvergence(
                     "Newton stalled at residual %.3e (H=%g)" % (rnorm, H_target))
             step = forced
         u, r, d, rnorm = step
-    raise NonConvergence(
-        "Newton exhausted %d iterations, residual %.3e (H=%g)"
-        % (_MAX_NEWTON, rnorm, H_target))
 
 
 def _check_data(H, boundary_value) -> None:

@@ -32,8 +32,7 @@ from . import model, rotational
 from .errors import ConfigInvalid, IterationLimit, check_H
 from .graph_geometry import jacobi_potential_from, mean_curvature_arrays
 from .model import SpaceParams
-# _nd_order is the lattice order of `solver`, named here as well
-from .solver import GraphSolution, _factor, _nd_order  # noqa: F401
+from .solver import GraphSolution, _factor
 
 
 @dataclass

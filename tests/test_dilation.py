@@ -12,13 +12,15 @@ import sys
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ektau import rotational
+from ektau import model, rotational
 from ektau.errors import ConfigInvalid, EktauError
 from ektau.harness import rosenberg_bound
 from ektau.model import SpaceParams
+from ektau.solver import disk_grid, solve_dirichlet
 from ektau.stability import cylinder_stability
 
 
@@ -150,6 +152,8 @@ def test_scale_rule_answers_or_raises_ektau_error(kappa, tau, H):
 
 @settings(max_examples=60, deadline=None)
 @given(FUZZ_KAPPA, FUZZ_TAU, FUZZ_H)
+# its unit scale has kappa = -2^-1022, whose squared model radius overflows
+@example(kappa=-1.0, tau=0.0, H=2.0 ** 511)
 def test_cylinder_answers_or_raises_ektau_error(kappa, tau, H):
     # no numpy warning (warnings are errors) and no Lanczos run past its
     # budget: a finite answer or an EktauError
@@ -159,3 +163,65 @@ def test_cylinder_answers_or_raises_ektau_error(kappa, tau, H):
         return
     assert math.isfinite(cs.lambda_min_spectral) and math.isfinite(cs.margin)
     assert 0 < cs.tube_length < math.inf
+
+
+# -- the model disk's helpers where its squared radius overflows -----------
+
+# -2.2e-308 < kappa < 0 puts (2 / sqrt(-kappa))^2 past the float range
+@pytest.mark.parametrize("call, expect", [
+    (lambda: SpaceParams(-5e-324, 0.0).contains(0.0, 0.0), True),
+    (lambda: cylinder_stability(3.0, SpaceParams(-1e-308, 0.5)).margin, -36.0),
+    (lambda: cylinder_stability(8192.0, SpaceParams(-1e-300, 0.5)).margin,
+     -4 * 8192.0 ** 2),
+    (lambda: solve_dirichlet(disk_grid(1.0, 16, SpaceParams(-1e-308, 0.5)),
+                             0.0, 0.8, SpaceParams(-1e-308, 0.5)).newton_iterations,
+     3)],
+    ids=["contains", "cylinder", "cylinder_large_H", "disk_solve"])
+def test_tiny_negative_kappa_answers(call, expect):
+    assert call() == expect
+
+
+def fuzz_point(params):
+    """A base point of any two floats, or one within 1.5 model radii (unit
+    lengths when kappa >= 0)."""
+    R = params.domain_radius if params.kappa < 0 else 1.0
+    near = st.floats(-1.5, 1.5).map(lambda f: f * R)
+    return st.tuples(st.floats(), st.floats()) | st.tuples(near, near)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FUZZ_KAPPA, FUZZ_TAU, st.data())
+def test_domain_helpers_answer_or_raise_ektau_error(kappa, tau, data):
+    # no numpy warning (warnings are errors): contains answers a bool,
+    # require_inside raises exactly where it is False, and base_distance
+    # is finite and >= 0 or an EktauError
+    try:
+        params = SpaceParams(kappa, tau)
+    except ConfigInvalid:
+        return
+    p1, p2 = data.draw(fuzz_point(params)), data.draw(fuzz_point(params))
+    inside = params.contains(*p1)
+    assert type(inside) is bool
+    try:
+        params.require_inside(*p1)
+    except EktauError:
+        assert not inside
+    else:
+        assert inside
+    try:
+        dist = model.base_distance(p1, p2, params)
+    except EktauError:
+        return
+    assert inside and params.contains(*p2)
+    assert math.isfinite(dist) and dist >= 0
+
+
+def test_margin_scales_with_the_model_disk():
+    # kappa = -2^64: the model radius 2^-31 is below DOMAIN_MARGIN, so only
+    # a margin relative to the radius keeps the rim out, where base_distance
+    # would divide 0 by 0
+    params = SpaceParams(-2.0 ** 64, 0.0)
+    R = params.domain_radius
+    assert params.contains(0.0, 0.999 * R)
+    assert not params.contains(0.0, R)
+    assert model.base_distance((0.0, 0.0), (0.0, 0.5 * R), params) > 0

@@ -17,7 +17,7 @@ from q1_oracle import q1_assemble
 from ektau import stability
 from ektau.errors import ConfigInvalid, IterationLimit
 from ektau.model import SpaceParams
-from ektau.solver import disk_grid, rectangle_grid, solve_dirichlet
+from ektau.solver import _nd_order, disk_grid, rectangle_grid, solve_dirichlet
 from ektau.stability import (_KRYLOV_BASIS, DiscreteOperator,
                              angle_jacobi_residual, assemble_jacobi,
                              cylinder_stability, smallest_eigenvalue)
@@ -168,7 +168,7 @@ class TestNestedDissection:
 
     @pytest.mark.parametrize("shape", [(8, 8), (33, 33), (16, 40)])
     def test_order_is_a_permutation_with_separating_lines(self, shape):
-        order = stability._nd_order(*shape)
+        order = _nd_order(*shape)
         assert np.array_equal(np.sort(order), np.arange(order.size))
         assert not order.flags.writeable
         rank = np.argsort(order).reshape(shape)
