@@ -9,7 +9,6 @@ height bounds.
 from .errors import (ConfigInvalid, DegenerateMetric, EktauError, IoFailure,
                      IterationLimit, NoSphere, NonConvergence, NonPositiveH,
                      OutOfDomain, UnsupportedSign, VerticalBlowup)
-from .graph_geometry import Jet2, ShapeData, angle_function, jacobi_potential, shape_data
 from .harness import ExperimentConfig, ReportRecord, rosenberg_bound, run_experiment
 from .model import (CurvatureReport, MetricAtPoint, Point3, SpaceParams,
                     TangentVector, christoffel, conformal_factor,

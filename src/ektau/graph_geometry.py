@@ -1,15 +1,17 @@
-"""Pointwise extrinsic geometry of vertical graphs z = f(x, y).
+"""Extrinsic geometry of vertical graphs z = f(x, y).
 
 A graph is parametrized by (x, y) -> (x, y, f(x, y)); its coordinate tangent
 fields are T1 = (1, 0, fx) and T2 = (0, 1, fy).  Everything downstream (the
-Dirichlet solver, the stability assembly, point evaluation by `shape_data`)
-evaluates mean curvature through one kernel, `_forms`, written in explicit
-component arithmetic on closed-form ambient data (`model.ambient_components`).
-The same code runs on numpy arrays, entered at `mean_curvature_arrays`
-alone, and on Python floats (`shape_data`), where it stays off numpy and
-returns Python floats bit-identical to the array path.  The
-exact Jacobian partials (`mean_curvature_sensitivities`) are read off the
-intermediates of an array pass, so one pass serves H and its partials.
+Dirichlet solver, the stability assembly, the invariant checks) evaluates
+mean curvature through one kernel, `_forms`, written in explicit component
+arithmetic on closed-form ambient data (`model.ambient_components`) and
+entered at `mean_curvature_arrays` alone.  The exact Jacobian partials
+(`mean_curvature_sensitivities`) are read off the intermediates of an
+array pass, so one pass serves H and its partials.
+
+`_forms` also runs on Python floats, off numpy and bit-identical to the
+array path: the test-side ODE oracle makes tens of thousands of one-point
+calls, each over ten times faster on floats than on one-element arrays.
 
 Since the ambient metric does not depend on z, none of the quantities here
 depend on the value f itself, only on the point (x, y) and the derivatives
@@ -21,12 +23,11 @@ their boundary section) the one with nu < 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigInvalid, DegenerateMetric
-from .model import Ambient, Point3, SpaceParams, TangentVector, ambient_components
+from .model import Ambient, SpaceParams
 
 _DET_FLOOR = 1e-14
 
@@ -43,32 +44,6 @@ def _sqrt(v):
     array path agree bit for bit; pow(v, 0.5) carries no such guarantee.
     """
     return math.sqrt(v) if isinstance(v, float) else np.sqrt(v)
-
-
-@dataclass(frozen=True)
-class Jet2:
-    """Second-order data of a graph function at one base point."""
-
-    x: float
-    y: float
-    f: float
-    fx: float
-    fy: float
-    fxx: float
-    fxy: float
-    fyy: float
-
-
-@dataclass(frozen=True)
-class ShapeData:
-    """Fundamental forms and derived scalars of a graph at one point."""
-
-    first_form: np.ndarray
-    second_form: np.ndarray
-    normal: TangentVector
-    nu: float
-    H: float
-    sigma_sq: float
 
 
 def _check_orientation(orientation) -> int:
@@ -213,41 +188,12 @@ def mean_curvature_sensitivities(amb: Ambient, d: dict, orientation: int = -1):
     return dH
 
 
-def shape_data(jet: Jet2, params: SpaceParams, orientation: int = -1) -> ShapeData:
-    """Fundamental forms, unit normal, angle function, H and |sigma|^2."""
-    params.require_inside(jet.x, jet.y)
-    d = _forms(ambient_components(float(jet.x), float(jet.y), params),
-               float(jet.fx), float(jet.fy), float(jet.fxx), float(jet.fxy),
-               float(jet.fyy), orientation)
-    first = np.array([[d["I11"], d["I12"]], [d["I12"], d["I22"]]])
-    second = np.array([[d["II11"], d["II12"]], [d["II12"], d["II22"]]])
-    normal = TangentVector(base=Point3(jet.x, jet.y, jet.f),
-                           components=np.array(d["normal"]))
-    return ShapeData(first_form=first, second_form=second, normal=normal,
-                     nu=d["nu"], H=d["H"], sigma_sq=d["sigma_sq"])
-
-
-def angle_function(jet: Jet2, params: SpaceParams, orientation: int = -1) -> float:
-    """nu = <normal, dz>; never zero on a nondegenerate graph jet."""
-    return shape_data(jet, params, orientation).nu
-
-
-def jacobi_potential(jet: Jet2, params: SpaceParams) -> float:
-    """q = (1 - nu^2)(kappa - 4 tau^2) + |sigma|^2 + 2 tau^2.
+def jacobi_potential_from(nu, sigma_sq, params: SpaceParams) -> np.ndarray:
+    """The Jacobi potential q = (1 - nu^2)(kappa - 4 tau^2) + |sigma|^2 + 2 tau^2
+    from the arrays nu and |sigma|^2 of `mean_curvature_arrays`.
 
     Orientation-independent (nu enters squared); this is the potential of
     the stability operator written without curvature-tensor contractions.
     """
-    sd = shape_data(jet, params, orientation=-1)
-    return jacobi_potential_from(sd.nu, sd.sigma_sq, params)
-
-
-def jacobi_potential_from(nu, sigma_sq, params: SpaceParams):
-    """Potential from precomputed nu and |sigma|^2 (array friendly)."""
-    nu = np.asarray(nu, dtype=float)
-    sigma_sq = np.asarray(sigma_sq, dtype=float)
-    out = (1.0 - nu * nu) * (params.kappa - 4.0 * params.tau**2) \
+    return (1.0 - nu * nu) * (params.kappa - 4.0 * params.tau**2) \
         + sigma_sq + 2.0 * params.tau**2
-    if out.ndim == 0:
-        return float(out)
-    return out

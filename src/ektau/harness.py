@@ -287,21 +287,24 @@ def _check_battery(fast: bool = True):
 
     worst = 0.0
     for params in (nil, psl):
-        for _ in range(200):
-            x, y = rng.uniform(-0.8, 0.8, 2)
-            jet = gg.Jet2(x, y, float(rng.randn()), 0, 0, 0, 0, 0)
-            worst = max(worst, abs(gg.shape_data(jet, params).H))
+        # a section's height f (the last column) leaves H unchanged
+        x, y, _ = np.array([np.r_[rng.uniform(-0.8, 0.8, 2), rng.randn()]
+                            for _ in range(200)]).T
+        d = gg.mean_curvature_arrays(model.ambient_components(x, y, params),
+                                     *np.zeros((5, 200)))
+        worst = max(worst, float(np.abs(d["H"]).max()))
     yield "sections are minimal", worst < 1e-10, "max |H| = %.2e" % worst
 
     worst = 0.0
     for params in (nil, psl, flat):
-        for _ in range(60):
-            x, y = rng.uniform(-0.8, 0.8, 2)
-            jet = gg.Jet2(x, y, *(float(v) for v in rng.randn(6)))
-            sd = gg.shape_data(jet, params)
-            rep = model.curvature_report(Point3(x, y, 0.0), params)
-            ric = float(sd.normal.components @ rep.ricci @ sd.normal.components)
-            worst = max(worst, abs(sd.sigma_sq + ric - gg.jacobi_potential(jet, params)))
+        # columns x, y, f, fx, fy, fxx, fxy, fyy
+        x, y, _, *jet = np.array([np.r_[rng.uniform(-0.8, 0.8, 2), rng.randn(6)]
+                                  for _ in range(60)]).T
+        d = gg.mean_curvature_arrays(model.ambient_components(x, y, params), *jet)
+        ric = [n @ model.curvature_report(Point3(a, b), params).ricci @ n
+               for a, b, n in zip(x, y, np.transpose(d["normal"]))]
+        q = gg.jacobi_potential_from(d["nu"], d["sigma_sq"], params)
+        worst = max(worst, float(np.abs(d["sigma_sq"] + ric - q).max()))
     yield "stability potential vs curvature contraction", worst < 1e-6, \
         "max gap = %.2e" % worst
 

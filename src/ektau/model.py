@@ -82,10 +82,6 @@ class SpaceParams:
         """True for the fibered cases tau > 0 with kappa <= 0."""
         return self.tau > 0 and self.kappa <= 0
 
-    @property
-    def is_flat(self) -> bool:
-        return self.kappa == 0.0 and self.tau == 0.0
-
     def contains(self, x, y) -> bool:
         """True iff every point has a finite x^2 + y^2 and, for kappa < 0,
         lies strictly inside the model disk shrunk by 1 - DOMAIN_MARGIN."""
@@ -124,9 +120,6 @@ class Point3:
     x: float
     y: float
     z: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -323,14 +316,15 @@ def _killing_residual_at(x: float, y: float, params: SpaceParams, gamma: np.ndar
         F[:, 0], F[:, 1], F[:, 2],
         F[:, 0] + F[:, 1], F[:, 0] - F[:, 2], F[:, 1] + 2 * F[:, 2],
     ]
-    worst = 0.0
+    forms = []
     for X in dirs:
         nab = gamma[:, :, 2] @ X  # (nabla_X dz)^k = Gamma^k_{i z} X^i
         # X x E3 in the frame, from the coframe lam dx, lam dy
         cross_f = np.array([lam * X[1], -lam * X[0], 0.0])
         diff = nab - params.tau * (F @ cross_f)
-        worst = max(worst, float(np.sqrt(diff @ g @ diff)))
-    return worst
+        forms.append(diff @ g @ diff)
+    # g > 0: a form rounded below 0 is a zero norm; a NaN form stays NaN
+    return float(np.sqrt(np.maximum(np.max(forms), 0.0)))
 
 
 def curvature_report(p: Point3, params: SpaceParams) -> CurvatureReport:
@@ -342,20 +336,30 @@ def curvature_report(p: Point3, params: SpaceParams) -> CurvatureReport:
         Ric = (kappa - 2 tau^2) g + (4 tau^2 - kappa) g_z (x) g_z,
 
     which is diag(kappa - 2 tau^2, kappa - 2 tau^2, 2 tau^2) on the frame.
+    Raises `ConfigInvalid` where the metric data, Christoffels, Ricci
+    components or Killing residual leave the float range.
     """
     params.require_inside(p.x, p.y)
     S, k, t2 = scalar_curvature(params), params.kappa, params.tau ** 2
     if not math.isfinite(4 * t2 - k):
         raise ConfigInvalid("Ricci coefficient 4 tau^2 - kappa overflows "
                             "(kappa=%g, tau=%g)" % (k, params.tau))
-    g, g_inv, dg = _metric_arrays(p.x, p.y, params)
-    G = _christoffel(g_inv, dg)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g, g_inv, dg = _metric_arrays(p.x, p.y, params)
+        G = _christoffel(g_inv, dg)
+        ricci = (k - 2 * t2) * g + (4 * t2 - k) * np.outer(g[2], g[2])
+        killing = _killing_residual_at(p.x, p.y, params, G)
+    if not (np.isfinite(G).all() and np.isfinite(ricci).all()
+            and math.isfinite(killing)):
+        raise ConfigInvalid("curvature data leave the float range at "
+                            "(%g, %g) (kappa=%g, tau=%g)"
+                            % (p.x, p.y, k, params.tau))
     return CurvatureReport(
         christoffel=G,
-        ricci=(k - 2 * t2) * g + (4 * t2 - k) * np.outer(g[2], g[2]),
+        ricci=ricci,
         ricci_diag_frame=np.array([k - 2 * t2, k - 2 * t2, 2 * t2]),
         scalar=S,
-        killing_residual=_killing_residual_at(p.x, p.y, params, G),
+        killing_residual=killing,
     )
 
 

@@ -10,14 +10,14 @@ nodes.
 
 The smallest eigenvalue of the generalized symmetric problem is computed
 by shift-invert Lanczos (Ericsson and Ruhe 1980, Math. Comp. 35) on one
-symmetric-mode LU, shifted just below a lower bound of the spectrum: -max q
-for solved graphs (the stiffness part is positive semidefinite),
--(4H^2 + kappa) for cylinders, Gershgorin for operators built by hand.
-Graph operators are factored in their grid's nested-dissection order
-(George 1973, SIAM J. Numer. Anal. 10), the one Newton's Jacobians are
-factored in; cylinders and hand-built operators in minimum degree.  A seeded random share of the Krylov start vector guards against a
-missed ground state; scipy's Lanczos solvers are kept on the test side as
-an independent oracle.
+symmetric-mode LU, shifted just below the lower bound of the spectrum that
+every operator carries: -max q for solved graphs (the stiffness part is
+positive semidefinite), -(4H^2 + kappa) for cylinders.  Graph operators
+are factored in their grid's nested-dissection order (George 1973, SIAM J.
+Numer. Anal. 10), the one Newton's Jacobians are factored in; cylinders
+and hand-built operators in minimum degree.  A seeded random share of the
+Krylov start vector guards against a missed ground state; scipy's Lanczos
+solvers are kept on the test side as an independent oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import model, rotational
-from .errors import ConfigInvalid, IterationLimit, check_H
+from .errors import ConfigInvalid, IterationLimit, check_H, finite_real
 from .graph_geometry import jacobi_potential_from, mean_curvature_arrays
 from .model import SpaceParams
 from .solver import GraphSolution, _factor
@@ -40,8 +40,8 @@ class DiscreteOperator:
     """Weak form of -(Laplacian + q), `matrix`, with its lumped mass `mass`:
     a 1-d array of one positive entry per unknown.
 
-    `lower_bound`, when known, is a number no larger than the smallest
-    generalized eigenvalue; the eigensolver shifts just below it.
+    `lower_bound` is a finite real no larger than the smallest generalized
+    eigenvalue; the eigensolver shifts just below it.
     `ordering`, when set, is the fill-reducing order of the unknowns in
     which the eigensolver factors, for a solved graph its grid's
     `nd_order()`; SuperLU's minimum degree otherwise.
@@ -49,7 +49,7 @@ class DiscreteOperator:
 
     matrix: sp.csr_matrix
     mass: np.ndarray
-    lower_bound: float | None = None
+    lower_bound: float
     ordering: np.ndarray | None = None
 
 
@@ -188,21 +188,21 @@ def smallest_eigenvalue(op: DiscreteOperator) -> SpectrumReport:
     """Smallest generalized eigenvalue of (matrix, mass) by shift-invert Lanczos.
 
     One LU of B - sigma I (B the mass-scaled matrix, sigma just under
-    `op.lower_bound`, Gershgorin of B when unset) serves the whole solve,
-    factored in `op.ordering` if set, else in minimum-degree order.  The
-    Krylov space of its inverse starts from the all-ones vector (these
-    Schrodinger-type operators have a sign-definite ground state) plus a
-    seeded random share that reaches a ground state orthogonal to it; it is
-    fully reorthogonalized and restarts from its Ritz vector when full or
-    invariant.  The smallest Ritz pair of B is returned once
-    ||Bx - lam x|| <= 1e-10 max(1, |lam|), with the matrix scaled by 2^-e
-    before the mass scaling where max|matrix| / min(mass) reaches 2^500, e
-    the exponent of that ratio (lam then scales back by 2^e, and the rule
-    holds for B 2^-e); `iterations` counts the solves,
-    at most 5000 (`IterationLimit` beyond).  A matrix that is not square or
-    has a non-finite entry, a mass that is not a 1-d real array of one finite
-    positive entry per unknown, and an ordering that is no permutation raise
-    `ConfigInvalid` before any factorization.
+    `op.lower_bound`) serves the whole solve, factored in `op.ordering` if
+    set, else in minimum-degree order.  The Krylov space of its inverse
+    starts from the all-ones vector (these Schrodinger-type operators have
+    a sign-definite ground state) plus a seeded random share that reaches a
+    ground state orthogonal to it; it is fully reorthogonalized and
+    restarts from its Ritz vector when full or invariant.  The smallest
+    Ritz pair of B is returned once ||Bx - lam x|| <= 1e-10 max(1, |lam|),
+    with the matrix scaled by 2^-e before the mass scaling where
+    max|matrix| / min(mass) reaches 2^500, e the exponent of that ratio
+    (lam then scales back by 2^e, and the rule holds for B 2^-e);
+    `iterations` counts the solves, at most 5000 (`IterationLimit` beyond).
+    A matrix that is not square or has a non-finite entry, a mass that is
+    not a 1-d real array of one finite positive entry per unknown, a lower
+    bound that is not a finite real and an ordering that is no permutation
+    raise `ConfigInvalid` before any factorization.
     """
     shape = op.matrix.shape
     if shape[0] != shape[1]:
@@ -216,6 +216,9 @@ def smallest_eigenvalue(op: DiscreteOperator) -> SpectrumReport:
         raise ConfigInvalid("ordering must be a permutation of the %d unknowns" % n)
     if not (np.isfinite(m).all() and (m > 0).all()):
         raise ConfigInvalid("mass diagonal must be finite and positive")
+    if not finite_real(op.lower_bound):
+        raise ConfigInvalid("lower bound of the spectrum must be a finite "
+                            "real, got %r" % (op.lower_bound,))
     B = sp.csr_matrix(op.matrix)
     if not np.isfinite(B.data).all():
         raise ConfigInvalid("operator matrix has a non-finite entry")
@@ -235,12 +238,7 @@ def smallest_eigenvalue(op: DiscreteOperator) -> SpectrumReport:
     v = np.ones(n) + 1e-2 * np.random.RandomState(1234).standard_normal(n)
     if op.ordering is not None:        # the spectrum ignores the numbering
         B, v = B[op.ordering][:, op.ordering], v[op.ordering]
-    lb = op.lower_bound
-    if lb is not None:
-        lb = math.ldexp(lb, -e)
-    else:
-        radii = np.asarray(abs(B).sum(axis=1)).ravel() - abs(B.diagonal())
-        lb = float((B.diagonal() - radii).min())
+    lb = math.ldexp(op.lower_bound, -e)
     shift = lb - 1e-3 * max(1.0, abs(lb))
     M = B.tocsc()
     M.setdiag(B.diagonal() - shift)            # in place on a stored diagonal

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 import scipy
 
-from ektau.graph_geometry import Jet2, shape_data, jacobi_potential
+from ektau.graph_geometry import jacobi_potential_from, mean_curvature_arrays
 from ektau.harness import (FAILURES, ExperimentConfig, cli_dispatch,
                            run_experiment)
-from ektau.model import (Point3, SpaceParams, christoffel_components,
-                         _killing_residual_at)
+from ektau.model import (Point3, SpaceParams, ambient_components,
+                         christoffel_components, _killing_residual_at)
 from ektau.rotational import hemisphere_height
 from ektau.solver import disk_grid, graph_height, solve_dirichlet
 from ektau.stability import (angle_jacobi_residual, assemble_jacobi,
@@ -115,10 +115,12 @@ def test_criterion_02_sections_minimal():
     worst = 0.0
     for params in (NIL, PSL):
         lim = 0.8 if params.kappa == 0 else 0.45 * params.domain_radius
-        for _ in range(200):
-            x, y = rng.uniform(-lim, lim, 2)
-            jet = Jet2(x, y, float(rng.randn()), 0, 0, 0, 0, 0)
-            worst = max(worst, abs(shape_data(jet, params).H))
+        # a section's height f (the last column) leaves H unchanged
+        x, y, _ = np.array([np.r_[rng.uniform(-lim, lim, 2), rng.randn()]
+                            for _ in range(200)]).T
+        d = mean_curvature_arrays(ambient_components(x, y, params),
+                                  *np.zeros((5, 200)))
+        worst = max(worst, float(np.abs(d["H"]).max()))
     report(2, worst < 1e-10, "max |H| over sections %.2e" % worst, t0, 1.0)
 
 
@@ -128,16 +130,17 @@ def test_criterion_03_potential_identity():
     worst = 0.0
     for params in (NIL, PSL):
         lim = 0.8 if params.kappa == 0 else 0.45 * params.domain_radius
-        for _ in range(500):
-            x, y = rng.uniform(-lim, lim, 2)
-            jet = Jet2(x, y, *(float(v) for v in rng.randn(6)))
-            sd = shape_data(jet, params)
+        # columns x, y, f, fx, fy, fxx, fxy, fyy
+        x, y, _, *jet = np.array([np.r_[rng.uniform(-lim, lim, 2), rng.randn(6)]
+                                  for _ in range(500)]).T
+        d = mean_curvature_arrays(ambient_components(x, y, params), *jet)
+        q = jacobi_potential_from(d["nu"], d["sigma_sq"], params)
+        for i, normal in enumerate(np.transpose(d["normal"])):
             # Ricci from finite differences of the exact Christoffels
-            rep = curvature_report_fd(Point3(x, y, 0.0), params,
-                                      christoffel_components)
-            ric = float(sd.normal.components @ rep.ricci @ sd.normal.components)
-            worst = max(worst, abs(sd.sigma_sq + ric
-                                   - jacobi_potential(jet, params)))
+            ricci = curvature_report_fd(Point3(x[i], y[i], 0.0), params,
+                                        christoffel_components).ricci
+            worst = max(worst, float(abs(d["sigma_sq"][i] + normal @ ricci @ normal
+                                         - q[i])))
     report(3, worst < 1e-6, "max |(sigma^2+Ric) - closed form| %.2e" % worst,
            t0, 5.0)
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from ektau import model, rotational
@@ -214,6 +214,36 @@ def test_domain_helpers_answer_or_raise_ektau_error(kappa, tau, data):
         return
     assert inside and params.contains(*p2)
     assert math.isfinite(dist) and dist >= 0
+
+
+@st.composite
+def fuzz_space_and_point(draw):
+    """A space over FUZZ_KAPPA and FUZZ_TAU and a `fuzz_point` in it."""
+    try:
+        params = SpaceParams(draw(FUZZ_KAPPA), draw(FUZZ_TAU))
+    except ConfigInvalid:
+        reject()
+    return params, draw(fuzz_point(params))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_space_and_point())
+# (4 tau^2 - kappa) g_z g_z^T overflows, so the Ricci entries were inf
+@example((SpaceParams(0.0, 5.78960446186581e76), (0.0, 2.0)))
+# the Killing form diff.g.diff rounded below 0, and its sqrt was NaN
+@example((SpaceParams(2.0 ** 23, 2.0 ** 25), (1.0, 3.0)))
+def test_curvature_report_answers_or_raises_ektau_error(case):
+    # no numpy warning (warnings are errors): every field finite, the
+    # Killing residual >= 0, or an EktauError
+    params, point = case
+    try:
+        rep = model.curvature_report(model.Point3(*point), params)
+    except EktauError:
+        return
+    for field in (rep.christoffel, rep.ricci, rep.ricci_diag_frame):
+        assert np.isfinite(field).all()
+    assert math.isfinite(rep.scalar)
+    assert 0.0 <= rep.killing_residual < math.inf
 
 
 def test_margin_scales_with_the_model_disk():

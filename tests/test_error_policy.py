@@ -125,7 +125,7 @@ def _grid(center=(0.0, 0.0), n=16, params=NIL, radius=1.0):
 
 
 def _non_square_operator():
-    return stability.DiscreteOperator(sp.eye(3, 2).tocsr(), np.ones(3))
+    return stability.DiscreteOperator(sp.eye(3, 2).tocsr(), np.ones(3), 0.0)
 
 
 # id: (call, error, message) of bad input that is rejected at the entry

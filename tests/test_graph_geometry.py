@@ -1,4 +1,5 @@
-"""Extrinsic geometry of graph jets: forms, angle function, potential."""
+"""Extrinsic geometry of graph jets through the kernel's array entry:
+forms, angle function, potential."""
 
 import math
 
@@ -9,10 +10,9 @@ from hypothesis import strategies as st
 
 from ektau import model
 from ektau.errors import ConfigInvalid, DegenerateMetric, OutOfDomain
-from ektau.graph_geometry import (Jet2, _forms, angle_function,
-                                  jacobi_potential, jacobi_potential_from,
+from ektau.graph_geometry import (_forms, jacobi_potential_from,
                                   mean_curvature_arrays,
-                                  mean_curvature_sensitivities, shape_data)
+                                  mean_curvature_sensitivities)
 from ektau.model import (Point3, SpaceParams, ambient_components,
                          curvature_report)
 
@@ -22,147 +22,150 @@ H2R = SpaceParams(-1.0, 0.0)
 FLAT = SpaceParams(0.0, 0.0)
 
 
-def random_jet(rng, params, lim=0.8):
+def random_jet_arrays(rng, params, count, lim=0.8):
+    """`count` random jets, each drawn as x, y, then f, fx, fy, fxx, fxy,
+    fyy: the points x, y and the rows fx, fy, fxx, fxy, fyy (a graph's
+    height f changes nothing here and is dropped)."""
     lim = min(lim, 0.45 * params.domain_radius) if params.kappa < 0 else lim
-    x, y = rng.uniform(-lim, lim, 2)
-    return Jet2(x, y, *(float(v) for v in rng.randn(6)))
+    x, y, _, *jet = np.array([np.r_[rng.uniform(-lim, lim, 2), rng.randn(6)]
+                              for _ in range(count)]).T
+    return x, y, np.array(jet)
+
+
+def kernel(params, x, y, jet, orientation=-1):
+    """`mean_curvature_arrays` at the points (x, y) for the jet rows fx, fy,
+    fxx, fxy, fyy; a scalar point and a 5-entry jet make one point."""
+    x, y = np.atleast_1d(x, y)
+    jet = np.reshape(np.asarray(jet, dtype=float), (5, x.size))
+    return mean_curvature_arrays(ambient_components(x, y, params), *jet,
+                                 orientation)
 
 
 class TestSections:
     def test_sections_are_minimal(self):
         rng = np.random.RandomState(11)
         for params in (NIL, PSL):
-            worst = 0.0
-            for _ in range(200):
-                jet = random_jet(rng, params)
-                jet = Jet2(jet.x, jet.y, 0.3, 0, 0, 0, 0, 0)
-                worst = max(worst, abs(shape_data(jet, params).H))
-            assert worst < 1e-10
+            x, y, _ = random_jet_arrays(rng, params, 200)
+            d = kernel(params, x, y, np.zeros((5, 200)))
+            assert np.abs(d["H"]).max() < 1e-10
 
     def test_section_angle_at_origin_downward(self):
-        nu = angle_function(Jet2(0, 0, 0, 0, 0, 0, 0, 0), NIL, orientation=-1)
+        nu = kernel(NIL, 0.0, 0.0, np.zeros(5), orientation=-1)["nu"][0]
         assert nu == pytest.approx(-1.0)
 
     def test_section_angle_off_axis(self):
         # hand-solved 3x3 orthogonality system at (0, 1, 0), tau = 1/2:
         # the normal is not -dz because <dx, dz> = tau*lam*y there
-        nu = angle_function(Jet2(0.0, 1.0, 0.0, 0, 0, 0, 0, 0), NIL, -1)
+        nu = kernel(NIL, 0.0, 1.0, np.zeros(5), -1)["nu"][0]
         assert nu == pytest.approx(-2.0 / math.sqrt(5.0), abs=1e-14)
 
 
 class TestEuclideanReduction:
     def test_unit_sphere_south_pole(self):
-        sd = shape_data(Jet2(0, 0, -1.0, 0, 0, 1.0, 0.0, 1.0), FLAT, +1)
-        assert sd.H == pytest.approx(1.0)
-        assert sd.nu == pytest.approx(1.0)
-        assert sd.sigma_sq == pytest.approx(2.0)
+        d = kernel(FLAT, 0.0, 0.0, (0, 0, 1.0, 0.0, 1.0), +1)
+        assert d["H"][0] == pytest.approx(1.0)
+        assert d["nu"][0] == pytest.approx(1.0)
+        assert d["sigma_sq"][0] == pytest.approx(2.0)
 
     def test_tilted_plane(self):
-        sd = shape_data(Jet2(0, 0, 0, 1.0, 0, 0, 0, 0), FLAT, -1)
-        assert sd.H == pytest.approx(0.0, abs=1e-15)
-        assert sd.nu == pytest.approx(-1 / math.sqrt(2))
+        d = kernel(FLAT, 0.0, 0.0, (1.0, 0, 0, 0, 0), -1)
+        assert d["H"][0] == pytest.approx(0.0, abs=1e-15)
+        assert d["nu"][0] == pytest.approx(-1 / math.sqrt(2))
 
     def test_divergence_form_mean_curvature(self):
         rng = np.random.RandomState(12)
-        for _ in range(200):
-            jet = random_jet(rng, FLAT, lim=2.0)
-            sd = shape_data(jet, FLAT, +1)
-            W = math.sqrt(1 + jet.fx**2 + jet.fy**2)
-            Hdiv = ((1 + jet.fy**2) * jet.fxx - 2 * jet.fx * jet.fy * jet.fxy
-                    + (1 + jet.fx**2) * jet.fyy) / (2 * W**3)
-            assert sd.H == pytest.approx(Hdiv, abs=1e-10)
+        x, y, jet = random_jet_arrays(rng, FLAT, 200, lim=2.0)
+        fx, fy, fxx, fxy, fyy = jet
+        W = np.sqrt(1 + fx**2 + fy**2)
+        Hdiv = ((1 + fy**2) * fxx - 2 * fx * fy * fxy
+                + (1 + fx**2) * fyy) / (2 * W**3)
+        assert kernel(FLAT, x, y, jet, +1)["H"] == pytest.approx(Hdiv, abs=1e-10)
 
 
 class TestAngleFunction:
     def test_bounded_by_one(self):
         rng = np.random.RandomState(13)
         for params in (NIL, PSL, FLAT):
-            for _ in range(150):
-                nu = angle_function(random_jet(rng, params), params)
-                assert nu**2 <= 1.0 + 1e-12
+            nu = kernel(params, *random_jet_arrays(rng, params, 150))["nu"]
+            assert (nu**2 <= 1.0 + 1e-12).all()
 
     def test_never_zero(self):
         rng = np.random.RandomState(14)
-        for _ in range(100):
-            jet = random_jet(rng, NIL)
-            steep = Jet2(jet.x, jet.y, jet.f, 50.0, -80.0,
-                         jet.fxx, jet.fxy, jet.fyy)
-            assert angle_function(steep, NIL) != 0.0
+        x, y, jet = random_jet_arrays(rng, NIL, 100)
+        jet[:2] = [[50.0], [-80.0]]
+        assert (kernel(NIL, x, y, jet)["nu"] != 0.0).all()
+
+
+def potential(params, x, y, jet, orientation=-1):
+    d = kernel(params, x, y, jet, orientation)
+    return d, jacobi_potential_from(d["nu"], d["sigma_sq"], params)
 
 
 class TestJacobiPotential:
     def test_flat_planar_zero(self):
-        assert jacobi_potential(Jet2(0.2, 0.1, 3.0, 0, 0, 0, 0, 0), FLAT) == 0.0
+        assert potential(FLAT, 0.2, 0.1, np.zeros(5))[1][0] == 0.0
 
     def test_vertical_limit_value(self):
         # as nu -> 0 in Nil (tau = 1/2) the potential tends to |sigma|^2 - 1/2
-        jet = Jet2(0.0, 0.0, 0.0, 1e8, 0.0, 0.3, 0.0, 0.1)
-        sd = shape_data(jet, NIL)
-        q = jacobi_potential(jet, NIL)
-        assert q == pytest.approx(sd.sigma_sq - 0.5, abs=1e-6)
+        d, q = potential(NIL, 0.0, 0.0, (1e8, 0.0, 0.3, 0.0, 0.1))
+        assert q[0] == pytest.approx(d["sigma_sq"][0] - 0.5, abs=1e-6)
 
     def test_orientation_independent(self):
         rng = np.random.RandomState(15)
-        jet = random_jet(rng, PSL)
-        a = shape_data(jet, PSL, +1)
-        b = shape_data(jet, PSL, -1)
-        qa = jacobi_potential_from(a.nu, a.sigma_sq, PSL)
-        qb = jacobi_potential_from(b.nu, b.sigma_sq, PSL)
+        jet = random_jet_arrays(rng, PSL, 1)
+        qa = potential(PSL, *jet, +1)[1]
+        qb = potential(PSL, *jet, -1)[1]
         assert qa == pytest.approx(qb, rel=1e-14)
 
     def test_matches_curvature_contraction(self):
         # |sigma|^2 + Ric(normal) computed tensorially equals the closed form
         rng = np.random.RandomState(16)
         for params in (NIL, PSL):
-            for _ in range(60):
-                jet = random_jet(rng, params)
-                sd = shape_data(jet, params)
-                rep = curvature_report(Point3(jet.x, jet.y, jet.f), params)
-                ric = sd.normal.components @ rep.ricci @ sd.normal.components
-                assert jacobi_potential(jet, params) == pytest.approx(
-                    sd.sigma_sq + ric, abs=1e-6)
+            x, y, jet = random_jet_arrays(rng, params, 60)
+            d, q = potential(params, x, y, jet)
+            for i, normal in enumerate(np.transpose(d["normal"])):
+                ricci = curvature_report(Point3(x[i], y[i]), params).ricci
+                assert q[i] == pytest.approx(
+                    d["sigma_sq"][i] + normal @ ricci @ normal, abs=1e-6)
 
 
 class TestOrientationFlip:
     def test_flip_negates_odd_quantities(self):
         rng = np.random.RandomState(17)
         for params in (NIL, PSL, FLAT):
-            for _ in range(40):
-                jet = random_jet(rng, params)
-                up = shape_data(jet, params, +1)
-                dn = shape_data(jet, params, -1)
-                assert up.H == pytest.approx(-dn.H, rel=1e-12, abs=1e-13)
-                assert up.nu == pytest.approx(-dn.nu, rel=1e-12)
-                np.testing.assert_allclose(up.second_form, -dn.second_form,
-                                           atol=1e-12)
-                np.testing.assert_allclose(up.first_form, dn.first_form)
-                assert up.sigma_sq == pytest.approx(dn.sigma_sq, rel=1e-12)
+            jets = random_jet_arrays(rng, params, 40)
+            up = kernel(params, *jets, +1)
+            dn = kernel(params, *jets, -1)
+            assert up["H"] == pytest.approx(-dn["H"], rel=1e-12, abs=1e-13)
+            assert up["nu"] == pytest.approx(-dn["nu"], rel=1e-12)
+            for key in ("II11", "II12", "II22"):
+                np.testing.assert_allclose(up[key], -dn[key], atol=1e-12)
+            for key in ("I11", "I12", "I22"):
+                np.testing.assert_allclose(up[key], dn[key])
+            assert up["sigma_sq"] == pytest.approx(dn["sigma_sq"], rel=1e-12)
 
 
 class TestShapeInvariants:
     def test_normal_is_unit(self):
         rng = np.random.RandomState(18)
-        from ektau.model import metric_components
         for params in (NIL, PSL):
-            for _ in range(50):
-                jet = random_jet(rng, params)
-                sd = shape_data(jet, params)
-                g = metric_components(jet.x, jet.y, params)
-                n = sd.normal.components
-                assert n @ g @ n == pytest.approx(1.0, abs=1e-10)
+            x, y, jet = random_jet_arrays(rng, params, 50)
+            n = np.stack(kernel(params, x, y, jet)["normal"], axis=-1)
+            g = model.metric_components(x, y, params)
+            assert np.einsum("...i,...ij,...j->...", n, g, n) == pytest.approx(
+                1.0, abs=1e-10)
 
     def test_sigma_sq_dominates_2H_sq(self):
         rng = np.random.RandomState(19)
         for params in (NIL, PSL, FLAT):
-            for _ in range(100):
-                sd = shape_data(random_jet(rng, params), params)
-                assert sd.sigma_sq >= 2 * sd.H**2 - 1e-9
+            d = kernel(params, *random_jet_arrays(rng, params, 100))
+            assert (d["sigma_sq"] >= 2 * d["H"]**2 - 1e-9).all()
 
     def test_first_form_positive_definite(self):
         rng = np.random.RandomState(20)
-        sd = shape_data(random_jet(rng, PSL), PSL)
-        eig = np.linalg.eigvalsh(sd.first_form)
-        assert eig.min() > 0
+        d = kernel(PSL, *random_jet_arrays(rng, PSL, 1))
+        first = np.array([[d["I11"][0], d["I12"][0]], [d["I12"][0], d["I22"][0]]])
+        assert np.linalg.eigvalsh(first).min() > 0
 
 
 def einsum_reference(x, y, params, fx, fy, fxx, fxy, fyy, orientation):
@@ -287,17 +290,15 @@ class TestErrorPaths:
         with pytest.raises(DegenerateMetric):
             mean_curvature_arrays(amb, *jet)
 
-    @pytest.mark.parametrize("entry", ["shape_data", "mean_curvature_arrays"])
+    @pytest.mark.parametrize("entry", ["float_forms", "mean_curvature_arrays"])
     @pytest.mark.parametrize("orientation", [0, 2, True, 1.0, "1", None])
     def test_bad_orientation_rejected(self, entry, orientation):
-        # the solver's rule: the int +1 or -1, where True would run as +1
-        jet = Jet2(0.2, 0.1, 0.0, 0.3, -0.2, 0.5, 0.1, -0.4)
+        # the solver's rule: the int +1 or -1, where True would run as +1;
+        # the kernel's float path (the ODE oracle's) keeps it too
+        jet = (0.3, -0.2, 0.5, 0.1, -0.4)
         with pytest.raises(ConfigInvalid,
                            match="orientation must be the integer"):
-            if entry == "shape_data":
-                shape_data(jet, NIL, orientation=orientation)
+            if entry == "float_forms":
+                _forms(ambient_components(0.2, 0.1, NIL), *jet, orientation)
             else:
-                amb = ambient_components(np.array([jet.x]),
-                                         np.array([jet.y]), NIL)
-                mean_curvature_arrays(amb, *(np.array([v]) for v in (
-                    jet.fx, jet.fy, jet.fxx, jet.fxy, jet.fyy)), orientation)
+                kernel(NIL, 0.2, 0.1, jet, orientation)

@@ -12,7 +12,6 @@ from ektau.model import (Point3, SpaceParams, base_distance, christoffel,
                          frame_matrix, metric_at, metric_components,
                          orthonormal_frame,
                          scalar_curvature, sphere_exists, _killing_residual_at)
-from ektau.graph_geometry import Jet2, shape_data
 from fd_curvature import christoffel_fd, curvature_report_fd
 
 NIL = SpaceParams(kappa=0.0, tau=0.5)
@@ -28,7 +27,7 @@ def random_points(params, count, rng, r=0.8):
 
 class TestSpaceParams:
     def test_flat_reduction_allowed(self):
-        assert FLAT.is_flat and not FLAT.theorem_scope
+        assert (FLAT.kappa, FLAT.tau) == (0.0, 0.0) and not FLAT.theorem_scope
 
     def test_kappa_equals_four_tau_sq_rejected(self):
         with pytest.raises(ValueError):
@@ -63,7 +62,6 @@ POINTWISE = {
     "curvature_report": lambda v, p: curvature_report(Point3(v, 0.0), p),
     "orthonormal_frame": lambda v, p: orthonormal_frame(Point3(v, 0.0), p),
     "conformal_factor": lambda v, p: conformal_factor(v, 0.0, p),
-    "shape_data": lambda v, p: shape_data(Jet2(v, 0.0, 0, 0, 0, 0, 0, 0), p),
 }
 
 

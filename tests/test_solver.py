@@ -1070,16 +1070,18 @@ class TestSigmaProfile:
     def test_nil_section_profile_matches_pointwise_norm(self):
         # sections with tau > 0 are minimal but not totally geodesic: the
         # profile reports the pointwise |sigma| of the section
-        from ektau.graph_geometry import Jet2, shape_data
+        from ektau.graph_geometry import mean_curvature_arrays
+        from ektau.model import ambient_components
         g = disk_grid(0.8, 24, NIL)
         sol = solve_dirichlet(g, 0.0, 0.0, NIL)
         prof = sigma_profile(sol)
         assert prof
         # the twist vanishes on the fiber axis and grows outward
         assert max(s for _, s in prof) > 0.05
-        oracle = max(
-            math.sqrt(shape_data(Jet2(x, y, 0, 0, 0, 0, 0, 0), NIL).sigma_sq)
-            for x, y in zip(g.X[g.interior], g.Y[g.interior]))
+        x, y = g.X[g.interior], g.Y[g.interior]
+        d = mean_curvature_arrays(ambient_components(x, y, NIL),
+                                  *np.zeros((5, x.size)))
+        oracle = math.sqrt(d["sigma_sq"].max())
         assert max(s for _, s in prof) == pytest.approx(oracle, rel=1e-8)
 
     def test_euclidean_cap_is_umbilic(self):

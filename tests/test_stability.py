@@ -222,7 +222,7 @@ class TestSmallestEigenvalue:
         rep = smallest_eigenvalue(op)
         c = 3.7
         shifted = DiscreteOperator((op.matrix - c * sp.diags(op.mass)).tocsr(),
-                                   op.mass)
+                                   op.mass, op.lower_bound - c)
         rep_c = smallest_eigenvalue(shifted)
         assert rep_c.lambda_min == pytest.approx(rep.lambda_min - c, abs=1e-8)
 
@@ -256,19 +256,19 @@ class TestSmallestEigenvalue:
         # orthogonal to the ground state (1, -1) with eigenvalue 1
         m = 20
         A = sp.kron(sp.identity(m), sp.csr_matrix([[2.0, 1.0], [1.0, 2.0]]))
-        op = DiscreteOperator(A.tocsr(), np.ones(2 * m))
+        op = DiscreteOperator(A.tocsr(), np.ones(2 * m), lower_bound=1.0)
         rep = smallest_eigenvalue(op)
         assert rep.lambda_min == pytest.approx(1.0, abs=1e-10)
         assert rep.eigvec_residual < 1e-10
 
     def test_restarts_when_the_basis_fills(self):
-        # Dirichlet Laplacian tridiag(-1, 2, -1) at the Gershgorin shift:
+        # Dirichlet Laplacian tridiag(-1, 2, -1) at its Gershgorin bound 0:
         # lambda_1 ~ 6e-7 sits so close to lambda_2 relative to the shift
         # that the basis fills and restarts from its Ritz vector
         n = 4000
         A = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
                      [-1, 0, 1])
-        op = DiscreteOperator(A.tocsr(), np.ones(n))
+        op = DiscreteOperator(A.tocsr(), np.ones(n), lower_bound=0.0)
         rep = smallest_eigenvalue(op)
         assert rep.iterations > _KRYLOV_BASIS
         exact = 2.0 - 2.0 * math.cos(math.pi / (n + 1))
@@ -282,7 +282,7 @@ class TestSmallestEigenvalue:
         n = 50
         A = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
                      [-1, 0, 1]) * scale
-        rep = smallest_eigenvalue(DiscreteOperator(A.tocsr(), np.ones(n)))
+        rep = smallest_eigenvalue(DiscreteOperator(A.tocsr(), np.ones(n), 0.0))
         exact = scale * 2.0 * (1.0 - math.cos(math.pi / (n + 1)))
         assert rep.lambda_min == pytest.approx(exact, rel=1e-10)
 
@@ -293,7 +293,8 @@ class TestSmallestEigenvalue:
         n = 50
         A = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
                      [-1, 0, 1]) * 1e10
-        rep = smallest_eigenvalue(DiscreteOperator(A.tocsr(), np.full(n, 1e-300)))
+        rep = smallest_eigenvalue(DiscreteOperator(A.tocsr(), np.full(n, 1e-300),
+                                                   0.0))
         exact = 1e10 * 2.0 * (1.0 - math.cos(math.pi / (n + 1))) / 1e-300
         assert rep.lambda_min == pytest.approx(exact, rel=1e-12)
 
@@ -335,7 +336,7 @@ class TestSmallestEigenvalue:
 
     def test_rejects_non_square_matrix(self):
         op, _ = unit_square_operator(16)
-        bad = DiscreteOperator(op.matrix[:, :-1], op.mass)
+        bad = DiscreteOperator(op.matrix[:, :-1], op.mass, op.lower_bound)
         with pytest.raises(ValueError, match="must be square"):
             smallest_eigenvalue(bad)
 
@@ -346,7 +347,8 @@ class TestSmallestEigenvalue:
         monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1))
         with pytest.raises(ConfigInvalid, match="1-d real array of %d entries"
                            % n):
-            smallest_eigenvalue(DiscreteOperator(op.matrix, op.mass[:-1]))
+            smallest_eigenvalue(DiscreteOperator(op.matrix, op.mass[:-1],
+                                                 op.lower_bound))
         assert not calls
 
     @pytest.mark.parametrize("mass", [
@@ -359,7 +361,8 @@ class TestSmallestEigenvalue:
         calls = []
         monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1))
         with pytest.raises(ConfigInvalid, match="mass must be the lumped diagonal"):
-            smallest_eigenvalue(DiscreteOperator(op.matrix, mass(op.mass)))
+            smallest_eigenvalue(DiscreteOperator(op.matrix, mass(op.mass),
+                                                 op.lower_bound))
         assert not calls
 
     def test_rejects_consistent_mass(self, monkeypatch):
@@ -385,7 +388,7 @@ class TestSmallestEigenvalue:
     @pytest.mark.parametrize("ordering", [[0, 0, 1], [0, 1, 3], [2, 1]])
     def test_rejects_ordering_that_is_no_permutation(self, ordering):
         op = DiscreteOperator(sp.identity(3, format="csr"), np.ones(3),
-                              ordering=ordering)
+                              lower_bound=1.0, ordering=ordering)
         with pytest.raises(ValueError, match="permutation of the 3 unknowns"):
             smallest_eigenvalue(op)
 
@@ -397,8 +400,21 @@ class TestSmallestEigenvalue:
         A.eliminate_zeros()
         assert not A.diagonal().any() and A.nnz == 2 * m
         rep = smallest_eigenvalue(
-            DiscreteOperator(A, np.ones(2 * m)))
+            DiscreteOperator(A, np.ones(2 * m), lower_bound=-1.0))
         assert rep.lambda_min == pytest.approx(-1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("bound", ["0", math.nan, math.inf, -math.inf])
+    def test_rejects_lower_bound_that_is_no_finite_real(self, monkeypatch,
+                                                        bound):
+        # a string escaped as a raw TypeError, NaN and +inf as a failed
+        # factor, and -inf ran the whole Lanczos budget
+        op, _ = unit_square_operator(16)
+        calls = []
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1))
+        with pytest.raises(ConfigInvalid, match="lower bound of the spectrum "
+                           "must be a finite real"):
+            smallest_eigenvalue(DiscreteOperator(op.matrix, op.mass, bound))
+        assert not calls
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf])
     def test_rejects_non_finite_matrix_entry(self, monkeypatch, entry):
@@ -408,7 +424,7 @@ class TestSmallestEigenvalue:
         calls = []
         monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1))
         with pytest.raises(ValueError, match="non-finite entry"):
-            smallest_eigenvalue(DiscreteOperator(A, op.mass))
+            smallest_eigenvalue(DiscreteOperator(A, op.mass, op.lower_bound))
         assert not calls
 
     def test_solved_graphs_are_stable(self):
