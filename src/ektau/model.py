@@ -272,10 +272,20 @@ def christoffel_components(x, y, params: SpaceParams) -> np.ndarray:
     return _christoffel(g_inv, dg)
 
 
+def _check_float_range(what: str, p: Point3, params: SpaceParams, *data):
+    """Raise `ConfigInvalid` unless every entry of data at p is finite."""
+    if not all(np.isfinite(a).all() for a in data):
+        raise ConfigInvalid("%s leave the float range at (%g, %g) (kappa=%g, "
+                            "tau=%g)" % (what, p.x, p.y, params.kappa, params.tau))
+
+
 def metric_at(p: Point3, params: SpaceParams) -> MetricAtPoint:
-    """Metric tensor with inverse and exact first derivatives at p."""
+    """Metric tensor with inverse and exact first derivatives at p; raises
+    `ConfigInvalid` where an entry leaves the float range."""
     params.require_inside(p.x, p.y)
-    g, g_inv, dg = _metric_arrays(p.x, p.y, params)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g, g_inv, dg = _metric_arrays(p.x, p.y, params)
+    _check_float_range("metric data", p, params, g, g_inv, dg)
     return MetricAtPoint(g=g, g_inv=g_inv, dg=dg)
 
 
@@ -290,16 +300,23 @@ def frame_matrix(x, y, params: SpaceParams) -> np.ndarray:
 
 
 def orthonormal_frame(p: Point3, params: SpaceParams):
-    """The frame E1, E2, E3 at p as TangentVectors."""
+    """The frame E1, E2, E3 at p as TangentVectors; raises `ConfigInvalid`
+    where a component leaves the float range."""
     params.require_inside(p.x, p.y)
-    F = frame_matrix(p.x, p.y, params)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        F = frame_matrix(p.x, p.y, params)
+    _check_float_range("frame components", p, params, F)
     return tuple(TangentVector(base=p, components=F[:, i]) for i in range(3))
 
 
 def christoffel(p: Point3, params: SpaceParams) -> np.ndarray:
-    """Christoffel symbols Gamma^k_ij at p, indexed [k, i, j]."""
+    """Christoffel symbols Gamma^k_ij at p, indexed [k, i, j]; raises
+    `ConfigInvalid` where one leaves the float range."""
     params.require_inside(p.x, p.y)
-    return christoffel_components(p.x, p.y, params)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        G = christoffel_components(p.x, p.y, params)
+    _check_float_range("Christoffel symbols", p, params, G)
+    return G
 
 
 # ----------------------------------------------------------------------
@@ -349,11 +366,7 @@ def curvature_report(p: Point3, params: SpaceParams) -> CurvatureReport:
         G = _christoffel(g_inv, dg)
         ricci = (k - 2 * t2) * g + (4 * t2 - k) * np.outer(g[2], g[2])
         killing = _killing_residual_at(p.x, p.y, params, G)
-    if not (np.isfinite(G).all() and np.isfinite(ricci).all()
-            and math.isfinite(killing)):
-        raise ConfigInvalid("curvature data leave the float range at "
-                            "(%g, %g) (kappa=%g, tau=%g)"
-                            % (p.x, p.y, k, params.tau))
+    _check_float_range("curvature data", p, params, G, ricci, killing)
     return CurvatureReport(
         christoffel=G,
         ricci=ricci,

@@ -14,11 +14,13 @@ all five jet entries) and the solution's min|nu| and max|sigma| are read
 off it.  The stencils and the boundary closure are linear, so J x is the
 sum over jets k of dH/d jet k times (jet_u x)_k: GMRES applies J so, and
 J is assembled as one sparse product S @ jet_u (S holds the partials as a
-row of five diagonal matrices) only to be factored.  Newton works in the
-grid's nested-dissection order (George 1973: a lattice line across the
-longer side of each box, down to boxes of 8 nodes), in which one SuperLU
-factor (symmetric mode) is taken as it stands and serves as the right
-preconditioner of GMRES (Saad and Schultz 1986) on each later Jacobian.
+row of five diagonal matrices) only to be factored.  Newton works in a
+nested-dissection order (George 1973: a lattice line across the longer
+side of each box, down to boxes of 8 nodes) in which the disk closure's
+long couplings are lifted into the separators that split them, so every
+Jacobian coupling is separated.  In it one SuperLU factor (symmetric mode)
+is taken as it stands and serves as the right preconditioner of GMRES
+(Saad and Schultz 1986) on each later Jacobian.
 The next Jacobian is assembled and factored afresh when 15 GMRES
 iterations fall short of a relative residual of 1e-6, and after every
 damped or forced step.
@@ -95,21 +97,95 @@ _ND_LEAF = 8              # nested-dissection boxes this small are not cut
 
 
 @functools.lru_cache(maxsize=8)
-def _nd_order(nx: int, ny: int) -> np.ndarray:
-    """Row-major node numbers of an nx x ny lattice in nested-dissection
-    order: a line across the longer side, which separates the halves for
-    the 3 x 3 couplings, follows each half, dissected in turn (George 1973)."""
-    def dissect(box):
-        if box.size <= _ND_LEAF:
-            return [box.ravel()]
-        if box.shape[0] < box.shape[1]:
-            box = box.T
-        m = box.shape[0] // 2
-        return dissect(box[:m]) + dissect(box[m + 1:]) + [box[m]]
+def _nd_order(nx: int, ny: int):
+    """The nested dissection of an nx x ny lattice (George 1973): a line
+    across the longer side, which separates the halves for the 3 x 3
+    couplings, follows each half, dissected in turn.
 
-    order = np.concatenate(dissect(np.arange(nx * ny).reshape(nx, ny)))
+    Returns (order, block, parent, depth): the row-major node numbers in
+    elimination order, each node's block, and each block's parent block
+    (-1 at the root) and depth (0 at the root).  The blocks, leaf boxes
+    and separating lines, are numbered in elimination order, so a block's
+    ancestors are numbered after it.  All four arrays are read-only."""
+    boxes, parent, depth = [], [], []
+
+    def dissect(box, d):
+        """Number the blocks of box, at depth d; return its root block."""
+        children = ()
+        if box.size > _ND_LEAF:
+            if box.shape[0] < box.shape[1]:
+                box = box.T
+            m = box.shape[0] // 2
+            children = dissect(box[:m], d + 1), dissect(box[m + 1:], d + 1)
+            box = box[m]
+        root = len(boxes)
+        boxes.append(box.ravel())
+        parent.append(-1)
+        depth.append(d)
+        for child in children:
+            parent[child] = root
+        return root
+
+    dissect(np.arange(nx * ny).reshape(nx, ny), 0)
+    order = np.concatenate(boxes)
+    block = np.empty(nx * ny, dtype=np.int64)
+    block[order] = np.repeat(np.arange(len(boxes)), [b.size for b in boxes])
+    out = order, block, np.array(parent), np.array(depth)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _common_ancestor(parent, depth, a, b):
+    """The lowest common ancestor-or-self of the blocks a[i] and b[i]."""
+    while True:
+        da, db = depth[a], depth[b]
+        up_a, up_b = da > db, db > da
+        both = (da == db) & (a != b)
+        if not (up_a | up_b | both).any():
+            return a
+        a = np.where(up_a | both, parent[a], a)
+        b = np.where(up_b | both, parent[b], b)
+
+
+def _newton_dissection(grid: "DomainGrid"):
+    """(order, block): the unknowns in Newton's nested-dissection order, and
+    each unknown's block of the lattice's dissection (`_nd_order`).
+
+    The disk closure couples a node a in the 3 x 3 neighbourhood of a ghost
+    with the interior nodes the ghost extrapolates from, up to three steps
+    away, where the lattice's lines do not separate them.  For each such
+    coupling whose blocks lie in sibling subtrees, a moves into the
+    separator of their lowest common ancestor; a node with several such
+    couplings takes the shallowest of their separators, all of them
+    ancestors of its block, so the one numbered last.  Moved nodes lead
+    their new block, in `nd_order()`.  Every Jacobian coupling then joins
+    a block and one of its ancestors.  With nothing to move (a rectangle
+    has no ghosts), the order is `nd_order()` itself."""
+    n = grid.n
+    _, block, parent, depth = _nd_order(n, n)
+    ii, jj = grid.interior_ij[:, 0], grid.interior_ij[:, 1]
+    blocks = block[ii * n + jj]
+    base = grid.nd_order()
+    ghost = grid.closure_A[~grid.interior.ravel()].tocoo()
+    gi, gj = np.divmod(np.flatnonzero(~grid.interior.ravel())[ghost.row], n)
+    # interior neighbours a of each ghost, against the ghost's columns c
+    idx = np.pad(grid.idx, 1, constant_values=-1)
+    a = np.stack([idx[gi + 1 + di, gj + 1 + dj]
+                  for di in (-1, 0, 1) for dj in (-1, 0, 1)], axis=1)
+    c = np.broadcast_to(ghost.col[:, None], a.shape)
+    a, c = a[a >= 0], c[a >= 0]
+    top = _common_ancestor(parent, depth, blocks[a], blocks[c])
+    crossing = (top != blocks[a]) & (top != blocks[c])
+    if not crossing.any():
+        return base, blocks
+    lifted = np.full(grid.n_interior, -1, dtype=np.int64)
+    np.maximum.at(lifted, a[crossing], top[crossing])
+    moved = lifted >= 0
+    blocks = np.where(moved, lifted, blocks)
+    order = base[np.argsort(2 * blocks[base] + ~moved[base], kind="stable")]
     order.flags.writeable = False
-    return order
+    return order, blocks
 
 
 def _dot2(u, v):
@@ -193,6 +269,7 @@ class DomainGrid:
         self.jet_u = (_jet_stencils(self) @ self.closure_A).tocsr()
         self._amb: Ambient | None = None
         self._nd: np.ndarray | None = None
+        self._newton_nd: np.ndarray | None = None
 
     # -- masks and indexing ------------------------------------------------
 
@@ -311,22 +388,39 @@ class DomainGrid:
     # -- helpers -------------------------------------------------------------
 
     def ambient(self) -> Ambient:
-        """Closed-form ambient data at the interior nodes, computed once."""
+        """Closed-form ambient data at the interior nodes, computed once;
+        raises `DegenerateMetric` where an entry leaves the float range
+        (the conformal factor's square underflows for huge kappa, tau^2
+        r^2 overflows for huge tau)."""
         if self._amb is None:
             ii, jj = self.interior_ij[:, 0], self.interior_ij[:, 1]
-            self._amb = ambient_components(self.X[ii, jj], self.Y[ii, jj],
-                                           self.params)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                amb = ambient_components(self.X[ii, jj], self.Y[ii, jj],
+                                         self.params)
+            if not all(np.isfinite(a).all() for a in amb):
+                raise DegenerateMetric(
+                    "ambient metric leaves the float range on the lattice "
+                    "(kappa=%g, tau=%g)" % (self.params.kappa, self.params.tau))
+            self._amb = amb
         return self._amb
 
     def nd_order(self) -> np.ndarray:
         """The unknowns in the lattice's nested-dissection order, computed
-        once: both lattice factors, Newton's and the Jacobi operator's, take
-        their matrices permuted into it."""
+        once: the Jacobi operator, whose Q1 couplings are all 3 x 3, is
+        factored in it, and Newton's order (`newton_order`) starts from it."""
         if self._nd is None:
-            nd = self.idx.ravel()[_nd_order(self.n, self.n)]
+            nd = self.idx.ravel()[_nd_order(self.n, self.n)[0]]
             self._nd = nd[nd >= 0]
             self._nd.flags.writeable = False
         return self._nd
+
+    def newton_order(self) -> np.ndarray:
+        """The unknowns in the order Newton's Jacobians are factored in,
+        computed once: `nd_order()` with the closure's long couplings
+        lifted into their separators (`_newton_dissection`)."""
+        if self._newton_nd is None:
+            self._newton_nd = _newton_dissection(self)[0]
+        return self._newton_nd
 
     def full_values(self, u: np.ndarray) -> np.ndarray:
         """Lattice values of the unknowns u under boundary value zero."""
@@ -595,7 +689,7 @@ def _krylov(lu, apply, b):
 
 
 def _linear_solve(grid: DomainGrid, dH, b, state: dict):
-    """Newton step x with J x = b in the grid's nested-dissection order p,
+    """Newton step x with J x = b in Newton's order p (`newton_order()`),
     J the Jacobian of the sensitivities dH, reusing the factor kept in
     `state`.
 
@@ -605,7 +699,7 @@ def _linear_solve(grid: DomainGrid, dH, b, state: dict):
     stale factor before J is assembled and factored.  `_newton` drops the
     factor after every damped or forced step, so the next J is factored
     afresh.  A J that SuperLU finds singular raises `NonConvergence`."""
-    p = grid.nd_order()
+    p = grid.newton_order()
     lu = state.get("lu")
     if lu is not None:
         x = _krylov(lu, _jacobian_action(grid, dH, p), b)
@@ -631,7 +725,7 @@ def _newton(grid: DomainGrid, H_target: float, orientation: int,
     history: list[tuple[float, float]] = []
     chase = False
     lu_state: dict = {}
-    p = grid.nd_order()         # the numbering of J and of its factor
+    p = grid.newton_order()     # the numbering of J and of its factor
     for it in range(_MAX_NEWTON + 1):
         nu_min = float(np.min(np.abs(d["nu"])))
         if nu_min < BLOWUP_NU:

@@ -14,10 +14,12 @@ symmetric-mode LU, shifted just below the lower bound of the spectrum that
 every operator carries: -max q for solved graphs (the stiffness part is
 positive semidefinite), -(4H^2 + kappa) for cylinders.  Graph operators
 are factored in their grid's nested-dissection order (George 1973, SIAM J.
-Numer. Anal. 10), the one Newton's Jacobians are factored in; cylinders
-and hand-built operators in minimum degree.  A seeded random share of the
-Krylov start vector guards against a missed ground state; scipy's Lanczos
-solvers are kept on the test side as an independent oracle.
+Numer. Anal. 10), whose lattice lines separate all of their Q1 couplings
+(Newton's Jacobians also lift the disk closure's longer couplings into
+the separators); cylinders and hand-built operators in minimum degree.  A
+seeded random share of the Krylov start vector guards against a missed
+ground state; scipy's Lanczos solvers are kept on the test side as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -172,7 +174,8 @@ def _solution_fields(sol: GraphSolution):
 def assemble_jacobi(sol: GraphSolution) -> DiscreteOperator:
     """Weak form of -(Laplace-Beltrami + q) on the solution, Dirichlet,
     in the grid's numbering, ordered for the factor in the grid's
-    nested-dissection order, the one Newton factors in."""
+    nested-dissection order `nd_order()`, which separates all of its Q1
+    couplings."""
     g = sol.grid
     f = _solution_fields(sol)
     A, lump = _q1_assemble(g.idx, f["W11"], f["W12"], f["W22"], f["sqrt_det"],

@@ -12,8 +12,9 @@ Not a test module (pytest collects `test_*.py` only).  Each row is one cold
 
 A row records its status (`converged` or the exception's class name), the
 SHA-256 of the solution's values or the exception's message, the Newton
-count of a converged row, and how many times the solve called
-`solver._factor` and `solver._jacobian` (wrapped on the tree imported).
+count of a converged row, how many times the solve called `solver._factor`
+and `solver._jacobian` (wrapped on the tree imported), and the fill of its
+factors, L.nnz + U.nnz summed over them.
 The values of the converged rows go beside the JSON, in an `.npz` of the
 same stem, keyed by row id.
 
@@ -24,9 +25,9 @@ same stem, keyed by row id.
 differs, with the max relative drift max|a - b| / max|a| of its values and
 both Newton counts where both runs converged and kept their values, then one
 summary: rows identical, bits moved, counts moved, status moved, worst
-drift, and each run's total factors and Jacobian assemblies.  A row differs
-in its status, message, digest or Newton count; the factor and assembly
-counts only enter the totals.  It exits 1 if any row differs.  One run
+drift, and each run's total factors, Jacobian assemblies and fill.  A row
+differs in its status, message, digest or Newton count; the factor,
+assembly and fill counts only enter the totals.  It exits 1 if any row differs.  One run
 takes about a minute on one core.
 """
 
@@ -49,6 +50,8 @@ RECTANGLES = ((0.4, 0.4), (0.5, 0.3), (0.3, 0.2))
 RECTANGLE_CENTER = (0.05, -0.03)
 # per-row call counts: record key -> the `solver` name wrapped
 CALLS = {"factors": "_factor", "jacobians": "_jacobian"}
+# per-row counts: the calls, and the fill of the factors taken
+COUNTS = (*CALLS, "fill")
 
 
 def rows():
@@ -73,12 +76,15 @@ def run(src: Path):
     from ektau.model import SpaceParams
     from ektau.solver import disk_grid, rectangle_grid, solve_dirichlet
 
-    calls = dict.fromkeys(CALLS, 0)
+    calls = dict.fromkeys(COUNTS, 0)
 
     def counting(name, real):
         def wrapped(*args, **kwargs):
             calls[name] += 1
-            return real(*args, **kwargs)
+            out = real(*args, **kwargs)
+            if name == "factors":
+                calls["fill"] += out.L.nnz + out.U.nnz
+            return out
         return wrapped
 
     for name, attr in CALLS.items():
@@ -88,7 +94,7 @@ def run(src: Path):
     for key, (shape, size, n, space, center), H in rows():
         params = SpaceParams(*SPACES[space])
         build = disk_grid if shape == "disk" else rectangle_grid
-        calls.update(dict.fromkeys(CALLS, 0))
+        calls.update(dict.fromkeys(COUNTS, 0))
         try:
             sol = solve_dirichlet(build(size, n, params, center=center), 0.0,
                                   H, params)
@@ -122,16 +128,16 @@ def drift(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def outcome(row: dict | None) -> dict | None:
-    """A row without its call counts: what a solve returned or raised."""
+    """A row without its counts: what a solve returned or raised."""
     if row is None:
         return None
-    return {k: v for k, v in row.items() if k not in CALLS}
+    return {k: v for k, v in row.items() if k not in COUNTS}
 
 
 def totals(run: dict) -> str:
-    """Each call count summed over the run's rows, n/a where a row lacks it."""
+    """Each count summed over the run's rows, n/a where a row lacks it."""
     parts = []
-    for name in CALLS:
+    for name in COUNTS:
         counts = [row.get(name) for row in run.values()]
         parts.append("%s %s" % (name, "n/a" if None in counts else sum(counts)))
     return ", ".join(parts)

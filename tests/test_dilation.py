@@ -20,7 +20,7 @@ from ektau import model, rotational
 from ektau.errors import ConfigInvalid, EktauError
 from ektau.harness import rosenberg_bound
 from ektau.model import SpaceParams
-from ektau.solver import disk_grid, solve_dirichlet
+from ektau.solver import disk_grid, rectangle_grid, solve_dirichlet
 from ektau.stability import cylinder_stability
 
 
@@ -244,6 +244,63 @@ def test_curvature_report_answers_or_raises_ektau_error(case):
         assert np.isfinite(field).all()
     assert math.isfinite(rep.scalar)
     assert 0.0 <= rep.killing_residual < math.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_space_and_point())
+# the metric's tau^2 y^2 overflows; the frame needs only tau y and is finite
+@example((SpaceParams(0.0, 2.0 ** 207), (0.0, 6.518515124270356e91)))
+def test_point_geometry_answers_or_raises_ektau_error(case):
+    # no numpy warning (warnings are errors): every entry finite, or an
+    # EktauError
+    params, point = case
+    p = model.Point3(*point)
+    for call in (lambda: model.metric_at(p, params),
+                 lambda: model.christoffel(p, params),
+                 lambda: model.orthonormal_frame(p, params)):
+        try:
+            out = call()
+        except EktauError:
+            continue
+        if isinstance(out, model.MetricAtPoint):
+            out = (out.g, out.g_inv, out.dg)
+        elif isinstance(out, tuple):
+            out = [e.components for e in out]
+        else:
+            out = [out]
+        assert all(np.isfinite(a).all() for a in out)
+
+
+@st.composite
+def fuzz_grid(draw):
+    """A disk or rectangle lattice of 12 nodes per side over FUZZ_KAPPA and
+    FUZZ_TAU, spanning up to 1.5 model radii (unit lengths when kappa >= 0)."""
+    try:
+        params = SpaceParams(draw(FUZZ_KAPPA), draw(FUZZ_TAU))
+    except ConfigInvalid:
+        reject()
+    R = params.domain_radius if params.kappa < 0 else 1.0
+    size = draw(st.floats(0.01, 1.5)) * R
+    center = draw(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+    center = (center[0] * R, center[1] * R)
+    if draw(st.booleans()):
+        return lambda: disk_grid(size, 12, params, center=center)
+    return lambda: rectangle_grid((size, size), 12, params, center=center)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_grid())
+# the square of the conformal factor underflows to 0 and 1 / lam^2 was inf
+@example(lambda: disk_grid(1.0, 12, SpaceParams(2.0 ** 1000, 0.0)))
+@example(lambda: rectangle_grid((3.0, 3.0), 12, SpaceParams(2.0 ** 1000, 0.0)))
+def test_grid_ambient_answers_or_raises_ektau_error(build):
+    # no numpy warning (warnings are errors): every ambient entry at the
+    # interior nodes finite, or an EktauError
+    try:
+        amb = build().ambient()
+    except EktauError:
+        return
+    assert all(np.isfinite(a).all() for a in amb)
 
 
 def test_margin_scales_with_the_model_disk():

@@ -168,7 +168,7 @@ class TestNestedDissection:
 
     @pytest.mark.parametrize("shape", [(8, 8), (33, 33), (16, 40)])
     def test_order_is_a_permutation_with_separating_lines(self, shape):
-        order = _nd_order(*shape)
+        order = _nd_order(*shape)[0]
         assert np.array_equal(np.sort(order), np.arange(order.size))
         assert not order.flags.writeable
         rank = np.argsort(order).reshape(shape)
