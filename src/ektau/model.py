@@ -182,6 +182,15 @@ Ambient = namedtuple("Ambient", (
     "dx_xx dx_xy dx_xz dx_yy dx_yz dy_xx dy_xy dy_xz dy_yy dy_yz"))
 
 
+def _lam(x, y, params: SpaceParams):
+    """lam = 4 / (4 + kappa (x^2 + y^2)), floats or arrays; raises
+    `OutOfDomain` where 4 + kappa (x^2 + y^2) <= 0."""
+    u = 4.0 + params.kappa * (x * x + y * y)
+    if _any(u <= 0.0):
+        raise OutOfDomain("conformal factor undefined: 4 + kappa r^2 <= 0")
+    return 4.0 / u
+
+
 def ambient_components(x, y, params: SpaceParams) -> Ambient:
     """lam, its gradient, the metric, its inverse and its first partials.
 
@@ -192,10 +201,7 @@ def ambient_components(x, y, params: SpaceParams) -> Ambient:
     """
     k, t = params.kappa, params.tau
     t2 = t * t
-    u = 4.0 + k * (x * x + y * y)
-    if _any(u <= 0.0):
-        raise OutOfDomain("conformal factor undefined: 4 + kappa r^2 <= 0")
-    lam = 4.0 / u
+    lam = _lam(x, y, params)
     lam2 = lam * lam
     lam_x = -0.5 * k * x * lam2
     lam_y = -0.5 * k * y * lam2
@@ -292,7 +298,7 @@ def metric_at(p: Point3, params: SpaceParams) -> MetricAtPoint:
 def frame_matrix(x, y, params: SpaceParams) -> np.ndarray:
     """Columns are the coordinate components of E1, E2, E3, shape (..., 3, 3)."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    lam, t = ambient_components(x, y, params).lam, params.tau
+    lam, t = _lam(x, y, params), params.tau
     F = np.zeros(np.broadcast_shapes(x.shape, y.shape) + (3, 3))
     F[..., 0, 0] = F[..., 1, 1] = 1.0 / lam
     F[..., 2, 0], F[..., 2, 1], F[..., 2, 2] = -t * y, t * x, 1.0

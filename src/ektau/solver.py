@@ -223,6 +223,9 @@ class DomainGrid:
         if shape == "disk":
             if not (finite_real(radius) and radius > 0):
                 raise ConfigInvalid("disk grid needs a finite positive radius")
+            if not math.isfinite(float(radius) * float(radius)):
+                raise ConfigInvalid("disk grid radius %g squares past the "
+                                    "float range" % radius)
             self.radius = float(radius)
             self.extents = (self.radius, self.radius)
         else:
@@ -248,7 +251,9 @@ class DomainGrid:
         self.X, self.Y = np.meshgrid(self.xs, self.ys, indexing="ij")
 
         if shape == "disk":
-            r2 = (self.X - cx) ** 2 + (self.Y - cy) ** 2
+            # an offset whose square overflows lies outside the disk
+            with np.errstate(over="ignore"):
+                r2 = (self.X - cx) ** 2 + (self.Y - cy) ** 2
             self.interior = r2 < self.radius**2 * (1.0 - 1e-12)
         else:
             self.interior = np.zeros((self.n, self.n), dtype=bool)
@@ -634,7 +639,7 @@ def _factor(J, ordering: str):
 
     Lattice matrices (Newton's Jacobians, the Jacobi operators of a
     solved graph) come permuted into the grid's nested-dissection order
-    and pass "NATURAL"; cylinders and hand-built operators pass
+    and pass "NATURAL"; hand-built operators without an ordering pass
     "MMD_AT_PLUS_A", minimum degree on the pattern of J^T + J.  Only the
     closure's ghost couplings break the symmetry of a Jacobian's pattern,
     and symmetric mode, which prefers diagonal pivots, keeps the factors
@@ -804,13 +809,16 @@ def solve_dirichlet(grid: DomainGrid, boundary_value: float, H: float,
 
     The discrete problem is solved with boundary value zero and shifted
     afterwards.  The iteration starts from the cap, signed -orientation,
-    where `has_cap` holds, else from zero.  The solve is one Newton run: a
-    failure (`VerticalBlowup`, `NonConvergence`) propagates as raised.
+    where `has_cap` holds, else from zero; an ambient metric past the float
+    range raises `DegenerateMetric` before either.  The solve is one Newton
+    run: a failure (`VerticalBlowup`, `NonConvergence`) propagates as
+    raised.
     """
     if grid.params != params:
         raise ConfigInvalid("grid was built for different space parameters")
     _check_orientation(orientation)
     _check_data(H, boundary_value)
+    grid.ambient()
     if has_cap(grid, H):
         r = np.hypot(grid.X - grid.center[0], grid.Y - grid.center[1])
         u0 = -orientation * rotational.cap_heights(

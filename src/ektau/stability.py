@@ -1,4 +1,5 @@
-"""Discrete Jacobi (stability) operators on solved graphs and CMC cylinders.
+"""Discrete Jacobi (stability) operators on solved graphs, and the
+closed-form stability of CMC cylinders.
 
 The quadratic form of the second variation is discretized in weak form:
 bilinear (Q1) elements on the solution lattice for the Laplace-Beltrami
@@ -12,14 +13,17 @@ The smallest eigenvalue of the generalized symmetric problem is computed
 by shift-invert Lanczos (Ericsson and Ruhe 1980, Math. Comp. 35) on one
 symmetric-mode LU, shifted just below the lower bound of the spectrum that
 every operator carries: -max q for solved graphs (the stiffness part is
-positive semidefinite), -(4H^2 + kappa) for cylinders.  Graph operators
-are factored in their grid's nested-dissection order (George 1973, SIAM J.
-Numer. Anal. 10), whose lattice lines separate all of their Q1 couplings
-(Newton's Jacobians also lift the disk closure's longer couplings into
-the separators); cylinders and hand-built operators in minimum degree.  A
-seeded random share of the Krylov start vector guards against a missed
-ground state; scipy's Lanczos solvers are kept on the test side as an
-independent oracle.
+positive semidefinite).  Graph operators are factored in their grid's
+nested-dissection order (George 1973, SIAM J. Numer. Anal. 10), whose
+lattice lines separate all of their Q1 couplings (Newton's Jacobians also
+lift the disk closure's longer couplings into the separators); hand-built
+operators in minimum degree.  A seeded random share of the Krylov start
+vector guards against a missed ground state; scipy's Lanczos solvers are
+kept on the test side as an independent oracle.
+
+A vertical CMC cylinder's Jacobi operator is the flat Laplacian plus the
+constant 4H^2 + kappa, so its stability is decided in closed form; a Q1
+tube solved by the eigensolver checks that on the test side.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ class DiscreteOperator:
     eigenvalue; the eigensolver shifts just below it.
     `ordering`, when set, is the fill-reducing order of the unknowns in
     which the eigensolver factors, for a solved graph its grid's
-    `nd_order()`; SuperLU's minimum degree otherwise.
+    `nd_order()`; SuperLU's minimum degree for a hand-built operator
+    without one.
     """
 
     matrix: sp.csr_matrix
@@ -95,7 +100,7 @@ def _reference_stiffness(hx: float, hy: float):
 
 
 def _q1_assemble(dof: np.ndarray, W11, W12, W22, sqrt_det, potential,
-                 hx: float, hy: float, periodic_x: bool = False):
+                 hx: float, hy: float):
     """CSR weak form of -(Laplacian + potential), coefficient W, and the
     lumped mass diagonal.
 
@@ -106,27 +111,21 @@ def _q1_assemble(dof: np.ndarray, W11, W12, W22, sqrt_det, potential,
     with its mirror and read off at the free neighbours in CSR order.
     """
     nx, ny = dof.shape
-    cx = nx if periodic_x else nx - 1          # cells along x
 
-    def padded(arr, fill=0.0):
-        # node (i, j) at [..., i + 1, j + 1], wrapped along x if periodic
-        pad = np.pad(arr, [(0, 0)] * (arr.ndim - 2) + [(1, 1)] * 2,
-                     constant_values=fill)
-        if periodic_x:
-            pad[..., 0, :], pad[..., -1, :] = pad[..., -2, :], pad[..., 1, :]
-        return pad
+    def padded(arr, fill=0.0):                 # node (i, j) at [..., i + 1, j + 1]
+        return np.pad(arr, [(0, 0)] * (arr.ndim - 2) + [(1, 1)] * 2,
+                      constant_values=fill)
 
     def at(pad, di, dj):                       # node (i + di, j + dj)
         return pad[..., 1 + di:1 + di + nx, 1 + dj:1 + dj + ny]
 
-    nodal = padded(np.stack([np.broadcast_to(f, dof.shape)
-                             for f in (W11, W12, W22, sqrt_det)]), np.nan)
-    vals = np.stack([at(nodal, ox, oy)[..., :cx, :-1] for ox, oy in _CORNERS])
+    nodal = padded(np.stack([W11, W12, W22, sqrt_det]), np.nan)
+    vals = np.stack([at(nodal, ox, oy)[..., :-1, :-1] for ox, oy in _CORNERS])
     cnt = np.isfinite(vals)
     vals[~cnt] = 0.0
     mean = vals.sum(axis=0) / np.maximum(cnt.sum(axis=0), 1)
     # cell (i, j) kept at its corner node (i, j), zero past the lattice edge
-    cW11, cW12, cW22, cdet = padded(np.pad(mean, ((0, 0), (0, nx - cx), (0, 1))))
+    cW11, cW12, cW22, cdet = padded(np.pad(mean, ((0, 0), (0, 1), (0, 1))))
     A11, A12, A22 = _reference_stiffness(hx, hy)
     stencil = np.zeros((9, nx, ny))
     for a, (ax, ay) in enumerate(_CORNERS):
@@ -147,7 +146,6 @@ def _q1_assemble(dof: np.ndarray, W11, W12, W22, sqrt_det, potential,
     A = sp.csr_matrix((np.moveaxis(stencil, 0, -1)[free], cols[free],
                        np.r_[0, np.cumsum(free.sum(axis=-1)[dof >= 0])]),
                       shape=(int(dof.max()) + 1,) * 2)
-    A.sort_indices()                           # a periodic wrap puts a column last
     return A, lump[dof >= 0]
 
 
@@ -313,7 +311,8 @@ def angle_jacobi_residual(sol: GraphSolution, margin: float | None = None) -> fl
 
 @dataclass
 class CylinderStability:
-    """Closed-form cylinder criterion with its spectral surrogate."""
+    """Closed-form cylinder criterion; the spectral fields repeat the margin
+    and its flag (see `cylinder_stability`)."""
 
     stable: bool
     margin: float
@@ -326,17 +325,15 @@ class CylinderStability:
 def cylinder_stability(H: float, params: SpaceParams) -> CylinderStability:
     """Stability of the vertical cylinder over the curve with kappa_g = 2H.
 
-    Closed form: the cylinder operator is Laplacian + (4H^2 + kappa), so it
-    is stable iff 4H^2 + kappa <= 0, with margin -(4H^2 + kappa).  The
-    surrogate assembles the flat operator on a 40 x 80 lattice (around the
-    curve, along the axis) over a finite tube of length 20/(2H), periodic
-    for closed curves and with free ends otherwise, and solves for the
-    smallest eigenvalue; the constant mode realizes the margin.  Both are
-    evaluated in the `model.floored_unit_scale` of (H, params), as the
-    rotational spheres are, and scaled back exactly (lambda and the margin
-    by 4^e, the tube length by 2^-e); the stability flags read the
-    normalized values.  A normalized H below 2^-511 and a margin past the
-    normal floats raise `ConfigInvalid` before any assembly.
+    The cylinder's Jacobi operator is the flat Laplacian + (4H^2 + kappa),
+    so it is stable iff 4H^2 + kappa <= 0, with margin -(4H^2 + kappa),
+    which the constant mode attains as the smallest eigenvalue on the tube
+    of length 20/(2H) with free ends: `lambda_min_spectral` is the margin
+    and `spectral_stable` is `stable`.  Both are evaluated in the
+    `model.floored_unit_scale` of (H, params), as the rotational spheres
+    are, and scaled back exactly (the margin by 4^e, the tube length by
+    2^-e).  A normalized H below 2^-511 and a margin past the normal
+    floats raise `ConfigInvalid`.
     """
     check_H(H, "cylinder stability")
     e, H1, p1 = model.floored_unit_scale(H, params, "cylinder stability")
@@ -346,33 +343,8 @@ def cylinder_stability(H: float, params: SpaceParams) -> CylinderStability:
     if c and not -1021 <= math.frexp(c)[1] + 2 * e <= 1024:
         raise ConfigInvalid("%s: the margin %g * 4^%d leaves the float range"
                             % (what, -c, e))
-    L = 20.0 / (2.0 * H1)
-    tube_length = model.unit_length(L, e, what)
-    nx, ny = 40, 80             # nodes around the base curve, along the axis
-    hy = L / (ny - 1)
-    if curve.closed:
-        # induced flat metric of the cylinder in (arclength, z) coordinates:
-        # [[1 + F^2, F], [F, 1]] with F = <gamma', dz>; det 1, so its
-        # inverse is [[1, -F], [-F, 1 + F^2]]
-        r_m = curve.model_radius
-        a = model.ambient_components(r_m, 0.0, p1)
-        F = a.g_yz / a.lam                 # unit base tangent at (r, 0) is dy/lam
-        circ = 2.0 * math.pi * r_m * a.lam
-        Gi = (1.0, -F, 1.0 + F * F)
-        hx = circ / nx
-    else:
-        Gi = (1.0, 0.0, 1.0)
-        hx = L / (nx - 1)
-    dof = np.arange(nx * ny).reshape(nx, ny)
-    # det G = 1: unit area density
-    A, lump = _q1_assemble(dof, *Gi, 1.0, c, hx, hy, periodic_x=curve.closed)
-    # the stiffness is positive semidefinite and the constant mode attains
-    # -c; no ordering: a periodic lattice has no one-line separators, and
-    # minimum degree beats box dissection on these lattices
-    op = DiscreteOperator(matrix=A, mass=lump, lower_bound=-c)
-    lam = smallest_eigenvalue(op).lambda_min
+    stable, margin = c <= 0.0, -math.ldexp(c, 2 * e)
     return CylinderStability(
-        stable=c <= 0.0, margin=-math.ldexp(c, 2 * e),
-        lambda_min_spectral=model.unit_length(lam, -2 * e, what),
-        spectral_stable=lam >= -1e-8 * max(1.0, abs(c)),
-        closed=curve.closed, tube_length=tube_length)
+        stable=stable, margin=margin, lambda_min_spectral=margin,
+        spectral_stable=stable, closed=curve.closed,
+        tube_length=model.unit_length(20.0 / (2.0 * H1), e, what))

@@ -21,7 +21,8 @@ def q1_assemble(dof, W11, W12, W22, sqrt_det, potential, hx, hy,
     dof is an (nx, ny) array of dof indices with -1 marking constrained
     nodes; the nodal fields may hold NaN there.  Cells touching at least
     one dof are assembled with the mean of their defined corner
-    coefficients.
+    coefficients.  `periodic_x` wraps the lattice along x, for the tube
+    around a closed cylinder base curve.
     """
     nx, ny = dof.shape
     ndof = int(dof.max()) + 1

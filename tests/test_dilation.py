@@ -2,9 +2,8 @@
 
 x = c x' carries E(kappa, tau) to c E(kappa c^2, tau c): H -> c H, lengths
 -> lengths / c, slopes and angle functions unchanged, Jacobi eigenvalues
--> c^2 lambda.  For c = 2^k every product is exact, so the closed forms
-are equivariant to the bit, and so is the cylinder's Lanczos surrogate,
-which is solved in the unit scale.
+-> c^2 lambda.  For c = 2^k every product is exact, so the closed forms,
+the cylinders' among them, are equivariant to the bit.
 """
 
 import math
@@ -86,7 +85,7 @@ def test_rosenberg_bound_is_dilation_equivariant(kappa, tau, H, k):
 @settings(max_examples=30, deadline=None)
 @given(KAPPA, TAU, H_ANY, K)
 def test_cylinder_stability_is_dilation_equivariant(kappa, tau, H, k):
-    # lambda -> c^2 lambda to the bit: the surrogate is solved in the unit
+    # lambda -> c^2 lambda to the bit: the margin is evaluated in the unit
     # scale, which the dilation does not move
     params = SpaceParams(kappa, tau)
     cs = cylinder_stability(H, params)
@@ -154,15 +153,18 @@ def test_scale_rule_answers_or_raises_ektau_error(kappa, tau, H):
 @given(FUZZ_KAPPA, FUZZ_TAU, FUZZ_H)
 # its unit scale has kappa = -2^-1022, whose squared model radius overflows
 @example(kappa=-1.0, tau=0.0, H=2.0 ** 511)
+# near the floor: the margin -5.76e-302 is unstable on both flags
+@example(kappa=0.0, tau=0.5, H=1.2e-151)
 def test_cylinder_answers_or_raises_ektau_error(kappa, tau, H):
-    # no numpy warning (warnings are errors) and no Lanczos run past its
-    # budget: a finite answer or an EktauError
+    # no numpy warning (warnings are errors): a finite answer whose flags
+    # agree with its margin, or an EktauError
     try:
         cs = cylinder_stability(H, SpaceParams(kappa, tau))
     except EktauError:
         return
-    assert math.isfinite(cs.lambda_min_spectral) and math.isfinite(cs.margin)
-    assert 0 < cs.tube_length < math.inf
+    assert math.isfinite(cs.margin) and 0 < cs.tube_length < math.inf
+    assert cs.lambda_min_spectral == cs.margin
+    assert cs.spectral_stable == cs.stable == (cs.margin >= 0)
 
 
 # -- the model disk's helpers where its squared radius overflows -----------
@@ -293,6 +295,9 @@ def fuzz_grid(draw):
 # the square of the conformal factor underflows to 0 and 1 / lam^2 was inf
 @example(lambda: disk_grid(1.0, 12, SpaceParams(2.0 ** 1000, 0.0)))
 @example(lambda: rectangle_grid((3.0, 3.0), 12, SpaceParams(2.0 ** 1000, 0.0)))
+# the squares of the node offsets and of the radius 2^512 overflowed
+@example(lambda: disk_grid(1.3407807929942597e154, 12,
+                           SpaceParams(-2.2250738585072014e-308, 0.0)))
 def test_grid_ambient_answers_or_raises_ektau_error(build):
     # no numpy warning (warnings are errors): every ambient entry at the
     # interior nodes finite, or an EktauError
@@ -301,6 +306,28 @@ def test_grid_ambient_answers_or_raises_ektau_error(build):
     except EktauError:
         return
     assert all(np.isfinite(a).all() for a in amb)
+
+
+CAP_OVERFLOW_TAU = SpaceParams(-1.6264666181174767e-307, 467.82)
+CAP_OVERFLOW_KAPPA = SpaceParams(1.7348556788701446e308, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_grid(), FUZZ_H, st.sampled_from([-1, 1]))
+# the cap start squared tau r and multiplied kappa r r past the float range
+@example(lambda: disk_grid(0.9566 * CAP_OVERFLOW_TAU.domain_radius, 8,
+                           CAP_OVERFLOW_TAU), 1.6e-307, 1)
+@example(lambda: disk_grid(1.39, 14, CAP_OVERFLOW_KAPPA), 4.96e-227, -1)
+def test_grid_solve_answers_or_raises_ektau_error(build, H, orientation):
+    # no numpy warning (warnings are errors): finite heights and residual,
+    # or an EktauError
+    try:
+        grid = build()
+        sol = solve_dirichlet(grid, 0.0, H, grid.params, orientation)
+    except EktauError:
+        return
+    assert np.isfinite(sol.values[grid.interior]).all()
+    assert math.isfinite(sol.residual_max)
 
 
 def test_margin_scales_with_the_model_disk():

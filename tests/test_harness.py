@@ -436,6 +436,14 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["stable"] is False
         assert data["margin"] == -4.0
+        assert data["lambda_min_spectral"] == data["margin"]
+        # near the floor the margin is -5.76e-302: unstable on both flags
+        rc = cli_dispatch(["cylinder", "--kappa", "0", "--tau", "0.5",
+                           "--H", "1.2e-151", "--json"])
+        assert rc == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["stable"] is data["spectral_stable"] is False
+        assert data["lambda_min_spectral"] == data["margin"] < 0
 
     def test_curvature_flat(self, capsys):
         rc = cli_dispatch(["curvature", "--kappa", "0", "--tau", "0", "--json"])

@@ -165,6 +165,13 @@ class TestFrame:
                 worst = max(worst, np.abs(F.T @ g @ F - np.eye(3)).max())
             assert worst < 1e-12
 
+    def test_frame_needs_only_the_conformal_factor(self):
+        # the metric's tau^2 y^2 overflows here; the frame's tau y does not
+        # (no overflow warning: warnings are errors)
+        F = frame_matrix(0.0, 6.518515124270356e91, SpaceParams(0.0, 2.0 ** 207))
+        assert np.isfinite(F).all()
+        assert F[2, 0] == -2.0 ** 207 * 6.518515124270356e91
+
 
 class TestChristoffel:
     def test_flat_zero(self):

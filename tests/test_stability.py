@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from q1_oracle import q1_assemble
 
-from ektau import stability
+from ektau import model, rotational, stability
 from ektau.errors import ConfigInvalid, IterationLimit
 from ektau.model import SpaceParams
 from ektau.solver import _nd_order, disk_grid, rectangle_grid, solve_dirichlet
@@ -111,23 +111,6 @@ class TestAgainstCornerPairOracle:
         K, lump = q1_assemble(g.idx, f["W11"], f["W12"], f["W22"],
                               f["sqrt_det"], f["q"], g.hx, g.hy)
         self.assert_close(op.matrix, op.mass, K, lump)
-
-    @pytest.mark.parametrize("kappa,H,closed", [
-        (0.0, 1.0, True), (-1.0, 1.0, True), (-1.0, 0.3, False)])
-    def test_cylinder_lattices(self, monkeypatch, kappa, H, closed):
-        calls = []
-        real = stability._q1_assemble
-
-        def recording(*args, **kwargs):
-            calls.append((args, kwargs, real(*args, **kwargs)))
-            return calls[-1][2]
-
-        monkeypatch.setattr(stability, "_q1_assemble", recording)
-        assert cylinder_stability(H, SpaceParams(kappa, 0.5)).closed == closed
-        (args, kwargs, (A, lump)), = calls
-        assert kwargs == {"periodic_x": closed}
-        K, lump_ref = q1_assemble(*args, **kwargs)
-        self.assert_close(A, lump, K, lump_ref)
 
 
 def _shifted_mmd_factor(op):
@@ -239,8 +222,9 @@ class TestSmallestEigenvalue:
         monkeypatch.setattr(spla, "splu", counting_splu)
         smallest_eigenvalue(graph_op)
         assert len(calls) == 1
+        # a cylinder's stability is closed form: nothing to factor
         cylinder_stability(1.0, NIL)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_graph_lower_bound_below_lanczos_oracle(self):
         for params, R, H in ((PSL, 1.0, 0.8), (FLAT, 0.5, 1.0)):
@@ -455,7 +439,48 @@ class TestAngleJacobiResidual:
         assert angle_jacobi_residual(sol) < 0.1
 
 
+def tube_eigenvalue(H, params):
+    """Smallest eigenvalue of the cylinder's Jacobi operator, Laplacian +
+    (4H^2 + kappa), on a 40 x 80 Q1 tube (around the base curve, along the
+    axis) of length 20/(2H), periodic around a closed curve and with free
+    ends otherwise; assembled by the corner-pair oracle in the unit scale
+    of (H, params) and scaled back by 4^e."""
+    e, H1, p1 = model.floored_unit_scale(H, params, "tube")
+    curve = rotational.cmc_cylinder_curve(H1, p1)
+    c = 4.0 * H1 * H1 + p1.kappa
+    L = 20.0 / (2.0 * H1)
+    nx, ny = 40, 80
+    if curve.closed:
+        # induced flat metric in (arclength, z): [[1 + F^2, F], [F, 1]] with
+        # F = <gamma', dz>; det 1, so its inverse is [[1, -F], [-F, 1 + F^2]]
+        r = curve.model_radius
+        a = model.ambient_components(r, 0.0, p1)
+        F = a.g_yz / a.lam                 # unit base tangent at (r, 0) is dy/lam
+        Gi, hx = (1.0, -F, 1.0 + F * F), 2.0 * math.pi * r * a.lam / nx
+    else:
+        Gi, hx = (1.0, 0.0, 1.0), L / (nx - 1)
+    dof = np.arange(nx * ny).reshape(nx, ny)
+    A, lump = q1_assemble(dof, *Gi, 1.0, c, hx, L / (ny - 1),
+                          periodic_x=curve.closed)
+    # the stiffness is positive semidefinite, so -c bounds the spectrum
+    op = DiscreteOperator(A, lump, lower_bound=-c)
+    return math.ldexp(smallest_eigenvalue(op).lambda_min, 2 * e), curve.closed
+
+
 class TestCylinderStability:
+    @pytest.mark.parametrize("kappa,H,closed", [
+        (0.0, 1.0, True), (-1.0, 1.0, True), (-1.0, 0.3, False),
+        (-9.0, 1.0, False)])
+    def test_tube_eigensolve_realizes_the_margin(self, kappa, H, closed):
+        # the closed form against a discretized spectrum: the constant mode
+        # attains -(4H^2 + kappa) on the tube, and no mode goes below it
+        params = SpaceParams(kappa, 0.5)
+        cs = cylinder_stability(H, params)
+        lam, tube_closed = tube_eigenvalue(H, params)
+        assert cs.closed == tube_closed == closed
+        assert abs(lam - cs.margin) <= 1e-12 * max(1.0, abs(cs.margin))
+        assert cs.lambda_min_spectral == cs.margin
+
     def test_nil_cylinder_unstable(self):
         cs = cylinder_stability(1.0, NIL)
         assert not cs.stable and cs.margin == -4.0
@@ -473,7 +498,7 @@ class TestCylinderStability:
     def test_spectral_surrogate_realizes_constant_mode(self):
         for kappa, H in ((0.0, 1.0), (-9.0, 1.0), (-1.0, 0.4)):
             cs = cylinder_stability(H, SpaceParams(kappa, 0.5))
-            assert cs.lambda_min_spectral == pytest.approx(cs.margin, abs=1e-6)
+            assert cs.lambda_min_spectral == cs.margin
 
     @pytest.mark.parametrize("H", [math.nan, math.inf, -math.inf, 0.0])
     def test_rejects_non_finite_or_non_positive_H(self, H):
@@ -510,8 +535,8 @@ class TestCylinderStability:
         (1.2e-151, NIL), (1.3e74, NIL), (1e100, NIL), (1e150, NIL),
         (0.3, SpaceParams(-1e200, 0.5)), (0.3, SpaceParams(-1e300, 0.5))])
     def test_far_scales_keep_the_closed_form(self, H, params):
-        # the tube lattice is built in the unit scale, so no cell area bounds
-        # H; only the normalized H and the margin itself are limited
+        # the margin is evaluated in the unit scale: only the normalized H
+        # and the margin itself are limited
         cs = cylinder_stability(H, params)
         c = 4.0 * H * H + params.kappa
         assert cs.lambda_min_spectral == pytest.approx(-c, rel=1e-12, abs=1e-12)
@@ -522,5 +547,4 @@ class TestCylinderStability:
             for kappa in (0.0, -1.0, -4.0, -9.0):
                 cs = cylinder_stability(H, SpaceParams(kappa, 0.5))
                 assert cs.stable == (4 * H * H + kappa <= 0)
-                if abs(cs.margin) > 0.1:
-                    assert cs.spectral_stable == cs.stable
+                assert cs.spectral_stable == cs.stable
