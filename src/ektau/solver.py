@@ -23,12 +23,16 @@ is taken as it stands and serves as the right preconditioner of GMRES
 (Saad and Schultz 1986) on each later Jacobian.
 The next Jacobian is assembled and factored afresh when 15 GMRES
 iterations fall short of a relative residual of 1e-6, and after every
-damped or forced step.
+damped or forced step.  A cycle gives up early, from its fifth vector on,
+when its mean contraction per vector so far, carried to 15 vectors, would
+leave the residual over 1000 times the target.
 
 Each Newton iteration makes one pass over the step lengths 1, 1/2, ...,
 2**-13, skipping a trial whose metric degenerates: the first Armijo step
 wins, else the first trial is forced if it lowers min|nu|; chase mode skips
-the Armijo test.  Chase mode starts when, over the last two iterations, the
+the Armijo test.  A full step that fails the Armijo test but cuts min|nu|
+below a tenth of its value ends the pass: it is forced, and chase mode
+starts.  Chase mode also starts when, over the last two iterations, the
 residual fell by less than 2% while min|nu| fell by more than 30%.  Any
 iterate, the start included, with min|nu| < 1e-3 raises `VerticalBlowup`; a
 pass with nothing to take or force ("stalled"), the budget ("exhausted")
@@ -83,6 +87,11 @@ _MAX_NEWTON = 50
 # one GMRES cycle on a reused factor: iterations and relative residual
 _KRYLOV_ITERATIONS = 15
 _KRYLOV_RTOL = 1e-6
+# a cycle is given up after this many Arnoldi vectors when its mean
+# contraction so far, carried to the whole cycle, leaves the residual this
+# far above the target
+_KRYLOV_PROBE = 5
+_KRYLOV_HOPELESS = 1000.0
 
 # trial step lengths of each Newton iteration: 1, 1/2, ..., 2**-13
 _STEP_LENGTHS = tuple(0.5 ** k for k in range(14))
@@ -656,7 +665,11 @@ def _krylov(lu, apply, b):
     not bring the residual to _KRYLOV_RTOL ||b||.
 
     Modified Gram-Schmidt builds the Arnoldi basis v_j and Givens rotations
-    keep the least-squares residual, the true one in exact arithmetic.  Each
+    keep the least-squares residual, the true one in exact arithmetic.  From
+    _KRYLOV_PROBE vectors on, a cycle whose residual rho_k after k vectors,
+    contracting at its mean rate (rho_k / beta)^(1/k) per vector, would
+    still exceed _KRYLOV_HOPELESS times the target after _KRYLOV_ITERATIONS
+    is given up (None) before it spends the rest of its solves.  Each
     z_j = lu.solve(v_j) is kept, so the answer x0 + sum c_j z_j needs no
     further solve: k + 1 triangular solves for k Arnoldi vectors."""
     k_max = _KRYLOV_ITERATIONS
@@ -689,6 +702,9 @@ def _krylov(lu, apply, b):
         if abs(g[j + 1]) <= tol:
             c = scipy.linalg.solve_triangular(H[:j + 1, :j + 1], g[:j + 1])
             return x + c @ Z
+        if j + 1 >= _KRYLOV_PROBE and (abs(g[j + 1]) / beta) ** (
+                k_max / (j + 1)) * beta > _KRYLOV_HOPELESS * tol:
+            return None
         V.append(w / h[j + 1])
     return None
 
@@ -772,6 +788,11 @@ def _newton(grid: DomainGrid, H_target: float, orientation: int,
                 break
             if rn_try < rnorm * (1.0 - 1e-4 * t):
                 step = trial
+                break
+            # a full step that fails Armijo but cuts min|nu| tenfold slides
+            # past the fold: it is the forced step, and chase mode starts
+            if t == 1 and np.min(np.abs(d_try["nu"])) < 0.1 * nu_min:
+                chase = True
                 break
         if step is None or t < 1:
             lu_state["lu"] = None       # factor the next Jacobian afresh

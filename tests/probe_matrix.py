@@ -1,7 +1,9 @@
-"""Run the 1,368-row solve matrix against a tree's `src/` and compare runs.
+"""Run the 1,368-row solve matrix, or a seeded random probe, against a
+tree's `src/` and compare runs.
 
-Not a test module (pytest collects `test_*.py` only).  Each row is one cold
-`solve_dirichlet` with boundary value 0 and the default orientation:
+Not a test module (pytest collects `test_*.py` only).  Each matrix row is
+one cold `solve_dirichlet` with boundary value 0 and the default
+orientation:
 
 - spaces: flat, Nil (tau = 0.5), PSL (kappa = -1, tau = 0.5), H^2 x R;
 - n in {24, 32, 48};
@@ -9,6 +11,10 @@ Not a test module (pytest collects `test_*.py` only).  Each row is one cold
   (0.3, 0.1), with H R in {0, 0.1, ..., 2};
 - rectangles of half-extents (0.4, 0.4), (0.5, 0.3) and (0.3, 0.2) centred
   at (0.05, -0.03), with H in {0, 0.25, ..., 4}.
+
+`--random N --seed S` solves N cold rows drawn instead (`random_rows`): n
+from 8 to 32, off-centre disks and rectangles, kappa in {0, -1, -4, -1/4,
+1/2, 1}, tau in {0, 1/2, 1, 2, 3}, H in [0, 6) and orientation +-1.
 
 A row records its status (`converged` or the exception's class name), the
 SHA-256 of the solution's values or the exception's message, the Newton
@@ -18,8 +24,9 @@ factors, L.nnz + U.nnz summed over them.
 The values of the converged rows go beside the JSON, in an `.npz` of the
 same stem, keyed by row id.
 
-    python tests/probe_matrix.py [--src DIR] --out rows.json
+    python tests/probe_matrix.py [--src DIR] [--random N --seed S] --out rows.json
     python tests/probe_matrix.py --compare A.json B.json
+    python tests/probe_matrix.py --manifest
 
 `--src` defaults to this tree's `src/`.  `--compare` prints each row that
 differs, with the max relative drift max|a - b| / max|a| of its values and
@@ -27,8 +34,11 @@ both Newton counts where both runs converged and kept their values, then one
 summary: rows identical, bits moved, counts moved, status moved, worst
 drift, and each run's total factors, Jacobian assemblies and fill.  A row
 differs in its status, message, digest or Newton count; the factor,
-assembly and fill counts only enter the totals.  It exits 1 if any row differs.  One run
-takes about a minute on one core.
+assembly and fill counts only enter the totals.  It exits 1 if any row
+differs.  `--manifest` rebuilds `probe_manifest.json`, the n = 24 slice
+(456 rows) without Jacobian and fill counts, which
+`test_probe_manifest.py` compares in tier-1.  On one core of a 2-core
+machine a matrix run took 36 s, and 3,000 random rows 37 s.
 """
 
 from __future__ import annotations
@@ -48,6 +58,13 @@ SIZES = (24, 32, 48)
 DISKS = ((1.0, (0.0, 0.0)), (0.6, (0.2, -0.1)), (1.0, (0.3, 0.1)))
 RECTANGLES = ((0.4, 0.4), (0.5, 0.3), (0.3, 0.2))
 RECTANGLE_CENTER = (0.05, -0.03)
+# the random probe: nodes per side (inclusive) and the spaces drawn
+RANDOM_SIZES = (8, 32)
+RANDOM_KAPPA = (0.0, -1.0, -4.0, -0.25, 0.5, 1.0)
+RANDOM_TAU = (0.0, 0.5, 1.0, 2.0, 3.0)
+# the tier-1 manifest: the matrix's slice at MANIFEST_N nodes per side
+MANIFEST = Path(__file__).with_name("probe_manifest.json")
+MANIFEST_N = 24
 # per-row call counts: record key -> the `solver` name wrapped
 CALLS = {"factors": "_factor", "jacobians": "_jacobian"}
 # per-row counts: the calls, and the fill of the factors taken
@@ -55,22 +72,56 @@ COUNTS = (*CALLS, "fill")
 
 
 def rows():
-    """(row id, grid builder arguments, H) for every row of the matrix."""
-    for space in SPACES:
+    """(row id, grid builder arguments, H, orientation) for every row of
+    the matrix."""
+    for space, kt in SPACES.items():
         for n in SIZES:
             for R, c in DISKS:
                 for k in range(21):
                     yield ("%s n=%d disk R=%g c=%s HR=%g" % (space, n, R, c, k / 10),
-                           ("disk", R, n, space, c), k / 10 / R)
+                           ("disk", R, n, kt, c), k / 10 / R, -1)
             for ext in RECTANGLES:
                 for k in range(17):
                     yield ("%s n=%d rect %s H=%g" % (space, n, ext, k / 4),
-                           ("rect", ext, n, space, RECTANGLE_CENTER), k / 4)
+                           ("rect", ext, n, kt, RECTANGLE_CENTER), k / 4, -1)
 
 
-def run(src: Path):
-    """(rows, values): each row's record, and the values of converged rows."""
-    sys.path.insert(0, str(src))
+def slice_rows(n: int):
+    """The rows of the matrix with n nodes per side."""
+    return (row for row in rows() if row[1][2] == n)
+
+
+def random_rows(count: int, seed: int):
+    """count cold solves drawn from `numpy.random.default_rng(seed)`: n in
+    RANDOM_SIZES, a space of RANDOM_KAPPA x RANDOM_TAU, an off-centre disk
+    or rectangle inside the model disk, H in [0, 6) and orientation +-1.
+
+    Lengths are in units of L = 1, or half the model radius where that is
+    less: a radius or half-extent in [0.2, 1) L, centre coordinates in
+    [-0.25, 0.25) L.  A row id holds every value as its repr."""
+    rng = np.random.default_rng(seed)
+    spaces = [(k, t) for k in RANDOM_KAPPA for t in RANDOM_TAU
+              if not (k > 0 and k == 4 * t * t)]   # SpaceParams rejects these
+    for i in range(count):
+        kappa, tau = spaces[rng.integers(len(spaces))]
+        n = int(rng.integers(RANDOM_SIZES[0], RANDOM_SIZES[1] + 1))
+        L = min(1.0, 1.0 / np.sqrt(-kappa)) if kappa < 0 else 1.0
+        center = tuple(float(v) for v in rng.uniform(-0.25, 0.25, 2) * L)
+        if rng.integers(2):
+            shape, size = "disk", float(rng.uniform(0.2, 1.0) * L)
+        else:
+            shape, size = "rect", tuple(float(v) for v in
+                                        rng.uniform(0.2, 1.0, 2) * L)
+        H = float(rng.uniform(0.0, 6.0))
+        orientation = int(rng.choice([-1, 1]))
+        yield ("random %04d kappa=%r tau=%r n=%d %s %r c=%r H=%r o=%+d"
+               % (i, kappa, tau, n, shape, size, center, H, orientation),
+               (shape, size, n, (kappa, tau), center), H, orientation)
+
+
+def solve_rows(rows):
+    """(rows, values): each row's record, and the values of converged rows,
+    solved with the `ektau` importable now."""
     from ektau import solver
     from ektau.errors import EktauError
     from ektau.model import SpaceParams
@@ -87,26 +138,43 @@ def run(src: Path):
             return out
         return wrapped
 
+    real = {attr: getattr(solver, attr) for attr in CALLS.values()}
     for name, attr in CALLS.items():
-        setattr(solver, attr, counting(name, getattr(solver, attr)))
-
+        setattr(solver, attr, counting(name, real[attr]))
     out, values = {}, {}
-    for key, (shape, size, n, space, center), H in rows():
-        params = SpaceParams(*SPACES[space])
-        build = disk_grid if shape == "disk" else rectangle_grid
-        calls.update(dict.fromkeys(COUNTS, 0))
-        try:
-            sol = solve_dirichlet(build(size, n, params, center=center), 0.0,
-                                  H, params)
-        except EktauError as exc:
-            out[key] = {"status": type(exc).__name__, "message": str(exc),
-                        **calls}
-            continue
-        out[key] = {"status": "converged",
-                    "sha256": hashlib.sha256(sol.values.tobytes()).hexdigest(),
-                    "newton_iterations": sol.newton_iterations, **calls}
-        values[key] = sol.values
+    try:
+        for key, (shape, size, n, kt, center), H, orientation in rows:
+            params = SpaceParams(*kt)
+            build = disk_grid if shape == "disk" else rectangle_grid
+            calls.update(dict.fromkeys(COUNTS, 0))
+            try:
+                sol = solve_dirichlet(build(size, n, params, center=center),
+                                      0.0, H, params, orientation)
+            except EktauError as exc:
+                out[key] = {"status": type(exc).__name__, "message": str(exc),
+                            **calls}
+                continue
+            out[key] = {"status": "converged",
+                        "sha256": hashlib.sha256(sol.values.tobytes()).hexdigest(),
+                        "newton_iterations": sol.newton_iterations, **calls}
+            values[key] = sol.values
+    finally:
+        for attr, f in real.items():
+            setattr(solver, attr, f)
     return out, values
+
+
+def run(src: Path, rows):
+    """`solve_rows(rows)` on the tree whose `src/` is src."""
+    sys.path.insert(0, str(src))
+    return solve_rows(rows)
+
+
+def manifest(out: dict) -> dict:
+    """The manifest of solved rows: each row without its Jacobian and fill
+    counts."""
+    return {k: {f: v for f, v in row.items() if f not in ("jacobians", "fill")}
+            for k, row in out.items()}
 
 
 def values_path(rows_path: Path) -> Path:
@@ -180,15 +248,27 @@ def main(argv=None) -> int:
                     default=Path(__file__).resolve().parents[1] / "src")
     ap.add_argument("--out", type=Path)
     ap.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
+    ap.add_argument("--random", type=int, metavar="N",
+                    help="solve N random rows instead of the matrix")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--manifest", action="store_true",
+                    help="rebuild %s from the n=%d slice" % (MANIFEST.name,
+                                                             MANIFEST_N))
     args = ap.parse_args(argv)
     if args.compare:
         a, b = (json.loads(p.read_text()) for p in args.compare)
         va, vb = (load_values(p) for p in args.compare)
         return 1 if compare(a, b, va, vb) else 0
+    if args.manifest:
+        out, _ = run(args.src, slice_rows(MANIFEST_N))
+        MANIFEST.write_text(json.dumps(manifest(out), indent=1, sort_keys=True)
+                            + "\n")
+        return 0
     if args.out is None:
-        ap.error("--out is required unless --compare is given")
+        ap.error("--out is required unless --compare or --manifest is given")
     t0 = time.perf_counter()
-    out, values = run(args.src)
+    todo = rows() if args.random is None else random_rows(args.random, args.seed)
+    out, values = run(args.src, todo)
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True))
     np.savez_compressed(values_path(args.out), **values)
     counts: dict = {}

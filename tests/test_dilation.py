@@ -20,7 +20,8 @@ from ektau.errors import ConfigInvalid, EktauError
 from ektau.harness import rosenberg_bound
 from ektau.model import SpaceParams
 from ektau.solver import disk_grid, rectangle_grid, solve_dirichlet
-from ektau.stability import cylinder_stability
+from ektau.stability import (angle_jacobi_residual, assemble_jacobi,
+                             cylinder_stability, smallest_eigenvalue)
 
 
 def dilate(H, params, k):
@@ -328,6 +329,22 @@ def test_grid_solve_answers_or_raises_ektau_error(build, H, orientation):
         return
     assert np.isfinite(sol.values[grid.interior]).all()
     assert math.isfinite(sol.residual_max)
+
+
+@settings(max_examples=120, deadline=None)
+@given(fuzz_grid(), FUZZ_H, st.sampled_from([-1, 1]))
+def test_stability_check_answers_or_raises_ektau_error(build, H, orientation):
+    # no numpy warning (warnings are errors): a solved graph's Jacobi
+    # spectrum and angle residual finite, or an EktauError
+    try:
+        grid = build()
+        sol = solve_dirichlet(grid, 0.0, H, grid.params, orientation)
+        spec = smallest_eigenvalue(assemble_jacobi(sol))
+        angle = angle_jacobi_residual(sol)
+    except EktauError:
+        return
+    assert math.isfinite(spec.lambda_min) and math.isfinite(spec.eigvec_residual)
+    assert math.isfinite(angle)
 
 
 def test_margin_scales_with_the_model_disk():

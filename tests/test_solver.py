@@ -930,6 +930,21 @@ class TestNewtonLinearSolve:
         assert sol.newton_iterations == plain.newton_iterations
         assert graph_height(sol) == pytest.approx(graph_height(plain), rel=1e-12)
 
+    def test_hopeless_cycle_stops_after_five_vectors(self, monkeypatch):
+        # a zero start past the fold: five Arnoldi vectors leave the second
+        # cycle's residual at 0.27 of its start, a rate that fifteen cannot
+        # carry to 1e-6, so the cycle gives up there, after six triangular
+        # solves (the chord step and one per vector) instead of sixteen, and
+        # the Jacobian is factored
+        cycles = TestMatrixFreeKrylov._record_cycles(monkeypatch)
+        counts = _count_calls(monkeypatch, "_factor")
+        with pytest.raises(VerticalBlowup, match=r"at H=1.179$"):
+            solve_dirichlet(disk_grid(1.0, 48, NIL), 0.0, 1.179, NIL)
+        (_, x1), (second, x2) = cycles
+        assert x1 is not None and x2 is None
+        assert second == ["solve", "apply"] * 6
+        assert counts["_factor"] == 5
+
 
 def _count_calls(monkeypatch, *names):
     """Count the calls of the named `solver` functions from here on."""
@@ -973,11 +988,15 @@ class TestGlobalization:
     turns vertical."""
 
     @pytest.mark.parametrize("params, n, H, exc, message, jacobians", [
-        # damped steps, one forced step, then chase mode
+        # four full steps and five damped ones; then the full step cuts
+        # min|nu| from 0.25 to 0.01 and is forced, and one chase step ends it
         (FLAT, 16, 1.0, VerticalBlowup, "graph turned vertical during "
-         "iteration: min|nu| < 0.001 at H=1", 13),
+         "iteration: min|nu| < 0.001 at H=1", 11),
+        # two full steps; the third's GMRES cycle is given up after five
+        # vectors and one damped step follows; then the full step cuts
+        # min|nu| from 0.17 to 0.014 and is forced, and one chase step ends it
         (FLAT, 16, 1.2, VerticalBlowup, "graph turned vertical during "
-         "iteration: min|nu| < 0.001 at H=1.2", 15),
+         "iteration: min|nu| < 0.001 at H=1.2", 5),
         # a forced step without chase mode
         (NIL, 24, 1.05, VerticalBlowup, "graph turned vertical during "
          "iteration: min|nu| < 0.001 at H=1.05", 7),
@@ -993,15 +1012,16 @@ class TestGlobalization:
         assert counts["mean_curvature_sensitivities"] == jacobians
 
     def test_damped_steps_refactor(self, monkeypatch):
-        # two full steps, three damped ones, then two forced steps in chase
-        # mode: each damped or forced step drops the factor, so every later
-        # Jacobian is factored afresh and the line searches stay short; each
-        # assembled Jacobian is one that is factored
+        # two full steps, two damped ones (the first after a GMRES cycle
+        # given up at five vectors), then the full step that cuts min|nu|
+        # from 0.11 to 0.004 is forced and one chase step ends it: each
+        # damped or forced step drops the factor, so every later Jacobian is
+        # factored afresh; each assembled Jacobian is one that is factored
         counts = _count_calls(monkeypatch, "_factor", "_residual", "_jacobian")
         with pytest.raises(VerticalBlowup,
                            match=r"min\|nu\| < 0.001 at H=1.236"):
             solve_dirichlet(disk_grid(1.0, 48, NIL), 0.0, 1.236, NIL)
-        assert counts == {"_factor": 6, "_residual": 22, "_jacobian": 6}
+        assert counts == {"_factor": 5, "_residual": 13, "_jacobian": 5}
 
     @pytest.mark.parametrize("params, n, H", [(NIL, 32, 4.0), (PSL, 24, 3.5)],
                              ids=["nil", "psl"])
@@ -1011,6 +1031,21 @@ class TestGlobalization:
         g = rectangle_grid((0.4, 0.4), n, params, center=(0.05, -0.03))
         with pytest.raises(VerticalBlowup) as info:
             solve_dirichlet(g, 0.0, H, params)
+        assert str(info.value) == ("graph turned vertical during iteration: "
+                                   "min|nu| < 0.001 at H=%g" % H)
+
+    @pytest.mark.parametrize("extents, n, params, center, boundary, H", [
+        # rectangles past the fold that turn vertical through a forced full
+        # step cutting min|nu| tenfold; without that rule the first stalls
+        # and the second exhausts the budget
+        ((0.5, 0.8), 48, SpaceParams(0.0, 1.0), (0.2, 0.1), 0.3, 1.5),
+        ((0.3, 0.3), 12, NIL_TAU2, (0.0, 0.0), 0.0, 5.5)],
+        ids=["stalled", "exhausted"])
+    def test_forced_collapse_ends_as_vertical(self, extents, n, params,
+                                              center, boundary, H):
+        g = rectangle_grid(extents, n, params, center=center)
+        with pytest.raises(VerticalBlowup) as info:
+            solve_dirichlet(g, boundary, H, params, orientation=1)
         assert str(info.value) == ("graph turned vertical during iteration: "
                                    "min|nu| < 0.001 at H=%g" % H)
 
@@ -1070,26 +1105,35 @@ class TestNewtonExits:
         assert outcomes[-len(solver._STEP_LENGTHS):] == \
             ["degenerate"] * len(solver._STEP_LENGTHS)
 
-    def test_forced_step_that_helps_neither_stalls(self):
-        # a zero start on a rectangle past the fold whose forced candidate
-        # does not lower min|nu|; the non-existence it
-        # stands for would rather end as VerticalBlowup, so a change to the
-        # globalization (ROADMAP item 2) may move this pin
-        g = rectangle_grid((0.5, 0.8), 48, SpaceParams(0.0, 1.0),
-                           center=(0.2, 0.1))
+    def test_forced_step_that_helps_neither_stalls(self, monkeypatch):
+        # a zero start on an off-centre disk past the fold, found by the
+        # seeded random probe (`probe_matrix.py --random`): a forced full
+        # step cuts min|nu| tenfold to 0.021, and in chase mode the next
+        # candidate evaluates but does not lower min|nu|; the non-existence
+        # it stands for would rather end as VerticalBlowup, so a change to
+        # the globalization (ROADMAP item 2) may move this pin
+        params = SpaceParams(0.5, 0.0)
+        g = disk_grid(0.7708362494222822, 13, params,
+                      center=(0.06747587521437837, -0.09214781217150597))
+        outcomes = self._trial_outcomes(monkeypatch)
         with pytest.raises(NonConvergence) as info:
-            solve_dirichlet(g, 0.3, 1.5, SpaceParams(0.0, 1.0), orientation=1)
-        assert str(info.value) == "Newton stalled at residual 2.521e+01 (H=1.5)"
+            solve_dirichlet(g, 0.0, 1.3908328828241383, params, orientation=1)
+        assert str(info.value) == \
+            "Newton stalled at residual 1.306e+00 (H=1.39083)"
+        # the pass had a candidate: this is not the every-trial-skipped stall
+        assert outcomes[-1] == "ok"
 
     def test_iteration_budget_exhausted(self, monkeypatch):
-        # the budget guards the loop: a small rectangle in Nil with tau = 2
-        # past the fold neither converges nor turns vertical in 50 steps
-        g = rectangle_grid((0.3, 0.3), 12, NIL_TAU2)
+        # the budget guards the loop: a rectangle in Nil with tau = 3 past
+        # the fold (a seeded random probe row, rounded) neither converges
+        # nor turns vertical in 50 steps
+        params = SpaceParams(0.0, 3.0)
+        g = rectangle_grid((0.7, 0.94), 14, params, center=(0.24, 0.1))
         counts = _count_calls(monkeypatch, "mean_curvature_sensitivities")
         with pytest.raises(NonConvergence) as info:
-            solve_dirichlet(g, 0.0, 5.5, NIL_TAU2, orientation=1)
+            solve_dirichlet(g, 0.0, 1.2, params, orientation=1)
         assert str(info.value) == ("Newton exhausted 50 iterations, "
-                                   "residual 3.925e+00 (H=5.5)")
+                                   "residual 3.762e-01 (H=1.2)")
         assert counts["mean_curvature_sensitivities"] == solver._MAX_NEWTON
 
 
